@@ -7,13 +7,16 @@
 2. **Magic-set specialization** (Thm 5.8's device): for a left-linear
    chain program with a bound source, unary IDBs shrink the grounding
    from Θ(n·m) to O(m) -- measured head-to-head on the same inputs.
-3. **Indexed vs naive join engine** (DESIGN.md §5): the same relevant
-   grounding computed by both engines, compared on the instrumented
-   join-probe counter (``GROUNDING_STATS``).  The indexed engine must
-   probe at least 2× fewer rows at every sweep size.
+3. **Columnar vs naive join engine** (DESIGN.md §8): the same relevant
+   grounding computed by the fast path and by the naive oracle,
+   compared on the instrumented join-probe counter
+   (:func:`~repro.datalog.grounding.count_join_probes`).  The columnar
+   engine must probe at least 2× fewer rows at every sweep size.
 """
 
 from conftest import run_sweep
+
+from repro.config import ExecutionConfig
 
 from repro.datalog import (
     count_join_probes,
@@ -26,6 +29,7 @@ from repro.datalog import (
 from repro.workloads import random_digraph
 
 TC = transitive_closure()
+NAIVE_ENGINE = ExecutionConfig(engine="naive")
 SWEEP = (6, 8, 10, 12)
 REPRESENTATIVE = 10
 
@@ -50,14 +54,14 @@ def test_ablation_grounding_strategies(benchmark):
     rows = []
     for n in SWEEP:
         full, relevant, magic = groundings(n)
-        assert len(magic.rules) <= len(relevant.rules) <= len(full.rules)
+        assert len(magic) <= len(relevant) <= len(full)
         rows.append(
             dict(
                 n=n,
                 m=max(n, 4) + 1,
-                size=len(relevant.rules),
-                depth=len(magic.rules),
-                extra=f"full={len(full.rules)} relevant={len(relevant.rules)} magic={len(magic.rules)}",
+                size=len(relevant),
+                depth=len(magic),
+                extra=f"full={len(full)} relevant={len(relevant)} magic={len(magic)}",
             )
         )
     run_sweep(
@@ -68,8 +72,8 @@ def test_ablation_grounding_strategies(benchmark):
     )
     # The asymptotic separation: magic stays linear while relevant is
     # quadratic-ish and full is cubic-ish in n on these inputs.
-    first_full, first_rel, first_magic = (len(g.rules) for g in groundings(SWEEP[0]))
-    last_full, last_rel, last_magic = (len(g.rules) for g in groundings(SWEEP[-1]))
+    first_full, first_rel, first_magic = (len(g) for g in groundings(SWEEP[0]))
+    last_full, last_rel, last_magic = (len(g) for g in groundings(SWEEP[-1]))
     scale = SWEEP[-1] / SWEEP[0]
     assert last_magic / max(first_magic, 1) <= 2.5 * scale
     assert last_full / max(first_full, 1) >= last_magic / max(first_magic, 1)
@@ -77,33 +81,33 @@ def test_ablation_grounding_strategies(benchmark):
 
 
 def test_ablation_join_engines(benchmark):
-    """Indexed vs naive engine on identical relevant groundings.
+    """Columnar fast path vs naive oracle on identical relevant groundings.
 
-    The ISSUE 2 acceptance bar: ≥ 2× fewer join probes at every sweep
-    size, same ground rules either way (the deep equivalence is pinned
-    by ``tests/datalog/test_grounding_engines.py``).
+    The bar: ≥ 2× fewer join probes at every sweep size, same ground
+    rules either way (the deep equivalence is pinned by
+    ``tests/datalog/test_grounding_engines.py``).
     """
     rows = []
     for n in SWEEP:
         db = ablation_db(n)
         naive_probes, naive_ground = count_join_probes(
-            lambda: relevant_grounding(TC, db, engine="naive")
+            lambda: relevant_grounding(TC, db, config=NAIVE_ENGINE)
         )
-        indexed_probes, indexed_ground = count_join_probes(
-            lambda: relevant_grounding(TC, db, engine="indexed")
+        columnar_probes, columnar_ground = count_join_probes(
+            lambda: relevant_grounding(TC, db)
         )
-        assert len(naive_ground.rules) == len(indexed_ground.rules)
+        assert naive_ground.rule_keys() == columnar_ground.rule_keys()
         rows.append(
             dict(
                 n=n,
                 m=max(n, 4) + 1,
                 size=naive_probes,
-                depth=indexed_probes,
-                extra=f"probe ratio={naive_probes / max(indexed_probes, 1):.1f}x",
+                depth=columnar_probes,
+                extra=f"probe ratio={naive_probes / max(columnar_probes, 1):.1f}x",
             )
         )
     run_sweep(
-        "Ablation / join engine: naive vs indexed probes (size=naive, depth=indexed)",
+        "Ablation / join engine: naive vs columnar probes (size=naive, depth=columnar)",
         claimed_size="n^2",
         claimed_depth="n^2",
         rows=rows,
@@ -112,15 +116,13 @@ def test_ablation_join_engines(benchmark):
         assert row["size"] >= 2 * row["depth"], row
 
     # Magic-set chain program: the bound source makes every IDB join a
-    # selective lookup, the indexed engine's best case.
+    # selective lookup, the columnar engine's best case.
     db = ablation_db(REPRESENTATIVE)
     magic = magic_specialize(TC, 0)
     naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="naive")
+        lambda: relevant_grounding(magic, db, config=NAIVE_ENGINE)
     )
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="indexed")
-    )
-    assert naive_probes >= 2 * indexed_probes, (naive_probes, indexed_probes)
+    columnar_probes, _ = count_join_probes(lambda: relevant_grounding(magic, db))
+    assert naive_probes >= 2 * columnar_probes, (naive_probes, columnar_probes)
 
-    benchmark(relevant_grounding, TC, db, engine="indexed")
+    benchmark(relevant_grounding, TC, db)

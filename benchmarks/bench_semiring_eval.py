@@ -67,12 +67,12 @@ def test_semiring_eval_correctness(benchmark):
         (VITERBI, {f: 0.9 for f in db.facts()}),
         (BOOLEAN, {f: True for f in db.facts()}),
     ]:
-        # Both engine strategies must agree with the circuit (and hence
-        # with each other) -- the benchmark-scale face of the
-        # naive/semi-naive equivalence tests.
-        for strategy in ("naive", "seminaive"):
+        # Both fixpoint strategies must agree with the circuit (and
+        # hence with each other) -- the benchmark-scale face of the
+        # oracle-vs-fast equivalence tests.
+        for strategy in ("naive", "columnar"):
             expected = naive_evaluation(
-                TC, db, semiring, weights=valuation, strategy=strategy
+                TC, db, semiring, weights=valuation, config={"strategy": strategy}
             ).value(fact)
             got = evaluate(circuit, semiring, valuation)
             assert semiring.eq(got, expected), (semiring.name, strategy)

@@ -1,14 +1,14 @@
 """The ``repro.api`` facade: one front door for the whole pipeline.
 
-PRs 1-5 grew the engine bottom-up, and each layer exposed its own
-entry point: ``relevant_grounding(engine=...)``,
-``naive_evaluation(strategy=..., grounding_engine=...)``,
-``magic_grounding(columnar=...)``, ``generic_circuit(engine=...)``,
-``provenance_circuit(optimize_depth=...)``.  This module is the
-redesigned public API on top of them (DESIGN.md §10):
+Each layer exposes its own entry point (``relevant_grounding``,
+``naive_evaluation``, ``magic_grounding``, ``generic_circuit``,
+``provenance_circuit``), and every one of them takes the same
+``config=`` keyword.  This module is the public API on top of them
+(DESIGN.md §10):
 
 * :class:`~repro.config.ExecutionConfig` -- one frozen bundle of the
-  engine × strategy × construction knobs, accepted by every layer;
+  engine × strategy × construction × backend knobs, accepted by every
+  layer;
 * :func:`solve` -- the one-shot "evaluate this program on this
   database over this semiring" call;
 * :class:`Session` -- the compile-once handle: it caches the
@@ -18,10 +18,6 @@ redesigned public API on top of them (DESIGN.md §10):
   (:mod:`repro.serving`) holds one ``Session`` per cache entry;
 * :func:`program_fingerprint` / :func:`database_fingerprint` -- the
   stable content identities the compiled-circuit cache is keyed on.
-
-The historical entry points remain importable and working; their
-knob kwargs are deprecation shims that fold into an
-``ExecutionConfig`` (see :func:`repro.config.merge_legacy_knobs`).
 """
 
 from __future__ import annotations
@@ -48,12 +44,7 @@ from .datalog.analysis import (
 from .datalog.ast import DatalogError, Fact, Program
 from .datalog.database import Database
 from .datalog.evaluation import EvaluationResult
-from .datalog.grounding import (
-    ColumnarGroundProgram,
-    GroundProgram,
-    columnar_grounding,
-    relevant_grounding,
-)
+from .datalog.grounding import ColumnarGroundProgram, GroundProgram
 from .datalog.incremental import MaintainedFixpoint, MaintenancePolicy
 from .datalog.seminaive import FixpointEngine
 from .semirings import BOOLEAN
@@ -115,8 +106,8 @@ class Session:
     computed lazily and cached:
 
     * :meth:`ground` -- the grounding, in the representation the
-      configured strategy consumes (id-space for
-      ``strategy="columnar"``, tuple-space otherwise);
+      configured strategy consumes (id-space for the default
+      ``strategy="columnar"``, tuple-space for the ``naive`` oracle);
     * :meth:`circuit` -- one :class:`ConstructionChoice` per output
       fact, built by the configured construction (``auto`` runs the
       paper's decision tree); the choice caches its
@@ -202,11 +193,7 @@ class Session:
     def ground(self) -> Union[GroundProgram, ColumnarGroundProgram]:
         """The cached grounding, in the strategy's native representation."""
         if self._ground is None:
-            program = self.plan_program
-            if self.config.resolved_strategy == "columnar":
-                self._ground = columnar_grounding(program, self.database)
-            else:
-                self._ground = relevant_grounding(program, self.database, config=self.config)
+            self._ground = self._engine.ground(self.plan_program, self.database)
         return self._ground
 
     def solve(
@@ -389,8 +376,8 @@ class StreamSession:
     wrapper keeps the *session-level* artifacts consistent too:
 
     * the session's cached grounding follows the maintained ground
-      program (columnar strategies consume it directly, tuple
-      strategies decode it at the boundary);
+      program (the columnar strategy consumes it directly, the naive
+      oracle decodes it at the boundary);
     * per-output circuit choices are invalidated (they are
       structural), but circuits already served via :meth:`serve` stay
       live through leaf pushes and only rebuild on structural inserts;
@@ -644,13 +631,14 @@ def solve(
 ) -> EvaluationResult:
     """One-shot fixpoint evaluation through the unified facade.
 
-    Equivalent to every historical spelling -- ``naive_evaluation``,
-    ``seminaive_evaluation``, ``FixpointEngine(...).evaluate`` -- with
-    the knobs carried by one :class:`ExecutionConfig`::
+    Equivalent to ``naive_evaluation`` and
+    ``FixpointEngine(config=...).evaluate``, with the knobs carried by
+    one :class:`ExecutionConfig`; the default is the columnar fast
+    path, and the naive oracle is one field away::
 
         from repro.api import ExecutionConfig, solve
         result = solve(program, db, TROPICAL,
-                       config=ExecutionConfig(engine="columnar", strategy="columnar"))
+                       config=ExecutionConfig(engine="naive", strategy="naive"))
 
     ``strict=True`` runs the full semiring-aware static analyzer
     first and raises

@@ -24,10 +24,6 @@ NumPy semantics diverge from the Python reference (NaN ordering,
 ``int64`` overflow vs. Python bigints, unbindable values), they return
 ``None`` and the caller re-runs the pure-Python kernel from scratch --
 both are deterministic, so the fallback is exact, just slower.
-
-:mod:`repro.backends.sharding` rides along here: coarse multicore
-parallelism for ``columnar_grounding()`` (shard by stable hash of the
-head fact across a ``multiprocessing`` pool, merge deterministically).
 """
 
 from __future__ import annotations

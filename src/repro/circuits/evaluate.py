@@ -164,13 +164,14 @@ def crosscheck_fixpoint(
     database valuation (overridden by *weights*) and each output is
     compared -- via ``semiring.eq`` -- with the value the
     :class:`~repro.datalog.seminaive.FixpointEngine` computes under
-    *strategy* (default: the repo-wide semi-naive default).
+    *strategy* (default: the repo-wide columnar default).
 
     Returns ``{fact: (circuit_value, fixpoint_value)}`` for the facts
     that disagree; an empty dict certifies agreement.  This is the
     bridge the construction theorems promise ("the circuit produces
     the provenance"), used by the equivalence tests and benchmarks.
     """
+    from ..config import ExecutionConfig
     from ..datalog.seminaive import FixpointEngine
 
     if len(facts) != len(circuit.outputs):
@@ -183,7 +184,7 @@ def crosscheck_fixpoint(
     values = evaluate_all(
         circuit, semiring, lambda label: assignment.get(label, semiring.one)
     )
-    result = FixpointEngine(strategy).evaluate(
+    result = FixpointEngine(config=ExecutionConfig(strategy=strategy)).evaluate(
         program, database, semiring, weights=weights
     )
     mismatches: Dict[object, Tuple[object, object]] = {}

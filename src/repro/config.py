@@ -1,28 +1,20 @@
 """The execution knobs, unified: one :class:`ExecutionConfig` for every layer.
 
-PRs 1-5 grew five independent spellings for "how should this run":
-``strategy=`` on the fixpoint entry points, ``grounding_engine=`` on
-the same entry points one layer up, ``engine=`` on the grounding and
-circuit-construction functions, ``columnar=`` on
-:func:`~repro.datalog.magic.magic_grounding`, and per-construction
-keyword arguments on :func:`~repro.constructions.auto.provenance_circuit`.
-Each knob was coherent locally and inconsistent globally -- the same
-word ("columnar") named a join engine, a fixpoint strategy and an
-output representation depending on the call site.
-
-This module is the single source of truth those layers now share
+This module is the single source of truth every layer shares
 (DESIGN.md §10):
 
 * the knob vocabularies (:data:`GROUNDING_ENGINES`,
-  :data:`FIXPOINT_STRATEGIES`, :data:`CONSTRUCTIONS`) and their
-  defaults, re-exported by the layers that historically defined them;
+  :data:`FIXPOINT_STRATEGIES`, :data:`CONSTRUCTIONS`, :data:`BACKENDS`)
+  and their defaults, re-exported by the layers that historically
+  defined them;
 * :class:`ExecutionConfig`, the one value every layer accepts via a
   ``config=`` keyword -- grounding, fixpoint, circuit construction,
   the :mod:`repro.api` facade and the serving stack
-  (:mod:`repro.serving`) all thread the same frozen object;
-* :func:`merge_legacy_knobs`, the deprecation shim the public entry
-  points use to keep the historical kwarg spellings working (warn,
-  don't break) while folding them into an ``ExecutionConfig``.
+  (:mod:`repro.serving`) all thread the same frozen object.
+
+Grounding and fixpoint each have exactly one fast path (``columnar``,
+the default) and one paper-literal reference oracle (``naive``); the
+equivalence tests compare every fast path against the oracle.
 
 It deliberately imports nothing from the rest of the package so every
 layer -- including :mod:`repro.datalog.grounding` at the bottom of the
@@ -31,7 +23,6 @@ stack -- can depend on it without cycles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Tuple, Union
 
@@ -47,20 +38,19 @@ __all__ = [
     "ExecutionConfig",
     "DEFAULT_CONFIG",
     "coerce_config",
-    "merge_legacy_knobs",
 ]
 
-#: Join engines for grounding (DESIGN.md §5, §8): ``indexed`` probes
-#: pattern-keyed hash indexes, ``columnar`` runs the fused pass in
-#: interned id space, ``naive`` is the reference nested-loop join.
-GROUNDING_ENGINES: Tuple[str, ...] = ("indexed", "naive", "columnar")
-DEFAULT_GROUNDING_ENGINE = "indexed"
+#: Join engines for grounding (DESIGN.md §8): ``columnar`` runs the
+#: fused delta-driven pass in interned id space, ``naive`` is the
+#: reference fixpoint-then-re-join oracle.
+GROUNDING_ENGINES: Tuple[str, ...] = ("columnar", "naive")
+DEFAULT_GROUNDING_ENGINE = "columnar"
 
-#: Fixpoint strategies (DESIGN.md §4, §9): ``seminaive`` re-evaluates
-#: only dirty rules, ``columnar`` runs the same delta rounds on dense
-#: id-indexed arrays, ``naive`` is the paper's literal loop.
-FIXPOINT_STRATEGIES: Tuple[str, ...] = ("naive", "seminaive", "columnar")
-DEFAULT_FIXPOINT_STRATEGY = "seminaive"
+#: Fixpoint strategies (DESIGN.md §9): ``columnar`` re-evaluates only
+#: dirty rules on dense id-indexed arrays, ``naive`` is the paper's
+#: literal Section 2.3 loop.
+FIXPOINT_STRATEGIES: Tuple[str, ...] = ("columnar", "naive")
+DEFAULT_FIXPOINT_STRATEGY = "columnar"
 
 #: Circuit constructions (Sections 3-6): ``auto`` runs the paper's
 #: decision tree (:func:`repro.constructions.auto.provenance_circuit`),
@@ -119,6 +109,9 @@ class ExecutionConfig:
                 raise ValueError(
                     f"unknown {field} {value!r}; expected one of {allowed} (or None for the default)"
                 )
+        for field in ("optimize_depth", "prune"):
+            if not isinstance(getattr(self, field), bool):
+                raise TypeError(f"{field} must be a bool, got {getattr(self, field)!r}")
 
     @property
     def resolved_engine(self) -> str:
@@ -173,35 +166,3 @@ def coerce_config(config: ConfigLike) -> ExecutionConfig:
     raise TypeError(
         f"config must be an ExecutionConfig, a mapping of its fields, or None; got {type(config).__name__}"
     )
-
-
-def merge_legacy_knobs(where: str, config: ConfigLike, **legacy) -> ExecutionConfig:
-    """Fold deprecated kwarg spellings into an :class:`ExecutionConfig`.
-
-    *legacy* maps a config field name to an ``(old_spelling, value)``
-    pair; a non-``None`` value emits a :class:`DeprecationWarning`
-    naming the replacement and is merged into *config*.  A legacy
-    value that contradicts an explicitly configured field raises
-    :class:`ValueError` -- silently preferring either spelling would
-    make the migration ambiguous.
-
-    ``stacklevel=3`` attributes the warning to the caller of the
-    public entry point (user code), not to the shim itself.
-    """
-    merged = coerce_config(config)
-    for field, (old, value) in legacy.items():
-        if value is None:
-            continue
-        warnings.warn(
-            f"{where}({old}=...) is deprecated; pass config=ExecutionConfig({field}={value!r}) "
-            "through the repro.api facade instead (DESIGN.md §10)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        current = getattr(merged, field)
-        if current is not None and current != value:
-            raise ValueError(
-                f"{where}: legacy {old}={value!r} conflicts with config.{field}={current!r}"
-            )
-        merged = merged.evolve(**{field: value})
-    return merged

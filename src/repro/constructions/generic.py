@@ -16,21 +16,22 @@ Gates are hash-consed, so when the symbolic layer values stabilize
 early (e.g. bounded programs, acyclic inputs) the construction stops
 adding gates and exits.
 
-The stage loop is the *symbolic* twin of the semi-naive engine
-(:mod:`repro.datalog.seminaive`): per-fact node deltas plus the
-grounding's ``rules_by_idb_body`` index mean each stage only rebuilds
-``⊗``-chains for rules whose body node actually changed.  Hash-consing
-makes this an exact optimization -- an unchanged head re-folds to the
-identical gate id -- so the constructed circuit is the same one the
-dense loop produced, found with far fewer builder calls.
+The stage loop is the *symbolic* twin of the columnar fixpoint
+(:mod:`repro.datalog.seminaive`), streamed from the id-space grounding
+(DESIGN.md §9): per-fact node deltas plus the grounding's CSR
+body index mean each stage only rebuilds ``⊗``-chains for rules whose
+body node actually changed.  Hash-consing makes this an exact
+optimization -- an unchanged head re-folds to the identical gate id --
+so the constructed circuit is the same one the dense loop produced,
+found with far fewer builder calls.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..circuits.circuit import Circuit, CircuitBuilder
-from ..config import ConfigLike, merge_legacy_knobs
+from ..config import ConfigLike, coerce_config
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
 from ..datalog.grounding import (
@@ -49,7 +50,6 @@ def generic_circuit(
     facts: Optional[Union[Fact, Sequence[Fact]]] = None,
     stages: Optional[int] = None,
     ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
-    engine: Optional[str] = None,
     config: ConfigLike = None,
 ) -> Circuit:
     """Build the Theorem 3.1 circuit for *facts* (default: all target
@@ -58,75 +58,25 @@ def generic_circuit(
     *stages* defaults to the sound bound ``N`` (number of derivable
     IDB facts); pass a smaller value only with an external guarantee
     (e.g. a boundedness constant -- that case is
-    :func:`repro.constructions.bounded.bounded_circuit`).  *engine*
-    selects the grounding join engine when *ground* is not supplied
-    (``"indexed"`` | ``"naive"`` | ``"columnar"``, see
-    :func:`~repro.datalog.grounding.relevant_grounding`); with
-    ``engine="columnar"`` the program is grounded straight into id
-    space (:func:`~repro.datalog.grounding.columnar_grounding`) and
-    the stage loop streams from the columnar arrays -- EDB constants
-    are decoded exactly once, for the input-gate labels.  A
-    precomputed grounding of either form can be passed as *ground*.
+    :func:`repro.constructions.bounded.bounded_circuit`).
+    ``config.engine`` selects the join engine when *ground* is not
+    supplied (see :func:`~repro.datalog.grounding.relevant_grounding`);
+    the default grounds straight into id space
+    (:func:`~repro.datalog.grounding.columnar_grounding`).  A
+    precomputed grounding of either form can be passed as *ground*; a
+    tuple-space one is lowered into id space first.
 
     The circuit's input labels are the EDB :class:`Fact` objects, so
     ``database.valuation(semiring)`` is a ready-made assignment.
-
-    ``engine=`` is the deprecated spelling of
-    ``config=ExecutionConfig(engine=...)``; it still works but warns.
     """
-    config = merge_legacy_knobs("generic_circuit", config, engine=("engine", engine))
     if ground is None:
-        if config.resolved_engine == "columnar":
-            ground = columnar_grounding(program, database)
-        else:
+        if coerce_config(config).resolved_engine == "naive":
             ground = relevant_grounding(program, database, config=config)
-    if isinstance(ground, ColumnarGroundProgram):
-        return _generic_circuit_columnar(program, ground, facts, stages)
-    idb_facts: List[Fact] = sorted(ground.idb_facts, key=repr)
-    if stages is None:
-        stages = max(len(idb_facts), 1)
-
-    builder = CircuitBuilder(share=True)
-    value: Dict[Fact, int] = {fact: builder.const0() for fact in idb_facts}
-
-    # Pre-intern EDB inputs and per-rule EDB products (stage-invariant).
-    rule_edb_product: List[int] = [
-        builder.mul_all([builder.var(edb) for edb in rule.edb_body]) for rule in ground.rules
-    ]
-
-    # Delta-driven stages over the grounding's body index: only rules
-    # whose body node changed in the previous stage are re-chained.
-    rules = ground.rules
-    by_body = ground.rules_by_idb_body
-    by_head = ground.rule_indices_by_head
-    rule_node: List[int] = list(rule_edb_product)
-    dirty: Sequence[int] = range(len(rules))
-    for _ in range(stages):
-        dirty_heads = set()
-        for position in dirty:
-            rule = rules[position]
-            node = rule_edb_product[position]
-            for body_fact in rule.idb_body:
-                node = builder.mul(node, value[body_fact])
-            rule_node[position] = node
-            dirty_heads.add(rule.head)
-        delta: Dict[Fact, int] = {}
-        for fact in dirty_heads:
-            fresh = builder.add_all([rule_node[position] for position in by_head[fact]])
-            if fresh != value[fact]:
-                delta[fact] = fresh
-        if not delta:
-            break  # symbolic fixpoint: further layers are no-ops
-        value.update(delta)
-        dirty = sorted(
-            {position for fact in delta for position in by_body.get(fact, ())}
-        )
-
-    outputs = _resolve_outputs(program, facts, idb_facts)
-    output_nodes = [value.get(fact, builder.const0()) for fact in outputs]
-    # Keep missing facts' const0 outputs meaningful even when pruning.
-    circuit = builder.build(output_nodes, prune=True)
-    return circuit
+        else:
+            ground = columnar_grounding(program, database)
+    if isinstance(ground, GroundProgram):
+        ground = ColumnarGroundProgram.from_ground_program(ground)
+    return _generic_circuit_columnar(program, ground, facts, stages)
 
 
 def _generic_circuit_columnar(
@@ -138,7 +88,7 @@ def _generic_circuit_columnar(
     """The stage loop of :func:`generic_circuit`, streamed from the
     id-space grounding (DESIGN.md §9).
 
-    Same delta-driven construction, same hash-consed gates: node ids
+    Delta-driven construction over hash-consed gates: node ids
     live in one dense list indexed by fact id, rules and the
     ``by_body`` / ``by_head`` adjacency are read from the CSR arrays,
     and dirty bookkeeping is ``bytearray`` marks -- the only
@@ -246,15 +196,3 @@ def _generic_circuit_columnar(
             else:
                 output_nodes.append(builder.const0())
     return builder.build(output_nodes, prune=True)
-
-
-def _resolve_outputs(
-    program: Program,
-    facts: Optional[Union[Fact, Sequence[Fact]]],
-    idb_facts: Iterable[Fact],
-) -> List[Fact]:
-    if facts is None:
-        return [f for f in idb_facts if f.predicate == program.target]
-    if isinstance(facts, Fact):
-        return [facts]
-    return list(facts)

@@ -2,14 +2,13 @@
 
 The engine: AST + parser, annotated databases backed by an interned
 columnar fact store (:mod:`repro.datalog.store`, DESIGN.md §8),
-grounding (full and relevant, each served by the indexed join engine
-by default with the columnar id-space engine and the naive
-nested-loop engine selectable -- see :mod:`repro.datalog.grounding`
-and DESIGN.md §5), fixpoint evaluation
-over any naturally ordered semiring via the :class:`FixpointEngine`
-(semi-naive with indexed deltas by default, the paper's naive loop as
-the selectable reference strategy -- see
-:mod:`repro.datalog.seminaive`), proof-tree enumeration (tight trees,
+grounding (full and relevant, each served by the columnar id-space
+join engine by default with the naive nested-loop engine as the
+selectable reference oracle -- see :mod:`repro.datalog.grounding` and
+DESIGN.md §8), fixpoint evaluation over any naturally ordered semiring
+via the :class:`FixpointEngine` (delta-driven columnar rounds by
+default, the paper's naive loop as the selectable reference oracle --
+see :mod:`repro.datalog.seminaive`), proof-tree enumeration (tight trees,
 Prop 2.4), CQ expansions of linear programs (Thm 4.5) and a library
 of the paper's example programs.
 """
@@ -67,10 +66,8 @@ from .seminaive import (
     COLUMNAR,
     DEFAULT_STRATEGY,
     NAIVE,
-    SEMINAIVE,
     STRATEGIES,
     FixpointEngine,
-    seminaive_evaluation,
 )
 from .store import (
     GLOBAL_SYMBOLS,
@@ -156,14 +153,12 @@ __all__ = [
     "EvaluationResult",
     "DivergenceError",
     "naive_evaluation",
-    "seminaive_evaluation",
     "evaluate_fact",
     "boolean_iterations",
     "FixpointEngine",
     "MaintainedFixpoint",
     "DEFAULT_STRATEGY",
     "NAIVE",
-    "SEMINAIVE",
     "COLUMNAR",
     "STRATEGIES",
     "ProofTree",

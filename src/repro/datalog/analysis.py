@@ -408,8 +408,8 @@ class DivergencePrediction:
 
     ``verdict`` is :data:`CONVERGES` / :data:`DIVERGES` /
     :data:`UNKNOWN`; both definite verdicts are *claims* about the
-    runtime ``converged`` flag (property-tested against the full
-    engine × strategy matrix), ``unknown`` is compatible with either.
+    runtime ``converged`` flag (property-tested against both fixpoint
+    strategies), ``unknown`` is compatible with either.
     ``witness`` is a fact on a derivable ground cycle when one was
     found.
     """

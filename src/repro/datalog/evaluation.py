@@ -6,23 +6,20 @@ the ``⊗``-product of the rule's body facts.  Naive evaluation starts
 from all-``0`` and applies the ICO until a fixpoint.
 
 Two strategies compute that fixpoint (see
-:mod:`repro.datalog.seminaive` for the :class:`FixpointEngine` API and
-the naive-vs-semi-naive trade-off):
+:mod:`repro.datalog.seminaive` for the :class:`FixpointEngine` API):
 
-* ``naive`` -- the paper's loop, kept verbatim in
-  :func:`_naive_fixpoint` as the reference implementation: every round
-  re-evaluates every ground rule, ``O(iterations × |ground rules|)``.
-* ``seminaive`` -- the default: per-fact deltas plus the
-  ``rules_by_idb_body`` index re-evaluate only rules whose body
-  actually changed, round-for-round equivalent to naive.
-* ``columnar`` -- the same delta-driven rounds run in id space on a
+* ``columnar`` -- the default fast path: per-fact deltas re-evaluate
+  only rules whose body actually changed, run in id space on a
   :class:`~repro.datalog.grounding.ColumnarGroundProgram` (dense
   value arrays indexed by fact id, CSR adjacency, object-space ⊗/⊕;
-  DESIGN.md §9), round-for-round equivalent to both.
+  DESIGN.md §9), round-for-round equivalent to naive.
+* ``naive`` -- the paper's loop, kept verbatim in
+  :func:`_naive_fixpoint` as the reference oracle: every round
+  re-evaluates every ground rule, ``O(iterations × |ground rules|)``.
 
-:func:`naive_evaluation` keeps its historical name and signature but
-now delegates to the engine, so every caller gets the semi-naive
-backend unless it pins ``strategy="naive"``.
+:func:`naive_evaluation` keeps its historical name but delegates to
+the engine, so every caller gets the columnar fast path unless it pins
+``config=ExecutionConfig(strategy="naive")``.
 
 Convergence is guaranteed for absorptive (0-stable) semirings -- in at
 most ``N`` rounds, where ``N`` is the number of derivable IDB facts,
@@ -38,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..config import ConfigLike, merge_legacy_knobs
+from ..config import ConfigLike
 from ..semirings.base import Semiring
 from .ast import Fact, Program
 from .database import Database
@@ -98,7 +95,7 @@ def _naive_fixpoint(
     """The literal Section 2.3 loop: re-evaluate everything each round.
 
     Returns ``(values, iterations, converged, rule_evaluations)``; the
-    reference the semi-naive strategy is tested against.
+    reference the columnar strategy is tested against.
     """
     # Precompute each ground rule's EDB product once.
     rule_edb_product = [
@@ -134,8 +131,6 @@ def naive_evaluation(
     ground: Optional[GroundProgram] = None,
     max_iterations: Optional[int] = None,
     raise_on_divergence: bool = False,
-    strategy: Optional[str] = None,
-    grounding_engine: Optional[str] = None,
     config: ConfigLike = None,
     validate: bool = True,
 ) -> EvaluationResult:
@@ -148,20 +143,14 @@ def naive_evaluation(
     semirings and must be set explicitly for non-stable ones.
 
     Despite the historical name this delegates to the
-    :class:`~repro.datalog.seminaive.FixpointEngine`; *strategy* picks
-    the backend (``"naive"`` | ``"seminaive"`` | ``"columnar"``,
-    default :data:`~repro.datalog.seminaive.DEFAULT_STRATEGY`, i.e.
-    semi-naive).  All produce identical results round for round.
-    *grounding_engine* picks the join engine used when *ground* is not
-    supplied (``"indexed"`` | ``"naive"`` | ``"columnar"``, see
-    :func:`~repro.datalog.grounding.relevant_grounding`); *ground*
-    itself may be a tuple-space ``GroundProgram`` or an id-space
+    :class:`~repro.datalog.seminaive.FixpointEngine`;
+    ``config.strategy`` picks the fixpoint (``"columnar"`` by default,
+    or the ``"naive"`` oracle) and ``config.engine`` the join engine
+    used when *ground* is not supplied (see
+    :func:`~repro.datalog.grounding.relevant_grounding`).  All pairs
+    produce identical results round for round.  *ground* itself may be
+    a tuple-space ``GroundProgram`` or an id-space
     :class:`~repro.datalog.grounding.ColumnarGroundProgram`.
-
-    ``strategy=`` and ``grounding_engine=`` are the deprecated
-    spellings of ``config=ExecutionConfig(strategy=..., engine=...)``
-    (the :mod:`repro.api` facade, DESIGN.md §10); they still work but
-    warn.
 
     ``validate=True`` (the default) runs the DL001/DL002 static checks
     before grounding and raises
@@ -171,12 +160,6 @@ def naive_evaluation(
     """
     from .seminaive import FixpointEngine
 
-    config = merge_legacy_knobs(
-        "naive_evaluation",
-        config,
-        strategy=("strategy", strategy),
-        engine=("grounding_engine", grounding_engine),
-    )
     return FixpointEngine(config=config).evaluate(
         program,
         database,
@@ -195,15 +178,9 @@ def evaluate_fact(
     semiring: Semiring,
     fact: Fact,
     weights: Optional[Mapping[Fact, object]] = None,
-    strategy: Optional[str] = None,
     config: ConfigLike = None,
 ):
-    """Least-fixpoint value of one IDB *fact* (``0`` if underivable).
-
-    ``strategy=`` is the deprecated spelling of
-    ``config=ExecutionConfig(strategy=...)``; it still works but warns.
-    """
-    config = merge_legacy_knobs("evaluate_fact", config, strategy=("strategy", strategy))
+    """Least-fixpoint value of one IDB *fact* (``0`` if underivable)."""
     result = naive_evaluation(program, database, semiring, weights, config=config)
     return result.value(fact)
 

@@ -21,23 +21,18 @@ Specialization is a pure program rewrite; its payoff is realized at
 grounding time, where the bound constant turns every IDB join into a
 selective lookup (the specialized program grounds in ``O(m)`` instead
 of ``Θ(n·m)``, DESIGN.md §2).  :func:`magic_grounding` packages the
-two steps -- rewrite, then ground with a selectable join engine -- so
+two steps -- rewrite, then ground -- so
 callers and benchmarks can measure the combination directly.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Union
+from typing import Hashable, List, Union
 
-from ..config import ConfigLike, merge_legacy_knobs
+from ..config import ConfigLike
 from .ast import Atom, Constant, DatalogError, Fact, Program, Rule
 from .database import Database
-from .grounding import (
-    ColumnarGroundProgram,
-    GroundProgram,
-    columnar_grounding,
-    relevant_grounding,
-)
+from .grounding import ColumnarGroundProgram, GroundProgram
 
 __all__ = [
     "magic_specialize",
@@ -102,43 +97,26 @@ def magic_grounding(
     program: Program,
     source: Hashable,
     database: Database,
-    engine: Optional[str] = None,
-    columnar: bool = False,
     config: ConfigLike = None,
 ) -> Union[GroundProgram, ColumnarGroundProgram]:
     """Specialize *program* on *source* and ground the result.
 
-    Equivalent to ``relevant_grounding(magic_specialize(program,
-    source), database, config=config)``; ``config.engine`` selects the
-    join engine (``"indexed"`` | ``"naive"`` | ``"columnar"``, default
-    indexed -- see
-    :func:`~repro.datalog.grounding.relevant_grounding`).  The
-    returned grounding has ``O(m)`` rules for a left-linear chain
+    The returned grounding has ``O(m)`` rules for a left-linear chain
     program on an ``m``-edge input, versus ``Θ(n·m)`` without
     specialization -- the separation
     ``benchmarks/bench_ablation_grounding.py`` measures.
 
-    With ``config.strategy == "columnar"`` the rewrite composes with
-    :func:`~repro.datalog.grounding.columnar_grounding` instead: the
-    result is an id-space
-    :class:`~repro.datalog.grounding.ColumnarGroundProgram` (same rule
-    set -- ``rule_keys()`` matches the tuple form) ready for the
-    ``strategy="columnar"`` fixpoint, and the join-engine knob is
-    ignored.  ``columnar=True`` is the deprecated spelling of exactly
-    that (``config=ExecutionConfig(strategy="columnar")``), and
-    ``engine=`` of ``config=ExecutionConfig(engine=...)``; both still
-    work but warn.
+    The result comes in the representation ``config.strategy``
+    consumes (:meth:`~repro.datalog.seminaive.FixpointEngine.ground`):
+    an id-space :class:`~repro.datalog.grounding.ColumnarGroundProgram`
+    under the default ``"columnar"`` fast path, a tuple-space
+    :class:`~repro.datalog.grounding.GroundProgram` under the
+    ``"naive"`` oracle, joined by ``config.engine`` either way.  All
+    four pairs hold the same rule set (``rule_keys()`` agree).
     """
-    config = merge_legacy_knobs(
-        "magic_grounding",
-        config,
-        engine=("engine", engine),
-        strategy=("columnar", "columnar" if columnar else None),
-    )
-    specialized = magic_specialize(program, source)
-    if config.strategy == "columnar":
-        return columnar_grounding(specialized, database)
-    return relevant_grounding(specialized, database, config=config)
+    from .seminaive import FixpointEngine
+
+    return FixpointEngine(config=config).ground(magic_specialize(program, source), database)
 
 
 def specialized_fact(program: Program, source: Hashable, other: Hashable) -> Fact:

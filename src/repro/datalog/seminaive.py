@@ -1,25 +1,27 @@
-"""Semi-naive evaluation with indexed deltas, and the FixpointEngine API.
+"""The delta-driven columnar fixpoint, and the FixpointEngine API.
 
-:func:`repro.datalog.evaluation.naive_evaluation` implements the
+:func:`repro.datalog.evaluation._naive_fixpoint` implements the
 paper's Section 2.3 fixpoint literally: every round re-multiplies every
 ground rule and re-folds every head, so a run costs
 ``O(iterations × |ground rules|)`` rule evaluations even when almost
-nothing changed between rounds.  This module provides the *semi-naive*
-alternative and the common :class:`FixpointEngine` front-end through
-which both strategies are selected.
+nothing changed between rounds.  It is the reference oracle.  This
+module provides the fast path -- semi-naive rounds on the id-space
+grounding (:func:`_columnar_fixpoint`, DESIGN.md §9) -- and the common
+:class:`FixpointEngine` front-end through which both are selected.
 
-Semi-naive evaluation (round ``t``):
+Delta-driven evaluation (round ``t``):
 
 1. **Delta set** -- the IDB facts whose value changed in round
    ``t − 1``.
-2. **Dirty rules** -- via :attr:`GroundProgram.rules_by_idb_body`,
-   exactly the ground rules with a delta fact in their body; only
-   their ``⊗``-terms are recomputed (every other rule's cached term is
-   still current because none of its body values moved).
+2. **Dirty rules** -- via the grounding's fact → rules-with-it-in-the-
+   body CSR index, exactly the ground rules with a delta fact in their
+   body; only their ``⊗``-terms are recomputed (every other rule's
+   cached term is still current because none of its body values
+   moved).
 3. **Dirty heads** -- heads of dirty rules are re-folded with
-   ``semiring.add`` over the cached per-rule terms
-   (:attr:`GroundProgram.rule_indices_by_head`); a head whose new
-   value differs (``semiring.eq``) enters the next delta set.
+   ``semiring.add`` over the cached per-rule terms (head → rules CSR
+   index); a head whose new value differs (``semiring.eq``) enters the
+   next delta set.
 4. **Convergence** is certified by an empty delta set -- no full
    ``eq`` sweep over all facts is ever needed.
 
@@ -28,31 +30,21 @@ values), so the per-round value maps -- and therefore the fixpoint,
 the iteration count, the ``converged`` flag and the divergence
 behaviour on non-stable semirings -- coincide *exactly* with naive
 evaluation; only the number of rule evaluations shrinks.  The
-equivalence tests in ``tests/datalog/test_seminaive.py`` pin this.
-
-Trade-off: semi-naive pays ``O(size of grounding)`` once to build the
-body index and keeps one cached term per ground rule; naive keeps
-nothing.  On groundings that converge in ≤ 2 rounds the two do the
-same work; everywhere else semi-naive wins (``benchmarks/
-bench_seminaive.py`` measures 2–10× fewer rule evaluations on the
-Bellman–Ford and CFG workloads).  Deltas are also the unit any future
-incremental or parallel backend consumes, which is why the engine --
-not the naive loop -- is the default backend.
+oracle-vs-fast tests in ``tests/datalog/test_seminaive.py`` and
+``tests/datalog/test_columnar_fixpoint.py`` pin this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..backends import resolve_backend
 from ..config import (
     DEFAULT_FIXPOINT_STRATEGY,
     FIXPOINT_STRATEGIES,
-    ConfigLike,
     ExecutionConfig,
     coerce_config,
-    merge_legacy_knobs,
 )
 from ..semirings.base import Semiring
 from .analysis import prune_unreachable, require_valid
@@ -62,7 +54,6 @@ from .evaluation import DivergenceError, EvaluationResult, _naive_fixpoint
 from .grounding import (
     ColumnarGroundProgram,
     GroundProgram,
-    _resolve_engine,
     columnar_grounding,
     derivable_facts,
     relevant_grounding,
@@ -70,80 +61,62 @@ from .grounding import (
 
 __all__ = [
     "NAIVE",
-    "SEMINAIVE",
     "COLUMNAR",
     "STRATEGIES",
     "DEFAULT_STRATEGY",
     "FixpointEngine",
-    "seminaive_evaluation",
 ]
 
 NAIVE = "naive"
-SEMINAIVE = "seminaive"
 COLUMNAR = "columnar"
 #: The strategy vocabulary and its default live in repro.config (the
 #: shared knob module, DESIGN.md §10); the historical names are kept
-#: as re-exports because this layer defined them first.  Semi-naive
-#: computes the identical fixpoint with strictly fewer rule
-#: evaluations, so it is the default backend for the whole repo.
+#: as re-exports because this layer defined them first.
 STRATEGIES = FIXPOINT_STRATEGIES
 DEFAULT_STRATEGY = DEFAULT_FIXPOINT_STRATEGY
 
 
 @dataclass(frozen=True)
 class FixpointEngine:
-    """Datalog fixpoint computation with a selectable strategy.
+    """Datalog fixpoint computation, configured by one
+    :class:`~repro.config.ExecutionConfig`.
 
-    ``FixpointEngine()`` uses :data:`DEFAULT_STRATEGY`;
-    ``FixpointEngine("naive")`` forces the literal Section 2.3 loop
-    (the reference implementation the equivalence tests compare
-    against).  ``strategy=None`` also resolves to the default, so
-    callers can thread an optional user-facing knob straight through.
-
-    ``grounding_engine`` independently selects the join engine used
-    when the engine has to ground the program itself
-    (``"indexed"`` | ``"naive"`` | ``"columnar"``, default
-    :data:`~repro.datalog.grounding.DEFAULT_GROUNDING_ENGINE`; see
+    ``config.strategy`` picks the fixpoint (``"columnar"``, the
+    default fast path, or ``"naive"``, the literal Section 2.3 loop the
+    equivalence tests compare against); ``config.engine`` independently
+    picks the join engine used when the engine has to ground the
+    program itself (``"columnar"`` or ``"naive"``, see
     :func:`~repro.datalog.grounding.relevant_grounding`).  The two
-    knobs compose freely: strategy picks how the fixpoint iterates
-    over a grounding, grounding_engine picks how that grounding is
-    joined together.
-
-    ``config`` is the :mod:`repro.api` facade's spelling of the same
-    two knobs: ``FixpointEngine(config=ExecutionConfig(engine=...,
-    strategy=...))`` is equivalent to passing them positionally, and
-    the engine normalizes either form into both attributes.  A
-    ``strategy``/``grounding_engine`` argument that contradicts a
-    non-``None`` config field raises :class:`ValueError`.
+    knobs compose freely, and all four pairs compute identical values,
+    iteration counts and ``converged`` flags.
 
     The engine is stateless and cheap to construct; all per-run state
     (grounding, caches, deltas) lives inside :meth:`evaluate`.
     """
 
-    strategy: Optional[str] = None
-    grounding_engine: Optional[str] = None
     config: Optional[ExecutionConfig] = None
 
     def __post_init__(self) -> None:
-        cfg = coerce_config(self.config)
-        for field, knob in (("strategy", self.strategy), ("engine", self.grounding_engine)):
-            configured = getattr(cfg, field)
-            if knob is not None:
-                if configured is not None and configured != knob:
-                    raise ValueError(
-                        f"FixpointEngine: {field}={knob!r} conflicts with config.{field}={configured!r}"
-                    )
-                cfg = cfg.evolve(**{field: knob})
-        if cfg.strategy is None:
-            cfg = cfg.evolve(strategy=DEFAULT_STRATEGY)
-        if cfg.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown fixpoint strategy {cfg.strategy!r}; expected one of {STRATEGIES}"
+        object.__setattr__(self, "config", coerce_config(self.config))
+
+    @property
+    def strategy(self) -> str:
+        """The resolved fixpoint strategy."""
+        return self.config.resolved_strategy
+
+    def ground(
+        self, program: Program, database: Database
+    ) -> Union[GroundProgram, ColumnarGroundProgram]:
+        """The grounding in the representation the strategy consumes:
+        id space for ``columnar``, tuple space for ``naive``, joined by
+        the configured engine."""
+        if self.strategy == NAIVE:
+            return relevant_grounding(program, database, config=self.config)
+        if self.config.resolved_engine == NAIVE:
+            return ColumnarGroundProgram.from_ground_program(
+                relevant_grounding(program, database, config=self.config)
             )
-        _resolve_engine(cfg.engine)  # validate eagerly
-        object.__setattr__(self, "strategy", cfg.strategy)
-        object.__setattr__(self, "grounding_engine", cfg.engine)
-        object.__setattr__(self, "config", cfg)
+        return columnar_grounding(program, database)
 
     def evaluate(
         self,
@@ -151,17 +124,15 @@ class FixpointEngine:
         database: Database,
         semiring: Semiring,
         weights: Optional[Mapping[Fact, object]] = None,
-        ground: Optional[GroundProgram] = None,
+        ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
         max_iterations: Optional[int] = None,
         raise_on_divergence: bool = False,
         validate: bool = True,
     ) -> EvaluationResult:
         """Least fixpoint of *program* on *database* over *semiring*.
 
-        Same contract as
-        :func:`repro.datalog.evaluation.naive_evaluation` (which now
-        delegates here): *weights* overrides stored annotations,
-        *ground* reuses a precomputed grounding (tuple-space
+        *weights* overrides stored annotations, *ground* reuses a
+        precomputed grounding (tuple-space
         :class:`~repro.datalog.grounding.GroundProgram` or id-space
         :class:`~repro.datalog.grounding.ColumnarGroundProgram` --
         each strategy lowers or decodes the other form at the
@@ -184,35 +155,40 @@ class FixpointEngine:
             require_valid(program)
         if self.config.prune and ground is None:
             program = prune_unreachable(program)
-        if self.strategy == COLUMNAR:
-            return self._evaluate_columnar(
-                program,
-                database,
-                semiring,
-                weights,
-                ground,
-                max_iterations,
-                raise_on_divergence,
-            )
-        if isinstance(ground, ColumnarGroundProgram):
-            ground = ground.to_ground_program()
         if ground is None:
-            ground = relevant_grounding(program, database, config=self.config)
-        edb_value = dict(database.valuation(semiring))
+            ground = self.ground(program, database)
+        edb_value = database.valuation(semiring)  # already a fresh copy
         if weights:
             edb_value.update(weights)
-        idb_facts = sorted(ground.idb_facts, key=repr)
-        if max_iterations is None:
-            max_iterations = max(len(idb_facts), 1) + 2
-
         if self.strategy == NAIVE:
+            if isinstance(ground, ColumnarGroundProgram):
+                ground = ground.to_ground_program()
+            idb_facts = sorted(ground.idb_facts, key=repr)
+            if max_iterations is None:
+                max_iterations = max(len(idb_facts), 1) + 2
             values, iterations, converged, rule_evaluations = _naive_fixpoint(
                 ground, semiring, edb_value, idb_facts, max_iterations
             )
         else:
-            values, iterations, converged, rule_evaluations = _seminaive_fixpoint(
-                ground, semiring, edb_value, idb_facts, max_iterations
-            )
+            if isinstance(ground, GroundProgram):
+                ground = ColumnarGroundProgram.from_ground_program(ground)
+            head_fids = ground.idb_fact_ids()
+            if max_iterations is None:
+                max_iterations = max(len(head_fids), 1) + 2
+            # Backend dispatch (DESIGN.md §13): the vectorized kernel
+            # may decline (returns None) whenever bit-exact parity with
+            # the Python loop is not provable; both are deterministic,
+            # so the from-scratch fallback is exact.
+            result = None
+            if resolve_backend(self.config.backend) == "vectorized":
+                from ..backends.vectorized import vectorized_columnar_fixpoint
+
+                result = vectorized_columnar_fixpoint(ground, semiring, edb_value, max_iterations)
+            if result is None:
+                result = _columnar_fixpoint(ground, semiring, edb_value, max_iterations)
+            value, iterations, converged, rule_evaluations = result
+            decode = ground.decode_fact
+            values = {decode(fid): value[fid] for fid in head_fids}
         if not converged and raise_on_divergence:
             raise DivergenceError(
                 f"{self.strategy} evaluation over {semiring.name} did not "
@@ -224,66 +200,6 @@ class FixpointEngine:
             iterations,
             converged,
             strategy=self.strategy,
-            rule_evaluations=rule_evaluations,
-        )
-
-    def _evaluate_columnar(
-        self,
-        program: Program,
-        database: Database,
-        semiring: Semiring,
-        weights: Optional[Mapping[Fact, object]],
-        ground,
-        max_iterations: Optional[int],
-        raise_on_divergence: bool,
-    ) -> EvaluationResult:
-        """The id-space fixpoint: ground (or lower) into a
-        :class:`~repro.datalog.grounding.ColumnarGroundProgram`, run
-        :func:`_columnar_fixpoint` on dense arrays, decode only the
-        result values."""
-        if ground is None:
-            engine = _resolve_engine(self.grounding_engine)
-            if engine == "columnar":
-                cground = columnar_grounding(program, database)
-            else:
-                cground = ColumnarGroundProgram.from_ground_program(
-                    relevant_grounding(program, database, config=self.config)
-                )
-        elif isinstance(ground, ColumnarGroundProgram):
-            cground = ground
-        else:
-            cground = ColumnarGroundProgram.from_ground_program(ground)
-        edb_value = database.valuation(semiring)  # already a fresh copy
-        if weights:
-            edb_value.update(weights)
-        head_fids = cground.idb_fact_ids()
-        if max_iterations is None:
-            max_iterations = max(len(head_fids), 1) + 2
-        # Backend dispatch (DESIGN.md §13): the vectorized kernel may
-        # decline (returns None) whenever bit-exact parity with the
-        # Python loop is not provable; both are deterministic, so the
-        # from-scratch fallback is exact.
-        result = None
-        if resolve_backend(self.config.backend) == "vectorized":
-            from ..backends.vectorized import vectorized_columnar_fixpoint
-
-            result = vectorized_columnar_fixpoint(cground, semiring, edb_value, max_iterations)
-        if result is None:
-            result = _columnar_fixpoint(cground, semiring, edb_value, max_iterations)
-        value, iterations, converged, rule_evaluations = result
-        if not converged and raise_on_divergence:
-            raise DivergenceError(
-                f"{self.strategy} evaluation over {semiring.name} did not "
-                f"converge in {max_iterations} iterations"
-            )
-        decode = cground.decode_fact
-        values = {decode(fid): value[fid] for fid in head_fids}
-        return EvaluationResult(
-            semiring,
-            values,
-            iterations,
-            converged,
-            strategy=COLUMNAR,
             rule_evaluations=rule_evaluations,
         )
 
@@ -301,133 +217,34 @@ class FixpointEngine:
     def boolean_iterations(self, program: Program, database: Database) -> int:
         """Rounds until the Boolean fixpoint (Definition 4.1 probe).
 
-        Uses the set-based semi-naive Boolean closure of
+        Uses the Boolean closure of
         :func:`repro.datalog.grounding.derivable_facts` regardless of
         strategy -- both strategies take the identical number of
-        rounds, and the set-based closure avoids grounding entirely.
-        The configured ``grounding_engine`` picks the join engine;
-        the round count is engine-independent.
+        rounds.  The configured engine picks the join engine; the
+        round count is engine-independent.
         """
         _, iterations = derivable_facts(program, database, config=self.config)
         return iterations
-
-
-def seminaive_evaluation(
-    program: Program,
-    database: Database,
-    semiring: Semiring,
-    weights: Optional[Mapping[Fact, object]] = None,
-    ground: Optional[GroundProgram] = None,
-    max_iterations: Optional[int] = None,
-    raise_on_divergence: bool = False,
-    grounding_engine: Optional[str] = None,
-    config: ConfigLike = None,
-    validate: bool = True,
-) -> EvaluationResult:
-    """Explicitly semi-naive evaluation; signature mirrors
-    :func:`repro.datalog.evaluation.naive_evaluation`.
-
-    ``grounding_engine=`` is the deprecated spelling of
-    ``config=ExecutionConfig(engine=...)``; it still works but warns.
-    """
-    config = merge_legacy_knobs(
-        "seminaive_evaluation", config, engine=("grounding_engine", grounding_engine)
-    )
-    if config.strategy is not None and config.strategy != SEMINAIVE:
-        raise ValueError(
-            f"seminaive_evaluation: config.strategy={config.strategy!r} contradicts the "
-            "function; use repro.api.solve for a configurable strategy"
-        )
-    return FixpointEngine(config=config.evolve(strategy=SEMINAIVE)).evaluate(
-        program,
-        database,
-        semiring,
-        weights=weights,
-        ground=ground,
-        max_iterations=max_iterations,
-        raise_on_divergence=raise_on_divergence,
-        validate=validate,
-    )
-
-
-def _seminaive_fixpoint(
-    ground: GroundProgram,
-    semiring: Semiring,
-    edb_value: Mapping[Fact, object],
-    idb_facts: List[Fact],
-    max_iterations: int,
-) -> Tuple[Dict[Fact, object], int, bool, int]:
-    """The delta-driven loop; see the module docstring for the scheme.
-
-    Returns ``(values, iterations, converged, rule_evaluations)`` where
-    ``rule_evaluations`` counts ``⊗``-term recomputations -- the cost
-    metric compared against naive in ``benchmarks/bench_seminaive.py``.
-    """
-    rules = ground.rules
-    by_body = ground.rules_by_idb_body
-    by_head = ground.rule_indices_by_head
-    mul, add, eq, zero = semiring.mul, semiring.add, semiring.eq, semiring.zero
-
-    # Stage-invariant EDB products, exactly as in the naive loop.
-    edb_product = [
-        semiring.mul_all(edb_value[fact] for fact in rule.edb_body) for rule in rules
-    ]
-    # Cached ⊗-term of every ground rule at the values it last saw;
-    # round 1 marks every rule dirty, so all entries are filled before
-    # the first re-fold reads them.
-    rule_term: List[object] = [zero] * len(rules)
-
-    values: Dict[Fact, object] = {fact: zero for fact in idb_facts}
-    dirty_rules: Iterable[int] = range(len(rules))
-    iterations = 0
-    converged = False
-    rule_evaluations = 0
-    while iterations < max_iterations:
-        dirty_heads: Set[Fact] = set()
-        for position in dirty_rules:
-            rule = rules[position]
-            term = edb_product[position]
-            for body_fact in rule.idb_body:
-                term = mul(term, values[body_fact])
-            rule_term[position] = term
-            rule_evaluations += 1
-            dirty_heads.add(rule.head)
-        # Re-fold dirty heads from cached terms; batch the updates so
-        # every term in this round read the previous round's values
-        # (Jacobi order, matching naive evaluation round for round).
-        delta: Dict[Fact, object] = {}
-        for head in dirty_heads:
-            total = zero
-            for position in by_head[head]:
-                total = add(total, rule_term[position])
-            if not eq(total, values[head]):
-                delta[head] = total
-        iterations += 1
-        if not delta:
-            converged = True
-            break
-        values.update(delta)
-        next_dirty: Set[int] = set()
-        for fact in delta:
-            next_dirty.update(by_body.get(fact, ()))
-        dirty_rules = sorted(next_dirty)
-    return values, iterations, converged, rule_evaluations
 
 
 #: Compiled fixpoint kernels keyed by ``(add, mul)`` expression
 #: templates (shared across semiring instances with equal templates).
 _FIXPOINT_KERNELS: Dict[Tuple[str, str], object] = {}
 
+#: The ⊗/⊕ templates for semirings that declare no expressions.
+_CALL_TEMPLATES = ("add({a}, {b})", "mul({a}, {b})")
+
 #: The delta loop of :func:`_columnar_fixpoint` with the two semiring
 #: operations spliced in as expressions (no method call per ⊗/⊕) --
 #: the same closure-compiler technique as the circuit runtime's
 #: kernels (DESIGN.md §7).  ``eq`` stays a bound-method call: the
 #: expression templates only promise ``add``/``mul`` equivalence, and
-#: a semiring may override equality independently.
+#: a semiring may override equality independently.  ``add``/``mul``
+#: are the bound methods, which :data:`_CALL_TEMPLATES` call.
 _KERNEL_SOURCE = """\
 def _kernel(value, idb_rows, edb_rows, rule_head,
             by_head_ptr, by_head_rules, by_body_ptr, by_body_rules,
-            nfacts, nrules, max_iterations, zero, one, eq):
+            nfacts, nrules, max_iterations, zero, one, eq, add, mul):
     edb_product = []
     append_product = edb_product.append
     for position in range(nrules):
@@ -509,15 +326,15 @@ def _columnar_fixpoint(
     edb_value: Mapping[Fact, object],
     max_iterations: int,
 ) -> Tuple[List[object], int, bool, int]:
-    """The delta-driven loop of :func:`_seminaive_fixpoint`, run on the
+    """The delta-driven loop (see the module docstring), run on the
     id-space grounding (DESIGN.md §9).
 
-    Identical round structure (Jacobi: every round-``t`` ⊗-term reads
+    Jacobi round structure (every round-``t`` ⊗-term reads
     round-``t − 1`` values, updates land after all dirty heads are
     re-folded), so values, iteration counts, the ``converged`` flag
-    and divergence behaviour coincide with both tuple strategies.
-    The representation differs: values live in one dense list indexed
-    by fact id (EDB slots filled once from *edb_value*, IDB slots
+    and divergence behaviour coincide with the naive oracle.  Values
+    live in one dense list indexed by fact id (EDB slots filled once
+    from *edb_value*, IDB slots
     starting at ``0``), per-rule cached ⊗-terms in a parallel list,
     and the dirty sets are flat int lists deduplicated through
     ``bytearray`` marks over the CSR adjacency
@@ -539,11 +356,10 @@ def _columnar_fixpoint(
     rule_head = cground.rule_head
     by_head_ptr, by_head_rules = cground.by_head_csr()
     by_body_ptr, by_body_rules = cground.by_body_csr()
-    mul, add, eq, zero = semiring.mul, semiring.add, semiring.eq, semiring.zero
 
     # Dense valuation: EDB slots are decoded once per distinct EDB
-    # fact; IDB slots start at 0 exactly like the tuple strategies.
-    value: List[object] = [zero] * nfacts
+    # fact; IDB slots start at 0 exactly like the naive oracle.
+    value: List[object] = [semiring.zero] * nfacts
     decode = cground.decode_fact
     for fid in cground.edb_fact_ids():
         value[fid] = edb_value[decode(fid)]
@@ -559,86 +375,30 @@ def _columnar_fixpoint(
         tuple(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
         for position in range(nrules)
     ]
-    one = semiring.one
 
     # Semirings that declare closure-compiler templates (DESIGN.md §7)
-    # run the exec-generated kernel -- the identical loop (including
-    # the stage-invariant EDB-product pass) with ⊗/⊕ inlined as
-    # expressions; everything else takes the generic bound-method loop
-    # below.  Both are Jacobi round-for-round.
-    if semiring.compiled_add_expr and semiring.compiled_mul_expr:
-        kernel = _fixpoint_kernel(semiring.compiled_add_expr, semiring.compiled_mul_expr)
-        iterations, converged, rule_evaluations = kernel(
-            value,
-            idb_rows,
-            edb_rows,
-            rule_head,
-            by_head_ptr,
-            by_head_rules,
-            by_body_ptr,
-            by_body_rules,
-            nfacts,
-            nrules,
-            max_iterations,
-            zero,
-            one,
-            eq,
-        )
-        return value, iterations, converged, rule_evaluations
-
-    # Stage-invariant EDB products and the per-rule cached term slots.
-    edb_product: List[object] = []
-    append_product = edb_product.append
-    for position in range(nrules):
-        term = one
-        for fid in edb_rows[position]:
-            term = mul(term, value[fid])
-        append_product(term)
-    rule_term: List[object] = [zero] * nrules
-
-    head_mark = bytearray(nfacts)
-    dirty_rules: Iterable[int] = range(nrules)
-    iterations = 0
-    converged = False
-    rule_evaluations = 0
-    while iterations < max_iterations:
-        dirty_heads: List[int] = []
-        for position in dirty_rules:
-            term = edb_product[position]
-            for fid in idb_rows[position]:
-                term = mul(term, value[fid])
-            rule_term[position] = term
-            rule_evaluations += 1
-            head = rule_head[position]
-            if not head_mark[head]:
-                head_mark[head] = 1
-                dirty_heads.append(head)
-        # Re-fold dirty heads from cached terms; batch the updates so
-        # every term in this round read the previous round's values.
-        delta_fids: List[int] = []
-        delta_values: List[object] = []
-        for head in dirty_heads:
-            head_mark[head] = 0
-            total = zero
-            for at in range(by_head_ptr[head], by_head_ptr[head + 1]):
-                total = add(total, rule_term[by_head_rules[at]])
-            if not eq(total, value[head]):
-                delta_fids.append(head)
-                delta_values.append(total)
-        iterations += 1
-        if not delta_fids:
-            converged = True
-            break
-        for head, total in zip(delta_fids, delta_values):
-            value[head] = total
-        rule_mark = bytearray(nrules)
-        next_dirty: List[int] = []
-        for head in delta_fids:
-            for at in range(by_body_ptr[head], by_body_ptr[head + 1]):
-                position = by_body_rules[at]
-                if not rule_mark[position]:
-                    rule_mark[position] = 1
-                    next_dirty.append(position)
-        next_dirty.sort()
-        dirty_rules = next_dirty
+    # get ⊗/⊕ inlined as expressions; everything else runs the same
+    # kernel with calls to the bound methods.
+    templates = (semiring.compiled_add_expr, semiring.compiled_mul_expr)
+    if not all(templates):
+        templates = _CALL_TEMPLATES
+    kernel = _fixpoint_kernel(*templates)
+    iterations, converged, rule_evaluations = kernel(
+        value,
+        idb_rows,
+        edb_rows,
+        rule_head,
+        by_head_ptr,
+        by_head_rules,
+        by_body_ptr,
+        by_body_rules,
+        nfacts,
+        nrules,
+        max_iterations,
+        semiring.zero,
+        semiring.one,
+        semiring.eq,
+        semiring.add,
+        semiring.mul,
+    )
     return value, iterations, converged, rule_evaluations

@@ -160,18 +160,6 @@ class SymbolTable:
         self._ids.clear()
         self._values.clear()
 
-    # -- pickling (shard-worker payloads, DESIGN.md §13) -----------------
-
-    def __getstate__(self) -> List[Hashable]:
-        # Ids are dense first-intern ordinals, so the value list alone
-        # determines the whole table; the forward dict rebuilds on
-        # unpickle, halving the worker payload.
-        return self._values
-
-    def __setstate__(self, values: List[Hashable]) -> None:
-        self._values = list(values)
-        self._ids = {value: sid for sid, value in enumerate(self._values)}
-
 
 #: The process-wide default table: every constant is interned once,
 #: whichever database, store or engine run encounters it first.
@@ -426,21 +414,6 @@ class ColumnarRelation:
         clone._row_index = dict(self._row_index)
         return clone
 
-    def __getstate__(self) -> Tuple:
-        # Columns are the ground truth; the row-key dict rebuilds on
-        # unpickle and pattern indexes rebuild lazily on first use.
-        # The explicit row count disambiguates the nullary relation
-        # (whose single row has no columns to witness it).
-        return (self.predicate, self.arity, self.columns, len(self._row_index))
-
-    def __setstate__(self, state: Tuple) -> None:
-        self.predicate, self.arity, self.columns, count = state
-        if self.arity:
-            self._row_index = {row: at for at, row in enumerate(zip(*self.columns))}
-        else:
-            self._row_index = {(): 0} if count else {}
-        self._indexes = {}
-
 
 @dataclass(frozen=True)
 class DeltaView:
@@ -617,16 +590,6 @@ class ColumnarStore:
             pred: relation.copy() for pred, relation in self._relations.items()
         }
         return clone
-
-    def __getstate__(self) -> Tuple:
-        # Pickling detaches the store from the process-wide symbol
-        # scope: the unpickled twin (a shard-worker payload) owns a
-        # private SymbolTable with identical dense ids, which is
-        # exactly what makes cross-process shard hashes stable.
-        return (self.symbols, self._relations)
-
-    def __setstate__(self, state: Tuple) -> None:
-        self.symbols, self._relations = state
 
     def __repr__(self) -> str:
         parts = ", ".join(

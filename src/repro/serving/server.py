@@ -710,10 +710,11 @@ class CircuitServer:
             database.add_fact(fact_from_wire(wire_fact))
         for fact, weight in _parse_weights(body.get("weights"), "'weights'").items():
             database.set_weight(fact, weight)
+        # Every config field the body carries (engine, strategy,
+        # construction, optimize_depth, backend, prune); bad values
+        # raise ValueError/TypeError, which _dispatch maps to 400.
         config = ExecutionConfig(
-            engine=body.get("engine"),
-            strategy=body.get("strategy"),
-            construction=body.get("construction"),
+            **{f.name: body[f.name] for f in dataclasses.fields(ExecutionConfig) if f.name in body}
         )
         return Session(program, database, config), config
 

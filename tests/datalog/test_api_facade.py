@@ -1,13 +1,14 @@
-"""The unified ``repro.api`` facade and its deprecation shims.
+"""The unified ``repro.api`` facade and its one knob spelling.
 
-PR 6's API redesign routes every execution knob through one frozen
+Every execution knob goes through one frozen
 :class:`repro.config.ExecutionConfig`.  This suite pins the contract:
 
-* ``repro.api.solve`` agrees with the legacy spellings across the
-  full engine × strategy matrix;
-* every legacy kwarg still works but emits ``DeprecationWarning``;
-* a legacy kwarg that contradicts an explicit config is a
-  ``ValueError``, never a silent override;
+* the vocabularies are exactly one fast path (``columnar``, the
+  default) and one oracle (``naive``) per layer;
+* ``repro.api.solve`` and every other entry point agree with the naive
+  oracle across all four (engine, strategy) pairs;
+* the retired per-function kwargs (``engine=``, ``strategy=``,
+  ``grounding_engine=``, ``columnar=``) are rejected loudly;
 * :class:`repro.api.Session` caches grounding and circuits, and its
   fingerprints track content, not object identity.
 """
@@ -32,11 +33,11 @@ from repro.datalog import (
     magic_grounding,
     naive_evaluation,
     relevant_grounding,
-    seminaive_evaluation,
     transitive_closure,
 )
 from repro.grammars import CFG, cfl_reachability
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from tests.oracle import ORACLE, assert_same_result
 
 
 @pytest.fixture
@@ -50,6 +51,14 @@ def diamond():
 
 def test_config_validates_vocabularies():
     ExecutionConfig(engine="columnar", strategy="naive", construction="fringe")
+    ExecutionConfig(engine="columnar", strategy="columnar")
+    assert GROUNDING_ENGINES == FIXPOINT_STRATEGIES == ("columnar", "naive")
+    with pytest.raises(ValueError, match="expected one of"):
+        ExecutionConfig(engine="indexed")
+    with pytest.raises(ValueError, match="expected one of"):
+        ExecutionConfig(strategy="seminaive")
+    with pytest.raises(TypeError):
+        ExecutionConfig(prune="yes")
     with pytest.raises(ValueError):
         ExecutionConfig(engine="btree")
     with pytest.raises(ValueError):
@@ -59,18 +68,18 @@ def test_config_validates_vocabularies():
 
 
 def test_config_is_frozen_and_evolvable():
-    config = ExecutionConfig(engine="indexed")
+    config = ExecutionConfig(engine="naive")
     with pytest.raises(Exception):
-        config.engine = "naive"
+        config.engine = "columnar"
     evolved = config.evolve(strategy="columnar")
-    assert evolved.engine == "indexed"
+    assert evolved.engine == "naive"
     assert evolved.strategy == "columnar"
     assert config.strategy is None  # the original is untouched
 
 
 def test_config_resolution_and_coercion():
-    assert DEFAULT_CONFIG.resolved_engine == "indexed"
-    assert DEFAULT_CONFIG.resolved_strategy == "seminaive"
+    assert DEFAULT_CONFIG.resolved_engine == "columnar"
+    assert DEFAULT_CONFIG.resolved_strategy == "columnar"
     assert DEFAULT_CONFIG.resolved_construction == "auto"
     from_mapping = coerce_config({"engine": "naive", "strategy": "naive"})
     assert from_mapping == ExecutionConfig(engine="naive", strategy="naive")
@@ -81,19 +90,35 @@ def test_config_resolution_and_coercion():
 # -- solve() equivalence matrix --------------------------------------------
 
 
-@pytest.mark.parametrize("engine", GROUNDING_ENGINES)
-@pytest.mark.parametrize("strategy", FIXPOINT_STRATEGIES)
+#: The historical engine × strategy knob matrix; "indexed" and
+#: "seminaive" were retired in favour of the columnar fast path.
+RETIRED = {"indexed", "seminaive"}
+
+
+@pytest.mark.parametrize("engine", ("indexed", "naive", "columnar"))
+@pytest.mark.parametrize("strategy", ("naive", "seminaive", "columnar"))
 def test_solve_matches_legacy_spellings_across_matrix(diamond, engine, strategy):
+    """Across the historical matrix, a retired name fails loudly with
+    the vocabulary error, and every spelling of a live (engine,
+    strategy) pair -- the facade, a session, the historical entry
+    point and the engine object -- agrees with the naive oracle."""
     program, db = diamond
+    if {engine, strategy} & RETIRED:
+        with pytest.raises(ValueError, match="expected one of"):
+            api.solve(program, db, BOOLEAN, config={"engine": engine, "strategy": strategy})
+        return
+    assert engine in GROUNDING_ENGINES and strategy in FIXPOINT_STRATEGIES
     config = ExecutionConfig(engine=engine, strategy=strategy)
     for semiring in (BOOLEAN, COUNTING, TROPICAL):
-        unified = api.solve(program, db, semiring, config=config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = naive_evaluation(
-                program, db, semiring, strategy=strategy, grounding_engine=engine
-            )
-        assert unified.values == legacy.values
+        reference = naive_evaluation(program, db, semiring, config=ORACLE)
+        for result in (
+            api.solve(program, db, semiring, config=config),
+            api.Session(program, db, config).solve(semiring),
+            naive_evaluation(program, db, semiring, config=config),
+            FixpointEngine(config=config).evaluate(program, db, semiring),
+        ):
+            assert_same_result(result, reference, semiring)
+            assert result.strategy == strategy
 
 
 def test_session_solve_agrees_with_module_solve(diamond):
@@ -105,26 +130,24 @@ def test_session_solve_agrees_with_module_solve(diamond):
     assert session.value(Fact("T", (0, 4)), COUNTING) == 2  # 0-1-3-4 and 0-2-3-4
 
 
-# -- deprecation shims ------------------------------------------------------
+# -- the retired kwarg spellings ---------------------------------------------
 
 
-def test_every_legacy_kwarg_warns(diamond):
+def test_every_legacy_kwarg_is_gone(diamond):
     program, db = diamond
-    with pytest.warns(DeprecationWarning, match="naive_evaluation.*deprecated"):
-        naive_evaluation(program, db, BOOLEAN, strategy="naive")
-    with pytest.warns(DeprecationWarning, match="naive_evaluation.*deprecated"):
-        naive_evaluation(program, db, BOOLEAN, grounding_engine="naive")
-    with pytest.warns(DeprecationWarning, match="seminaive_evaluation.*deprecated"):
-        seminaive_evaluation(program, db, BOOLEAN, grounding_engine="indexed")
-    with pytest.warns(DeprecationWarning, match="relevant_grounding.*deprecated"):
-        relevant_grounding(program, db, engine="indexed")
-    with pytest.warns(DeprecationWarning, match="magic_grounding.*deprecated"):
-        magic_grounding(program, 0, db, columnar=True)
-    with pytest.warns(DeprecationWarning, match="generic_circuit.*deprecated"):
-        generic_circuit(program, db, Fact("T", (0, 4)), engine="indexed")
     grammar = CFG(["S"], ["a"], [("S", ("a",)), ("S", ("S", "S"))], "S")
-    with pytest.warns(DeprecationWarning, match="cfl_reachability.*deprecated"):
-        cfl_reachability(grammar, [(0, "a", 1)], BOOLEAN, strategy="naive")
+    retired = [
+        lambda: naive_evaluation(program, db, BOOLEAN, strategy="naive"),
+        lambda: naive_evaluation(program, db, BOOLEAN, grounding_engine="naive"),
+        lambda: relevant_grounding(program, db, engine="naive"),
+        lambda: magic_grounding(program, 0, db, columnar=True),
+        lambda: generic_circuit(program, db, Fact("T", (0, 4)), engine="naive"),
+        lambda: cfl_reachability(grammar, [(0, "a", 1)], BOOLEAN, strategy="naive"),
+        lambda: FixpointEngine("naive", grounding_engine="naive"),
+    ]
+    for call in retired:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_config_spelling_is_warning_free(diamond):
@@ -138,37 +161,27 @@ def test_config_spelling_is_warning_free(diamond):
 
 
 def test_conflicting_legacy_and_config_knobs_raise(diamond):
+    # A retired kwarg is rejected even next to a config that agrees
+    # with it: there is exactly one spelling.
     program, db = diamond
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="conflicts"):
-            naive_evaluation(
-                program,
-                db,
-                BOOLEAN,
-                strategy="naive",
-                config=ExecutionConfig(strategy="seminaive"),
-            )
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="conflicts"):
-            relevant_grounding(
-                program, db, engine="naive", config=ExecutionConfig(engine="columnar")
-            )
-    # Agreement is not a conflict.
-    with pytest.warns(DeprecationWarning):
-        relevant_grounding(
-            program, db, engine="naive", config=ExecutionConfig(engine="naive")
+    with pytest.raises(TypeError):
+        naive_evaluation(
+            program, db, BOOLEAN, strategy="naive", config=ExecutionConfig(strategy="naive")
         )
+    with pytest.raises(TypeError):
+        relevant_grounding(program, db, engine="naive", config=ExecutionConfig(engine="naive"))
 
 
 def test_fixpoint_engine_accepts_config_and_rejects_contradictions():
-    engine = FixpointEngine(config=ExecutionConfig(strategy="columnar", engine="columnar"))
-    assert engine.strategy == "columnar"
-    assert engine.grounding_engine == "columnar"
-    legacy = FixpointEngine("naive", grounding_engine="naive")
-    assert legacy.config.strategy == "naive"
-    assert legacy.config.engine == "naive"
+    engine = FixpointEngine(config=ExecutionConfig(strategy="naive", engine="naive"))
+    assert engine.strategy == "naive"
+    assert engine.config.resolved_engine == "naive"
+    assert FixpointEngine().strategy == "columnar"
+    assert FixpointEngine(config={"engine": "naive"}).config == ExecutionConfig(engine="naive")
+    with pytest.raises(TypeError):
+        FixpointEngine("naive")  # config is the only field
     with pytest.raises(ValueError):
-        FixpointEngine("naive", config=ExecutionConfig(strategy="seminaive"))
+        FixpointEngine(config={"strategy": "seminaive"})
 
 
 # -- Session caching and fingerprints --------------------------------------

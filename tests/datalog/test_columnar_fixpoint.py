@@ -5,27 +5,27 @@ Three layers are pinned here:
 * :class:`~repro.datalog.grounding.ColumnarGroundProgram` -- the
   parallel-array grounding produced by
   :func:`~repro.datalog.grounding.columnar_grounding`: rule arrays,
-  CSR ``by_head``/``by_body`` adjacency against the tuple
-  ``GroundProgram``'s dict indexes, boundary decoding, lowering from
+  CSR ``by_head``/``by_body`` adjacency against dict indexes built
+  from the tuple ``GroundProgram``, boundary decoding, lowering from
   tuple space;
 * the ``strategy="columnar"`` fixpoint -- observational equivalence
   (values, iterations, convergence, rule-evaluation counts) with the
-  tuple strategies, over semirings with and without closure-compiler
+  naive oracle, over semirings with and without closure-compiler
   kernels, including divergence behaviour;
-* the full **engine × strategy matrix** -- every
-  ``(grounding_engine, strategy)`` pair must agree on ``rule_keys()``
-  and derived facts / fixpoint values over random digraphs, Dyck-1,
-  same-generation and magic workloads (the ISSUE 5 acceptance
-  matrix).
+* the **oracle-vs-fast matrix** -- every ``(engine, strategy)`` pair
+  must agree with naive grounding plus the naive fixpoint on
+  ``rule_keys()``, fixpoint values, iterations and convergence over
+  random digraphs, Dyck-1, same-generation and magic workloads, over
+  BOOLEAN, COUNTING and TROPICAL, under both numeric backends.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import (
-    COLUMNAR,
     ColumnarGroundProgram,
     Database,
     Fact,
@@ -40,12 +40,12 @@ from repro.datalog import (
     naive_evaluation,
     relevant_grounding,
     same_generation,
-    seminaive_evaluation,
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
 from repro.semirings.numeric import BooleanSemiring
 from repro.workloads import random_digraph, random_weights
+from tests.oracle import NAIVE_ENGINE, ORACLE, PAIRS, assert_same_result
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -91,12 +91,20 @@ def dyck_db(seed: int, pairs: int) -> Database:
     return Database.from_labeled_edges(edges)
 
 
+def sg_db(seed: int) -> Database:
+    rng = random.Random(seed)
+    db = Database()
+    for _ in range(12):
+        db.add(rng.choice(["Up", "Flat", "Down"]), rng.randrange(6), rng.randrange(6))
+    return db
+
+
 # -- the columnar ground program ------------------------------------------
 
 
 def test_columnar_grounding_matches_tuple_grounding():
     db = random_edge_db(3, 8, 18)
-    ground = relevant_grounding(TC, db, engine="indexed")
+    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     cground = columnar_grounding(TC, db)
     assert cground.rule_keys() == ground.rule_keys()
     assert cground.idb_facts == ground.idb_facts
@@ -106,7 +114,7 @@ def test_columnar_grounding_matches_tuple_grounding():
     assert cground.to_ground_program().rule_keys() == ground.rule_keys()
     # The grounding pass records its Boolean round count.
     facts, iterations = derivable_facts(TC, db, ground=cground)
-    naive_facts, naive_iterations = derivable_facts(TC, db, engine="naive")
+    naive_facts, naive_iterations = derivable_facts(TC, db, config=NAIVE_ENGINE)
     assert facts == naive_facts
     assert iterations == naive_iterations
 
@@ -122,15 +130,21 @@ def test_csr_adjacency_matches_dict_indexes():
         rule = ground.rules[position]
         return (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
 
-    for fact, positions in ground.rule_indices_by_head.items():
+    rule_indices_by_head, rules_by_idb_body = {}, {}
+    for position, rule in enumerate(ground.rules):
+        rule_indices_by_head.setdefault(rule.head, []).append(position)
+        for fact in set(rule.idb_body):
+            rules_by_idb_body.setdefault(fact, []).append(position)
+
+    for fact, positions in rule_indices_by_head.items():
         fid = cground.find_fact_id(fact)
         got = [by_head_rules[at] for at in range(by_head_ptr[fid], by_head_ptr[fid + 1])]
-        assert got == sorted(got)  # ascending, like the tuple index
+        assert got == sorted(got)  # ascending rule positions
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
-    for fact, positions in ground.rules_by_idb_body.items():
+    for fact, positions in rules_by_idb_body.items():
         fid = cground.find_fact_id(fact)
         got = [by_body_rules[at] for at in range(by_body_ptr[fid], by_body_ptr[fid + 1])]
-        assert len(got) == len(set(got))  # per-rule dedup, like the tuple index
+        assert len(got) == len(set(got))  # per-rule dedup
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
 
 
@@ -138,7 +152,7 @@ def test_from_ground_program_round_trips_and_stays_private():
     from repro.datalog import GLOBAL_SYMBOLS
 
     db = random_edge_db(9, 6, 12)
-    ground = relevant_grounding(TC, db, engine="naive")
+    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     before = len(GLOBAL_SYMBOLS)
     lowered = ColumnarGroundProgram.from_ground_program(ground)
     assert lowered.rule_keys() == ground.rule_keys()
@@ -168,7 +182,7 @@ def test_columnar_grounding_handles_rule_constants():
     )
     db = Database.from_edges([(1, 2), (2, 3)])
     assert columnar_grounding(program, db).rule_keys() == relevant_grounding(
-        program, db, engine="naive"
+        program, db, config=NAIVE_ENGINE
     ).rule_keys()
     # Unknown body constants match nothing, as in every other engine.
     impossible = parse_program("T(X, Y) :- E(X, Y), E(Y, 99).", target="T")
@@ -194,14 +208,12 @@ def test_columnar_grounding_nullary_atoms():
     db.add("E", 1)
     db.add("E", 2)
     assert_matrix_agrees(program, db, BOOLEAN)
-    assert Fact("T", (1,)) in FixpointEngine(COLUMNAR, "columnar").evaluate(
+    assert Fact("T", (1,)) in FixpointEngine().evaluate(
         program, db, BOOLEAN
     ).values
 
 
 def test_derivable_facts_rejects_ground_without_round_count():
-    import pytest
-
     db = Database.from_edges([(1, 2), (2, 3)])
     lowered = ColumnarGroundProgram.from_ground_program(relevant_grounding(TC, db))
     with pytest.raises(ValueError, match="round count"):
@@ -216,7 +228,7 @@ def test_columnar_grounding_repeated_variables():
     )
     db = Database.from_edges([(1, 1), (1, 2), (2, 2), (2, 3)])
     assert columnar_grounding(program, db).rule_keys() == relevant_grounding(
-        program, db, engine="naive"
+        program, db, config=NAIVE_ENGINE
     ).rule_keys()
 
 
@@ -224,9 +236,10 @@ def test_columnar_grounding_repeated_variables():
 
 
 def assert_strategies_agree(program, db, semiring, weights=None):
-    reference = FixpointEngine("naive").evaluate(program, db, semiring, weights=weights)
+    reference = FixpointEngine(config=ORACLE).evaluate(program, db, semiring, weights=weights)
     for strategy in STRATEGIES:
-        result = FixpointEngine(strategy).evaluate(program, db, semiring, weights=weights)
+        engine = FixpointEngine(config={"strategy": strategy})
+        result = engine.evaluate(program, db, semiring, weights=weights)
         assert result.values == reference.values, strategy
         assert result.iterations == reference.iterations, strategy
         assert result.converged == reference.converged, strategy
@@ -258,81 +271,84 @@ def test_columnar_strategy_generic_kernel_matches_compiled():
     indistinguishable (same loop, ⊗/⊕ inlined vs called)."""
     for seed in range(5):
         db = random_edge_db(seed, 6, 14)
-        compiled = FixpointEngine(COLUMNAR).evaluate(TC, db, BOOLEAN)
-        generic = FixpointEngine(COLUMNAR).evaluate(TC, db, UNCOMPILED_BOOLEAN)
+        compiled = FixpointEngine().evaluate(TC, db, BOOLEAN)
+        generic = FixpointEngine().evaluate(TC, db, UNCOMPILED_BOOLEAN)
         assert compiled.values == generic.values
         assert compiled.iterations == generic.iterations
         assert compiled.rule_evaluations == generic.rule_evaluations
 
 
 def test_columnar_strategy_counts_rule_evaluations_like_seminaive():
+    """Semi-naive accounting, re-derived from the naive oracle's
+    per-round value maps: round 1 evaluates every ground rule, round
+    ``t`` only the rules with an IDB body fact whose value moved in
+    round ``t - 1``."""
     db = random_edge_db(11, 7, 18)
-    a = FixpointEngine("seminaive").evaluate(TC, db, BOOLEAN)
-    b = FixpointEngine(COLUMNAR).evaluate(TC, db, BOOLEAN)
-    assert a.rule_evaluations == b.rule_evaluations
-    assert b.rule_evaluations > 0
+    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
+    result = FixpointEngine().evaluate(TC, db, BOOLEAN, ground=ground)
+    rounds = [{}] + [
+        naive_evaluation(TC, db, BOOLEAN, ground=ground, config=ORACLE, max_iterations=t).values
+        for t in range(1, result.iterations)
+    ]
+    expected = len(ground)
+    for t in range(1, result.iterations):
+        moved = {
+            fact
+            for fact, value in rounds[t].items()
+            if not BOOLEAN.eq(value, rounds[t - 1].get(fact, BOOLEAN.zero))
+        }
+        expected += sum(1 for rule in ground.rules if moved.intersection(rule.idb_body))
+    assert result.iterations >= 3
+    assert result.rule_evaluations == expected
 
 
 def test_columnar_strategy_divergence_matches():
-    import pytest
-
     from repro.datalog.evaluation import DivergenceError
 
     db = Database.from_edges([(1, 2), (2, 1)])
-    a = FixpointEngine("seminaive").evaluate(TC, db, COUNTING, max_iterations=6)
-    b = FixpointEngine(COLUMNAR).evaluate(TC, db, COUNTING, max_iterations=6)
+    a = FixpointEngine(config=ORACLE).evaluate(TC, db, COUNTING, max_iterations=6)
+    b = FixpointEngine().evaluate(TC, db, COUNTING, max_iterations=6)
     assert not a.converged and not b.converged
     assert a.iterations == b.iterations == 6
     assert a.values == b.values
     with pytest.raises(DivergenceError):
-        FixpointEngine(COLUMNAR).evaluate(
-            TC, db, COUNTING, max_iterations=6, raise_on_divergence=True
-        )
+        FixpointEngine().evaluate(TC, db, COUNTING, max_iterations=6, raise_on_divergence=True)
 
 
 def test_ground_forms_interchange_across_strategies():
-    """Either grounding representation feeds any strategy: columnar
-    strategies lower tuple groundings, tuple strategies decode
+    """Either grounding representation feeds either strategy: the
+    columnar strategy lowers tuple groundings, the naive oracle decodes
     columnar ones."""
     db = random_edge_db(2, 7, 16)
-    ground = relevant_grounding(TC, db, engine="indexed")
+    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     cground = columnar_grounding(TC, db)
-    reference = naive_evaluation(TC, db, BOOLEAN, ground=ground, strategy="naive")
+    reference = naive_evaluation(TC, db, BOOLEAN, ground=ground, config=ORACLE)
     for ground_form in (ground, cground):
         for strategy in STRATEGIES:
-            result = FixpointEngine(strategy).evaluate(
+            result = FixpointEngine(config={"strategy": strategy}).evaluate(
                 TC, db, BOOLEAN, ground=ground_form
             )
             assert result.values == reference.values, (strategy, type(ground_form))
-    via_seminaive = seminaive_evaluation(TC, db, BOOLEAN, ground=cground)
-    assert via_seminaive.values == reference.values
 
 
-# -- the full engine × strategy matrix ------------------------------------
+# -- the oracle-vs-fast matrix --------------------------------------------
 
 
-def assert_matrix_agrees(program, db, semiring, weights=None):
-    """Every (grounding engine, fixpoint strategy) pair -- plus the
-    direct columnar_grounding path -- must agree on rule keys and
-    fixpoint values."""
-    reference_ground = relevant_grounding(program, db, engine="naive")
-    reference_keys = reference_ground.rule_keys()
+def assert_matrix_agrees(program, db, semiring, weights=None, backend=None):
+    """Every (engine, strategy) pair -- plus the direct
+    columnar_grounding path -- must agree with the naive oracle on
+    rule keys, fixpoint values, iterations and convergence."""
+    reference_keys = relevant_grounding(program, db, config=NAIVE_ENGINE).rule_keys()
     assert columnar_grounding(program, db).rule_keys() == reference_keys
-    reference = FixpointEngine("naive", "naive").evaluate(
-        program, db, semiring, weights=weights
-    )
     for engine in GROUNDING_ENGINES:
-        assert (
-            relevant_grounding(program, db, engine=engine).rule_keys()
-            == reference_keys
-        ), engine
-        for strategy in STRATEGIES:
-            result = FixpointEngine(strategy, engine).evaluate(
-                program, db, semiring, weights=weights
-            )
-            assert result.values == reference.values, (engine, strategy)
-            assert result.iterations == reference.iterations, (engine, strategy)
-            assert result.converged and reference.converged
+        ground = relevant_grounding(program, db, config={"engine": engine})
+        assert ground.rule_keys() == reference_keys, engine
+    reference = FixpointEngine(config=ORACLE).evaluate(program, db, semiring, weights=weights)
+    for config in PAIRS:
+        result = FixpointEngine(config=config.evolve(backend=backend)).evaluate(
+            program, db, semiring, weights=weights
+        )
+        assert_same_result(result, reference, semiring)
 
 
 @given(
@@ -345,15 +361,15 @@ def assert_matrix_agrees(program, db, semiring, weights=None):
 def test_matrix_random_digraph(seed, n, m, seeded_idbs):
     # Grounding equality holds with IDB facts seeded into the input;
     # evaluation runs only without them (a seeded IDB body fact that
-    # no rule derives has no defined fixpoint value -- the tuple
-    # strategies raise on such groundings, a pre-existing contract).
+    # no rule derives has no defined fixpoint value -- the naive
+    # oracle raises on such groundings, a pre-existing contract).
     db = random_edge_db(seed, n, m, seeded_idbs)
     if not len(db):
         return
-    reference_keys = relevant_grounding(TC, db, engine="naive").rule_keys()
+    reference_keys = relevant_grounding(TC, db, config=NAIVE_ENGINE).rule_keys()
     assert columnar_grounding(TC, db).rule_keys() == reference_keys
     for engine in GROUNDING_ENGINES:
-        assert relevant_grounding(TC, db, engine=engine).rule_keys() == reference_keys
+        assert relevant_grounding(TC, db, config={"engine": engine}).rule_keys() == reference_keys
     if seeded_idbs == 0:
         assert_matrix_agrees(TC, db, BOOLEAN)
 
@@ -365,11 +381,7 @@ def test_matrix_dyck(seed, pairs):
 
 
 def test_matrix_same_generation():
-    rng = random.Random(7)
-    db = Database()
-    for _ in range(12):
-        db.add(rng.choice(["Up", "Flat", "Down"]), rng.randrange(6), rng.randrange(6))
-    assert_matrix_agrees(same_generation(), db, BOOLEAN)
+    assert_matrix_agrees(same_generation(), sg_db(7), BOOLEAN)
 
 
 def test_matrix_tropical_weights():
@@ -383,16 +395,40 @@ def test_matrix_magic_workload():
     assert_matrix_agrees(magic, graph, BOOLEAN)
 
 
+#: The four hand-picked workloads: (program, database) factories.
+WORKLOADS = {
+    "tc": lambda: (TC, random_edge_db(13, 6, 14)),
+    "dyck": lambda: (DYCK, dyck_db(5, 3)),
+    "same-generation": lambda: (same_generation(), sg_db(7)),
+    "magic": lambda: (magic_specialize(TC, 0), random_digraph(14, 24, seed=7)),
+}
+
+
+@pytest.mark.parametrize("backend", ["python", "vectorized"])
+@pytest.mark.parametrize("semiring", [BOOLEAN, COUNTING, TROPICAL], ids=lambda s: s.name)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_pairs_agree_with_oracle(workload, semiring, backend):
+    """All four (engine, strategy) pairs reproduce naive grounding plus
+    the naive fixpoint -- values, iterations and ``converged`` (COUNTING
+    diverges on the cyclic inputs; the capped runs must still agree)."""
+    if backend == "vectorized":
+        pytest.importorskip("numpy")
+    program, db = WORKLOADS[workload]()
+    weights = random_weights(db, seed=3) if semiring is TROPICAL else None
+    assert_matrix_agrees(program, db, semiring, weights, backend=backend)
+
+
 def test_magic_grounding_composes_with_columnar():
     graph = random_digraph(14, 24, seed=9)
-    tuple_ground = magic_grounding(TC, 0, graph, engine="naive")
-    cground = magic_grounding(TC, 0, graph, columnar=True)
+    tuple_ground = magic_grounding(TC, 0, graph, config=ORACLE)
+    cground = magic_grounding(TC, 0, graph)
     assert isinstance(cground, ColumnarGroundProgram)
     assert cground.rule_keys() == tuple_ground.rule_keys()
-    a = FixpointEngine(COLUMNAR).evaluate(
-        magic_specialize(TC, 0), graph, BOOLEAN, ground=cground
-    )
-    b = FixpointEngine("seminaive").evaluate(
+    for config in PAIRS:
+        ground = magic_grounding(TC, 0, graph, config=config)
+        assert ground.rule_keys() == tuple_ground.rule_keys(), config
+    a = FixpointEngine().evaluate(magic_specialize(TC, 0), graph, BOOLEAN, ground=cground)
+    b = FixpointEngine(config=ORACLE).evaluate(
         magic_specialize(TC, 0), graph, BOOLEAN, ground=tuple_ground
     )
     assert a.values == b.values
@@ -419,8 +455,8 @@ def test_generic_circuit_columnar_stream_agrees(seed, n, m):
     weights = random_weights(db, seed=seed)
     assignment = dict(db.valuation(TROPICAL))
     assignment.update(weights)
-    tuple_circuit = generic_circuit(TC, db, engine="indexed")
-    columnar_circuit = generic_circuit(TC, db, engine="columnar")
+    tuple_circuit = generic_circuit(TC, db, config=NAIVE_ENGINE)
+    columnar_circuit = generic_circuit(TC, db)
     assert circuit_outputs(tuple_circuit, TROPICAL, assignment) == circuit_outputs(
         columnar_circuit, TROPICAL, assignment
     )
@@ -433,8 +469,8 @@ def test_fringe_circuit_columnar_stream_agrees(seed, pairs):
 
     db = dyck_db(seed, pairs)
     assignment = dict(db.valuation(BOOLEAN))
-    tuple_circuit = fringe_circuit(DYCK, db, engine="indexed")
-    columnar_circuit = fringe_circuit(DYCK, db, engine="columnar")
+    tuple_circuit = fringe_circuit(DYCK, db, config=NAIVE_ENGINE)
+    columnar_circuit = fringe_circuit(DYCK, db)
     assert circuit_outputs(tuple_circuit, BOOLEAN, assignment) == circuit_outputs(
         columnar_circuit, BOOLEAN, assignment
     )

@@ -7,11 +7,10 @@ Two layers are pinned here (DESIGN.md §8):
   indexes (hypothesis-checked against a brute-force filter, including
   rows appended *after* an index was built), and delta views;
 * the columnar join engine -- observational equivalence with the
-  indexed and naive engines (identical ``GroundProgram`` as a set of
-  ground rules, identical derivable facts, iteration counts and
-  fixpoint values) on random digraphs, Dyck-1, same-generation and
-  magic-set workloads, plus the probe regression the benchmarks
-  assert.
+  naive oracle (identical ``GroundProgram`` as a set of ground rules,
+  identical derivable facts, iteration counts and fixpoint values) on
+  random digraphs, Dyck-1, same-generation and magic-set workloads,
+  plus the probe regression the benchmarks assert.
 """
 
 import random
@@ -32,7 +31,6 @@ from repro.datalog import (
     dyck1,
     full_grounding,
     magic_grounding,
-    magic_specialize,
     relevant_grounding,
     same_generation,
     scoped_symbols,
@@ -40,6 +38,7 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, TROPICAL
 from repro.workloads import random_digraph, random_weights
+from tests.oracle import NAIVE_ENGINE, ORACLE
 
 TC = transitive_closure()
 
@@ -50,8 +49,8 @@ def rule_set(ground):
 
 def assert_engines_agree(program, db):
     grounds = {
-        engine: relevant_grounding(program, db, engine=engine)
-        for engine in ("naive", "indexed", "columnar")
+        engine: relevant_grounding(program, db, config={"engine": engine})
+        for engine in ("naive", "columnar")
     }
     reference = rule_set(grounds["naive"])
     for engine, ground in grounds.items():
@@ -129,8 +128,8 @@ def test_mixed_arity_database_grounds_like_the_other_engines():
     db.add("E", 7, 8, 9)
     db.add("T", 4)
     assert_engines_agree(TC, db)
-    naive_facts, _ = derivable_facts(TC, db, engine="naive")
-    columnar_facts, _ = derivable_facts(TC, db, engine="columnar")
+    naive_facts, _ = derivable_facts(TC, db, config=NAIVE_ENGINE)
+    columnar_facts, _ = derivable_facts(TC, db)
     assert naive_facts == columnar_facts
 
 
@@ -380,18 +379,18 @@ def test_columnar_relevant_grounding_agrees_dyck(seed, pairs):
 @settings(max_examples=25, deadline=None)
 def test_columnar_derivable_facts_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
-    indexed_facts, indexed_iters = derivable_facts(TC, db, engine="indexed")
-    columnar_facts, columnar_iters = derivable_facts(TC, db, engine="columnar")
-    assert indexed_facts == columnar_facts
-    assert indexed_iters == columnar_iters
+    naive_facts, naive_iters = derivable_facts(TC, db, config=NAIVE_ENGINE)
+    columnar_facts, columnar_iters = derivable_facts(TC, db)
+    assert naive_facts == columnar_facts
+    assert naive_iters == columnar_iters
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 5), m=st.integers(3, 7))
 @settings(max_examples=20, deadline=None)
 def test_columnar_full_grounding_agrees(seed, n, m):
     db = random_edge_db(seed, n, m)
-    assert rule_set(full_grounding(TC, db, engine="indexed")) == rule_set(
-        full_grounding(TC, db, engine="columnar")
+    assert rule_set(full_grounding(TC, db, config=NAIVE_ENGINE)) == rule_set(
+        full_grounding(TC, db)
     )
 
 
@@ -401,14 +400,14 @@ def test_columnar_fixpoint_values_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
     rng = random.Random(seed)
     weights = {fact: float(rng.randint(1, 5)) for fact in db.facts()}
-    via_indexed = FixpointEngine(grounding_engine="indexed").evaluate(
+    via_naive = FixpointEngine(config=NAIVE_ENGINE).evaluate(
         TC, db, TROPICAL, weights=weights
     )
-    via_columnar = FixpointEngine(grounding_engine="columnar").evaluate(
+    via_columnar = FixpointEngine().evaluate(
         TC, db, TROPICAL, weights=weights
     )
-    assert via_indexed.values == via_columnar.values
-    assert via_indexed.iterations == via_columnar.iterations
+    assert via_naive.values == via_columnar.values
+    assert via_naive.iterations == via_columnar.iterations
 
 
 def test_columnar_agrees_on_same_generation_and_magic():
@@ -419,18 +418,18 @@ def test_columnar_agrees_on_same_generation_and_magic():
     assert_engines_agree(same_generation(), db)
 
     graph = random_digraph(14, 24, seed=7)
-    assert rule_set(magic_grounding(TC, 0, graph, engine="naive")) == rule_set(
-        magic_grounding(TC, 0, graph, engine="columnar")
+    assert rule_set(magic_grounding(TC, 0, graph, config=ORACLE)) == rule_set(
+        magic_grounding(TC, 0, graph)
     )
 
 
 def test_columnar_boolean_fixpoint_on_weighted_workload():
     database = random_digraph(20, 60, seed=11)
     weights = random_weights(database, seed=11)
-    a = FixpointEngine(grounding_engine="columnar").evaluate(
+    a = FixpointEngine().evaluate(
         TC, database, BOOLEAN, weights={f: True for f in weights}
     )
-    b = FixpointEngine(grounding_engine="naive").evaluate(
+    b = FixpointEngine(config=NAIVE_ENGINE).evaluate(
         TC, database, BOOLEAN, weights={f: True for f in weights}
     )
     assert a.values == b.values
@@ -447,8 +446,8 @@ def test_rule_constants_unknown_to_store_never_match_or_intern():
     db = Database.from_edges([(1, 2), (2, 3)])
     db.columnar_store()  # materialize first so growth isolates the grounder
     before = len(GLOBAL_SYMBOLS)
-    assert len(relevant_grounding(program, db, engine="columnar").rules) == 0
-    assert len(relevant_grounding(program, db, engine="naive").rules) == 0
+    assert len(relevant_grounding(program, db).rules) == 0
+    assert len(relevant_grounding(program, db, config=NAIVE_ENGINE).rules) == 0
     assert len(GLOBAL_SYMBOLS) == before
     assert GLOBAL_SYMBOLS.get(99) is None
 
@@ -470,8 +469,8 @@ def test_head_constants_chain_into_body_lookups():
         target="Q",
     )
     db = Database.from_edges([(1, 2), (2, 3)])
-    naive_facts, _ = derivable_facts(program, db, engine="naive")
-    columnar_facts, _ = derivable_facts(program, db, engine="columnar")
+    naive_facts, _ = derivable_facts(program, db, config=NAIVE_ENGINE)
+    columnar_facts, _ = derivable_facts(program, db)
     assert naive_facts == columnar_facts
     assert Fact("Q", (1,)) in columnar_facts
 
@@ -502,7 +501,7 @@ def test_scoped_symbols_keeps_default_table_clean():
         db = Database.from_edges([("scoped-only-u", "scoped-only-v")])
         store = db.columnar_store()
         assert store.symbols is table
-        assert len(relevant_grounding(TC, db, engine="columnar").rules) == 1
+        assert len(relevant_grounding(TC, db).rules) == 1
         assert len(columnar_grounding(TC, db)) == 1
         assert len(table) > 0
     assert default_symbols() is outer
@@ -544,7 +543,7 @@ def test_columnar_store_private_symbol_table_sticks():
     db.add("E", "private-only-u", "private-only-w")
     assert db.columnar_store().symbols is table
     assert GLOBAL_SYMBOLS.get("private-only-w") is None
-    ground = relevant_grounding(TC, db, engine="columnar")
+    ground = relevant_grounding(TC, db)
     assert len(ground.rules) > 0
     assert GLOBAL_SYMBOLS.get("private-only-u") is None  # engine stayed scoped
 
@@ -555,25 +554,10 @@ def test_columnar_store_private_symbol_table_sticks():
 def test_columnar_probes_halved_vs_naive_on_tc():
     db = random_digraph(24, 72, seed=5)
     naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="naive")
+        lambda: relevant_grounding(TC, db, config=NAIVE_ENGINE)
     )
     columnar_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="columnar")
+        lambda: relevant_grounding(TC, db)
     )
     assert columnar_probes > 0
     assert naive_probes >= 2 * columnar_probes, (naive_probes, columnar_probes)
-
-
-def test_columnar_probes_match_indexed_on_magic_chain():
-    """Columnar and indexed share selectivity ordering and exact-pattern
-    candidate sets, so their probe counts coincide -- the columnar win
-    is constant-factor (id-space rows, array columns), not probe count."""
-    db = random_digraph(30, 60, seed=3)
-    magic = magic_specialize(TC, 0)
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="indexed")
-    )
-    columnar_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="columnar")
-    )
-    assert columnar_probes == indexed_probes, (indexed_probes, columnar_probes)

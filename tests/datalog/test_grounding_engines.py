@@ -1,11 +1,12 @@
-"""Indexed vs naive grounding engines: equivalence and probe regression.
+"""Columnar vs naive grounding engines: equivalence and probe regression.
 
-The indexed engine (pattern-keyed hash indexes, selectivity-ordered
-bodies, fused semi-naive pass) must be a pure optimization: identical
-:class:`GroundProgram` (as a set of ground rules), identical derivable
-facts and Boolean iteration counts, identical fixpoint values -- with
-measurably fewer join probes.  DESIGN.md §5 describes the design;
-these tests pin its observable contract.
+The columnar engine (slot-compiled id-space joins, selectivity-ordered
+bodies, fused semi-naive pass) must be a pure optimization over the
+naive oracle: identical :class:`GroundProgram` (as a set of ground
+rules), identical derivable facts and Boolean iteration counts,
+identical fixpoint values -- with measurably fewer join probes.
+DESIGN.md §8 describes the design; these tests pin its observable
+contract.
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ExecutionConfig
 from repro.datalog import (
     GROUNDING_STATS,
     Database,
@@ -31,6 +33,7 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, TROPICAL
 from repro.workloads import random_digraph, random_weights
+from tests.oracle import NAIVE_ENGINE, ORACLE
 
 TC = transitive_closure()
 
@@ -49,15 +52,15 @@ def rule_set(ground):
     return ground.rule_keys()
 
 
-def assert_same_ground_program(naive, indexed):
+def assert_same_ground_program(naive, columnar):
     # Same rules as a set, no duplicates on either side, same head index.
-    assert rule_set(naive) == rule_set(indexed)
-    assert len(naive.rules) == len(indexed.rules)
-    assert naive.idb_facts == indexed.idb_facts
+    assert rule_set(naive) == rule_set(columnar)
+    assert len(naive.rules) == len(columnar.rules)
+    assert naive.idb_facts == columnar.idb_facts
     for fact in naive.idb_facts:
         assert {
             (r.rule_index, r.idb_body, r.edb_body) for r in naive.rules_for(fact)
-        } == {(r.rule_index, r.idb_body, r.edb_body) for r in indexed.rules_for(fact)}
+        } == {(r.rule_index, r.idb_body, r.edb_body) for r in columnar.rules_for(fact)}
 
 
 # -- equivalence properties (seeded random digraphs) ---------------------
@@ -82,8 +85,8 @@ def test_relevant_grounding_engines_agree_tc(seed, n, m, seeded_idbs):
         if u != v:
             db.add("T", u, v)
     assert_same_ground_program(
-        relevant_grounding(TC, db, engine="naive"),
-        relevant_grounding(TC, db, engine="indexed"),
+        relevant_grounding(TC, db, config=NAIVE_ENGINE),
+        relevant_grounding(TC, db),
     )
 
 
@@ -93,14 +96,14 @@ def test_no_duplicate_rules_with_database_idb_facts():
     # round 0 and must not be emitted again when T(2,3) enters a delta.
     db = Database.from_edges([(2, 3), (3, 4)])
     db.add("T", 2, 3)
-    naive = relevant_grounding(TC, db, engine="naive")
-    indexed = relevant_grounding(TC, db, engine="indexed")
-    assert len(indexed.rules) == len(set(indexed.rules))
-    assert_same_ground_program(naive, indexed)
-    naive_facts, naive_iters = derivable_facts(TC, db, engine="naive")
-    indexed_facts, indexed_iters = derivable_facts(TC, db, engine="indexed")
-    assert naive_facts == indexed_facts
-    assert naive_iters == indexed_iters
+    naive = relevant_grounding(TC, db, config=NAIVE_ENGINE)
+    columnar = relevant_grounding(TC, db)
+    assert len(columnar.rules) == len(set(columnar.rules))
+    assert_same_ground_program(naive, columnar)
+    naive_facts, naive_iters = derivable_facts(TC, db, config=NAIVE_ENGINE)
+    columnar_facts, columnar_iters = derivable_facts(TC, db)
+    assert naive_facts == columnar_facts
+    assert naive_iters == columnar_iters
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 4))
@@ -121,8 +124,8 @@ def test_relevant_grounding_engines_agree_dyck(seed, pairs):
             edges.append((u, rng.choice(["L", "R"]), v))
     db = Database.from_labeled_edges(edges)
     assert_same_ground_program(
-        relevant_grounding(dyck1(), db, engine="naive"),
-        relevant_grounding(dyck1(), db, engine="indexed"),
+        relevant_grounding(dyck1(), db, config=NAIVE_ENGINE),
+        relevant_grounding(dyck1(), db),
     )
 
 
@@ -130,10 +133,10 @@ def test_relevant_grounding_engines_agree_dyck(seed, pairs):
 @settings(max_examples=30, deadline=None)
 def test_derivable_facts_engines_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
-    naive_facts, naive_iters = derivable_facts(TC, db, engine="naive")
-    indexed_facts, indexed_iters = derivable_facts(TC, db, engine="indexed")
-    assert naive_facts == indexed_facts
-    assert naive_iters == indexed_iters
+    naive_facts, naive_iters = derivable_facts(TC, db, config=NAIVE_ENGINE)
+    columnar_facts, columnar_iters = derivable_facts(TC, db)
+    assert naive_facts == columnar_facts
+    assert naive_iters == columnar_iters
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 5), m=st.integers(3, 7))
@@ -141,8 +144,8 @@ def test_derivable_facts_engines_agree(seed, n, m):
 def test_full_grounding_engines_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
     assert_same_ground_program(
-        full_grounding(TC, db, engine="naive"),
-        full_grounding(TC, db, engine="indexed"),
+        full_grounding(TC, db, config=NAIVE_ENGINE),
+        full_grounding(TC, db),
     )
 
 
@@ -152,14 +155,14 @@ def test_fixpoint_values_engine_independent(seed, n, m):
     db = random_edge_db(seed, n, m)
     rng = random.Random(seed)
     weights = {fact: float(rng.randint(1, 5)) for fact in db.facts()}
-    via_naive = FixpointEngine(grounding_engine="naive").evaluate(
+    via_naive = FixpointEngine(config=NAIVE_ENGINE).evaluate(
         TC, db, TROPICAL, weights=weights
     )
-    via_indexed = FixpointEngine(grounding_engine="indexed").evaluate(
+    via_columnar = FixpointEngine().evaluate(
         TC, db, TROPICAL, weights=weights
     )
-    assert via_naive.values == via_indexed.values
-    assert via_naive.iterations == via_indexed.iterations
+    assert via_naive.values == via_columnar.values
+    assert via_naive.iterations == via_columnar.iterations
 
 
 def test_engines_agree_on_same_generation_and_magic():
@@ -170,14 +173,14 @@ def test_engines_agree_on_same_generation_and_magic():
     for _ in range(12):
         db.add(rng.choice(["Up", "Flat", "Down"]), rng.randrange(6), rng.randrange(6))
     assert_same_ground_program(
-        relevant_grounding(same_generation(), db, engine="naive"),
-        relevant_grounding(same_generation(), db, engine="indexed"),
+        relevant_grounding(same_generation(), db, config=NAIVE_ENGINE),
+        relevant_grounding(same_generation(), db),
     )
 
     graph = random_digraph(14, 24, seed=7)
     assert_same_ground_program(
-        magic_grounding(TC, 0, graph, engine="naive"),
-        magic_grounding(TC, 0, graph, engine="indexed"),
+        magic_grounding(TC, 0, graph, config=ORACLE),
+        magic_grounding(TC, 0, graph).to_ground_program(),
     )
 
 
@@ -185,30 +188,30 @@ def test_engines_agree_on_same_generation_and_magic():
 
 
 def test_join_probes_drop_on_magic_chain_program():
-    """Regression: the indexed engine must cut join probes at least 2×
+    """Regression: the columnar engine must cut join probes at least 2×
     on the magic-set specialized chain program (the Theorem 5.8
     workload; the probes counter is the metric of DESIGN.md §6)."""
     db = random_digraph(30, 60, seed=3)
     magic = magic_specialize(TC, 0)
     naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="naive")
+        lambda: relevant_grounding(magic, db, config=NAIVE_ENGINE)
     )
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(magic, db, engine="indexed")
+    columnar_probes, _ = count_join_probes(
+        lambda: relevant_grounding(magic, db)
     )
-    assert indexed_probes > 0
-    assert naive_probes >= 2 * indexed_probes, (naive_probes, indexed_probes)
+    assert columnar_probes > 0
+    assert naive_probes >= 2 * columnar_probes, (naive_probes, columnar_probes)
 
 
 def test_join_probes_drop_on_tc():
     db = random_digraph(24, 72, seed=5)
     naive_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="naive")
+        lambda: relevant_grounding(TC, db, config=NAIVE_ENGINE)
     )
-    indexed_probes, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="indexed")
+    columnar_probes, _ = count_join_probes(
+        lambda: relevant_grounding(TC, db)
     )
-    assert naive_probes >= 2 * indexed_probes, (naive_probes, indexed_probes)
+    assert naive_probes >= 2 * columnar_probes, (naive_probes, columnar_probes)
 
 
 def test_grounding_stats_counts_ground_rules():
@@ -238,22 +241,22 @@ def test_count_join_probes_does_not_touch_the_global_accumulator():
 
 def test_count_join_probes_nested_captures_stay_separate():
     db = random_digraph(10, 20, seed=1)
-    solo_indexed, _ = count_join_probes(lambda: relevant_grounding(TC, db))
+    solo_columnar, _ = count_join_probes(lambda: relevant_grounding(TC, db))
     solo_naive, _ = count_join_probes(
-        lambda: relevant_grounding(TC, db, engine="naive")
+        lambda: relevant_grounding(TC, db, config=NAIVE_ENGINE)
     )
-    assert solo_naive > solo_indexed
+    assert solo_naive > solo_columnar
 
     def outer():
         inner, _ = count_join_probes(
-            lambda: relevant_grounding(TC, db, engine="naive")
+            lambda: relevant_grounding(TC, db, config=NAIVE_ENGINE)
         )
         relevant_grounding(TC, db)
         return inner
 
     outer_probes, inner_probes = count_join_probes(outer)
     # The nested (naive, larger) capture stays out of the outer count.
-    assert outer_probes == solo_indexed
+    assert outer_probes == solo_columnar
     assert inner_probes == solo_naive
 
 
@@ -294,30 +297,32 @@ def test_count_join_probes_concurrent_runs_do_not_pollute_each_other():
 def test_unknown_engine_rejected():
     db = Database.from_edges([(0, 1)])
     with pytest.raises(ValueError):
-        relevant_grounding(TC, db, engine="btree")
+        relevant_grounding(TC, db, config={"engine": "btree"})
     with pytest.raises(ValueError):
-        derivable_facts(TC, db, engine="btree")
+        derivable_facts(TC, db, config={"engine": "btree"})
     with pytest.raises(ValueError):
-        full_grounding(TC, db, engine="btree")
+        full_grounding(TC, db, config={"engine": "btree"})
     with pytest.raises(ValueError):
-        FixpointEngine(grounding_engine="btree")
+        FixpointEngine(config={"engine": "btree"})
+    with pytest.raises(ValueError, match="expected one of"):
+        relevant_grounding(TC, db, config={"engine": "indexed"})
 
 
 def test_engine_none_resolves_to_default():
     db = Database.from_edges([(0, 1), (1, 2)])
     assert_same_ground_program(
         relevant_grounding(TC, db),
-        relevant_grounding(TC, db, engine=None),
+        relevant_grounding(TC, db, config=ExecutionConfig(engine=None)),
     )
-    result = naive_evaluation(TC, db, BOOLEAN, grounding_engine="naive")
+    result = naive_evaluation(TC, db, BOOLEAN, config=NAIVE_ENGINE)
     assert result.values == naive_evaluation(TC, db, BOOLEAN).values
 
 
 def test_weighted_evaluation_matches_across_engines_at_scale():
     database = random_digraph(20, 60, seed=11)
     weights = random_weights(database, seed=11)
-    naive_ground = relevant_grounding(TC, database, engine="naive")
-    indexed_ground = relevant_grounding(TC, database, engine="indexed")
+    naive_ground = relevant_grounding(TC, database, config=NAIVE_ENGINE)
+    columnar_ground = relevant_grounding(TC, database)
     a = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=naive_ground)
-    b = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=indexed_ground)
+    b = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=columnar_ground)
     assert a.values == b.values

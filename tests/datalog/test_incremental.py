@@ -17,8 +17,8 @@ Three layers:
   BOOLEAN/COUNTING on an unweighted database and TROPICAL/COUNTING on
   an integer-weighted one (integer weights keep both semirings'
   arithmetic exact, so ``==`` is the right comparison), with a sampled
-  query rule sweeping the whole grounding-engine × fixpoint-strategy
-  matrix;
+  query rule sweeping all four (engine, strategy) pairs, the naive
+  oracle included;
 * metamorphic insert-then-retract tests: applying a batch of inserts
   and then retracting it (in reverse or shuffled order) must restore
   the *exact* prior state -- values, iterations, rule evaluations,
@@ -39,7 +39,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import pytest
 
-from repro.config import GROUNDING_ENGINES, FIXPOINT_STRATEGIES
 from repro.datalog import (
     Database,
     DatalogError,
@@ -51,9 +50,10 @@ from repro.datalog import (
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from tests.oracle import ORACLE, PAIRS
 
 TC = transitive_closure()
-COLUMNAR_ENGINE = FixpointEngine("columnar", "columnar")
+COLUMNAR_ENGINE = FixpointEngine()
 
 #: DAG edge universe: u < v over six vertices, so every stream state
 #: converges and integer tropical/counting arithmetic stays exact.
@@ -123,21 +123,20 @@ class StreamMachine(RuleBasedStateMachine):
 
     @rule()
     def query_matrix(self):
-        """Every grounding-engine × strategy pipeline agrees with the
-        maintained state (the derivable set and all three semirings)."""
+        """Every (engine, strategy) pipeline agrees with the maintained
+        state (the derivable set and all three semirings)."""
         wdb, pdb = weighted_replay(self.live), plain_replay(self.live)
         expect_bool = nonzero(BOOLEAN, self.pfix.values(BOOLEAN))
         expect_trop = nonzero(TROPICAL, self.wfix.values(TROPICAL))
         expect_count = nonzero(COUNTING, self.wfix.values(COUNTING))
-        for engine in GROUNDING_ENGINES:
-            for strategy in FIXPOINT_STRATEGIES:
-                pipeline = FixpointEngine(strategy, engine)
-                got = pipeline.evaluate(TC, pdb, BOOLEAN)
-                assert nonzero(BOOLEAN, got.values) == expect_bool
-                got = pipeline.evaluate(TC, wdb, TROPICAL)
-                assert nonzero(TROPICAL, got.values) == expect_trop
-                got = pipeline.evaluate(TC, wdb, COUNTING)
-                assert nonzero(COUNTING, got.values) == expect_count
+        for config in PAIRS:
+            pipeline = FixpointEngine(config=config)
+            got = pipeline.evaluate(TC, pdb, BOOLEAN)
+            assert nonzero(BOOLEAN, got.values) == expect_bool
+            got = pipeline.evaluate(TC, wdb, TROPICAL)
+            assert nonzero(TROPICAL, got.values) == expect_trop
+            got = pipeline.evaluate(TC, wdb, COUNTING)
+            assert nonzero(COUNTING, got.values) == expect_count
 
     @invariant()
     def matches_recompute(self):
@@ -225,10 +224,9 @@ def test_insert_then_retract_restores_state(order):
     assert after == before
     assert_indexes_consistent(fix)
 
-    # Both fixpoint pipelines see the restored database identically.
-    for strategy in ("seminaive", "columnar"):
-        engine = FixpointEngine(strategy, "columnar")
-        result = engine.evaluate(TC, database, TROPICAL)
+    # The fast path and the oracle see the restored database identically.
+    for config in (None, ORACLE):
+        result = FixpointEngine(config=config).evaluate(TC, database, TROPICAL)
         assert result.values == before["values"]["tropical"]
 
 

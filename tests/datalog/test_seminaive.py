@@ -1,10 +1,11 @@
 """Semi-naive / naive equivalence and the FixpointEngine API.
 
-The semi-naive strategy is Jacobi-ordered (round ``t`` reads round
-``t − 1`` values), so it must reproduce the naive strategy *exactly*:
-same value map, same iteration count, same ``converged`` flag, same
-divergence behaviour on non-stable semirings -- while performing
-strictly fewer rule evaluations whenever convergence is non-uniform.
+The default ``columnar`` strategy is semi-naive and Jacobi-ordered
+(round ``t`` reads round ``t − 1`` values), so it must reproduce the
+naive oracle *exactly*: same value map, same iteration count, same
+``converged`` flag, same divergence behaviour on non-stable semirings
+-- while performing strictly fewer rule evaluations whenever
+convergence is non-uniform.
 """
 
 import pytest
@@ -17,16 +18,21 @@ from repro.datalog import (
     DivergenceError,
     Fact,
     FixpointEngine,
+    columnar_grounding,
     dyck1,
     naive_evaluation,
     relevant_grounding,
-    seminaive_evaluation,
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, SORP, TROPICAL, CappedCountingSemiring
 from repro.workloads import cycle_graph, dyck_concatenated_path, random_digraph, random_weights
+from tests.oracle import ORACLE
 
 TC = transitive_closure()
+
+#: The two fixpoint algorithms, by name: the naive oracle, and the
+#: semi-naive rounds the default ``columnar`` strategy runs.
+ALGORITHMS = {"naive": "naive", "seminaive": "columnar"}
 
 
 def figure1_graph() -> Database:
@@ -72,33 +78,34 @@ def test_seminaive_matches_naive_fixpoint(semiring, graph_name):
     # q-stable and needs ~q rounds to saturate on cycles.
     max_iterations = 400 if isinstance(semiring, CappedCountingSemiring) else None
     naive = naive_evaluation(
-        TC, database, semiring, weights=weights, strategy="naive", max_iterations=max_iterations
+        TC, database, semiring, weights=weights, config=ORACLE, max_iterations=max_iterations
     )
     semi = naive_evaluation(
-        TC, database, semiring, weights=weights, strategy="seminaive", max_iterations=max_iterations
+        TC, database, semiring, weights=weights, max_iterations=max_iterations
     )
     assert naive.converged and semi.converged
     assert naive.iterations == semi.iterations
     assert set(naive.values) == set(semi.values)
     for fact, value in naive.values.items():
         assert semiring.eq(value, semi.values[fact]), fact
-    assert naive.strategy == "naive" and semi.strategy == "seminaive"
+    assert naive.strategy == "naive" and semi.strategy == "columnar"
 
 
 def test_seminaive_is_the_default_strategy():
-    assert DEFAULT_STRATEGY == "seminaive"
+    # The semi-naive rounds run on the id-space grounding: "columnar".
+    assert DEFAULT_STRATEGY == "columnar"
     database = figure1_graph()
     result = naive_evaluation(TC, database, BOOLEAN)
-    assert result.strategy == "seminaive"
-    explicit = seminaive_evaluation(TC, database, BOOLEAN)
+    assert result.strategy == "columnar"
+    explicit = FixpointEngine(config={"strategy": "columnar"}).evaluate(TC, database, BOOLEAN)
     assert explicit.values == result.values
 
 
 def test_seminaive_dyck1_matches_naive():
     program = dyck1()
     database = Database.from_labeled_edges(dyck_concatenated_path(3))
-    naive = naive_evaluation(program, database, BOOLEAN, strategy="naive")
-    semi = naive_evaluation(program, database, BOOLEAN, strategy="seminaive")
+    naive = naive_evaluation(program, database, BOOLEAN, config=ORACLE)
+    semi = naive_evaluation(program, database, BOOLEAN)
     assert naive.values == semi.values
     assert naive.iterations == semi.iterations
 
@@ -106,24 +113,24 @@ def test_seminaive_dyck1_matches_naive():
 def test_seminaive_does_strictly_less_work_on_deep_graphs():
     database = random_digraph(24, 72, seed=24)
     ground = relevant_grounding(TC, database)
-    naive = naive_evaluation(TC, database, BOOLEAN, ground=ground, strategy="naive")
-    semi = naive_evaluation(TC, database, BOOLEAN, ground=ground, strategy="seminaive")
+    naive = naive_evaluation(TC, database, BOOLEAN, ground=ground, config=ORACLE)
+    semi = naive_evaluation(TC, database, BOOLEAN, ground=ground)
     assert naive.iterations >= 3  # non-trivial depth, else the ratio is vacuous
     assert semi.rule_evaluations * 2 <= naive.rule_evaluations
 
 
-@pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-def test_divergence_reported_identically(strategy):
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_divergence_reported_identically(algorithm):
     database = Database.from_edges([(0, 1), (1, 0), (0, 2)])
     result = naive_evaluation(
-        TC, database, COUNTING, max_iterations=25, strategy=strategy
+        TC, database, COUNTING, max_iterations=25, config={"strategy": ALGORITHMS[algorithm]}
     )
     assert not result.converged
     assert result.iterations == 25
 
 
-@pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-def test_divergence_raises_identically(strategy):
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_divergence_raises_identically(algorithm):
     database = Database.from_edges([(0, 1), (1, 0)])
     with pytest.raises(DivergenceError):
         naive_evaluation(
@@ -132,7 +139,7 @@ def test_divergence_raises_identically(strategy):
             COUNTING,
             max_iterations=10,
             raise_on_divergence=True,
-            strategy=strategy,
+            config={"strategy": ALGORITHMS[algorithm]},
         )
 
 
@@ -140,10 +147,10 @@ def test_diverging_value_maps_agree_round_for_round():
     database = Database.from_edges([(0, 1), (1, 0), (0, 2)])
     for rounds in (1, 2, 7, 20):
         naive = naive_evaluation(
-            TC, database, COUNTING, max_iterations=rounds, strategy="naive"
+            TC, database, COUNTING, max_iterations=rounds, config=ORACLE
         )
         semi = naive_evaluation(
-            TC, database, COUNTING, max_iterations=rounds, strategy="seminaive"
+            TC, database, COUNTING, max_iterations=rounds
         )
         assert naive.values == semi.values, rounds
 
@@ -151,8 +158,8 @@ def test_diverging_value_maps_agree_round_for_round():
 def test_capped_counting_converges_on_cycle():
     semiring = CappedCountingSemiring(8)
     database = Database.from_edges([(0, 1), (1, 0), (0, 2)])
-    naive = naive_evaluation(TC, database, semiring, strategy="naive", max_iterations=100)
-    semi = naive_evaluation(TC, database, semiring, strategy="seminaive", max_iterations=100)
+    naive = naive_evaluation(TC, database, semiring, config=ORACLE, max_iterations=100)
+    semi = naive_evaluation(TC, database, semiring, max_iterations=100)
     assert naive.converged and semi.converged
     assert naive.values == semi.values
     # Cyclic derivations saturate at the cap.
@@ -161,42 +168,52 @@ def test_capped_counting_converges_on_cycle():
 
 def test_fixpoint_engine_rejects_unknown_strategy():
     with pytest.raises(ValueError):
-        FixpointEngine("gauss-seidel")
+        FixpointEngine(config={"strategy": "gauss-seidel"})
+    with pytest.raises(ValueError, match="expected one of"):
+        FixpointEngine(config={"strategy": "seminaive"})
 
 
 def test_fixpoint_engine_none_resolves_to_default():
     assert FixpointEngine(None).strategy == DEFAULT_STRATEGY
+    assert FixpointEngine(config={"strategy": None}).strategy == DEFAULT_STRATEGY
 
 
 def test_engine_boolean_iterations_matches_module_probe():
     from repro.datalog import boolean_iterations
 
     database = GRAPHS["random"]()
-    for strategy in ("naive", "seminaive"):
-        assert FixpointEngine(strategy).boolean_iterations(TC, database) == (
+    for config in (ORACLE, None):
+        assert FixpointEngine(config=config).boolean_iterations(TC, database) == (
             boolean_iterations(TC, database)
         )
 
 
 def test_grounding_body_index_is_consistent():
-    ground = relevant_grounding(TC, GRAPHS["random"]())
-    by_body = ground.rules_by_idb_body
-    for fact, positions in by_body.items():
-        for position in positions:
-            assert fact in ground.rules[position].idb_body
-    for position, rule in enumerate(ground.rules):
-        for fact in rule.idb_body:
-            assert position in by_body[fact]
-        assert position in ground.rule_indices_by_head[rule.head]
+    ground = columnar_grounding(TC, GRAPHS["random"]())
+    body_ptr, body_rules = ground.by_body_csr()
+    head_ptr, head_rules = ground.by_head_csr()
+
+    def rules_of(indptr, data, fid):
+        return set(data[indptr[fid] : indptr[fid + 1]])
+
+    for position in range(len(ground)):
+        body = ground.idb_flat[ground.idb_indptr[position] : ground.idb_indptr[position + 1]]
+        for fid in body:
+            assert position in rules_of(body_ptr, body_rules, fid)
+        assert position in rules_of(head_ptr, head_rules, ground.rule_head[position])
+    for fid in range(ground.fact_count):
+        for position in rules_of(body_ptr, body_rules, fid):
+            start, stop = ground.idb_indptr[position], ground.idb_indptr[position + 1]
+            assert fid in ground.idb_flat[start:stop]
 
 
-@pytest.mark.parametrize("strategy", ["naive", "seminaive"])
-def test_circuit_crosschecks_against_engine(strategy):
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_circuit_crosschecks_against_engine(algorithm):
     database = figure1_graph()
     weights = random_weights(database, seed=3)
     facts = [Fact("T", ("s", "t")), Fact("T", ("s", "v2"))]
     circuit = generic_circuit(TC, database, facts)
     mismatches = crosscheck_fixpoint(
-        circuit, facts, TC, database, TROPICAL, weights=weights, strategy=strategy
+        circuit, facts, TC, database, TROPICAL, weights=weights, strategy=ALGORITHMS[algorithm]
     )
     assert mismatches == {}

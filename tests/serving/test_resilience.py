@@ -406,8 +406,11 @@ def test_retry_budget_limits_spend():
 
 def test_bad_json_body_maps_to_400():
     async def scenario(host, port, client):
-        blob = http("POST", "/solve", b"{not json")
-        data = await raw_roundtrip(host, port, blob + b"")
+        # Connection: close makes the server end the exchange after the
+        # 400 instead of holding the keep-alive open until its idle
+        # timeout, so reading to EOF returns at once.
+        blob = http("POST", "/solve", b"{not json", extra_headers="Connection: close\r\n")
+        data = await raw_roundtrip(host, port, blob)
         assert b"400 Bad Request" in data
         assert b"not valid JSON" in data
 

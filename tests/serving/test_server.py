@@ -241,6 +241,68 @@ def test_solve_reports_divergence_as_422():
     run(with_server(scenario))
 
 
+# -- the request's ExecutionConfig ----------------------------------------
+
+
+DEAD_S = TC + "\nS(X) :- A(X), S(X)."
+
+
+def test_register_threads_backend_and_prune_into_the_config():
+    async def scenario():
+        server = CircuitServer()
+        async with server as (host, port):
+            async with CircuitClient(host, port) as client:
+                status, reg = await client.request(
+                    "POST",
+                    "/circuits",
+                    {
+                        "program": DEAD_S,
+                        "target": "T",
+                        "facts": EDGES,
+                        "output": "T(0,3)",
+                        "weights": {"E(0,1)": 1.0, "E(1,2)": 1.0, "E(2,3)": 1.0, "E(0,2)": 5.0},
+                        "backend": "auto",
+                        "prune": True,
+                    },
+                )
+                assert status == 200
+                config = server._circuits[reg["key"]].session.config
+                assert config.backend == "auto"
+                assert config.prune is True
+                # The numeric lane runs under the requested backend and
+                # still answers exactly.
+                assert await client.evaluate(reg["key"], "tropical") == 3.0
+
+    run(scenario())
+
+
+def test_solve_honours_prune_from_the_body():
+    async def scenario(host, port, client):
+        body = {"program": DEAD_S, "target": "T", "facts": EDGES + ["A(0)"], "semiring": "boolean"}
+        status, full = await client.request("POST", "/solve", body)
+        assert status == 200 and "S(0)" not in full["values"]
+        status, lean = await client.request("POST", "/solve", dict(body, prune=True))
+        assert status == 200
+        assert lean["values"] == {k: v for k, v in full["values"].items() if k.startswith("T(")}
+
+    run(with_server(scenario))
+
+
+def test_bad_config_values_map_to_400_naming_the_vocabulary():
+    async def scenario(host, port, client):
+        body = {"program": TC, "target": "T", "facts": EDGES, "output": "T(0,3)"}
+        status, payload = await client.request("POST", "/circuits", dict(body, engine="indexed"))
+        assert status == 400
+        assert "unknown engine 'indexed'" in payload["error"]
+        assert "('columnar', 'naive')" in payload["error"]
+        status, payload = await client.request("POST", "/circuits", dict(body, backend="gpu"))
+        assert status == 400 and "unknown backend" in payload["error"]
+        status, payload = await client.request("POST", "/circuits", dict(body, prune="yes"))
+        assert status == 400 and "prune must be a bool" in payload["error"]
+
+    run(with_server(scenario))
+
+
 # -- error handling --------------------------------------------------------
 
 

@@ -12,7 +12,7 @@ Two kinds of references are checked:
 * Markdown link targets ``[text](path)`` with a relative path (http,
   mailto and pure-anchor targets are ignored).
 * Bare file tokens ending in ``.md``, ``.py``, ``.yml`` or ``.toml``
-  (e.g. ``DESIGN.md §6``, ``benchmarks/bench_seminaive.py``).
+  (e.g. ``DESIGN.md §6``, ``benchmarks/bench_ablation_grounding.py``).
 
 A token resolves if it exists relative to the referencing file or the
 repo root, if it is a path suffix of a tracked file (so
@@ -40,6 +40,9 @@ REPO = Path(__file__).resolve().parent.parent
 # PAPERS/SNIPPETS quote external repositories; ISSUE.md may cite files
 # the described task has yet to create.
 SKIP_MARKDOWN = {"PAPERS.md", "SNIPPETS.md", "ISSUE.md"}
+# The roadmap plans files not yet written, and the change log is a
+# history that cites files since deleted.
+SKIP_MARKDOWN |= {"ROADMAP.md", "CHANGES.md"}
 
 # Target = first whitespace-free run after '(' (tolerates link titles
 # like [x](DESIGN.md "notes")); anchor-only targets are skipped.

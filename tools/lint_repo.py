@@ -28,7 +28,7 @@ Checks
 Usage::
 
     python tools/lint_repo.py            # lint the repo, exit 1 on findings
-    python tools/lint_repo.py path.py    # lint specific files (tests use this)
+    python tools/lint_repo.py FILE...    # lint specific files (tests use this)
 """
 
 from __future__ import annotations
