@@ -14,7 +14,8 @@ ISSUE names:
   throughput over 64 interpreter passes;
 * **incremental dirty-cone re-evaluation** -- a one-weight delta must
   touch a strict subset of the circuit (correctness asserted exactly;
-  the cone/size ratio is reported).
+  the cone/size ratio is reported, as is ``seed_ms``, the cold cost of
+  seeding an evaluator on a freshly compiled circuit).
 
 Every timed path is first cross-checked for *exact equality* against
 the seed interpreter, so the bench doubles as an equivalence test at
@@ -40,6 +41,7 @@ from tools.bench_record import append_record  # noqa: E402
 
 from repro.analysis import PerfReport  # noqa: E402
 from repro.circuits import (  # noqa: E402
+    CompiledCircuit,
     IncrementalEvaluator,
     compile_circuit,
     reference_evaluate_all,
@@ -86,6 +88,13 @@ def best_of(fn, rounds=ROUNDS):
         if best is None or elapsed < best:
             best = elapsed
     return best
+
+
+def seed_time(compiled, weights):
+    """Wall-clock seconds to seed one TROPICAL evaluator on *compiled*."""
+    start = time.perf_counter()
+    IncrementalEvaluator(compiled, TROPICAL, weights)
+    return time.perf_counter() - start
 
 
 def random_true_sets(circuit, count, seed=0, density=0.5):
@@ -210,9 +219,13 @@ def test_eval_runtime_incremental(benchmark):
     mean_cone = sum(cones) / len(cones)
     assert max(cones) <= circuit.size
     assert mean_cone < circuit.size, "dirty cone should not cover the whole circuit"
+    # Cold seed, as a served-circuit rebuild pays it: every round seeds
+    # on a fresh compiled form, so no kernel is cached yet.
+    seed_s = min(seed_time(CompiledCircuit(circuit), weights) for _ in range(ROUNDS))
     print(
         f"\n== incremental: mean dirty cone {mean_cone:.0f} of {circuit.size} nodes "
-        f"({100 * mean_cone / circuit.size:.1f}%), max {max(cones)} =="
+        f"({100 * mean_cone / circuit.size:.1f}%), max {max(cones)}; "
+        f"cold seed {1000 * seed_s:.2f} ms =="
     )
     append_record(
         TRAJECTORY,
@@ -222,6 +235,7 @@ def test_eval_runtime_incremental(benchmark):
             "size": circuit.size,
             "deltas": deltas,
             "mean_cone": mean_cone,
+            "seed_ms": 1000 * seed_s,
             "max_cone": max(cones),
         },
     )

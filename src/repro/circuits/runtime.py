@@ -17,8 +17,13 @@ input gate.  This module amortizes all of that over a batch
   *closure compiler*: for semirings that declare
   ``compiled_add_expr``/``compiled_mul_expr`` (the numeric workhorses
   -- Boolean, counting, tropical, ...) it ``exec``-generates a kernel
-  with ``⊕``/``⊗`` fused into local-variable expressions; small
-  circuits get fully straight-line code, one statement per gate.
+  with ``⊕``/``⊗`` fused into local-variable expressions.  Kernels a
+  caller reuses (``evaluate``/``evaluate_all``/``evaluate_batch``/
+  ``evaluate_boolean_batch``) on small circuits get fully straight-line
+  code, one statement per gate; a full evaluation that runs once (the
+  :class:`IncrementalEvaluator` seed) runs the segment-loop kernel,
+  because compiling the straight-line source costs far more than the
+  one pass it speeds up.
 * :func:`evaluate_batch` reuses one compiled form and one variable
   table across a whole batch of assignments, for *any* semiring.
 * :func:`evaluate_boolean_batch` packs up to ``word_size`` (default
@@ -64,7 +69,12 @@ BITSET_MUL_EXPR = "({a} & {b})"
 #: Above this many nodes the closure compiler stops emitting
 #: straight-line code (one statement per gate, values in locals) and
 #: falls back to the segment-loop kernel; ``exec`` of a multi-hundred-
-#: thousand-line function costs more than it saves.
+#: thousand-line function costs more than it saves.  Below it,
+#: straight-line code is still generated only for kernels a caller
+#: reuses: ``compile()`` of the source for a 10k-node circuit takes
+#: ~170 ms and saves ~0.2 ms per evaluation, so it pays off only after
+#: ~850 evaluations.  A one-shot full evaluation (``reuse=False``, the
+#: incremental seed) always runs the segment loop.
 _STRAIGHT_LINE_LIMIT = 20_000
 
 # Cache of exec-compiled kernels shared across circuits is keyed per
@@ -234,7 +244,7 @@ class CompiledCircuit:
         self.load_pairs = load_pairs
         self.const1_nodes = const1_nodes
         self.segments = segments
-        self._kernels: Dict[Tuple[Optional[Tuple[str, str]], bool], Callable] = {}
+        self._kernels: Dict[Tuple[Optional[Tuple[str, str]], bool, bool], Callable] = {}
         self._vec_plans: Dict[bool, tuple] = {}
         self._users: Optional[List[List[int]]] = None
         self._keep: Optional[List[bool]] = None
@@ -312,16 +322,21 @@ class CompiledCircuit:
             self._outs_streams = (loads, ones, segments)
         return self._outs_streams
 
-    def _kernel(self, exprs: Optional[Tuple[str, str]], outputs_only: bool = False) -> Callable:
+    def _kernel(
+        self, exprs: Optional[Tuple[str, str]], outputs_only: bool = False, reuse: bool = True
+    ) -> Callable:
         """The kernel for one fused-expression pair (``None`` = generic).
 
         The ``outputs_only`` variant applies dead-cone elimination --
         nodes not reachable from the designated outputs are never
         computed -- and returns only the output values; the full
         variant materializes every node (the ``evaluate_all``
-        contract).
+        contract).  ``reuse=False`` marks a kernel that will run once:
+        it is always the segment loop, never straight-line code (see
+        :data:`_STRAIGHT_LINE_LIMIT`).
         """
-        key = (exprs, outputs_only)
+        straight = reuse and self.size <= _STRAIGHT_LINE_LIMIT
+        key = (exprs, outputs_only, straight)
         kernel = self._kernels.get(key)
         if kernel is None:
             generic = exprs is None
@@ -337,7 +352,7 @@ class CompiledCircuit:
                 "_n": self.size,
                 "_outputs": self.outputs,
             }
-            if self.size <= _STRAIGHT_LINE_LIMIT:
+            if straight:
                 keep = self._keep_mask() if outputs_only else None
                 source = _gen_straight_source(self, add_expr, mul_expr, generic, keep)
             else:
@@ -347,8 +362,12 @@ class CompiledCircuit:
             self._kernels[key] = kernel
         return kernel
 
-    def _runner(self, semiring: Semiring, outputs_only: bool = False) -> Callable[[List], List]:
+    def _runner(
+        self, semiring: Semiring, outputs_only: bool = False, reuse: bool = True
+    ) -> Callable[[List], List]:
         """``vec -> values`` for *semiring*, with constants pre-bound.
+
+        ``reuse=False`` asks for a one-shot runner (see :meth:`_kernel`).
 
         The closure itself is rebuilt per call and deliberately NOT
         cached on the semiring: a cache would pin per-call semiring
@@ -362,13 +381,13 @@ class CompiledCircuit:
         add_expr = semiring.compiled_add_expr
         mul_expr = semiring.compiled_mul_expr
         if add_expr is not None and mul_expr is not None:
-            kernel = self._kernel((add_expr, mul_expr), outputs_only)
+            kernel = self._kernel((add_expr, mul_expr), outputs_only, reuse)
 
             def runner(vec, _k=kernel, _z=zero, _o=one):
                 return _k(vec, _z, _o)
 
         else:
-            kernel = self._kernel(None, outputs_only)
+            kernel = self._kernel(None, outputs_only, reuse)
             add, mul = semiring.add, semiring.mul
 
             def runner(vec, _k=kernel, _z=zero, _o=one, _a=add, _m=mul):
@@ -544,7 +563,8 @@ class IncrementalEvaluator:
         self.compiled = compile_circuit(circuit)
         self.semiring = semiring
         self._vec = self.compiled.bind(assignment)
-        self._values = self.compiled._runner(semiring)(list(self._vec))
+        # The full pass runs once; later updates walk dirty cones.
+        self._values = self.compiled._runner(semiring, reuse=False)(list(self._vec))
         self._dirty = bytearray(self.compiled.size)
         self.last_cone_size = 0
 

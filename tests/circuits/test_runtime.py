@@ -31,7 +31,7 @@ from repro.circuits import (
     reference_evaluate_all,
     reference_evaluate_boolean,
 )
-from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from repro.semirings import BOOLEAN, COUNTING, TROPICAL, CappedCountingSemiring
 
 VARIABLES = ["a", "b", "c", "d", "e"]
 SEMIRINGS = (BOOLEAN, TROPICAL, COUNTING)
@@ -259,3 +259,40 @@ def test_loop_kernel_above_straight_line_limit():
     trues = [i for i in range(runtime._STRAIGHT_LINE_LIMIT + 10) if i % 2]
     assert evaluate_boolean(circuit, trues) is True
     assert evaluate_boolean(circuit, []) is False
+
+
+@pytest.mark.parametrize(
+    "semiring, pool",
+    [(TROPICAL, "tropical"), (CappedCountingSemiring(7), "counting")],
+    ids=["fused", "generic"],
+)
+def test_incremental_seed_runs_the_segment_loop(monkeypatch, semiring, pool):
+    """The one-shot seed never generates straight-line code; the
+    repeated-query kernels on the same compiled circuit still do."""
+    from repro.circuits import runtime
+
+    calls = []
+    real = runtime._gen_straight_source
+
+    def counting_gen(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runtime, "_gen_straight_source", counting_gen)
+    circuit = random_circuit(seed=11, gates=40, share=False, num_outputs=2)
+    assert circuit.size <= runtime._STRAIGHT_LINE_LIMIT
+    fused = semiring.compiled_add_expr is not None
+    assert fused == (semiring is TROPICAL)
+    rng = random.Random(4)
+    assignment = {v: rng.choice(POOLS[pool]) for v in VARIABLES}
+
+    evaluator = IncrementalEvaluator(circuit, semiring, assignment)
+    expected = reference_evaluate_all(circuit, semiring, assignment)
+    assert calls == []
+    assert evaluator.values == expected
+    IncrementalEvaluator(circuit, semiring, assignment)  # reuses the cached loop kernel
+    assert calls == []
+
+    out = circuit.outputs[0]
+    assert evaluator.compiled.evaluate(semiring, assignment, output=out) == expected[out]
+    assert len(calls) == 1

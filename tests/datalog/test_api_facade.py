@@ -230,3 +230,32 @@ def test_session_fingerprint_includes_construction(diamond):
     pinned = api.Session(program, db, ExecutionConfig(construction="fringe")).fingerprint
     assert auto[:2] == pinned[:2]
     assert auto[2] == "auto" and pinned[2] == "fringe"
+
+
+def test_served_stream_rebuilds_seed_without_straight_line_codegen(monkeypatch):
+    """Structural inserts rebuild the served circuit; each rebuild seeds
+    its evaluator with the segment loop and agrees with maintenance."""
+    from repro.circuits import runtime
+
+    calls = []
+    real = runtime._gen_straight_source
+
+    def counting_gen(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(runtime, "_gen_straight_source", counting_gen)
+    db = Database.from_edges([(0, 1), (1, 2), (2, 5)])
+    for fact in db.facts():
+        db.set_weight(fact, 4.0)
+    stream = api.Session(transitive_closure(), db).stream(TROPICAL)
+    output = Fact("T", (0, 5))
+    served = stream.serve(output, TROPICAL)
+    assert served.value() == stream.value(output, TROPICAL) == 12.0
+    for step, (u, v, w) in enumerate([(0, 3, 1.0), (3, 5, 1.0), (1, 4, 0.5), (4, 5, 0.5)], 1):
+        stream.insert(Fact("E", (u, v)), weight=w)
+        assert served.rebuilds == step
+        assert served.value() == stream.value(output, TROPICAL)
+    assert served.value() == 2.0
+    assert served.evaluator.compiled.size <= runtime._STRAIGHT_LINE_LIMIT
+    assert calls == []
