@@ -145,8 +145,8 @@ class Database:
 
     def _reweight(self, fact: Fact, weight: object) -> None:
         if self._maintainers:
-            for _, valuation in self._valuation_cache.values():
-                valuation[fact] = weight
+            for semiring, valuation in self._valuation_cache.values():
+                valuation[fact] = semiring.one if weight is None else weight
         else:
             self._valuation_cache.clear()
 

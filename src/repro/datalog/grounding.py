@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -708,8 +709,9 @@ class _SlotAtom:
     non-inserting :meth:`~repro.datalog.store.SymbolTable.get` -- a
     constant the table has never seen can match no row, now or in any
     later round (every id a derived fact can carry was interned from
-    the EDB or from a head compiled before any join runs), so the atom
-    is marked :attr:`impossible` instead of growing the shared table.
+    the EDB or from a head, and :func:`_compile_rules` compiles every
+    head before any body), so the atom is marked :attr:`impossible`
+    instead of growing the shared table.
     """
 
     __slots__ = ("predicate", "arity", "terms", "const_items", "var_items", "slots", "impossible")
@@ -888,6 +890,103 @@ def _enum_slot_plan(
             theta[slot] = -1
 
 
+def _compile_rules(
+    program: Program, symbols, cground: ColumnarGroundProgram, intern_bodies: bool
+) -> Tuple[List[int], List[Tuple[_SlotAtom, ...]], List[Tuple]]:
+    """Slot-compile every rule: ``(slot_counts, bodies, emit_plans)``.
+
+    Every head is compiled (interning its constants) before any body,
+    so a body constant that only a later rule's head produces is not
+    taken for one no row can carry.  Bodies intern only with
+    *intern_bodies*: a maintainer's store receives later inserts, so
+    it must not freeze the :attr:`_SlotAtom.impossible` shortcut in.
+    An emit plan is ``(head predicate, head row builder, head
+    interner, ((row builder, is IDB, interner) per body atom))``.
+    """
+    idbs = program.idb_predicates
+    slot_ofs = [
+        {var: slot for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))}
+        for rule in program.rules
+    ]
+    heads = [_SlotAtom(r.head, symbols, slot_of, intern=True) for r, slot_of in zip(program.rules, slot_ofs)]
+    bodies: List[Tuple[_SlotAtom, ...]] = []
+    emit_plans: List[Tuple] = []
+    for rule, slot_of, head in zip(program.rules, slot_ofs, heads):
+        body = tuple(_SlotAtom(atom, symbols, slot_of, intern=intern_bodies) for atom in rule.body)
+        bodies.append(body)
+        body_plan = tuple(
+            (_row_builder(atom.terms), atom.predicate in idbs, cground.interner(atom.predicate))
+            for atom in body
+        )
+        emit_plans.append(
+            (head.predicate, _row_builder(head.terms), cground.interner(head.predicate), body_plan)
+        )
+    return [len(slot_of) for slot_of in slot_ofs], bodies, emit_plans
+
+
+def _delta_round(
+    bodies: Sequence[Tuple[_SlotAtom, ...]],
+    slot_counts: Sequence[int],
+    store,
+    deltas: Mapping,
+    plans: Dict[Tuple[int, int], Tuple],
+    stats: GroundingStats,
+    emit: Callable[[int, List[int]], Optional[Tuple[str, Tuple[int, ...]]]],
+    derived: Set[Tuple[str, Tuple[int, ...]]],
+) -> Set[Tuple[str, Tuple[int, ...]]]:
+    """One semi-naive round: join each rule once per body atom over a
+    *deltas* predicate, seeded by that atom's delta rows.
+
+    ``emit(rule_index, theta)`` runs once per complete binding (read
+    *theta* during the call) and returns the head row or ``None``; the
+    round returns the heads not yet in *derived*.  Join plans are
+    compiled on first need into *plans*, keyed ``(rule, position)``:
+    the bound-slot set depends only on that key, and freezing the atom
+    order keeps later rounds free of the ``O(k²)`` ordering pass.
+    """
+    fresh: Set[Tuple[str, Tuple[int, ...]]] = set()
+    for rule_index, body in enumerate(bodies):
+        nslots = slot_counts[rule_index]
+        for position, atom in enumerate(body):
+            view = deltas.get((atom.predicate, atom.arity))
+            if view is None or atom.impossible:
+                continue
+            plan = plans.get((rule_index, position))
+            if plan is None:
+                rest = [a for at, a in enumerate(body) if at != position]
+                bound = set(atom.slots)
+                plan = _compile_slot_plan(_order_slot_atoms(rest, store, bound), bound)
+                plans[(rule_index, position)] = plan
+            const_items = atom.const_items
+            var_items = atom.var_items
+            for row in view.id_rows():
+                stats.probes += 1
+                ok = True
+                for pos, sid in const_items:
+                    if row[pos] != sid:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                theta = [-1] * nslots
+                for pos, slot in var_items:
+                    sid = row[pos]
+                    bound_sid = theta[slot]
+                    if bound_sid < 0:
+                        theta[slot] = sid
+                    elif bound_sid != sid:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                stats.matches += 1
+                for _ in _enum_slot_plan(plan, 0, store, theta, stats):
+                    head = emit(rule_index, theta)
+                    if head is not None and head not in derived:
+                        fresh.add(head)
+    return fresh
+
+
 class _ColumnarProgramGrounder:
     """The fused semi-naive pass emitting a
     :class:`ColumnarGroundProgram` -- id space end to end.
@@ -897,65 +996,43 @@ class _ColumnarProgramGrounder:
     database's lazily materialized store is :meth:`copied
     <repro.datalog.store.ColumnarStore.copy>` so derived facts can be
     appended without mutating the shared EDB snapshot; round 0 joins
-    every rule in full, and round ``t ≥ 1`` re-joins only rules with a
-    body atom over a delta predicate, seeding the join with each
-    :class:`~repro.datalog.store.DeltaView` row between two store
-    watermarks.  Only facts *new to the store* seed joins (a derived
-    head already resident as an input fact seeds nothing), so a ground
-    instance is discovered exactly in the round after its last body
-    fact arrived and never in two rounds; a per-round key over the
-    slot vector removes the within-round duplicates that arise when
-    two body facts are both in the delta.  On top of that,
+    every rule in full, and round ``t ≥ 1`` (:func:`_delta_round`)
+    re-joins only rules with a body atom over a delta predicate,
+    seeding the join with each :class:`~repro.datalog.store.DeltaView`
+    row between two store watermarks.  Only facts *new to the store*
+    seed joins (a derived head already resident as an input fact seeds
+    nothing), so a ground instance is discovered exactly in the round
+    after its last body fact arrived and never in two rounds; a
+    per-round key over the slot vector removes the within-round
+    duplicates that arise when two body facts are both in the delta.
+    On top of that,
 
-    * rules are slot-compiled once (:class:`_SlotAtom`): substitutions
-      are flat int lists indexed by slot, extended/rolled back through
-      an undo trail instead of being copied dicts;
+    * rules are slot-compiled once (:func:`_compile_rules`):
+      substitutions are flat int lists indexed by slot,
+      extended/rolled back through an undo trail instead of being
+      copied dicts;
     * join steps are precompiled (:func:`_compile_slot_plan`), cached
       per ``(rule, delta position)`` across rounds, and read candidate
       cells directly from the store's columns;
     * emission appends plain ints to the ground program's parallel
       arrays through per-predicate interning closures -- no
       :class:`Fact` object, no constant decoding, anywhere.
+
+    :class:`~repro.datalog.incremental.MaintainedFixpoint` regrounds
+    inserts through the same two helpers, with its own emit callback.
     """
 
     def __init__(self, program: Program, database: Database):
         self.program = program
-        idbs = program.idb_predicates
         self.store = database.columnar_store().copy()
-        symbols = self.store.symbols
-        self.cground = ColumnarGroundProgram(program, symbols)
-        self.slot_counts: List[int] = []
-        self.bodies: List[Tuple[_SlotAtom, ...]] = []
-        self.emit_plans: List[Tuple] = []
-        for rule in program.rules:
-            slot_of = {
-                var: slot
-                for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))
-            }
-            self.slot_counts.append(len(slot_of))
-            # Heads first, with interning (see _SlotAtom on why body
-            # atoms may use the non-inserting probe).
-            head = _SlotAtom(rule.head, symbols, slot_of, intern=True)
-            body = tuple(_SlotAtom(atom, symbols, slot_of) for atom in rule.body)
-            self.bodies.append(body)
-            self.emit_plans.append(
-                (
-                    head.predicate,
-                    _row_builder(head.terms),
-                    self.cground.interner(head.predicate),
-                    tuple(
-                        (
-                            _row_builder(atom.terms),
-                            atom.predicate in idbs,
-                            self.cground.interner(atom.predicate),
-                        )
-                        for atom in body
-                    ),
-                )
-            )
+        self.cground = ColumnarGroundProgram(program, self.store.symbols)
+        self.slot_counts, self.bodies, self.emit_plans = _compile_rules(
+            program, self.store.symbols, self.cground, intern_bodies=False
+        )
         self.derived: Set[Tuple[str, Tuple[int, ...]]] = set()
         self.iterations = 0
         self.stats = _stats()
+        self._round_seen: Set[Tuple] = set()
         # Emission writes the ground program's parallel arrays through
         # bound methods: ColumnarGroundProgram.append_rule's per-call
         # cache invalidation is pointless mid-build (the lazy CSR /
@@ -970,9 +1047,10 @@ class _ColumnarProgramGrounder:
         self._append_edb_ptr = cground.edb_indptr.append
 
     def _emit(
-        self, rule_index: int, theta: List[int], round_seen: Set[Tuple]
+        self, rule_index: int, theta: List[int]
     ) -> Optional[Tuple[str, Tuple[int, ...]]]:
         key = (rule_index, *theta)
+        round_seen = self._round_seen
         if key in round_seen:
             return None
         round_seen.add(key)
@@ -994,22 +1072,17 @@ class _ColumnarProgramGrounder:
         derived = self.derived
         emit = self._emit
         fresh: Set[Tuple[str, Tuple[int, ...]]] = set()
-        round_seen: Set[Tuple] = set()
 
         # Round 0: full join of every rule, selectivity-ordered.
         for rule_index, body in enumerate(self.bodies):
             plan = _compile_slot_plan(_order_slot_atoms(body, store, set()), set())
             theta = [-1] * self.slot_counts[rule_index]
             for _ in _enum_slot_plan(plan, 0, store, theta, stats):
-                head = emit(rule_index, theta, round_seen)
+                head = emit(rule_index, theta)
                 if head is not None and head not in derived:
                     fresh.add(head)
         self.iterations = 1
 
-        # Delta plans are compiled on first need and reused across
-        # rounds: the bound-slot set depends only on (rule, position),
-        # and freezing the atom order at first compilation keeps later
-        # rounds free of the O(k²) ordering pass.
         delta_plans: Dict[Tuple[int, int], Tuple] = {}
         while fresh:
             self.iterations += 1
@@ -1017,51 +1090,9 @@ class _ColumnarProgramGrounder:
             for predicate, ids in sorted(fresh):
                 derived.add((predicate, ids))
                 store.insert_ids(predicate, ids)
+            self._round_seen.clear()
             deltas = store.deltas_since(mark)
-            fresh = set()
-            round_seen.clear()
-            for rule_index, body in enumerate(self.bodies):
-                nslots = self.slot_counts[rule_index]
-                for position, atom in enumerate(body):
-                    view = deltas.get((atom.predicate, atom.arity))
-                    if view is None or atom.impossible:
-                        continue
-                    plan_key = (rule_index, position)
-                    plan = delta_plans.get(plan_key)
-                    if plan is None:
-                        rest = [a for at, a in enumerate(body) if at != position]
-                        bound = set(atom.slots)
-                        plan = _compile_slot_plan(
-                            _order_slot_atoms(rest, store, bound), bound
-                        )
-                        delta_plans[plan_key] = plan
-                    const_items = atom.const_items
-                    var_items = atom.var_items
-                    for row in view.id_rows():
-                        stats.probes += 1
-                        ok = True
-                        for pos, sid in const_items:
-                            if row[pos] != sid:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        theta = [-1] * nslots
-                        for pos, slot in var_items:
-                            sid = row[pos]
-                            bound_sid = theta[slot]
-                            if bound_sid < 0:
-                                theta[slot] = sid
-                            elif bound_sid != sid:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        stats.matches += 1
-                        for _ in _enum_slot_plan(plan, 0, store, theta, stats):
-                            head = emit(rule_index, theta, round_seen)
-                            if head is not None and head not in derived:
-                                fresh.add(head)
+            fresh = _delta_round(self.bodies, self.slot_counts, store, deltas, delta_plans, stats, emit, derived)
         stats.ground_rules += len(self.cground)
         return self
 

@@ -6,11 +6,12 @@ all of it.  :class:`MaintainedFixpoint` keeps the id-space artifacts
 of one program/database pair alive across single-fact deltas:
 
 * the :class:`~repro.datalog.grounding.ColumnarGroundProgram` is
-  *regrounded incrementally* -- an inserted EDB fact seeds the same
-  slot-compiled delta joins the columnar grounder runs
-  (:func:`~repro.datalog.grounding._enum_slot_plan` over per
-  ``(rule, position)`` cached plans), so only ground-rule instances
-  that mention the delta are enumerated;
+  *regrounded incrementally* -- an inserted EDB fact seeds the
+  columnar grounder's own semi-naive round
+  (:func:`~repro.datalog.grounding._delta_round` over rules from
+  :func:`~repro.datalog.grounding._compile_rules`, body constants
+  interned), so only ground-rule instances that mention the delta
+  are enumerated;
 * per-fact *support* (the live ground rules deriving each IDB fact,
   the counting part of counting/DRed maintenance) is kept as
   adjacency dicts over fact ids, and retraction runs DRed proper:
@@ -36,7 +37,9 @@ A maintainer attaches to its database as an observer: plain
 routed here after the database's own caches have been patched
 delta-aware (see :meth:`Database._invalidate`), so every existing
 entry point -- including :class:`repro.api.Session` and the serving
-layer's ``/circuits/<key>/facts`` route -- observes maintained state.
+layer's ``/circuits/<key>/facts`` route -- observes maintained state,
+and the maintainer's own kernel runs read EDB values from that
+patched :meth:`Database.valuation`.
 """
 
 from __future__ import annotations
@@ -52,11 +55,8 @@ from .database import Database
 from .evaluation import DivergenceError, EvaluationResult
 from .grounding import (
     ColumnarGroundProgram,
-    _compile_slot_plan,
-    _enum_slot_plan,
-    _order_slot_atoms,
-    _row_builder,
-    _SlotAtom,
+    _compile_rules,
+    _delta_round,
     _stats,
     columnar_grounding,
 )
@@ -191,7 +191,6 @@ class MaintainedFixpoint:
         #: output and is appended to / pruned in place from then on.
         self.cground: ColumnarGroundProgram = columnar_grounding(program, database)
         self.iterations = self.cground.iterations
-        symbols = self.cground.symbols
         # Private working store: EDB snapshot plus every currently
         # derived IDB fact, the join input for future delta rounds.
         self.store = database.columnar_store().copy()
@@ -201,46 +200,14 @@ class MaintainedFixpoint:
             key = (preds[fid], rows[fid])
             self._derived.add(key)
             self.store.insert_ids(*key)
-        # Slot-compiled rules for delta joins.  Unlike the batch
-        # grounder, body constants are interned (intern=True): a body
-        # constant unseen today may arrive with a future insert, so
-        # the "impossible atom" shortcut must not be frozen in.
-        self._slot_counts: List[int] = []
-        self._bodies: List[Tuple[_SlotAtom, ...]] = []
-        self._emit_plans: List[Tuple] = []
-        for rule in program.rules:
-            slot_of = {
-                var: slot
-                for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))
-            }
-            self._slot_counts.append(len(slot_of))
-            head = _SlotAtom(rule.head, symbols, slot_of, intern=True)
-            body = tuple(
-                _SlotAtom(atom, symbols, slot_of, intern=True) for atom in rule.body
-            )
-            self._bodies.append(body)
-            self._emit_plans.append(
-                (
-                    head.predicate,
-                    _row_builder(head.terms),
-                    self.cground.interner(head.predicate),
-                    tuple(
-                        (
-                            _row_builder(atom.terms),
-                            atom.predicate in self._idbs,
-                            self.cground.interner(atom.predicate),
-                        )
-                        for atom in body
-                    ),
-                )
-            )
+        # Slot-compiled rules for delta joins, compiled as the batch
+        # grounder compiles them except that body constants are
+        # interned: one unseen today may arrive with a future insert.
+        self._slot_counts, self._bodies, self._emit_plans = _compile_rules(
+            program, self.cground.symbols, self.cground, intern_bodies=True
+        )
         self._delta_plans: Dict[Tuple[int, int], Tuple] = {}
         # Support/derivation bookkeeping over the live rules.
-        self._rule_tags: List[Tuple] = []
-        self._rule_seen: Set[Tuple] = set()
-        self._head_rules: Dict[int, List[int]] = {}
-        self._body_rules: Dict[int, List[int]] = {}
-        self._edb_rules: Dict[int, List[int]] = {}
         self._rebuild_adjacency()
         self._tracked: Dict[int, _Tracked] = {}
         self._results: Dict[int, Tuple[Semiring, EvaluationResult]] = {}
@@ -314,7 +281,7 @@ class MaintainedFixpoint:
         head_fids = cground.idb_fact_ids()
         cap = max(len(head_fids), 1) + 2 if max_iterations is None else max_iterations
         value, iterations, converged, rule_evaluations = _columnar_fixpoint(
-            cground, semiring, self._edb_valuation(semiring), cap
+            cground, semiring, self.database.valuation(semiring), cap
         )
         if not converged and raise_on_divergence:
             raise DivergenceError(
@@ -380,8 +347,9 @@ class MaintainedFixpoint:
             if weight is not None:
                 self._apply_weight(fact, weight)
             return
-        new_positions: List[int] = []
-        self._reground(mark, new_positions)
+        first_new = len(self.cground)
+        self._reground(mark)
+        new_positions = range(first_new, len(self.cground))
         fid = self.cground.find_fact_id(fact)
         for tracked in self._tracked.values():
             self._after_insert(tracked, fid, new_positions)
@@ -473,11 +441,12 @@ class MaintainedFixpoint:
 
     # -- incremental regrounding -----------------------------------------
 
-    def _reground(self, mark: Dict, new_positions: List[int]) -> None:
-        """Delta-driven grounding rounds seeded by rows appended to the
-        working store after *mark* -- the batch grounder's loop, but
-        emitting only globally-new ground rules and running until no
-        fresh IDB fact appears."""
+    def _reground(self, mark: Dict) -> None:
+        """Delta rounds seeded by rows appended to the working store
+        after *mark* -- the batch grounder's :func:`_delta_round`,
+        emitting only globally-new ground rules (appended at the end of
+        the ground program) and running until no fresh IDB fact
+        appears."""
         store = self.store
         stats = _stats()
         derived = self._derived
@@ -489,54 +458,15 @@ class MaintainedFixpoint:
             if not deltas:
                 return
             mark = store.watermark()
-            fresh: Set[Tuple[str, Tuple[int, ...]]] = set()
-            for rule_index, body in enumerate(self._bodies):
-                nslots = self._slot_counts[rule_index]
-                for position, atom in enumerate(body):
-                    view = deltas.get((atom.predicate, atom.arity))
-                    if view is None:
-                        continue
-                    plan = self._delta_plans.get((rule_index, position))
-                    if plan is None:
-                        rest = [a for at, a in enumerate(body) if at != position]
-                        bound = set(atom.slots)
-                        plan = _compile_slot_plan(
-                            _order_slot_atoms(rest, store, bound), bound
-                        )
-                        self._delta_plans[(rule_index, position)] = plan
-                    const_items = atom.const_items
-                    var_items = atom.var_items
-                    for row in view.id_rows():
-                        stats.probes += 1
-                        ok = True
-                        for pos, sid in const_items:
-                            if row[pos] != sid:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        theta = [-1] * nslots
-                        for pos, slot in var_items:
-                            sid = row[pos]
-                            bound_sid = theta[slot]
-                            if bound_sid < 0:
-                                theta[slot] = sid
-                            elif bound_sid != sid:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                        stats.matches += 1
-                        for _ in _enum_slot_plan(plan, 0, store, theta, stats):
-                            head = self._emit(rule_index, theta, new_positions)
-                            if head is not None and head not in derived:
-                                fresh.add(head)
+            fresh = _delta_round(
+                self._bodies, self._slot_counts, store, deltas, self._delta_plans, stats, self._emit, derived
+            )
             for predicate, ids in sorted(fresh):
                 derived.add((predicate, ids))
                 store.insert_ids(predicate, ids)
 
     def _emit(
-        self, rule_index: int, theta: List[int], new_positions: List[int]
+        self, rule_index: int, theta: List[int]
     ) -> Optional[Tuple[str, Tuple[int, ...]]]:
         head_pred, head_build, head_intern, body_plan = self._emit_plans[rule_index]
         head_ids = head_build(theta)
@@ -551,19 +481,13 @@ class MaintainedFixpoint:
         self._rule_seen.add(tag)
         position = len(self.cground)
         self.cground.append_rule(rule_index, head_fid, idb_row, edb_row)
-        self._rule_tags.append(tag)
-        self._head_rules.setdefault(head_fid, []).append(position)
-        for fid in dict.fromkeys(idb_row):
-            self._body_rules.setdefault(fid, []).append(position)
-        for fid in dict.fromkeys(edb_row):
-            self._edb_rules.setdefault(fid, []).append(position)
-        new_positions.append(position)
+        self._index_rule(position, head_fid, idb_row, edb_row)
         return (head_pred, head_ids)
 
     # -- value maintenance -----------------------------------------------
 
     def _after_insert(
-        self, tracked: _Tracked, fid: Optional[int], new_positions: List[int]
+        self, tracked: _Tracked, fid: Optional[int], new_positions: Sequence[int]
     ) -> None:
         semiring = tracked.semiring
         value, rule_term = tracked.value, tracked.rule_term
@@ -659,7 +583,7 @@ class MaintainedFixpoint:
         semiring = tracked.semiring
         cground = self.cground
         value, _, converged, _ = _columnar_fixpoint(
-            cground, semiring, self._edb_valuation(semiring), self._round_cap()
+            cground, semiring, self.database.valuation(semiring), self._round_cap()
         )
         policy.tick("refresh", started, policy.max_refresh_seconds)
         tracked.value = value
@@ -683,28 +607,26 @@ class MaintainedFixpoint:
         cground = self.cground
         idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
         edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-        tags: List[Tuple] = []
-        seen: Set[Tuple] = set()
-        head_rules: Dict[int, List[int]] = {}
-        body_rules: Dict[int, List[int]] = {}
-        edb_rules: Dict[int, List[int]] = {}
+        self._rule_seen: Set[Tuple] = set()
+        self._head_rules: Dict[int, List[int]] = {}
+        self._body_rules: Dict[int, List[int]] = {}
+        self._edb_rules: Dict[int, List[int]] = {}
         for position in range(len(cground)):
             head = cground.rule_head[position]
             idb_row = tuple(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
             edb_row = tuple(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
-            tag = (cground.rule_no[position], head, idb_row, edb_row)
-            tags.append(tag)
-            seen.add(tag)
-            head_rules.setdefault(head, []).append(position)
-            for fid in dict.fromkeys(idb_row):
-                body_rules.setdefault(fid, []).append(position)
-            for fid in dict.fromkeys(edb_row):
-                edb_rules.setdefault(fid, []).append(position)
-        self._rule_tags = tags
-        self._rule_seen = seen
-        self._head_rules = head_rules
-        self._body_rules = body_rules
-        self._edb_rules = edb_rules
+            self._rule_seen.add((cground.rule_no[position], head, idb_row, edb_row))
+            self._index_rule(position, head, idb_row, edb_row)
+
+    def _index_rule(
+        self, position: int, head: int, idb_row: Sequence[int], edb_row: Sequence[int]
+    ) -> None:
+        """Record rule *position* in the head/body/EDB adjacency."""
+        self._head_rules.setdefault(head, []).append(position)
+        for fid in dict.fromkeys(idb_row):
+            self._body_rules.setdefault(fid, []).append(position)
+        for fid in dict.fromkeys(edb_row):
+            self._edb_rules.setdefault(fid, []).append(position)
 
     def _prune_rules(self, dead: Set[int]) -> None:
         """Compact the ground program's parallel arrays, dropping the
@@ -777,20 +699,6 @@ class MaintainedFixpoint:
         return cground.idb_flat[
             cground.idb_indptr[position] : cground.idb_indptr[position + 1]
         ]
-
-    def _edb_valuation(self, semiring: Semiring) -> Dict[Fact, object]:
-        """EDB fact → value for exactly the facts the live grounding
-        references (a KeyError here would mean a live rule references
-        a fact no longer in the database -- the pruning invariant)."""
-        cground = self.cground
-        weight_of = self.database.weight
-        one = semiring.one
-        out: Dict[Fact, object] = {}
-        for fid in cground.edb_fact_ids():
-            fact = cground.decode_fact(fid)
-            weight = weight_of(fact)
-            out[fact] = one if weight is None else weight
-        return out
 
     def _round_cap(self) -> int:
         """The engines' default divergence guard over the live IDB."""

@@ -197,6 +197,23 @@ def test_cached_valuation_survives_unrelated_mutation_with_maintainer():
     assert store.relation("Label") is not None and len(store.relation("Label")) == 1
 
 
+def test_null_reweight_patches_valuation_as_one_with_maintainer():
+    """``set_weight(f, None)`` un-annotates *f*: the in-place-patched
+    valuation of a database with a maintainer attached must read it as
+    the semiring's ``1``, exactly like a detached database's rebuilt
+    valuation."""
+    from repro.datalog import MaintainedFixpoint, transitive_closure
+
+    attached = Database.from_edges([(1, 2), (2, 3)], weights={(1, 2): 4.0, (2, 3): 5.0})
+    detached = attached.copy()
+    MaintainedFixpoint(transitive_closure(), attached)
+    for db in (attached, detached):
+        db.valuation(TROPICAL)
+        db.set_weight(Fact("E", (1, 2)), None)
+    assert attached.valuation(TROPICAL) == detached.valuation(TROPICAL)
+    assert attached.valuation(TROPICAL)[Fact("E", (1, 2))] == TROPICAL.one
+
+
 def test_wholesale_invalidation_without_maintainer():
     """Without a maintainer the historical behavior stands: any write
     drops the cached valuation wholesale."""

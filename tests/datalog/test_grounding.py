@@ -112,6 +112,22 @@ def test_grounding_with_constants_in_program():
     assert ground.idb_facts == {Fact("Hit", (1,)), Fact("Hit", (3,))}
 
 
+def test_body_constant_produced_only_by_a_later_head():
+    """A body constant that occurs in no EDB fact but in a later
+    rule's head must still match the derived rows: every head interns
+    its constants before any body is compiled."""
+    from repro.datalog import SymbolTable, parse_program
+    from tests.oracle import ORACLE
+
+    program = parse_program("P(X) :- Q(X, tag). Q(X, tag) :- E(X).")
+    db = Database()
+    db.add("E", 1)
+    db.columnar_store(SymbolTable())  # "tag" is unseen in this scope
+    ground = relevant_grounding(program, db)
+    assert ground.idb_facts == {Fact("P", (1,)), Fact("Q", (1, "tag"))}
+    assert ground.rule_keys() == relevant_grounding(program, db, config=ORACLE).rule_keys()
+
+
 def test_empty_database_grounding():
     ground = relevant_grounding(transitive_closure(), Database())
     assert len(ground) == 0

@@ -39,14 +39,17 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import pytest
 
+from repro.api import solve
 from repro.datalog import (
     Database,
     DatalogError,
     Fact,
     FixpointEngine,
     MaintainedFixpoint,
+    SymbolTable,
     columnar_grounding,
     default_symbols,
+    parse_program,
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
@@ -260,6 +263,23 @@ def test_weight_cycle_restores_state():
 
 
 # -- targeted edge cases ---------------------------------------------------
+
+
+def test_body_constant_unseen_at_build_matches_a_later_insert():
+    """The maintainer compiles rule bodies with their constants
+    interned: ``hot`` occurs nowhere at build time, yet the insert of
+    ``E(1, hot)`` must fire ``H(X) :- E(X, hot)`` and everything
+    downstream of it, and the retract must undo that."""
+    program = parse_program("H(X) :- E(X, hot). T(X, Y) :- H(X), E(X, Y). T(X, Z) :- T(X, Y), E(Y, Z).")
+    database = Database.from_edges([(1, 2), (2, 3)])
+    database.columnar_store(SymbolTable())  # "hot" is unseen in this scope
+    fix = MaintainedFixpoint(program, database, semirings=(TROPICAL,))
+    hot = Fact("E", (1, "hot"))
+    fix.insert(hot)
+    assert fix.values(TROPICAL) == solve(program, database, TROPICAL).values
+    assert fix.values(TROPICAL)[Fact("T", (1, 3))] == TROPICAL.one
+    fix.retract(hot)
+    assert fix.values(TROPICAL) == solve(program, database, TROPICAL).values == {}
 
 
 def test_cold_start_from_empty_database():

@@ -174,3 +174,20 @@ def test_facts_validation_is_atomic():
         assert (await client.evaluate(key, "tropical")) == baseline
 
     run(with_server(scenario))
+
+
+def test_null_reweight_evaluates_as_semiring_one():
+    """A ``null`` weight means "unannotated", i.e. the semiring's
+    ``1``: the next valuation must read it as TROPICAL ``0.0``, not
+    feed ``None`` into ``⊗``."""
+
+    async def scenario(host, port, client):
+        key = await register(client)
+        assert (await client.evaluate(key, "tropical")) == 6.0  # caches the valuation
+        await client.facts(key, weights={Fact("E", (0, 1)): None})
+        live = dict(START)
+        live[Fact("E", (0, 1))] = None
+        value = await client.evaluate(key, "tropical")
+        assert value == solve(PROGRAM, replay(live), TROPICAL).value(OUT) == 5.0
+
+    run(with_server(scenario))
