@@ -337,10 +337,10 @@ class ServedStream:
         self._build()
 
     def _build(self) -> None:
-        session = self._stream.session
-        self.evaluator = session.circuit(self.output).serve(
-            self.semiring, self._stream.assignment(self.semiring)
-        )
+        # Every stream write resets the session's choice cache, so this
+        # circuit matches the current database, whose valuation covers
+        # all of its leaves.
+        self.evaluator = self._stream.session.serve(self.output, self.semiring)
 
     def _apply(self, kind: str, fact: Fact, weight: object) -> None:
         known = fact in self.evaluator.compiled.var_slots
@@ -380,10 +380,7 @@ class StreamSession:
       oracle decodes it at the boundary);
     * per-output circuit choices are invalidated (they are
       structural), but circuits already served via :meth:`serve` stay
-      live through leaf pushes and only rebuild on structural inserts;
-    * :meth:`assignment` completes the database valuation with
-      semiring zeros for retracted facts that older compiled circuits
-      still reference, so binding them never KeyErrors.
+      live through leaf pushes and only rebuild on structural inserts.
 
     **Degrade-to-recompute** (DESIGN.md §12): if maintenance ever
     fails -- a watchdog budget trips, a non-stable semiring diverges,
@@ -393,8 +390,7 @@ class StreamSession:
     to the database.  Answers stay exactly correct, only slower.  The
     next write attempts one clean rebuild of the maintainer from
     current database state and re-attaches on success.  Degradations
-    are counted (``degradations``/``degraded``/``last_degrade_reason``)
-    and surfaced in the server's ``/stats``.
+    are counted (``degradations``/``degraded``/``last_degrade_reason``).
     """
 
     def __init__(
@@ -406,7 +402,6 @@ class StreamSession:
         self.session = session
         self.policy = policy
         self._semirings: list[Semiring] = list(semirings)
-        self._zeroed: set[Fact] = set()
         self._served: list[ServedStream] = []
         self.fixpoint: Optional[MaintainedFixpoint] = None
         self.degraded = False
@@ -494,10 +489,6 @@ class StreamSession:
         """Keep session artifacts + served circuits consistent for a
         write that bypassed (or killed) the maintainer."""
         self._invalidate_session()
-        if kind == "retract":
-            self._zeroed.add(fact)
-        else:
-            self._zeroed.discard(fact)
         for served in tuple(self._served):
             served._apply(kind, fact, weight)
 
@@ -587,15 +578,6 @@ class StreamSession:
             return self.session.solve(semiring, **kwargs)
         return self.fixpoint.result(semiring, **kwargs)
 
-    def assignment(self, semiring: Semiring) -> Dict[Fact, object]:
-        """The database valuation, extended with zeros for leaves only
-        older compiled circuits still reference."""
-        assignment = self.session.database.valuation(semiring)
-        zero = semiring.zero
-        for fact in self._zeroed:
-            assignment.setdefault(fact, zero)
-        return assignment
-
     def serve(self, fact: Fact, semiring: Semiring = BOOLEAN) -> ServedStream:
         """A continuously-maintained circuit evaluator on *fact*."""
         served = ServedStream(self, fact, semiring)
@@ -609,10 +591,6 @@ class StreamSession:
         session._fingerprint = None
         session._choices.clear()
         session._ground = self.fixpoint.cground
-        if kind == "retract":
-            self._zeroed.add(fact)
-        else:
-            self._zeroed.discard(fact)
         for served in tuple(self._served):
             served._apply(kind, fact, weight)
 

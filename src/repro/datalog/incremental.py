@@ -35,11 +35,12 @@ invariant the stateful stream suite in
 A maintainer attaches to its database as an observer: plain
 ``db.add_fact`` / ``db.retract_fact`` / ``db.set_weight`` calls are
 routed here after the database's own caches have been patched
-delta-aware (see :meth:`Database._invalidate`), so every existing
-entry point -- including :class:`repro.api.Session` and the serving
-layer's ``/circuits/<key>/facts`` route -- observes maintained state,
-and the maintainer's own kernel runs read EDB values from that
-patched :meth:`Database.valuation`.
+delta-aware (see :meth:`Database._invalidate`), so a
+:class:`repro.api.StreamSession` built on the same database observes
+maintained state, and the maintainer's own kernel runs read EDB
+values from that patched :meth:`Database.valuation`.  The serving
+layer keeps no maintainer: its ``/circuits/<key>/facts`` route writes
+the database directly and re-evaluates the compiled circuit.
 """
 
 from __future__ import annotations
@@ -180,7 +181,6 @@ class MaintainedFixpoint:
         program: Program,
         database: Database,
         semirings: Iterable[Semiring] = (),
-        attach: bool = True,
         policy: Optional[MaintenancePolicy] = None,
     ):
         self.program = program
@@ -214,8 +214,7 @@ class MaintainedFixpoint:
         self._listeners: List[Callable[[str, Fact, object], None]] = []
         for semiring in semirings:
             self.track(semiring)
-        if attach:
-            database._attach_maintainer(self)
+        database._attach_maintainer(self)
 
     # -- public API ------------------------------------------------------
 
@@ -374,9 +373,13 @@ class MaintainedFixpoint:
         # is suspect; rules directly consuming it are dead outright.
         cone = self._downstream(fid)
         dead_rules: Set[int] = set(self._edb_rules.get(fid, ()))
-        # Rederive: a cone fact survives iff some non-dead rule derives
-        # it from facts outside the cone or themselves rederived.
-        alive: Set[int] = set()
+        # Rederive: a cone fact survives iff it is stored in the
+        # database (a fresh grounding takes stored IDB facts as given)
+        # or some non-dead rule derives it from facts outside the cone
+        # or themselves rederived.
+        decode = cground.decode_fact
+        database = self.database
+        alive: Set[int] = {cfid for cfid in cone if decode(cfid) in database}
         changed = True
         while changed:
             changed = False

@@ -33,7 +33,7 @@ from .resilience import (
     ResilienceConfig,
     ResilienceStats,
 )
-from .server import DEFAULT_MAINTENANCE_POLICY, CircuitServer, ServingError
+from .server import CircuitServer, ServingError
 
 __all__ = [
     "BatcherClosed",
@@ -43,7 +43,6 @@ __all__ = [
     "CircuitServer",
     "Deadline",
     "DeadlineExceeded",
-    "DEFAULT_MAINTENANCE_POLICY",
     "IdempotencyCache",
     "ResilienceConfig",
     "ResilienceStats",

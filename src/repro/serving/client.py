@@ -371,7 +371,7 @@ class CircuitClient:
         """Stream a fact delta (inserts/retracts/reweights) into a circuit.
 
         ``insert`` items may be plain facts or ``(fact, weight)`` pairs;
-        the server maintains its fixpoint differentially and recompiles
+        the server writes them to the circuit's database and recompiles
         the circuit only when an insert adds a leaf it has never seen.
 
         Each call mints an *idempotency_key* (unless one is supplied),

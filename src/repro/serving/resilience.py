@@ -94,7 +94,7 @@ class ResilienceConfig:
     #: Budget to read the declared body once headers are in.
     body_timeout: Optional[float] = 10.0
     #: Budget for the route handler itself (grounding, compilation,
-    #: lane waits, maintenance).  Expiry cancels the handler and maps
+    #: lane waits).  Expiry cancels the handler and maps
     #: to 504 with a structured error body.
     handler_timeout: Optional[float] = 30.0
     #: Bodies larger than this are rejected with 413 without reading
@@ -137,7 +137,6 @@ class ResilienceStats:
         "disconnects",
         "internal_errors",
         "idempotent_replays",
-        "degraded_deltas",
         "drained_futures",
         "failed_futures",
     )

@@ -17,10 +17,9 @@ subsequent query is pure circuit evaluation:
   per-(circuit, semiring) ``IncrementalEvaluator`` session that pays
   only the dirty cone;
 * ``POST /circuits/<key>/facts`` -- *fact-stream* deltas (inserts,
-  retracts, reweights) absorbed by the entry's
-  :class:`~repro.api.StreamSession` (DESIGN.md §11): the maintained
-  fixpoint regrounds differentially, retracted leaves are served as
-  semiring ``0`` to the existing circuit, and only an insert that
+  retracts, reweights) written straight to the entry's database: the
+  compiled circuit keeps serving under the updated valuation,
+  retracted leaves read as semiring ``0``, and only an insert that
   creates a leaf the compiled circuit has never seen triggers a
   recompile (reported as ``"recompiled": true``).  A body carrying
   ``"idempotency_key"`` is applied at most once per (circuit, token);
@@ -69,7 +68,6 @@ from ..datalog.analysis import ProgramValidationError, analyze_program, require_
 from ..datalog.ast import DatalogError, Fact
 from ..datalog.database import Database
 from ..datalog.evaluation import DivergenceError
-from ..datalog.incremental import MaintenancePolicy
 from ..datalog.parser import ParseError, parse_atom, parse_program
 from ..testing.faults import FLUSH_RAISE, FLUSH_SLOW, HANDLER_STALL, PARTIAL_WRITE, SOCKET_RESET
 from ..semirings import (
@@ -84,7 +82,7 @@ from ..semirings import (
     VITERBI,
 )
 
-__all__ = ["CircuitServer", "ServingError", "SEMIRINGS", "DEFAULT_MAINTENANCE_POLICY"]
+__all__ = ["CircuitServer", "ServingError", "SEMIRINGS"]
 
 #: Wire name → semiring singleton.  Only semirings whose values survive
 #: a JSON round-trip are exposed over HTTP.
@@ -99,15 +97,6 @@ SEMIRINGS = {
     "lukasiewicz": LUKASIEWICZ,
     "arctic": ARCTIC,
 }
-
-#: The server's default maintenance watchdogs: generous enough that no
-#: healthy delta ever trips them, finite so a poisoned update degrades
-#: the circuit to recompute instead of wedging the event loop.
-DEFAULT_MAINTENANCE_POLICY = MaintenancePolicy(
-    max_propagate_seconds=5.0,
-    max_refresh_seconds=10.0,
-    max_reground_seconds=5.0,
-)
 
 _REASONS = {
     200: "OK",
@@ -163,6 +152,23 @@ def _parse_weights(raw: object, where: str) -> Dict[Fact, object]:
     return {fact_from_wire(label): value for label, value in raw.items()}
 
 
+def _program_text(body: Mapping[str, Any]) -> str:
+    program_field = body.get("program")
+    if not program_field:
+        raise ServingError(400, "missing 'program' (rule text or list of rules)")
+    return program_field if isinstance(program_field, str) else "\n".join(program_field)
+
+
+def _database_from_body(body: Mapping[str, Any]) -> Database:
+    """The body's ``facts``, annotated by its ``weights``."""
+    database = Database()
+    for wire_fact in body.get("facts", ()):
+        database.add_fact(fact_from_wire(wire_fact))
+    for fact, weight in _parse_weights(body.get("weights"), "'weights'").items():
+        database.set_weight(fact, weight)
+    return database
+
+
 class _CircuitEntry:
     """One cached compiled circuit plus its serving machinery."""
 
@@ -177,9 +183,7 @@ class _CircuitEntry:
         "incremental",
         "base_valuations",
         "queries",
-        "stream",
         "faults",
-        "policy",
         "lane_width",
         "max_delay",
     )
@@ -192,13 +196,11 @@ class _CircuitEntry:
         lane_width: int,
         max_delay: float,
         faults=None,
-        policy: Optional[MaintenancePolicy] = None,
     ):
         self.key = key
         self.session = session
         self.output = output
         self.faults = faults
-        self.policy = policy
         self.lane_width = lane_width
         self.max_delay = max_delay
         self.choice = session.circuit(output)
@@ -211,8 +213,6 @@ class _CircuitEntry:
         # name → dense base valuation reused to complete sparse queries.
         self.base_valuations: Dict[str, Dict[Fact, object]] = {}
         self.queries = 0
-        # StreamSession write handle; attached on the first facts delta.
-        self.stream = None
 
     def _fault_gate(self) -> None:
         """Fault-injection tap shared by every flush kernel."""
@@ -225,19 +225,16 @@ class _CircuitEntry:
         return self.compiled.evaluate_boolean_batch(batches)
 
     def base_valuation(self, name: str, semiring) -> Dict[Fact, object]:
+        """The database valuation, with semiring ``0`` for every leaf
+        of the compiled circuit whose fact has since been retracted."""
         base = self.base_valuations.get(name)
         if base is None:
-            if self.stream is not None:
-                base = self.stream.assignment(semiring)
-            else:
-                base = self.session.database.valuation(semiring)
+            base = self.session.database.valuation(semiring)
+            zero = semiring.zero
+            for label in self.compiled.var_labels:
+                base.setdefault(label, zero)
             self.base_valuations[name] = base
         return base
-
-    def get_stream(self):
-        if self.stream is None:
-            self.stream = self.session.stream(policy=self.policy)
-        return self.stream
 
     def batchers(self) -> List[LaneBatcher]:
         return [self.boolean_batcher, *self.numeric_batchers.values()]
@@ -258,13 +255,12 @@ class _CircuitEntry:
     def update_session(self, name: str, semiring):
         session = self.incremental.get(name)
         if session is None:
-            assignment = None if self.stream is None else self.stream.assignment(semiring)
-            session = self.session.serve(self.output, semiring, assignment)
+            session = self.choice.serve(semiring, self.base_valuation(name, semiring))
             self.incremental[name] = session
         return session
 
     def stats(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "construction": self.choice.construction,
             "size": self.compiled.size,
             "queries": self.queries,
@@ -275,13 +271,6 @@ class _CircuitEntry:
             },
             "update_sessions": sorted(self.incremental),
         }
-        if self.stream is not None:
-            payload["stream"] = {
-                "degraded": self.stream.degraded,
-                "degradations": self.stream.degradations,
-                "last_degrade_reason": self.stream.last_degrade_reason,
-            }
-        return payload
 
 
 class CircuitServer:
@@ -295,10 +284,9 @@ class CircuitServer:
 
     ``resilience`` carries the failure-model knobs (defaults on -- see
     :class:`~repro.serving.resilience.ResilienceConfig`);
-    ``maintenance_policy`` arms the fact-stream watchdogs (defaults to
-    :data:`DEFAULT_MAINTENANCE_POLICY`); ``fault_injector`` is the
-    test-only seeded chaos tap (:mod:`repro.testing.faults`) -- pass
-    ``None`` (the default) in production.
+    ``fault_injector`` is the test-only seeded chaos tap
+    (:mod:`repro.testing.faults`) -- pass ``None`` (the default) in
+    production.
 
     Usage::
 
@@ -318,7 +306,6 @@ class CircuitServer:
         lane_width: int = 64,
         max_delay: float = 0.002,
         resilience: Optional[ResilienceConfig] = None,
-        maintenance_policy: Optional[MaintenancePolicy] = None,
         fault_injector=None,
     ):
         if max_circuits < 1:
@@ -330,10 +317,6 @@ class CircuitServer:
         self.max_delay = max_delay
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_injector = fault_injector
-        policy = maintenance_policy if maintenance_policy is not None else DEFAULT_MAINTENANCE_POLICY
-        if fault_injector is not None and policy.fault_hook is None:
-            policy = dataclasses.replace(policy, fault_hook=fault_injector.maintenance_hook())
-        self.maintenance_policy = policy
         self.res_stats = ResilienceStats()
         self._idempotency = IdempotencyCache(self.resilience.idempotency_cache_size)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -696,20 +679,13 @@ class CircuitServer:
     # -- handlers ------------------------------------------------------
 
     def _build_problem(self, body: Mapping[str, Any]) -> Tuple[Session, ExecutionConfig]:
-        program_field = body.get("program")
-        if not program_field:
-            raise ServingError(400, "missing 'program' (rule text or list of rules)")
-        text = program_field if isinstance(program_field, str) else "\n".join(program_field)
+        text = _program_text(body)
         # Parse unvalidated, then gate through the analyzer: a bad
         # program yields a ProgramValidationError whose DL-coded
         # diagnostics _dispatch serializes into the structured 400.
         program = parse_program(text, target=body.get("target"), validate=False)
         require_valid(program)
-        database = Database()
-        for wire_fact in body.get("facts", ()):
-            database.add_fact(fact_from_wire(wire_fact))
-        for fact, weight in _parse_weights(body.get("weights"), "'weights'").items():
-            database.set_weight(fact, weight)
+        database = _database_from_body(body)
         # Every config field the body carries (engine, strategy,
         # construction, optimize_depth, backend, prune); bad values
         # raise ValueError/TypeError, which _dispatch maps to 400.
@@ -742,7 +718,6 @@ class CircuitServer:
                 self.lane_width,
                 self.max_delay,
                 faults=self.fault_injector,
-                policy=self.maintenance_policy,
             )
             self._circuits[key] = entry
             while len(self._circuits) > self.max_circuits:
@@ -843,34 +818,30 @@ class CircuitServer:
         for fact in retracts:
             if fact not in database:
                 raise ServingError(400, f"cannot retract {fact}: not in the database")
-        stream = entry.get_stream()
         known = entry.compiled.var_slots
         structural = any(fact not in known and fact not in database for fact, _ in inserts)
-        degradations_before = stream.degradations
-        inserted = sum(stream.insert(fact, weight=weight) for fact, weight in inserts)
+        inserted = 0
+        for fact, weight in inserts:
+            inserted += fact not in database
+            database.add_fact(fact, weight)
         for fact in retracts:
-            stream.retract(fact)
+            database.retract_fact(fact)
         for fact, weight in weights.items():
-            stream.set_weight(fact, weight)
-        degraded_now = stream.degradations > degradations_before
-        if degraded_now:
-            self.res_stats.bump("degraded_deltas")
-        # Cached per-semiring state is built from the pre-delta valuation.
+            database.set_weight(fact, weight)
+        # The old session's fingerprint and construction caches, and the
+        # per-semiring state, all describe the pre-delta database.
+        entry.session = Session(entry.session.program, database, entry.session.config)
         entry.base_valuations.clear()
         entry.incremental.clear()
-        recompiled = False
-        if structural or degraded_now:
-            # A degraded delta rebuilds through full recompute: served
-            # answers stay exactly correct, only slower.
+        if structural:
             entry.choice = entry.session.circuit(entry.output)
             entry.compiled = entry.choice.compiled()
-            recompiled = True
         return {
             "inserted": inserted,
             "retracted": len(retracts),
             "reweighted": len(weights),
-            "recompiled": recompiled,
-            "degraded": stream.degraded,
+            "recompiled": structural,
+            "degraded": False,
             "size": entry.compiled.size,
             "database_fingerprint": entry.session.fingerprint[1],
         }
@@ -885,12 +856,8 @@ class CircuitServer:
         Optional ``facts``/``weights`` arm the database passes and
         optional ``semiring`` arms divergence prediction (DL006).
         """
-        program_field = body.get("program")
-        if not program_field:
-            raise ServingError(400, "missing 'program' (rule text or list of rules)")
-        text = program_field if isinstance(program_field, str) else "\n".join(program_field)
         try:
-            program = parse_program(text, target=body.get("target"), validate=False)
+            program = parse_program(_program_text(body), target=body.get("target"), validate=False)
         except ParseError as exc:
             return {
                 "ok": False,
@@ -904,11 +871,7 @@ class CircuitServer:
             }
         database = None
         if body.get("facts") or body.get("weights"):
-            database = Database()
-            for wire_fact in body.get("facts", ()):
-                database.add_fact(fact_from_wire(wire_fact))
-            for fact, weight in _parse_weights(body.get("weights"), "'weights'").items():
-                database.set_weight(fact, weight)
+            database = _database_from_body(body)
         semiring = None
         if body.get("semiring"):
             _, semiring = _resolve_semiring(body)
@@ -939,7 +902,6 @@ class CircuitServer:
         lane_batches = sum(e.boolean_batcher.stats.batches for e in self._circuits.values())
         lane_items = sum(e.boolean_batcher.stats.items for e in self._circuits.values())
         fill = lane_items / (lane_batches * self.lane_width) if lane_batches else 0.0
-        streams = [e.stream for e in self._circuits.values() if e.stream is not None]
         return {
             "circuits": len(self._circuits),
             "max_circuits": self.max_circuits,
@@ -959,10 +921,5 @@ class CircuitServer:
             },
             "resilience": self.res_stats.snapshot(),
             "idempotency": self._idempotency.snapshot(),
-            "maintenance": {
-                "streams": len(streams),
-                "degraded_now": sum(1 for s in streams if s.degraded),
-                "degradations": sum(s.degradations for s in streams),
-            },
             "per_circuit": per_circuit,
         }

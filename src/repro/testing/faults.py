@@ -20,11 +20,15 @@ code under test):
 ``handler.stall``         the route handler stalls cooperatively
                           (exercises the handler deadline -> 504)
 ``maintainer.crash``      the maintained fixpoint crashes mid-propagation
-                          (exercises degrade-to-recompute)
+                          (exercises the library ``StreamSession``'s
+                          degrade-to-recompute, through
+                          :meth:`FaultInjector.maintenance_hook`)
 ========================  =================================================
 
 The server consults the injector *only* when one is passed to its
 constructor; production paths carry a ``None`` check and nothing else.
+The server has no maintained fixpoint, so ``maintainer.crash`` never
+fires there.
 """
 
 from __future__ import annotations

@@ -297,6 +297,19 @@ def test_cold_start_from_empty_database():
     assert fix.values(BOOLEAN) == {Fact("T", (1, 2)): True}
 
 
+def test_retract_keeps_stored_idb_facts_alive():
+    """A fresh grounding takes an IDB fact stored in the database as
+    given, so DRed must rederive it -- and its consumers -- even after
+    the only rule deriving it dies."""
+    database = Database([Fact("E", (1, 2)), Fact("E", (2, 3)), Fact("T", (1, 2))])
+    fix = MaintainedFixpoint(TC, database, semirings=(TROPICAL,))
+    database.retract("E", 1, 2)
+    fresh = COLUMNAR_ENGINE.evaluate(TC, database, TROPICAL)
+    assert Fact("T", (1, 3)) in fresh.values
+    assert fix.values(TROPICAL) == fresh.values
+    assert fix.rule_keys() == columnar_grounding(TC, database).rule_keys()
+
+
 def test_divergent_counting_self_heals():
     """On a cycle COUNTING never converges; the maintained state must
     track the batch kernel's *capped* trajectory exactly, which the

@@ -4,7 +4,7 @@ Two layers under test.  :class:`MaintenancePolicy` arms the
 *maintainer* with wall-clock/round budgets and a fault-injection tap;
 tripping either raises :class:`MaintenanceBudgetExceeded` (or the
 injected error) out of the write.  :class:`repro.api.StreamSession`
-is the *serving* wrapper that must never surface those: it detaches
+is the *streaming* wrapper that must never surface those: it detaches
 the broken maintainer, keeps answering exactly (via full recompute),
 reports the write as applied -- the database mutation lands before
 maintainer notification, so it is durable -- and re-attaches a fresh

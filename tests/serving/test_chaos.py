@@ -24,7 +24,6 @@ from repro.serving import CircuitClient, CircuitServer, RetryPolicy, ServerError
 from repro.testing import (
     FLUSH_RAISE,
     FLUSH_SLOW,
-    MAINTAINER_CRASH,
     PARTIAL_WRITE,
     SOCKET_RESET,
     FaultInjector,
@@ -149,56 +148,6 @@ def test_boolean_queries_survive_wire_and_kernel_chaos():
     run_bounded(scenario())
 
 
-# -- maintenance chaos: mid-stream maintainer crashes ----------------------
-
-
-def test_fact_stream_stays_exact_under_maintainer_crashes():
-    seed = CHAOS_SEED
-    injector = FaultInjector(seed=seed, rates={MAINTAINER_CRASH: 0.25})
-    plan_rng = random.Random(f"chaos-facts:{seed}")
-    output = "T(0,5)"
-    output_fact = Fact("T", (0, 5))
-
-    async def scenario():
-        server = CircuitServer(fault_injector=injector)
-        host, port = await server.start()
-        client = CircuitClient(host, port)
-        reg = await client.register(TC, EDGES, output, target="T")
-        key = reg["key"]
-        live = list(EDGES)
-        deltas = 0
-        for _ in range(25):
-            candidates = [e for e in EDGE_UNIVERSE if e not in live]
-            if live and (not candidates or plan_rng.random() < 0.4):
-                edge = live[plan_rng.randrange(len(live))]
-                payload = await client.facts(key, retract=[edge])
-                live.remove(edge)
-                assert payload["retracted"] == 1
-            else:
-                edge = candidates[plan_rng.randrange(len(candidates))]
-                payload = await client.facts(key, insert=[edge])
-                live.append(edge)
-                assert payload["inserted"] == 1
-            deltas += 1
-            # Crosscheck after EVERY delta: the served circuit answers
-            # exactly like a from-scratch evaluation of the live edges.
-            want = expected_boolean(oracle(live, output), output_fact, live)
-            got = await client.boolean(key, live)
-            assert got is want, (live, payload)
-        # The plan really crashed the maintainer, and the degradation
-        # is visible to operators in /stats -- not swallowed silently.
-        assert injector.fired[MAINTAINER_CRASH] > 0
-        stats = await client.stats()
-        assert stats["maintenance"]["degradations"] > 0
-        assert stats["resilience"]["degraded_deltas"] > 0
-        circuit_stats = stats["per_circuit"][key]
-        assert circuit_stats["stream"]["degradations"] > 0
-        await client.close()
-        await server.close()
-
-    run_bounded(scenario())
-
-
 def test_mixed_chaos_full_stack():
     """Everything at once, at lower rates: wire faults over a mutating
     circuit, queries crosschecked between deltas."""
@@ -209,7 +158,6 @@ def test_mixed_chaos_full_stack():
             SOCKET_RESET: 0.06,
             PARTIAL_WRITE: 0.06,
             FLUSH_RAISE: 0.04,
-            MAINTAINER_CRASH: 0.15,
         },
     )
     plan_rng = random.Random(f"chaos-mixed:{seed}")

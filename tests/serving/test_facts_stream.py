@@ -1,9 +1,9 @@
 """End-to-end tests for the ``/circuits/<key>/facts`` streaming route.
 
-The route's contract (DESIGN.md §11): a registered circuit stays
+The route's contract (DESIGN.md §10): a registered circuit stays
 servable while the underlying database churns.  Fact deltas are
-absorbed by the entry's :class:`~repro.api.StreamSession` -- the
-maintained fixpoint regrounds differentially, retracted leaves are
+written straight to the entry's database and the compiled circuit is
+re-evaluated under the new valuation -- retracted leaves are
 completed to semiring ``0`` in every later assignment, and only an
 insert introducing a leaf the compiled circuit has never seen forces
 a recompile.  After *every* delta the Boolean lanes, the numeric
@@ -16,6 +16,7 @@ event loop through ``asyncio.run``.
 
 import asyncio
 
+import repro.api
 from repro.api import solve
 from repro.datalog import Database, Fact, parse_program
 from repro.semirings import BOOLEAN, TROPICAL
@@ -89,7 +90,7 @@ def test_facts_stream_matches_direct_replay():
             expected_bool = solve(PROGRAM, replay(live), BOOLEAN)
             assert report["database_fingerprint"]
 
-            # Numeric valuation from the maintained base assignment.
+            # Numeric valuation from the updated base assignment.
             value = await client.evaluate(key, "tropical")
             assert value == expected.value(OUT)
 
@@ -111,19 +112,26 @@ def test_facts_recompiles_only_for_unseen_leaves():
         key = await register(client)
         # Reweight and retract: the compiled circuit already knows
         # every touched leaf, so no recompile.
+        reports = []
         report = await client.facts(key, weights={Fact("E", (1, 2)): 0.5})
+        reports.append(report)
         assert report["recompiled"] is False and report["reweighted"] == 1
         report = await client.facts(key, retract=[Fact("E", (2, 3))])
+        reports.append(report)
         assert report["recompiled"] is False and report["retracted"] == 1
         # Re-inserting a retracted edge: the circuit still has that
         # leaf, so a plain value push suffices.
         report = await client.facts(key, insert=[(Fact("E", (2, 3)), 1.0)])
+        reports.append(report)
         assert report["recompiled"] is False and report["inserted"] == 1
         assert (await client.evaluate(key, "tropical")) == 2.5
         # A brand-new edge is an unseen input gate: recompile.
         report = await client.facts(key, insert=[(Fact("E", (0, 3)), 9.0)])
+        reports.append(report)
         assert report["recompiled"] is True and report["inserted"] == 1
         assert (await client.evaluate(key, "tropical")) == 2.5
+        # The wire contract keeps the key; no delta ever degrades.
+        assert all(report["degraded"] is False for report in reports)
 
     run(with_server(scenario))
 
@@ -139,6 +147,39 @@ def test_facts_interleaves_with_update_sessions():
         await client.facts(key, weights={Fact("E", (2, 3)): 1.0})
         after = await client.update(key, "tropical", {Fact("E", (0, 1)): 0.5})
         assert after["outputs"] == [3.5]
+
+    run(with_server(scenario))
+
+
+def test_update_after_facts_serves_the_compiled_circuit(monkeypatch):
+    """/update seeds from the entry's compiled circuit: a delta that
+    adds no unseen leaf never re-runs the construction, and a leaf
+    retracted without a recompile still takes point updates."""
+    constructions = []
+    build = repro.api.provenance_circuit
+
+    def counting_build(*args, **kwargs):
+        constructions.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(repro.api, "provenance_circuit", counting_build)
+
+    async def scenario(host, port, client):
+        key = await register(client)
+        assert len(constructions) == 1
+        await client.facts(key, weights={Fact("E", (2, 3)): 1.0})
+        after = await client.update(key, "tropical", {Fact("E", (0, 1)): 0.5})
+        assert after["outputs"] == [3.5]
+        assert len(constructions) == 1
+
+        report = await client.facts(key, retract=[Fact("E", (1, 2))])
+        assert report["recompiled"] is False
+        assert (await client.evaluate(key, "tropical")) == float("inf")
+        probe = {Fact("E", (1, 2)): 0.5}
+        update = await client.update(key, "tropical", probe)
+        assert update["outputs"] == [2.5]
+        assert update["outputs"] == [await client.evaluate(key, "tropical", probe)]
+        assert len(constructions) == 1
 
     run(with_server(scenario))
 
