@@ -4,8 +4,10 @@ The :class:`~repro.datalog.incremental.MaintainedFixpoint` (DESIGN.md
 §11) keeps the columnar ground program and its fixpoint values live
 across single-fact inserts, retracts and reweights: an insert pays a
 delta-join regrounding plus a monotone ascent over the touched cone, a
-retract pays DRed-style overdelete/rederive plus a restricted
-recompute of the dirty cone.  The baseline is what every prior PR did
+retract or a worsening reweight pays a restricted recompute of the
+changed fact's witness region (tropical is absorptive and selective),
+on a Boolean liveness state first and then on the tracked semiring.
+The baseline is what every prior PR did
 on a database mutation -- throw the grounding and fixpoint away and
 recompute from scratch with the default batch pipeline (the columnar
 fast path).

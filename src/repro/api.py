@@ -181,7 +181,7 @@ class Session:
         Passing a *semiring* arms divergence prediction (DL006), which
         reuses the session's cached grounding when one exists.
         """
-        ground = self._ground if self.program is self.plan_program else None
+        ground = self._cached_ground() if self.program is self.plan_program else None
         return analyze_program(
             self.program,
             database=self.database,
@@ -192,8 +192,17 @@ class Session:
 
     def ground(self) -> Union[GroundProgram, ColumnarGroundProgram]:
         """The cached grounding, in the strategy's native representation."""
-        if self._ground is None:
-            self._ground = self._engine.ground(self.plan_program, self.database)
+        ground = self._cached_ground()
+        if ground is None:
+            ground = self._ground = self._engine.ground(self.plan_program, self.database)
+        return ground
+
+    def _cached_ground(self) -> Optional[Union[GroundProgram, ColumnarGroundProgram]]:
+        """The live stream maintainer's ground program while one is
+        attached, else the grounding cached here (if any)."""
+        stream = self._stream
+        if stream is not None and stream.fixpoint is not None:
+            return stream.fixpoint.cground
         return self._ground
 
     def solve(
@@ -293,8 +302,8 @@ class Session:
         Attaches a :class:`~repro.datalog.incremental.MaintainedFixpoint`
         to the database, after which fact inserts/retracts/reweights
         are absorbed differentially instead of invalidating the
-        session wholesale: the cached grounding tracks the maintained
-        ground program, stale per-output circuit choices are dropped,
+        session wholesale: :meth:`ground` reads the maintained ground
+        program, stale per-output circuit choices are dropped,
         and circuits served through :meth:`StreamSession.serve`
         receive leaf-level pushes.  Pass the semirings to maintain
         dense value state for (more can be tracked later).
@@ -375,9 +384,9 @@ class StreamSession:
     :class:`~repro.datalog.incremental.MaintainedFixpoint`; this
     wrapper keeps the *session-level* artifacts consistent too:
 
-    * the session's cached grounding follows the maintained ground
-      program (the columnar strategy consumes it directly, the naive
-      oracle decodes it at the boundary);
+    * :meth:`Session.ground` reads the maintainer's live ground
+      program while it is attached (the columnar strategy consumes it
+      directly, the naive oracle decodes it at the boundary);
     * per-output circuit choices are invalidated (they are
       structural), but circuits already served via :meth:`serve` stay
       live through leaf pushes and only rebuild on structural inserts.
@@ -425,7 +434,6 @@ class StreamSession:
             semirings=tuple(self._semirings),
             policy=self.policy,
         )
-        session._ground = self.fixpoint.cground
         self.fixpoint.add_listener(self._on_delta)
         self.degraded = False
 
@@ -587,10 +595,9 @@ class StreamSession:
     # -- delta plumbing ------------------------------------------------
 
     def _on_delta(self, kind: str, fact: Fact, weight: object) -> None:
-        session = self.session
-        session._fingerprint = None
-        session._choices.clear()
-        session._ground = self.fixpoint.cground
+        # Session.ground() reads the maintainer's live grounding, so
+        # nothing is copied here.
+        self._invalidate_session()
         for served in tuple(self._served):
             served._apply(kind, fact, weight)
 

@@ -106,12 +106,15 @@ def _naive_fixpoint(
     iterations = 0
     converged = False
     rule_evaluations = 0
+    zero = semiring.zero
     for _ in range(max_iterations):
         fresh: Dict[Fact, object] = {fact: semiring.zero for fact in idb_facts}
         for rule, edb_product in zip(ground.rules, rule_edb_product):
             term = edb_product
             for body_fact in rule.idb_body:
-                term = semiring.mul(term, values[body_fact])
+                # A stored IDB fact no rule derives is read as 0, like
+                # the columnar kernel's IDB slots.
+                term = semiring.mul(term, values.get(body_fact, zero))
             fresh[rule.head] = semiring.add(fresh[rule.head], term)
             rule_evaluations += 1
         iterations += 1

@@ -12,17 +12,21 @@ of one program/database pair alive across single-fact deltas:
   :func:`~repro.datalog.grounding._compile_rules`, body constants
   interned), so only ground-rule instances that mention the delta
   are enumerated;
-* per-fact *support* (the live ground rules deriving each IDB fact,
-  the counting part of counting/DRed maintenance) is kept as
-  adjacency dicts over fact ids, and retraction runs DRed proper:
-  overdelete the downstream cone, rederive cone facts that keep an
-  alternative derivation, prune the ground rules that died;
 * per-semiring dense value arrays (the fixpoint state) are repaired
-  by a restricted chaotic iteration over the dirty cone -- monotone
-  ascent from the old fixpoint for inserts, zero-the-cone +
-  recompute-with-fixed-boundary for retractions and reweights.  Both
-  converge to exactly the from-scratch least fixpoint because the
-  cone is downstream-closed: no clean fact reads a dirty one.
+  by a restricted chaotic iteration.  An insert, or a reweight that
+  makes the fact better, ascends from the old fixpoint.  A retract,
+  or a reweight that makes the fact worse, zeroes a *region* and
+  recomputes it with everything outside held fixed.  On a semiring
+  that is absorptive and selective every fact keeps one acyclic
+  *witness* rule, and the region is the set of facts whose witness
+  chain reads the changed fact; any other semiring falls back to the
+  whole downstream cone;
+* structure is the same repair run on a private Boolean *liveness*
+  state: the facts a retract's region leaves ``False`` are dead, and
+  the ground rules that read them become tombstones.  Tombstones
+  leave the adjacency maps at once; the CSR arrays are compacted
+  only when dead positions pass half the program, or when the
+  grounding is read through :attr:`MaintainedFixpoint.cground`.
 
 Exactness is testable, not aspirational: :meth:`MaintainedFixpoint.
 result` reruns the exec-generated kernel over the *maintained*
@@ -48,9 +52,10 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..semirings.base import Semiring
+from ..semirings.numeric import BooleanSemiring
 from .ast import DatalogError, Fact, Program
 from .database import Database
 from .evaluation import DivergenceError, EvaluationResult
@@ -133,19 +138,27 @@ def _coerce_fact(fact, args: Tuple) -> Fact:
     return Fact(fact, tuple(args))
 
 
+
+
 class _Tracked:
     """Maintained fixpoint state for one semiring: the dense value
     array (indexed by fact id, exactly :func:`_columnar_fixpoint`'s
-    layout) and the per-live-rule cached ⊗-terms the restricted
-    iteration refolds heads from."""
+    layout), the per-rule cached ⊗-terms the restricted iteration
+    refolds heads from, and -- on an absorptive, selective semiring --
+    each fact's witness rule position."""
 
-    __slots__ = ("semiring", "value", "rule_term", "converged")
+    __slots__ = ("semiring", "value", "rule_term", "converged", "witness")
 
     def __init__(self, semiring: Semiring):
         self.semiring = semiring
         self.value: List[object] = []
         self.rule_term: List[object] = []
         self.converged = True
+        #: Per fact id, a live rule position whose cached term equals
+        #: the fact's value (``-1``: none, the value is ``0`` or the
+        #: fact is a stored base fact).  ``None`` when the semiring
+        #: keeps no witnesses; its repair region is then the cone.
+        self.witness: Optional[array] = None
 
 
 class MaintainedFixpoint:
@@ -158,12 +171,19 @@ class MaintainedFixpoint:
         m = MaintainedFixpoint(program, db, semirings=(TROPICAL,))
         m.insert("E", 2, 7, weight=1.5)   # delta-joins new ground rules
         m.value(Fact("T", (0, 7)), TROPICAL)
-        m.retract("E", 2, 7)              # DRed overdelete/rederive
+        m.retract("E", 2, 7)              # witness-region repair
 
     ``insert``/``retract`` here are conveniences that route through
     ``db.add_fact`` / ``db.retract_fact``; mutating the database
     directly is equivalent.  Mutating the program's *IDB* predicates
     is rejected -- derived relations are maintained, not stored.
+
+    A retract or a worsening reweight zeroes and re-solves only the
+    changed fact's *region*: the facts whose witness chain reads it
+    on an absorptive, selective semiring, the downstream cone on any
+    other.  The same repair on a private Boolean liveness state finds
+    the facts a retract kills; their ground rules become tombstones,
+    compacted away in bulk (see :attr:`cground`).
 
     Fast reads (:meth:`value`, :meth:`values`) come straight from the
     maintained arrays; :meth:`result` reruns the batch kernel over the
@@ -171,7 +191,7 @@ class MaintainedFixpoint:
     :class:`~repro.datalog.evaluation.EvaluationResult` bit for bit
     (same values, iterations, converged flag and rule-evaluation
     count).  If a delta propagation ever hits the iteration cap (a
-    non-stable semiring diverging inside the cone), the maintainer
+    non-stable semiring diverging inside the region), the maintainer
     falls back to one full kernel run for that semiring, so its state
     still matches the batch engine's capped state exactly.
     """
@@ -187,16 +207,25 @@ class MaintainedFixpoint:
         self.database = database
         self.policy = policy if policy is not None else MaintenancePolicy()
         self._idbs = program.idb_predicates
-        #: The live id-space grounding; starts as the batch grounder's
-        #: output and is appended to / pruned in place from then on.
-        self.cground: ColumnarGroundProgram = columnar_grounding(program, database)
-        self.iterations = self.cground.iterations
+        #: The id-space grounding: starts as the batch grounder's
+        #: output and is appended to in place; dead rules stay in its
+        #: arrays as tombstones until :meth:`_compact`.
+        self._cground: ColumnarGroundProgram = columnar_grounding(program, database)
+        self.iterations = self._cground.iterations
         # Private working store: EDB snapshot plus every currently
         # derived IDB fact, the join input for future delta rounds.
         self.store = database.columnar_store().copy()
+        symbols = self.store.symbols
+        # IDB facts stored in the database: a fresh grounding takes
+        # them as given, so they stay alive whatever their rules do.
+        self._stored: Set[Tuple[str, Tuple[int, ...]]] = {
+            (fact.predicate, symbols.intern_row(fact.args))
+            for predicate in self._idbs
+            for fact in database.facts(predicate)
+        }
         self._derived: Set[Tuple[str, Tuple[int, ...]]] = set()
-        preds, rows = self.cground.fact_preds, self.cground.fact_rows
-        for fid in self.cground.idb_fact_ids():
+        preds, rows = self._cground.fact_preds, self._cground.fact_rows
+        for fid in self._cground.idb_fact_ids():
             key = (preds[fid], rows[fid])
             self._derived.add(key)
             self.store.insert_ids(*key)
@@ -204,11 +233,13 @@ class MaintainedFixpoint:
         # grounder compiles them except that body constants are
         # interned: one unseen today may arrive with a future insert.
         self._slot_counts, self._bodies, self._emit_plans = _compile_rules(
-            program, self.cground.symbols, self.cground, intern_bodies=True
+            program, self._cground.symbols, self._cground, intern_bodies=True
         )
         self._delta_plans: Dict[Tuple[int, int], Tuple] = {}
-        # Support/derivation bookkeeping over the live rules.
+        #: Tombstoned rule positions awaiting compaction.
+        self._dead: Set[int] = set()
         self._rebuild_adjacency()
+        self._live = self._seed_liveness()
         self._tracked: Dict[int, _Tracked] = {}
         self._results: Dict[int, Tuple[Semiring, EvaluationResult]] = {}
         self._listeners: List[Callable[[str, Fact, object], None]] = []
@@ -217,6 +248,14 @@ class MaintainedFixpoint:
         database._attach_maintainer(self)
 
     # -- public API ------------------------------------------------------
+
+    @property
+    def cground(self) -> ColumnarGroundProgram:
+        """The live ground program, exactly the rules a fresh grounding
+        of the current database holds.  Reading it compacts the
+        tombstones of dead rules away first."""
+        self._compact()
+        return self._cground
 
     def insert(self, fact, *args, weight: object = None) -> bool:
         """Insert an EDB fact (and maintain); True iff it was new."""
@@ -235,26 +274,28 @@ class MaintainedFixpoint:
     def track(self, semiring: Semiring) -> None:
         """Start maintaining dense fixpoint state for *semiring*."""
         key = id(semiring)
-        tracked = self._tracked.get(key)
-        if tracked is None:
+        if key not in self._tracked:
             tracked = _Tracked(semiring)
-            self._refresh(tracked)
+            if semiring.absorptive and semiring.selective:
+                self._seed(tracked)
+            else:
+                self._refresh(tracked)
             self._tracked[key] = tracked
 
     def value(self, fact: Fact, semiring: Semiring):
         """Maintained least-fixpoint value of one IDB fact (O(1))."""
         tracked = self._tracked_for(semiring)
-        fid = self.cground.find_fact_id(fact)
-        if fid is None or not self._head_rules.get(fid):
+        fid = self._cground.find_fact_id(fact)
+        if fid is None or fid not in self._head_rules:
             return semiring.zero
         return tracked.value[fid]
 
     def values(self, semiring: Semiring) -> Dict[Fact, object]:
         """Maintained values of every derivable IDB fact."""
         tracked = self._tracked_for(semiring)
-        decode = self.cground.decode_fact
+        decode = self._cground.decode_fact
         value = tracked.value
-        return {decode(fid): value[fid] for fid in self.cground.idb_fact_ids()}
+        return {decode(fid): value[fid] for fid in self._head_rules}
 
     def result(
         self,
@@ -266,7 +307,7 @@ class MaintainedFixpoint:
 
         Runs the batch columnar kernel over the *maintained* ground
         program.  The Jacobi rounds depend only on the ground-rule
-        set, which incremental regrounding + DRed pruning keep equal
+        set, which incremental regrounding + tombstoning keep equal
         to a fresh grounding's, so every field of the result -- not
         just the values -- matches recompute-from-scratch.  Cached
         until the next mutation.
@@ -302,7 +343,7 @@ class MaintainedFixpoint:
 
     def support_count(self, fact: Fact) -> int:
         """Number of live ground rules deriving *fact* (its support)."""
-        fid = self.cground.find_fact_id(fact)
+        fid = self._cground.find_fact_id(fact)
         return 0 if fid is None else len(self._head_rules.get(fid, ()))
 
     def rule_keys(self):
@@ -328,7 +369,7 @@ class MaintainedFixpoint:
 
     def __repr__(self) -> str:
         return (
-            f"MaintainedFixpoint(rules={len(self.cground)}, "
+            f"MaintainedFixpoint(rules={len(self._cground) - len(self._dead)}, "
             f"idb={len(self._head_rules)}, semirings={len(self._tracked)})"
         )
 
@@ -346,100 +387,94 @@ class MaintainedFixpoint:
             if weight is not None:
                 self._apply_weight(fact, weight)
             return
-        first_new = len(self.cground)
+        first_new = len(self._cground)
         self._reground(mark)
-        new_positions = range(first_new, len(self.cground))
-        fid = self.cground.find_fact_id(fact)
+        # The new rules are the last *added* positions; a divergence
+        # refresh below may compact, which keeps them last.
+        added = len(self._cground) - first_new
+        fid = self._cground.find_fact_id(fact)
+        for tracked in self._states():
+            self._grow(tracked, fid)
+        self._revive(added)
         for tracked in self._tracked.values():
-            self._after_insert(tracked, fid, new_positions)
+            if not tracked.converged:
+                # The stored state is the batch engine's *capped*
+                # state, not a fixpoint: ascent from it is unsound.
+                self._refresh(tracked)
+                continue
+            end = len(self._cground)
+            self._propagate(tracked, range(end - added, end))
         self._notify("insert", fact, weight)
 
     def _apply_retract(self, fact: Fact) -> None:
         self._guard_edb(fact)
         self._results.clear()
-        store = self.store
-        store.remove_fact(fact)
-        cground = self.cground
-        fid = cground.find_fact_id(fact)
-        if fid is None or not self._edb_rules.get(fid):
-            # Never referenced by a live ground rule: no IDB fact can
-            # change.  (The fact id, if any, keeps a zero slot.)
-            for tracked in self._tracked.values():
-                if fid is not None and fid < len(tracked.value):
-                    tracked.value[fid] = tracked.semiring.zero
+        self.store.remove_fact(fact)
+        fid = self._cground.find_fact_id(fact)
+        readers = self._edb_rules.get(fid, ()) if fid is not None else ()
+        if not readers:
+            # Read by no live rule: no IDB fact can change.  The slot
+            # (if any) records the absence for a later re-insert.
+            if fid is not None:
+                for tracked in self._states():
+                    if fid < len(tracked.value):
+                        tracked.value[fid] = tracked.semiring.zero
             self._notify("retract", fact, None)
             return
-        # DRed overdelete: everything downstream of the retracted fact
-        # is suspect; rules directly consuming it are dead outright.
-        cone = self._downstream(fid)
-        dead_rules: Set[int] = set(self._edb_rules.get(fid, ()))
-        # Rederive: a cone fact survives iff it is stored in the
-        # database (a fresh grounding takes stored IDB facts as given)
-        # or some non-dead rule derives it from facts outside the cone
-        # or themselves rederived.
-        decode = cground.decode_fact
-        database = self.database
-        alive: Set[int] = {cfid for cfid in cone if decode(cfid) in database}
-        changed = True
-        while changed:
-            changed = False
-            for head in cone:
-                if head in alive:
-                    continue
-                for position in self._head_rules.get(head, ()):
-                    if position in dead_rules:
-                        continue
-                    if all(
-                        b not in cone or b in alive for b in self._idb_body(position)
-                    ):
-                        alive.add(head)
-                        changed = True
-                        break
-        dead_facts = cone - alive
+        # Regions come from the witnesses and adjacency as they stand
+        # before any rule dies.
+        regions = {
+            key: self._region(tracked, fid)
+            for key, tracked in self._tracked.items()
+            if tracked.converged
+        }
+        live = self._live
+        live_region = self._region(live, fid)
+        live.value[fid] = False
+        self._repair(live, live_region, readers)
+        dead_facts = [dfid for dfid in live_region if not live.value[dfid]]
+        dead_rules: Set[int] = set(readers)
+        preds, rows = self._cground.fact_preds, self._cground.fact_rows
         for dfid in dead_facts:
             dead_rules.update(self._body_rules.get(dfid, ()))
-        if dead_rules:
-            self._prune_rules(dead_rules)
-        preds, rows = cground.fact_preds, cground.fact_rows
-        for dfid in dead_facts:
             key = (preds[dfid], rows[dfid])
             self._derived.discard(key)
-            store.remove_ids(*key)
-        for tracked in self._tracked.values():
+            self.store.remove_ids(*key)
+        self._kill(dead_rules)
+        for key, tracked in self._tracked.items():
             if not tracked.converged:
                 self._refresh(tracked)
                 continue
-            zero = tracked.semiring.zero
-            value = tracked.value
-            value[fid] = zero
-            dirty: Set[int] = set()
-            for cfid in cone:
-                value[cfid] = zero
-                dirty.update(self._head_rules.get(cfid, ()))
-            self._propagate(tracked, dirty)
+            tracked.value[fid] = tracked.semiring.zero
+            self._repair(tracked, regions[key], ())
         self._notify("retract", fact, None)
 
     def _apply_weight(self, fact: Fact, weight: object) -> None:
         self._guard_edb(fact)
         self._results.clear()
-        fid = self.cground.find_fact_id(fact)
-        if fid is None or not self._edb_rules.get(fid):
-            self._notify("weight", fact, weight)
-            return
-        cone = self._downstream(fid)
+        fid = self._cground.find_fact_id(fact)
         for tracked in self._tracked.values():
+            # Read per semiring: a refresh compacts and moves positions.
+            readers = self._edb_rules.get(fid, ()) if fid is not None else ()
+            semiring = tracked.semiring
+            new = semiring.one if weight is None else weight
+            if not readers:
+                # Read by no live rule: only the slot changes, and it
+                # must, for the insert that next creates a reader.
+                if fid is not None and fid < len(tracked.value):
+                    tracked.value[fid] = new
+                continue
             if not tracked.converged:
                 self._refresh(tracked)
                 continue
-            semiring = tracked.semiring
-            value = tracked.value
-            value[fid] = semiring.one if weight is None else weight
-            zero = semiring.zero
-            dirty: Set[int] = set(self._edb_rules.get(fid, ()))
-            for cfid in cone:
-                value[cfid] = zero
-                dirty.update(self._head_rules.get(cfid, ()))
-            self._propagate(tracked, dirty)
+            old = tracked.value[fid]
+            tracked.value[fid] = new
+            if tracked.witness is not None and semiring.eq(semiring.add(new, old), new):
+                # Better (or equal): ascend from the old fixpoint, as
+                # an insert does.
+                self._propagate(tracked, readers)
+            else:
+                self._repair(tracked, self._region(tracked, fid), readers)
         self._notify("weight", fact, weight)
 
     # -- incremental regrounding -----------------------------------------
@@ -482,57 +517,153 @@ class MaintainedFixpoint:
         if tag in self._rule_seen:
             return None
         self._rule_seen.add(tag)
-        position = len(self.cground)
-        self.cground.append_rule(rule_index, head_fid, idb_row, edb_row)
+        cground = self._cground
+        position = len(cground)
+        cground.append_rule(rule_index, head_fid, idb_row, edb_row)
         self._index_rule(position, head_fid, idb_row, edb_row)
         return (head_pred, head_ids)
 
     # -- value maintenance -----------------------------------------------
 
-    def _after_insert(
-        self, tracked: _Tracked, fid: Optional[int], new_positions: Sequence[int]
-    ) -> None:
-        semiring = tracked.semiring
-        value, rule_term = tracked.value, tracked.rule_term
-        cground = self.cground
-        zero, one = semiring.zero, semiring.one
-        preds = cground.fact_preds
-        weight_of = self.database.weight
-        old_len = len(value)
-        for new_fid in range(old_len, cground.fact_count):
-            if preds[new_fid] in self._idbs:
-                value.append(zero)
-            else:
-                weight = weight_of(cground.decode_fact(new_fid))
-                value.append(one if weight is None else weight)
-        if fid is not None and fid < old_len:
-            # Re-inserted fact whose id predates this delta: its slot
-            # was zeroed by the retraction.
-            weight = weight_of(cground.decode_fact(fid))
-            value[fid] = one if weight is None else weight
-        while len(rule_term) < len(cground):
-            rule_term.append(zero)
-        if not tracked.converged:
-            # The stored state is the batch engine's *capped* state,
-            # not a fixpoint -- incremental ascent from it is unsound.
-            self._refresh(tracked)
-            return
-        self._propagate(tracked, new_positions)
+    def _seed_liveness(self) -> _Tracked:
+        """The private Boolean existence state, seeded without a kernel
+        run: every fact of a fresh grounding exists, and a derived
+        fact's witness is its first emitted rule.  Semi-naive emission
+        puts the first rule of each body fact earlier, so the witness
+        graph starts acyclic.  A stored IDB fact is a base fact: it
+        has no witness, so no region ever contains it."""
+        live = _Tracked(BooleanSemiring())
+        cground = self._cground
+        live.value = [True] * cground.fact_count
+        live.rule_term = [True] * len(cground)
+        witness = array("q", [-1]) * cground.fact_count
+        for head, positions in self._head_rules.items():
+            if not self._is_stored(head):
+                witness[head] = positions[0]
+        live.witness = witness
+        return live
 
-    def _propagate(self, tracked: _Tracked, dirty_positions) -> None:
-        """Restricted chaotic iteration: recompute ⊗-terms of dirty
-        rules, refold their heads, cascade along the body adjacency.
-        Sound because every dirty head is in the downstream-closed
-        cone (retract/weight) or ascent starts from the old fixpoint
-        (insert); exact on convergence.  Hitting the round cap means
-        the semiring diverges on this program -- fall back to one full
-        kernel run so the maintained state equals the batch engine's
-        capped state."""
+    def _seed(self, tracked: _Tracked) -> None:
+        """Fill an absorptive, selective semiring's state by one ascent
+        from zero, which also sets every fact's witness.  This is
+        initial tracking, not a delta: the refresh budget watches it,
+        the propagation budget does not."""
+        policy = self.policy
+        started = time.monotonic()
+        policy.tick("refresh", started, policy.max_refresh_seconds)
         semiring = tracked.semiring
-        value, rule_term = tracked.value, tracked.rule_term
+        cground = self.cground
+        tracked.value = [semiring.zero] * cground.fact_count
+        self._fill_edb(tracked.value, semiring, self.database.valuation(semiring))
+        tracked.rule_term = [semiring.zero] * len(cground)
+        tracked.witness = array("q", [-1]) * cground.fact_count
+        self._propagate(tracked, range(len(cground)), watched=False)
+        policy.tick("refresh", started, policy.max_refresh_seconds)
+
+    def _grow(self, tracked: _Tracked, fid: Optional[int]) -> None:
+        """Extend one state over the fact ids and rule positions a
+        regrounding appended, and load the inserted fact *fid*'s value
+        (its slot may predate the delta, zeroed by a retract)."""
+        cground = self._cground
+        value, rule_term, witness = tracked.value, tracked.rule_term, tracked.witness
+        zero = tracked.semiring.zero
+        preds, idbs = cground.fact_preds, self._idbs
+        live = tracked is self._live
+        for new_fid in range(len(value), cground.fact_count):
+            if preds[new_fid] not in idbs:
+                value.append(self._leaf_value(tracked, new_fid))
+            elif live:
+                # False until :meth:`_revive` (a stored fact is a base fact).
+                value.append(self._is_stored(new_fid))
+            else:
+                value.append(zero)
+        if fid is not None:
+            value[fid] = self._leaf_value(tracked, fid)
+        if witness is not None:
+            witness.extend(array("q", [-1]) * (cground.fact_count - len(witness)))
+        # A new rule reads only live facts; its semiring terms start at
+        # 0 and the ascent computes them.
+        rule_term.extend([True if live else zero] * (len(cground) - len(rule_term)))
+
+    def _revive(self, added: int) -> None:
+        """Liveness after an insert: every head of a new rule exists.
+        A head that did not has the first new rule deriving it as its
+        witness; its body facts were all live before that rule was
+        emitted, so the witness graph stays acyclic."""
+        live = self._live
+        value, witness = live.value, live.witness
+        rule_head = self._cground.rule_head
+        end = len(rule_head)
+        for position in range(end - added, end):
+            head = rule_head[position]
+            if not value[head]:
+                value[head] = True
+                witness[head] = position
+
+    def _region(self, tracked: _Tracked, fid: int) -> Set[int]:
+        """The IDB facts that can lose value when *fid* does: those
+        whose witness chain reads it or, with no witnesses, its whole
+        downstream cone."""
+        witness = tracked.witness
+        rule_head = self._cground.rule_head
+        edb_rules, body_rules = self._edb_rules, self._body_rules
+        region: Set[int] = set()
+        frontier = [fid]
+        while frontier:
+            fact = frontier.pop()
+            for rules in (edb_rules.get(fact, ()), body_rules.get(fact, ())):
+                for position in rules:
+                    head = rule_head[position]
+                    if head not in region and (witness is None or witness[head] == position):
+                        region.add(head)
+                        frontier.append(head)
+        return region
+
+    def _repair(self, tracked: _Tracked, region: Set[int], dirty_positions) -> None:
+        """Zero *region* and recompute it with every other fact held
+        fixed, *dirty_positions* (the changed leaf's readers) included.
+
+        Exact because no fact outside the region can lose value: its
+        witness tree avoids the change (for the cone: it does not read
+        the change at all), so the zeroed state lies below the new
+        least fixpoint and ascends to it.  The body rules of region
+        facts are dirtied too, so that cached terms outside the region
+        stay fresh."""
+        zero = tracked.semiring.zero
+        value, witness = tracked.value, tracked.witness
+        head_rules, body_rules = self._head_rules, self._body_rules
+        dirty = set(dirty_positions)
+        for fid in region:
+            value[fid] = zero
+            if witness is not None:
+                witness[fid] = -1
+            dirty.update(head_rules.get(fid, ()))
+            dirty.update(body_rules.get(fid, ()))
+        self._propagate(tracked, dirty, region)
+
+    def _propagate(
+        self,
+        tracked: _Tracked,
+        dirty_positions,
+        region: Optional[Set[int]] = None,
+        watched: bool = True,
+    ) -> None:
+        """Restricted chaotic iteration: recompute ⊗-terms of dirty
+        rules, refold their heads (only those in *region*, when given),
+        cascade along the body adjacency.  Sound because it ascends
+        from below the new least fixpoint -- from the old fixpoint
+        for an insert or an improving reweight, from a zeroed region
+        (see :meth:`_repair`) otherwise; exact on convergence.  A head
+        that strictly changes takes as witness a rule whose term
+        equals its new value.  Hitting the round cap means the
+        semiring diverges on this program -- fall back to one full
+        kernel run so the maintained state equals the batch engine's
+        capped state.  *watched* arms the per-delta watchdogs."""
+        semiring = tracked.semiring
+        value, rule_term, witness = tracked.value, tracked.rule_term, tracked.witness
         mul, add, eq = semiring.mul, semiring.add, semiring.eq
         zero, one = semiring.zero, semiring.one
-        cground = self.cground
+        cground = self._cground
         idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
         edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
         rule_head = cground.rule_head
@@ -547,11 +678,12 @@ class MaintainedFixpoint:
             if rounds >= cap:
                 self._refresh(tracked)
                 return
-            policy.tick("propagate.round", started, policy.max_propagate_seconds)
-            if round_cap is not None and rounds >= round_cap:
-                raise MaintenanceBudgetExceeded(
-                    "propagate.round", f"exceeded {round_cap} round budget"
-                )
+            if watched:
+                policy.tick("propagate.round", started, policy.max_propagate_seconds)
+                if round_cap is not None and rounds >= round_cap:
+                    raise MaintenanceBudgetExceeded(
+                        "propagate.round", f"exceeded {round_cap} round budget"
+                    )
             rounds += 1
             heads = set()
             for position in dirty:
@@ -561,20 +693,30 @@ class MaintainedFixpoint:
                 for fid in idb_flat[idb_indptr[position] : idb_indptr[position + 1]]:
                     term = mul(term, value[fid])
                 rule_term[position] = term
-                heads.add(rule_head[position])
+                head = rule_head[position]
+                if region is None or head in region:
+                    heads.add(head)
             dirty = set()
             for head in heads:
+                rules = head_rules[head]
                 total = zero
-                for position in head_rules.get(head, ()):
+                for position in rules:
                     total = add(total, rule_term[position])
                 if not eq(total, value[head]):
                     value[head] = total
+                    if witness is not None:
+                        for position in rules:
+                            if eq(rule_term[position], total):
+                                witness[head] = position
+                                break
                     dirty.update(body_rules.get(head, ()))
         tracked.converged = True
 
     def _refresh(self, tracked: _Tracked) -> None:
         """Rebuild one semiring's state with a full kernel run over the
-        maintained grounding (initial tracking + divergence fallback).
+        compacted grounding (initial tracking of a semiring without
+        witnesses, and the divergence fallback, after which the
+        semiring keeps no witnesses).
 
         The watchdog tick runs *before and after* the kernel: the
         exec-generated loop itself is uninterruptible, so the wall
@@ -585,12 +727,15 @@ class MaintainedFixpoint:
         policy.tick("refresh", started, policy.max_refresh_seconds)
         semiring = tracked.semiring
         cground = self.cground
+        valuation = self.database.valuation(semiring)
         value, _, converged, _ = _columnar_fixpoint(
-            cground, semiring, self.database.valuation(semiring), self._round_cap()
+            cground, semiring, valuation, self._round_cap()
         )
         policy.tick("refresh", started, policy.max_refresh_seconds)
+        self._fill_edb(value, semiring, valuation)
         tracked.value = value
         tracked.converged = converged
+        tracked.witness = None
         mul, one = semiring.mul, semiring.one
         idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
         edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
@@ -604,10 +749,22 @@ class MaintainedFixpoint:
             rule_term.append(term)
         tracked.rule_term = rule_term
 
+    def _fill_edb(self, value: List[object], semiring: Semiring, valuation) -> None:
+        """Write every EDB fact's current annotation (``0`` once
+        retracted) into *value*, whether a live rule reads it or not:
+        an unread fact's slot must be right for the insert that next
+        creates a reader."""
+        cground = self._cground
+        preds, decode, idbs = cground.fact_preds, cground.decode_fact, self._idbs
+        zero = semiring.zero
+        for fid in range(cground.fact_count):
+            if preds[fid] not in idbs:
+                value[fid] = valuation.get(decode(fid), zero)
+
     # -- structural bookkeeping ------------------------------------------
 
     def _rebuild_adjacency(self) -> None:
-        cground = self.cground
+        cground = self._cground
         idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
         edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
         self._rule_seen: Set[Tuple] = set()
@@ -621,9 +778,7 @@ class MaintainedFixpoint:
             self._rule_seen.add((cground.rule_no[position], head, idb_row, edb_row))
             self._index_rule(position, head, idb_row, edb_row)
 
-    def _index_rule(
-        self, position: int, head: int, idb_row: Sequence[int], edb_row: Sequence[int]
-    ) -> None:
+    def _index_rule(self, position: int, head: int, idb_row, edb_row) -> None:
         """Record rule *position* in the head/body/EDB adjacency."""
         self._head_rules.setdefault(head, []).append(position)
         for fid in dict.fromkeys(idb_row):
@@ -631,19 +786,61 @@ class MaintainedFixpoint:
         for fid in dict.fromkeys(edb_row):
             self._edb_rules.setdefault(fid, []).append(position)
 
-    def _prune_rules(self, dead: Set[int]) -> None:
-        """Compact the ground program's parallel arrays, dropping the
-        rule positions in *dead*; per-semiring cached terms compact in
-        lockstep and the adjacency dicts are rebuilt over the new
-        positions.  Fact ids are stable -- only rule positions move."""
-        cground = self.cground
+    def _kill(self, dead: Set[int]) -> None:
+        """Tombstone the rule positions in *dead*: out of the adjacency
+        maps and the rule-identity set at once (so a later insert can
+        rediscover them), out of the CSR arrays at the next
+        :meth:`_compact`, which runs once tombstones pass half the
+        program."""
+        cground = self._cground
+        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
+        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
+        rule_head, rule_no = cground.rule_head, cground.rule_no
+        heads: Set[int] = set()
+        bodies: Set[int] = set()
+        edbs: Set[int] = set()
+        for position in dead:
+            head = rule_head[position]
+            idb_row = tuple(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
+            edb_row = tuple(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
+            self._rule_seen.discard((rule_no[position], head, idb_row, edb_row))
+            heads.add(head)
+            bodies.update(idb_row)
+            edbs.update(edb_row)
+        for adjacency, touched in (
+            (self._head_rules, heads),
+            (self._body_rules, bodies),
+            (self._edb_rules, edbs),
+        ):
+            for fid in touched:
+                kept = [position for position in adjacency[fid] if position not in dead]
+                if kept:
+                    adjacency[fid] = kept
+                else:
+                    del adjacency[fid]
+        self._dead.update(dead)
+        if 2 * len(self._dead) > len(cground):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop the tombstones from the ground program's parallel
+        arrays.  Live rules keep their relative order; every state's
+        cached terms and witnesses move in lockstep, and the adjacency
+        is rebuilt over the new positions.  Fact ids are stable --
+        only rule positions move."""
+        dead = self._dead
+        if not dead:
+            return
+        cground = self._cground
         keep = [p for p in range(len(cground)) if p not in dead]
+        moved = array("q", [-1]) * len(cground)
         idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
         edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
         new_head, new_no = array("q"), array("q")
         new_idb_ptr, new_idb = array("q", (0,)), array("q")
         new_edb_ptr, new_edb = array("q", (0,)), array("q")
-        for position in keep:
+        for at, position in enumerate(keep):
+            moved[position] = at
             new_head.append(cground.rule_head[position])
             new_no.append(cground.rule_no[position])
             new_idb.extend(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
@@ -655,33 +852,15 @@ class MaintainedFixpoint:
         cground.edb_indptr, cground.edb_flat = new_edb_ptr, new_edb
         cground._by_head = cground._by_body = None
         cground._idb_fids = cground._edb_fids = None
-        for tracked in self._tracked.values():
+        for tracked in self._states():
             tracked.rule_term = [tracked.rule_term[position] for position in keep]
+            witness = tracked.witness
+            if witness is not None:
+                for fid, position in enumerate(witness):
+                    if position >= 0:
+                        witness[fid] = moved[position]
+        dead.clear()
         self._rebuild_adjacency()
-
-    def _downstream(self, fid: int) -> Set[int]:
-        """All IDB fact ids whose value (transitively) reads *fid* --
-        the downstream-closed dirty cone of a delta at that fact."""
-        body_rules, edb_rules = self._body_rules, self._edb_rules
-        rule_head = self.cground.rule_head
-        cone: Set[int] = set()
-        seen = {fid}
-        frontier = [fid]
-        while frontier:
-            fact = frontier.pop()
-            for position in edb_rules.get(fact, ()):
-                head = rule_head[position]
-                if head not in seen:
-                    seen.add(head)
-                    cone.add(head)
-                    frontier.append(head)
-            for position in body_rules.get(fact, ()):
-                head = rule_head[position]
-                if head not in seen:
-                    seen.add(head)
-                    cone.add(head)
-                    frontier.append(head)
-        return cone
 
     # -- small helpers ---------------------------------------------------
 
@@ -697,11 +876,23 @@ class MaintainedFixpoint:
         self.track(semiring)
         return self._tracked[id(semiring)]
 
-    def _idb_body(self, position: int) -> Sequence[int]:
-        cground = self.cground
-        return cground.idb_flat[
-            cground.idb_indptr[position] : cground.idb_indptr[position + 1]
-        ]
+    def _states(self) -> Tuple[_Tracked, ...]:
+        """The liveness state first, then every tracked semiring."""
+        return (self._live, *self._tracked.values())
+
+    def _is_stored(self, fid: int) -> bool:
+        if not self._stored:
+            return False
+        cground = self._cground
+        return (cground.fact_preds[fid], cground.fact_rows[fid]) in self._stored
+
+    def _leaf_value(self, tracked: _Tracked, fid: int):
+        """A present EDB fact's value: ``True`` for liveness, else its
+        annotation (``1`` when unannotated)."""
+        if tracked is self._live:
+            return True
+        weight = self.database.weight(self._cground.decode_fact(fid))
+        return tracked.semiring.one if weight is None else weight
 
     def _round_cap(self) -> int:
         """The engines' default divergence guard over the live IDB."""

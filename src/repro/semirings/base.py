@@ -45,6 +45,12 @@ class Semiring(ABC, Generic[T]):
       paper consists of absorptive ⊗-idempotent semirings).
     * ``absorptive`` -- ``1 ⊕ x = 1`` (equivalently, the semiring is
       0-stable).  Absorptive implies ``idempotent_add``.
+    * ``selective`` -- ``x ⊕ y ∈ {x, y}``: a sum is one of its
+      summands (min/max-style ⊕).  Selective implies
+      ``idempotent_add``.  A fixpoint value is then the ⊗-term of one
+      of the fact's ground rules; with absorption as well,
+      :class:`~repro.datalog.incremental.MaintainedFixpoint` keeps
+      that rule as the fact's acyclic *witness* (DESIGN.md §11).
     * ``naturally_ordered`` -- ``x ≤ y ⟺ ∃z. x ⊕ z = y`` is a partial
       order.
     * ``positive`` -- the map to the Boolean semiring sending 0 to
@@ -55,6 +61,7 @@ class Semiring(ABC, Generic[T]):
     idempotent_add: bool = False
     idempotent_mul: bool = False
     absorptive: bool = False
+    selective: bool = False
     naturally_ordered: bool = True
     positive: bool = True
 
@@ -249,6 +256,7 @@ class Semiring(ABC, Generic[T]):
             "idempotent_add": self.idempotent_add,
             "idempotent_mul": self.idempotent_mul,
             "absorptive": self.absorptive,
+            "selective": self.selective,
             "naturally_ordered": self.naturally_ordered,
             "positive": self.positive,
         }

@@ -139,6 +139,7 @@ class ChainLatticeSemiring(Semiring[int]):
     idempotent_add = True
     idempotent_mul = True
     absorptive = True
+    selective = True
 
     def __init__(self, top: int):
         if top < 0:

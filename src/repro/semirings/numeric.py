@@ -57,6 +57,7 @@ class BooleanSemiring(Semiring[bool]):
     idempotent_add = True
     idempotent_mul = True
     absorptive = True
+    selective = True
     compiled_add_expr = "({a} or {b})"
     compiled_mul_expr = "({a} and {b})"
     vector_add_expr = "logical_or"
@@ -170,6 +171,7 @@ class TropicalSemiring(Semiring[float]):
     idempotent_add = True
     idempotent_mul = False
     absorptive = True
+    selective = True
     compiled_add_expr = "({a} if {a} <= {b} else {b})"
     compiled_mul_expr = "({a} + {b})"
     vector_add_expr = "minimum"
@@ -214,6 +216,7 @@ class ViterbiSemiring(Semiring[float]):
     idempotent_add = True
     idempotent_mul = False
     absorptive = True
+    selective = True
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "({a} * {b})"
     vector_add_expr = "maximum"
@@ -250,6 +253,7 @@ class FuzzySemiring(Semiring[float]):
     idempotent_add = True
     idempotent_mul = True
     absorptive = True
+    selective = True
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "({a} if {a} <= {b} else {b})"
     vector_add_expr = "maximum"
@@ -285,6 +289,7 @@ class LukasiewiczSemiring(Semiring[float]):
     idempotent_add = True
     idempotent_mul = False
     absorptive = True
+    selective = True
     positive = False
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "(({a} + {b} - 1.0) if ({a} + {b}) > 1.0 else 0.0)"
@@ -320,6 +325,7 @@ class ArcticSemiring(Semiring[float]):
     idempotent_add = True
     idempotent_mul = False
     absorptive = False
+    selective = True
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "({a} + {b})"
     vector_add_expr = "maximum"

@@ -3,8 +3,8 @@
 The property flags on :class:`~repro.semirings.base.Semiring` are
 declarations; this module checks them on concrete sample elements:
 all semiring axioms (Section 2.2), ⊕/⊗-idempotency, absorption,
-p-stability (Section 2.3) and positivity, plus whether the natural
-order behaves as a partial order on the samples.
+⊕-selectivity, p-stability (Section 2.3) and positivity, plus whether
+the natural order behaves as a partial order on the samples.
 
 These checks are sound refuters (a failure is a real counterexample)
 and heuristic verifiers (passing on samples is evidence, not proof) --
@@ -39,6 +39,7 @@ class PropertyReport:
     is_idempotent_add: bool = True
     is_idempotent_mul: bool = True
     is_absorptive: bool = True
+    is_selective: bool = True
     natural_order_antisymmetric: bool = True
     is_positive: bool = True
     counterexamples: list[str] = field(default_factory=list)
@@ -76,6 +77,8 @@ class PropertyReport:
             issues.append("declared ⊗-idempotent but a counterexample was found")
         if semiring.absorptive and not self.is_absorptive:
             issues.append("declared absorptive but a counterexample was found")
+        if semiring.selective and not self.is_selective:
+            issues.append("declared selective but a counterexample was found")
         if semiring.positive and not self.is_positive:
             issues.append("declared positive but a counterexample was found")
         return issues
@@ -116,7 +119,10 @@ def check_semiring(semiring: Semiring, samples: Sequence) -> PropertyReport:
             _record(report, "is_absorptive", f"1 ⊕ {a!r} ≠ 1")
 
     for a, b in itertools.product(elements, repeat=2):
-        if not eq(add(a, b), add(b, a)):
+        total = add(a, b)
+        if not (eq(total, a) or eq(total, b)):
+            _record(report, "is_selective", f"{a!r} ⊕ {b!r} is neither summand")
+        if not eq(total, add(b, a)):
             _record(report, "is_commutative_add", f"{a!r} ⊕ {b!r} not commutative")
         if not eq(mul(a, b), mul(b, a)):
             _record(report, "is_commutative_mul", f"{a!r} ⊗ {b!r} not commutative")

@@ -136,3 +136,16 @@ def test_evaluation_reuses_precomputed_grounding():
     ground = relevant_grounding(transitive_closure(), db)
     result = naive_evaluation(transitive_closure(), db, BOOLEAN, ground=ground)
     assert result.value(Fact("T", (0, 2)))
+
+
+@pytest.mark.parametrize("semiring", [BOOLEAN, TROPICAL], ids=lambda s: s.name)
+def test_oracle_reads_an_underived_stored_idb_fact_as_zero(semiring):
+    """``T(0, 2)`` is stored and read by a rule body, but no rule
+    derives it: the oracle reads it as 0, as the columnar kernel does."""
+    from tests.oracle import ORACLE, assert_same_result
+
+    db = Database([Fact("E", (0, 1)), Fact("E", (1, 0)), Fact("E", (2, 1)), Fact("T", (0, 2))])
+    fast = naive_evaluation(transitive_closure(), db, semiring)
+    oracle = naive_evaluation(transitive_closure(), db, semiring, config=ORACLE)
+    assert len(fast.values) == 6
+    assert_same_result(oracle, fast, semiring)

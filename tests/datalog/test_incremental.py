@@ -6,32 +6,41 @@ interleaving of single-fact inserts, retracts and reweights is
 not just the values, but the live ground-rule set, the Jacobi
 iteration count and the per-round rule-evaluation counter, because the
 columnar kernel's trajectory depends only on the ground-rule set that
-counting maintenance / DRed pruning keeps exactly equal to a fresh
-grounding's.
+incremental regrounding and the liveness repair keep exactly equal to
+a fresh grounding's.
 
 Three layers:
 
 * a Hypothesis :class:`RuleBasedStateMachine` drives random
-  insert/retract/reweight/query streams over a DAG edge universe and
-  checks the full equivalence invariant after **every** step, for
-  BOOLEAN/COUNTING on an unweighted database and TROPICAL/COUNTING on
-  an integer-weighted one (integer weights keep both semirings'
-  arithmetic exact, so ``==`` is the right comparison), with a sampled
-  query rule sweeping all four (engine, strategy) pairs, the naive
-  oracle included;
+  insert/retract/reweight/query streams and checks the full
+  equivalence invariant after **every** step: TC over a DAG edge
+  universe for BOOLEAN/COUNTING on an unweighted database and
+  TROPICAL/COUNTING on an integer-weighted one (weight ``0`` included,
+  which ties witness candidates; integer weights keep both semirings'
+  arithmetic exact, so ``==`` is the right comparison), and cyclic
+  Dyck-1 -- whose EDB facts can go unread -- for TROPICAL/FUZZY on
+  quarter weights, from a database holding a stored IDB fact.  A
+  sampled query rule sweeps all four (engine, strategy) pairs, the
+  naive oracle included, and a second invariant checks that every
+  witness is a live rule whose cached term equals its head's value
+  and that the witness graph is acyclic;
 * metamorphic insert-then-retract tests: applying a batch of inserts
   and then retracting it (in reverse or shuffled order) must restore
   the *exact* prior state -- values, iterations, rule evaluations,
   ground-rule keys, per-fact support counts, symbol-table length and
   pattern-index row accounting all come back, on both the tuple and
   columnar fixpoint pipelines;
-* targeted edge cases: cold start from an empty database, cyclic
+* targeted edge cases: cold start from an empty database, a
+  reweight of a fact no live rule reads, retracts that repair only
+  the witness region, improving reweights that repair nothing,
+  tombstones compacted only when the grounding is read, cyclic
   programs whose capped (diverged) state must self-heal through the
   full-kernel refresh path, the IDB-write guard, and listener
   plumbing.
 """
 
 import random
+from graphlib import TopologicalSorter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -39,7 +48,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import pytest
 
-from repro.api import solve
+from repro.api import Session, solve
 from repro.datalog import (
     Database,
     DatalogError,
@@ -49,13 +58,15 @@ from repro.datalog import (
     SymbolTable,
     columnar_grounding,
     default_symbols,
+    dyck1,
     parse_program,
     transitive_closure,
 )
-from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from repro.semirings import BOOLEAN, COUNTING, FUZZY, TROPICAL
 from tests.oracle import ORACLE, PAIRS
 
 TC = transitive_closure()
+DYCK = dyck1()
 COLUMNAR_ENGINE = FixpointEngine()
 
 #: DAG edge universe: u < v over six vertices, so every stream state
@@ -66,12 +77,47 @@ EDGE_UNIVERSE = [
 ]
 
 
+#: Dyck-1 bracket universe over three vertices, cycles included.
+BRACKETS = [(label, u, v) for label in "LR" for u in range(3) for v in range(3)]
+#: Quarter weights: exact in both tropical sums and fuzzy min/max.
+QUARTERS = [0.0, 0.25, 0.5, 1.0]
+#: A stored IDB fact: a fresh grounding takes it as given.
+DYCK_SEED = Fact("S", (2, 0))
+
+
 def weighted_replay(live):
     return Database.from_edges(live, weights=dict(live))
 
 
 def plain_replay(live):
     return Database.from_edges(live)
+
+
+def dyck_replay(live):
+    database = Database([DYCK_SEED])
+    for (label, u, v), weight in live.items():
+        database.add_fact(Fact(label, (u, v)), weight)
+    return database
+
+
+def assert_witnesses_sound(fix):
+    """Every witness is a live rule deriving its fact whose cached
+    term ``eq``s the fact's value, and no witness chain is cyclic."""
+    cground = fix._cground
+    for state in fix._states():
+        witness = state.witness
+        if witness is None:
+            continue
+        eq = state.semiring.eq
+        reads = {}
+        for fid, position in enumerate(witness):
+            if position < 0:
+                continue
+            assert position in fix._head_rules.get(fid, ()), (state.semiring.name, fid)
+            assert eq(state.rule_term[position], state.value[fid]), (state.semiring.name, fid)
+            body = cground.idb_flat[cground.idb_indptr[position] : cground.idb_indptr[position + 1]]
+            reads[fid] = [b for b in body if witness[b] >= 0]
+        tuple(TopologicalSorter(reads).static_order())  # CycleError on a cycle
 
 
 def result_key(result):
@@ -94,10 +140,14 @@ class StreamMachine(RuleBasedStateMachine):
         self.wfix = MaintainedFixpoint(TC, self.weighted, semirings=(TROPICAL, COUNTING))
         self.pfix = MaintainedFixpoint(TC, self.plain, semirings=(BOOLEAN, COUNTING))
         self.live = {}  # (u, v) → integer weight (as float)
+        # Dyck-1 starts from a database holding only a stored IDB fact.
+        self.brackets = dyck_replay({})
+        self.dfix = MaintainedFixpoint(DYCK, self.brackets, semirings=(TROPICAL, FUZZY))
+        self.dlive = {}  # (label, u, v) → quarter weight
 
     @rule(
         edge=st.sampled_from(EDGE_UNIVERSE),
-        weight=st.integers(min_value=1, max_value=9),
+        weight=st.integers(min_value=0, max_value=9),
     )
     def insert(self, edge, weight):
         u, v = edge
@@ -116,7 +166,7 @@ class StreamMachine(RuleBasedStateMachine):
         del self.live[edge]
 
     @precondition(lambda self: self.live)
-    @rule(data=st.data(), weight=st.integers(min_value=1, max_value=9))
+    @rule(data=st.data(), weight=st.integers(min_value=0, max_value=9))
     def reweight(self, data, weight):
         edge = data.draw(st.sampled_from(sorted(self.live)))
         # Routed through the *database*, not the maintainer wrapper:
@@ -124,10 +174,48 @@ class StreamMachine(RuleBasedStateMachine):
         self.weighted.set_weight(Fact("E", edge), float(weight))
         self.live[edge] = float(weight)
 
+    def dyck_write(self, kind, bracket, weight=None):
+        label, u, v = bracket
+        if kind == "insert":
+            assert self.dfix.insert(label, u, v, weight=weight) is (bracket not in self.dlive)
+            self.dlive[bracket] = weight
+        elif kind == "retract":
+            self.dfix.retract(label, u, v)
+            del self.dlive[bracket]
+        else:
+            self.brackets.set_weight(Fact(label, (u, v)), weight)
+            self.dlive[bracket] = weight
+
+    @rule(bracket=st.sampled_from(BRACKETS), weight=st.sampled_from(QUARTERS))
+    def dyck_insert(self, bracket, weight):
+        self.dyck_write("insert", bracket, weight)
+
+    @precondition(lambda self: self.dlive)
+    @rule(data=st.data())
+    def dyck_retract(self, data):
+        self.dyck_write("retract", data.draw(st.sampled_from(sorted(self.dlive))))
+
+    @precondition(lambda self: self.dlive)
+    @rule(data=st.data(), weight=st.sampled_from(QUARTERS))
+    def dyck_reweight(self, data, weight):
+        self.dyck_write("weight", data.draw(st.sampled_from(sorted(self.dlive))), weight)
+
+    @precondition(lambda self: len(self.dlive) >= 2)
+    @rule(data=st.data(), weight=st.sampled_from(QUARTERS))
+    def dyck_reweight_while_absent(self, data, weight):
+        """Reweight one bracket while another is briefly gone: the
+        absence can leave the reweighted fact read by no live rule,
+        and the re-arrival makes it read again."""
+        gone, other = data.draw(st.permutations(sorted(self.dlive)))[:2]
+        restored = self.dlive[gone]
+        self.dyck_write("retract", gone)
+        self.dyck_write("weight", other, weight)
+        self.dyck_write("insert", gone, restored)
+
     @rule()
     def query_matrix(self):
         """Every (engine, strategy) pipeline agrees with the maintained
-        state (the derivable set and all three semirings)."""
+        state (the derivable set and every tracked semiring)."""
         wdb, pdb = weighted_replay(self.live), plain_replay(self.live)
         expect_bool = nonzero(BOOLEAN, self.pfix.values(BOOLEAN))
         expect_trop = nonzero(TROPICAL, self.wfix.values(TROPICAL))
@@ -140,6 +228,12 @@ class StreamMachine(RuleBasedStateMachine):
             assert nonzero(TROPICAL, got.values) == expect_trop
             got = pipeline.evaluate(TC, wdb, COUNTING)
             assert nonzero(COUNTING, got.values) == expect_count
+        ddb = dyck_replay(self.dlive)
+        for semiring in (TROPICAL, FUZZY):
+            expect = nonzero(semiring, self.dfix.values(semiring))
+            for config in PAIRS:
+                got = FixpointEngine(config=config).evaluate(DYCK, ddb, semiring)
+                assert nonzero(semiring, got.values) == expect
 
     @invariant()
     def matches_recompute(self):
@@ -155,10 +249,21 @@ class StreamMachine(RuleBasedStateMachine):
             assert result_key(self.pfix.result(semiring)) == result_key(fresh)
         assert self.wfix.rule_keys() == columnar_grounding(TC, wdb).rule_keys()
         assert self.pfix.rule_keys() == columnar_grounding(TC, pdb).rule_keys()
+        ddb = dyck_replay(self.dlive)
+        for semiring in (TROPICAL, FUZZY):
+            fresh = COLUMNAR_ENGINE.evaluate(DYCK, ddb, semiring)
+            assert self.dfix.values(semiring) == fresh.values
+            assert result_key(self.dfix.result(semiring)) == result_key(fresh)
+        assert self.dfix.rule_keys() == columnar_grounding(DYCK, ddb).rule_keys()
+
+    @invariant()
+    def witnesses_are_sound(self):
+        for fix in (self.wfix, self.pfix, self.dfix):
+            assert_witnesses_sound(fix)
 
 
 StreamMachine.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=12, deadline=None
+    max_examples=30, stateful_step_count=16, deadline=None
 )
 
 TestStreamMachine = StreamMachine.TestCase
@@ -299,8 +404,8 @@ def test_cold_start_from_empty_database():
 
 def test_retract_keeps_stored_idb_facts_alive():
     """A fresh grounding takes an IDB fact stored in the database as
-    given, so DRed must rederive it -- and its consumers -- even after
-    the only rule deriving it dies."""
+    given, so it must stay alive -- and its consumers with it -- even
+    after the only rule deriving it dies."""
     database = Database([Fact("E", (1, 2)), Fact("E", (2, 3)), Fact("T", (1, 2))])
     fix = MaintainedFixpoint(TC, database, semirings=(TROPICAL,))
     database.retract("E", 1, 2)
@@ -308,6 +413,107 @@ def test_retract_keeps_stored_idb_facts_alive():
     assert Fact("T", (1, 3)) in fresh.values
     assert fix.values(TROPICAL) == fresh.values
     assert fix.rule_keys() == columnar_grounding(TC, database).rule_keys()
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["tracked", "tracked-late"])
+@pytest.mark.parametrize("semiring", [TROPICAL, COUNTING], ids=lambda s: s.name)
+def test_reweight_of_an_unread_fact_reaches_a_later_reader(semiring, late):
+    """Retracting ``L(3,4)`` leaves ``R(4,4)`` read by no live rule; its
+    reweight must still land in the maintained slot -- also for a
+    semiring first tracked while it is unread -- because the re-insert
+    of ``L(3,4)`` creates a rule reading it again."""
+    database = Database()
+    database.add_fact(Fact("L", (3, 4)), 1.0)
+    database.add_fact(Fact("R", (4, 4)), 5.0)
+    fix = MaintainedFixpoint(DYCK, database, semirings=() if late else (semiring,))
+    fix.retract("L", 3, 4)
+    database.set_weight(Fact("R", (4, 4)), 2.0)
+    fix.track(semiring)
+    fix.insert("L", 3, 4, weight=1.0)
+    fresh = COLUMNAR_ENGINE.evaluate(DYCK, database, semiring)
+    assert fresh.values == {Fact("S", (3, 4)): semiring.mul(1.0, 2.0)}
+    assert fix.values(semiring) == fresh.values
+
+
+def ring(n, chords=()):
+    """A strongly connected ring with distinct weights: every T fact
+    is downstream of every edge."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + list(chords)
+    return Database.from_edges(edges, weights={e: float(1 + i) for i, e in enumerate(edges)})
+
+
+def recorded_regions(fix, monkeypatch):
+    """The region of every repair *fix* runs, per semiring name."""
+    regions = []
+    real = MaintainedFixpoint._repair
+
+    def spy(self, tracked, region, dirty):
+        regions.append((tracked.semiring.name, len(region)))
+        return real(self, tracked, region, dirty)
+
+    monkeypatch.setattr(MaintainedFixpoint, "_repair", spy)
+    return regions
+
+
+def test_retract_repairs_only_the_witness_region(monkeypatch):
+    database = ring(8, chords=[(0, 4), (2, 6)])
+    fix = MaintainedFixpoint(TC, database, semirings=(TROPICAL,))
+    cone = len(fix.values(TROPICAL))  # strongly connected: every T fact
+    assert cone == 64
+    regions = recorded_regions(fix, monkeypatch)
+    fix.retract("E", 0, 1)
+    assert fix.values(TROPICAL) == COLUMNAR_ENGINE.evaluate(TC, database, TROPICAL).values
+    (live, live_size), (name, size) = regions
+    assert (live, name) == ("boolean", "tropical")
+    assert 0 < size < cone and live_size < cone
+    assert_witnesses_sound(fix)
+
+
+def test_improving_reweight_ascends_without_a_reset(monkeypatch):
+    """A tropical decrease is an improvement: it ascends like an insert
+    and repairs no region; an increase repairs the witness region."""
+    database = dag_database(seed=2)
+    fix = MaintainedFixpoint(TC, database, semirings=(TROPICAL, COUNTING))
+    regions = recorded_regions(fix, monkeypatch)
+    edge = Fact("E", (2, 3))
+    assert database.weight(edge) >= 1.0
+    for weight in (0.5, 0.5, 9.0):
+        database.set_weight(edge, weight)
+        assert fix.values(TROPICAL) == COLUMNAR_ENGINE.evaluate(TC, database, TROPICAL).values
+        assert fix.values(COUNTING) == COLUMNAR_ENGINE.evaluate(TC, database, COUNTING).values
+    # COUNTING keeps no witnesses: every reweight repairs its cone.
+    assert [name for name, _ in regions] == ["counting", "counting", "tropical", "counting"]
+    assert_witnesses_sound(fix)
+
+
+def test_dead_rules_stay_tombstones_until_the_grounding_is_read():
+    database = dag_database(seed=4)
+    fix = MaintainedFixpoint(TC, database, semirings=(TROPICAL,))
+    rules = len(fix._cground)
+    fix.retract(next(iter(database.facts("E"))))
+    assert fix._dead and len(fix._cground) == rules
+    fresh = columnar_grounding(TC, database)
+    assert len(fix.cground) == len(fresh)  # reading compacts
+    assert not fix._dead
+    assert fix.rule_keys() == fresh.rule_keys()
+    assert_witnesses_sound(fix)
+    for u, v in [(0, 5), (1, 3)]:
+        fix.insert("E", u, v, weight=2.0)
+    assert fix.values(TROPICAL) == COLUMNAR_ENGINE.evaluate(TC, database, TROPICAL).values
+    assert_witnesses_sound(fix)
+
+
+def test_stream_writes_leave_the_grounding_to_the_maintainer():
+    """A stream write does not copy (and so compact) the grounding;
+    ``Session.ground()`` reads the live maintainer instead."""
+    session = Session(TC, dag_database(seed=6))
+    stream = session.stream(TROPICAL)
+    stream.retract(next(iter(session.database.facts("E"))))
+    assert stream.fixpoint._dead
+    ground = session.ground()
+    assert ground is stream.fixpoint._cground and not stream.fixpoint._dead
+    assert ground.rule_keys() == columnar_grounding(TC, session.database).rule_keys()
+    assert session.solve(TROPICAL).values == stream.values(TROPICAL)
 
 
 def test_divergent_counting_self_heals():
