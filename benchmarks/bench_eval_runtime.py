@@ -47,6 +47,7 @@ from repro.circuits import (  # noqa: E402
     reference_evaluate_all,
     reference_evaluate_boolean,
 )
+from repro.circuits.runtime import WORD_SIZE  # noqa: E402
 from repro.constructions import bellman_ford_circuit, generic_circuit  # noqa: E402
 from repro.datalog import Database, Fact, dyck1  # noqa: E402
 from repro.semirings import TROPICAL  # noqa: E402
@@ -56,7 +57,6 @@ SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 ROUNDS = 3 if SMOKE else 5  # timing repetitions; best-of guards against scheduler noise
 SINGLE_REPS = 30 if SMOKE else 100
 BOOL_ROUNDS = 2 if SMOKE else 8
-WORD = 64
 
 TRAJECTORY = REPO_ROOT / "BENCH_eval_runtime.json"
 
@@ -157,9 +157,9 @@ def test_eval_runtime_boolean_batch(benchmark):
     """64-wide bitset batches ≥ 10× one-at-a-time interpreter passes."""
     _db, _weights, circuit = bellman_ford_workload()
     compiled = compile_circuit(circuit)
-    batches = random_true_sets(circuit, WORD, seed=1)
+    batches = random_true_sets(circuit, WORD_SIZE, seed=1)
     expected = [reference_evaluate_boolean(circuit, trues) for trues in batches]
-    got = compiled.evaluate_boolean_batch(batches, word_size=WORD)
+    got = compiled.evaluate_boolean_batch(batches)
     assert got == expected  # exact equality, all 64 lanes
 
     interp = best_of(
@@ -168,16 +168,11 @@ def test_eval_runtime_boolean_batch(benchmark):
             for _ in range(BOOL_ROUNDS)
         ]
     )
-    batched = best_of(
-        lambda: [
-            compiled.evaluate_boolean_batch(batches, word_size=WORD)
-            for _ in range(BOOL_ROUNDS)
-        ]
-    )
-    evaluations = WORD * BOOL_ROUNDS
+    batched = best_of(lambda: [compiled.evaluate_boolean_batch(batches) for _ in range(BOOL_ROUNDS)])
+    evaluations = WORD_SIZE * BOOL_ROUNDS
     report = PerfReport("bitset-parallel Boolean batches (64 lanes/pass)")
     report.add("interpreter/bellman-ford", interp, evaluations, extra=f"size={circuit.size}")
-    report.add("bitset-batch/bellman-ford", batched, evaluations, extra=f"{WORD} lanes")
+    report.add("bitset-batch/bellman-ford", batched, evaluations, extra=f"{WORD_SIZE} lanes")
     report.print()
     speedup = interp / batched
     assert speedup >= 10.0, (
@@ -190,7 +185,7 @@ def test_eval_runtime_boolean_batch(benchmark):
         {
             "smoke": SMOKE,
             "size": circuit.size,
-            "word_size": WORD,
+            "word_size": WORD_SIZE,
             "speedup": speedup,
             "rows": report.as_records(),
         },

@@ -8,6 +8,7 @@ Run:  python examples/auto_construction.py
 """
 
 from repro.circuits import evaluate
+from repro.config import ExecutionConfig
 from repro.constructions import provenance_circuit
 from repro.datalog import (
     Database,
@@ -44,7 +45,9 @@ def main() -> None:
     cases.append((dyck1(), ldb, Fact("S", (0, 4)), lweights, True))
 
     for program, database, fact, valuation, optimize_depth in cases:
-        choice = provenance_circuit(program, database, fact, optimize_depth=optimize_depth)
+        choice = provenance_circuit(
+            program, database, fact, config=ExecutionConfig(optimize_depth=optimize_depth)
+        )
         value = evaluate(choice.circuit, TROPICAL, valuation)
         flag = " (depth-optimized)" if optimize_depth else ""
         print(f"\n{fact}{flag}")

@@ -7,8 +7,8 @@ Each layer exposes its own entry point (``relevant_grounding``,
 (DESIGN.md §10):
 
 * :class:`~repro.config.ExecutionConfig` -- one frozen bundle of the
-  engine × strategy × construction × backend knobs, accepted by every
-  layer;
+  engine × strategy × construction × optimize_depth × prune knobs,
+  accepted by every layer;
 * :func:`solve` -- the one-shot "evaluate this program on this
   database over this semiring" call;
 * :class:`Session` -- the compile-once handle: it caches the
@@ -262,20 +262,6 @@ class Session:
     def compiled(self, fact: Fact) -> CompiledCircuit:
         """The compiled circuit for output *fact* (cached end to end)."""
         return self.circuit(fact).compiled()
-
-    def evaluate_batch(self, fact: Fact, semiring: Semiring, assignments) -> list:
-        """Many valuations of *fact*'s circuit, one compile.
-
-        Threads ``config.backend`` (DESIGN.md §13) into the runtime:
-        under ``"vectorized"``/``"auto"`` each maximal same-opcode
-        instruction stream runs as one NumPy array expression over the
-        assignment matrix, falling back to the pure-Python interpreter
-        whenever the semiring or the batch values are outside the ufunc
-        contract.
-        """
-        return self.circuit(fact).evaluate_batch(
-            semiring, assignments, backend=self.config.backend
-        )
 
     def serve(
         self,

@@ -26,8 +26,8 @@ input gate.  This module amortizes all of that over a batch
   one pass it speeds up.
 * :func:`evaluate_batch` reuses one compiled form and one variable
   table across a whole batch of assignments, for *any* semiring.
-* :func:`evaluate_boolean_batch` packs up to ``word_size`` (default
-  64) true-variable sets into one Python-int bitmask per node and
+* :func:`evaluate_boolean_batch` packs up to :data:`WORD_SIZE` (64)
+  true-variable sets into one Python-int bitmask per node and
   evaluates them all in a single ``|``/``&`` pass -- the workhorse for
   the transfer arguments (Prop. 3.6), the boundedness checker's
   equivalence probes and Monte-Carlo fact-reliability sweeps.
@@ -57,6 +57,7 @@ __all__ = [
     "IncrementalEvaluator",
     "BITSET_ADD_EXPR",
     "BITSET_MUL_EXPR",
+    "WORD_SIZE",
 ]
 
 Assignment = Mapping[Hashable, object] | Callable[[Hashable], object]
@@ -65,6 +66,10 @@ Assignment = Mapping[Hashable, object] | Callable[[Hashable], object]
 #: bitwise-and, one mask bit per packed Boolean assignment.
 BITSET_ADD_EXPR = "({a} | {b})"
 BITSET_MUL_EXPR = "({a} & {b})"
+
+#: Assignments packed into one bitmask word by
+#: :meth:`CompiledCircuit.evaluate_boolean_batch`.
+WORD_SIZE = 64
 
 #: Above this many nodes the closure compiler stops emitting
 #: straight-line code (one statement per gate, values in locals) and
@@ -430,30 +435,11 @@ class CompiledCircuit:
         semiring: Semiring,
         assignments: Iterable[Assignment],
         output: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> List:
         """One value per assignment, amortizing the compile and the
-        kernel lookup across the whole batch.
-
-        ``backend`` selects the numeric kernels (DESIGN.md §13):
-        ``"vectorized"`` runs each independent instruction chunk as one
-        NumPy ufunc call over the whole assignment matrix, falling back
-        to the per-assignment Python runner whenever the vectorized
-        kernel declines (unsupported semiring, unrepresentable values);
-        ``None``/``"python"`` is the default Python path.
-        """
+        kernel lookup across the whole batch."""
         out = self.resolve_output(output)
         position = self._output_position(out)
-        if backend is not None:
-            from ..backends import resolve_backend
-
-            if resolve_backend(backend) == "vectorized":
-                from ..backends.vectorized import vectorized_evaluate_batch
-
-                assignments = list(assignments)
-                batched = vectorized_evaluate_batch(self, semiring, assignments, out, position)
-                if batched is not None:
-                    return batched
         bind = self.bind
         if position is None:
             runner = self._runner(semiring)
@@ -465,19 +451,16 @@ class CompiledCircuit:
         self,
         batches: Iterable[Iterable[Hashable]],
         output: Optional[int] = None,
-        word_size: int = 64,
     ) -> List[bool]:
         """Bitset-parallel Boolean evaluation of many true-variable sets.
 
         Each element of *batches* is a collection of variable labels
         to set ``True`` (labels absent from the circuit are ignored,
-        matching ``evaluate_boolean``).  Up to *word_size* assignments
-        are packed into one integer bitmask per node and evaluated in
-        a single ``|``/``&`` pass; returns one ``bool`` per input
-        assignment, in order.
+        matching ``evaluate_boolean``).  Up to :data:`WORD_SIZE`
+        assignments are packed into one integer bitmask per node and
+        evaluated in a single ``|``/``&`` pass; returns one ``bool``
+        per input assignment, in order.
         """
-        if word_size < 1:
-            raise ValueError("word_size must be positive")
         out = self.resolve_output(output)
         position = self._output_position(out)
         if position is None:
@@ -490,8 +473,8 @@ class CompiledCircuit:
         num_slots = len(self.var_labels)
         batch_list = list(batches)
         results: List[bool] = []
-        for start in range(0, len(batch_list), word_size):
-            chunk = batch_list[start : start + word_size]
+        for start in range(0, len(batch_list), WORD_SIZE):
+            chunk = batch_list[start : start + WORD_SIZE]
             width = len(chunk)
             full = (1 << width) - 1
             masks = [0] * num_slots
@@ -522,20 +505,18 @@ def evaluate_batch(
     semiring: Semiring,
     assignments: Iterable[Assignment],
     output: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List:
     """Batch evaluation over an arbitrary semiring (compiles once)."""
-    return compile_circuit(circuit).evaluate_batch(semiring, assignments, output, backend=backend)
+    return compile_circuit(circuit).evaluate_batch(semiring, assignments, output)
 
 
 def evaluate_boolean_batch(
     circuit: Circuit | CompiledCircuit,
     batches: Iterable[Iterable[Hashable]],
     output: Optional[int] = None,
-    word_size: int = 64,
 ) -> List[bool]:
     """Bitset-parallel Boolean batch evaluation (compiles once)."""
-    return compile_circuit(circuit).evaluate_boolean_batch(batches, output, word_size)
+    return compile_circuit(circuit).evaluate_boolean_batch(batches, output)
 
 
 class IncrementalEvaluator:

@@ -4,13 +4,15 @@ This module is the single source of truth every layer shares
 (DESIGN.md §10):
 
 * the knob vocabularies (:data:`GROUNDING_ENGINES`,
-  :data:`FIXPOINT_STRATEGIES`, :data:`CONSTRUCTIONS`, :data:`BACKENDS`)
-  and their defaults, re-exported by the layers that historically
+  :data:`FIXPOINT_STRATEGIES`, :data:`CONSTRUCTIONS`) and their
+  defaults, re-exported by the layers that historically
   defined them;
 * :class:`ExecutionConfig`, the one value every layer accepts via a
   ``config=`` keyword -- grounding, fixpoint, circuit construction,
   the :mod:`repro.api` facade and the serving stack
-  (:mod:`repro.serving`) all thread the same frozen object.
+  (:mod:`repro.serving`) all thread the same frozen object.  Its five
+  knobs are ``engine``, ``strategy``, ``construction``,
+  ``optimize_depth`` and ``prune``.
 
 Grounding and fixpoint each have exactly one fast path (``columnar``,
 the default) and one paper-literal reference oracle (``naive``); the
@@ -33,8 +35,6 @@ __all__ = [
     "DEFAULT_FIXPOINT_STRATEGY",
     "CONSTRUCTIONS",
     "DEFAULT_CONSTRUCTION",
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "ExecutionConfig",
     "DEFAULT_CONFIG",
     "coerce_config",
@@ -58,19 +58,10 @@ DEFAULT_FIXPOINT_STRATEGY = "columnar"
 CONSTRUCTIONS: Tuple[str, ...] = ("auto", "generic", "fringe")
 DEFAULT_CONSTRUCTION = "auto"
 
-#: Numeric kernel backends (DESIGN.md §13): ``python`` runs the
-#: exec-generated pure-Python kernels (no dependencies), ``vectorized``
-#: runs whole-column NumPy ufunc expressions over the same buffers and
-#: requires NumPy (the ``perf`` extra), ``auto`` picks ``vectorized``
-#: when NumPy is importable and falls back to ``python`` otherwise.
-BACKENDS: Tuple[str, ...] = ("python", "vectorized", "auto")
-DEFAULT_BACKEND = "python"
-
 _VOCABULARIES = {
     "engine": GROUNDING_ENGINES,
     "strategy": FIXPOINT_STRATEGIES,
     "construction": CONSTRUCTIONS,
-    "backend": BACKENDS,
 }
 
 
@@ -94,7 +85,6 @@ class ExecutionConfig:
     strategy: Optional[str] = None
     construction: Optional[str] = None
     optimize_depth: bool = False
-    backend: Optional[str] = None
     #: Drop rules unreachable from the target before grounding
     #: (:func:`repro.datalog.analysis.prune_unreachable`).  Off by
     #: default: pruning is exact for the target cone but removes
@@ -102,7 +92,7 @@ class ExecutionConfig:
     prune: bool = False
 
     def __post_init__(self) -> None:
-        for field in ("engine", "strategy", "construction", "backend"):
+        for field in ("engine", "strategy", "construction"):
             value = getattr(self, field)
             allowed = _VOCABULARIES[field]
             if value is not None and value not in allowed:
@@ -124,17 +114,6 @@ class ExecutionConfig:
     @property
     def resolved_construction(self) -> str:
         return self.construction or DEFAULT_CONSTRUCTION
-
-    @property
-    def resolved_backend(self) -> str:
-        """The configured backend name with the default applied.
-
-        Note this is the *name* resolution only; ``"auto"`` is resolved
-        against NumPy availability lazily at evaluation time by
-        :func:`repro.backends.resolve_backend`, so building a config
-        never imports NumPy.
-        """
-        return self.backend or DEFAULT_BACKEND
 
     def evolve(self, **changes) -> "ExecutionConfig":
         """A copy with *changes* applied (``dataclasses.replace``)."""

@@ -64,19 +64,13 @@ class ConstructionChoice:
         """One valuation query against the compiled circuit."""
         return self.compiled().evaluate(semiring, assignment, output)
 
-    def evaluate_batch(self, semiring, assignments, output=None, backend=None):
-        """Many valuation queries, one compile (see ``evaluate_batch``).
+    def evaluate_batch(self, semiring, assignments, output=None):
+        """Many valuation queries, one compile (see ``evaluate_batch``)."""
+        return self.compiled().evaluate_batch(semiring, assignments, output)
 
-        *backend* threads the DESIGN.md §13 execution backend through to
-        the compiled runtime (``"vectorized"`` evaluates each same-opcode
-        instruction stream as one NumPy array expression when the
-        semiring publishes ufunc specs; any other value keeps the pure
-        Python interpreter)."""
-        return self.compiled().evaluate_batch(semiring, assignments, output, backend=backend)
-
-    def evaluate_boolean_batch(self, batches, output=None, word_size=64):
+    def evaluate_boolean_batch(self, batches, output=None):
         """Bitset-parallel Boolean queries, 64 per pass."""
-        return self.compiled().evaluate_boolean_batch(batches, output, word_size)
+        return self.compiled().evaluate_boolean_batch(batches, output)
 
     def serve(self, semiring, assignment) -> IncrementalEvaluator:
         """An incremental evaluator seeded with *assignment* -- the
@@ -88,7 +82,6 @@ def provenance_circuit(
     program: Program,
     database: Database,
     fact: Fact,
-    optimize_depth: bool = False,
     config: ConfigLike = None,
 ) -> ConstructionChoice:
     """Build a provenance circuit for *fact*, choosing the construction
@@ -96,12 +89,10 @@ def provenance_circuit(
 
     *config* threads the unified execution knobs (DESIGN.md §10):
     ``config.engine`` selects the grounding join engine behind every
-    construction, and ``config.optimize_depth`` is the facade spelling
-    of the *optimize_depth* flag (either one requests the fringe
-    construction when the program class allows it).
+    construction, and ``config.optimize_depth`` requests the fringe
+    construction when the program class allows it.
     """
     config = coerce_config(config)
-    optimize_depth = optimize_depth or config.optimize_depth
     if fact.predicate != program.target:
         program = program.with_target(fact.predicate)
 
@@ -139,7 +130,7 @@ def provenance_circuit(
             "unary IDBs keep the grounding at O(m)",
         )
 
-    if optimize_depth and (program.is_linear() or program.is_basic_chain()):
+    if config.optimize_depth and (program.is_linear() or program.is_basic_chain()):
         circuit = fringe_circuit(program, database, fact, config=config)
         return ConstructionChoice(
             circuit,

@@ -33,7 +33,19 @@ from ..semirings.base import Semiring
 from .ast import Fact
 from .store import ColumnarStore, SymbolTable
 
-__all__ = ["Database"]
+__all__ = ["Database", "check_weight"]
+
+
+def check_weight(weight: object) -> None:
+    """Raise ``ValueError`` if *weight* is a float NaN.
+
+    NaN is outside the domain of every built-in semiring: ``min``/``max``
+    folds over it depend on operand order, so the fixpoint strategies
+    would stop agreeing with each other.  Every weight a database
+    stores and every ``weights=`` override of a fixpoint passes here.
+    """
+    if isinstance(weight, float) and weight != weight:
+        raise ValueError("NaN is not a semiring value")
 
 
 class Database:
@@ -74,6 +86,7 @@ class Database:
         return self.add_fact(fact, weight)
 
     def add_fact(self, fact: Fact, weight: object = None) -> Fact:
+        check_weight(weight)
         relation = self._relations.setdefault(fact.predicate, set())
         new = fact.args not in relation
         if new:
@@ -276,6 +289,7 @@ class Database:
     def set_weight(self, fact: Fact, weight: object) -> None:
         if fact not in self:
             raise KeyError(f"{fact} not in database")
+        check_weight(weight)
         self._weights[fact] = weight
         self._reweight(fact, weight)
         for maintainer in tuple(self._maintainers):

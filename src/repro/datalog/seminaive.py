@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from ..backends import resolve_backend
 from ..config import (
     DEFAULT_FIXPOINT_STRATEGY,
     FIXPOINT_STRATEGIES,
@@ -49,7 +48,7 @@ from ..config import (
 from ..semirings.base import Semiring
 from .analysis import prune_unreachable, require_valid
 from .ast import Fact, Program
-from .database import Database
+from .database import Database, check_weight
 from .evaluation import DivergenceError, EvaluationResult, _naive_fixpoint
 from .grounding import (
     ColumnarGroundProgram,
@@ -159,6 +158,8 @@ class FixpointEngine:
             ground = self.ground(program, database)
         edb_value = database.valuation(semiring)  # already a fresh copy
         if weights:
+            for weight in weights.values():
+                check_weight(weight)
             edb_value.update(weights)
         if self.strategy == NAIVE:
             if isinstance(ground, ColumnarGroundProgram):
@@ -175,18 +176,9 @@ class FixpointEngine:
             head_fids = ground.idb_fact_ids()
             if max_iterations is None:
                 max_iterations = max(len(head_fids), 1) + 2
-            # Backend dispatch (DESIGN.md §13): the vectorized kernel
-            # may decline (returns None) whenever bit-exact parity with
-            # the Python loop is not provable; both are deterministic,
-            # so the from-scratch fallback is exact.
-            result = None
-            if resolve_backend(self.config.backend) == "vectorized":
-                from ..backends.vectorized import vectorized_columnar_fixpoint
-
-                result = vectorized_columnar_fixpoint(ground, semiring, edb_value, max_iterations)
-            if result is None:
-                result = _columnar_fixpoint(ground, semiring, edb_value, max_iterations)
-            value, iterations, converged, rule_evaluations = result
+            value, iterations, converged, rule_evaluations = _columnar_fixpoint(
+                ground, semiring, edb_value, max_iterations
+            )
             decode = ground.decode_fact
             values = {decode(fid): value[fid] for fid in head_fids}
         if not converged and raise_on_divergence:

@@ -78,24 +78,6 @@ class Semiring(ABC, Generic[T]):
     compiled_add_expr: str | None = None
     compiled_mul_expr: str | None = None
 
-    #: Optional vectorized-backend specializations (DESIGN.md §13):
-    #: names of NumPy *binary ufuncs* (looked up as ``getattr(numpy,
-    #: name)``) that compute ``⊕`` / ``⊗`` elementwise over arrays of
-    #: ``vector_dtype``, with semantics identical to :meth:`add` /
-    #: :meth:`mul` on every representable input -- including values
-    #: outside the semiring's nominal domain, since the backend mirrors
-    #: the pure-Python fold orders exactly rather than normalizing.
-    #: ``vector_eq_tols`` is an ``(rel_tol, abs_tol)`` pair for
-    #: semirings whose :meth:`eq` is ``math.isclose``-based; ``None``
-    #: means exact ``==`` convergence.  Leaving the ufunc names ``None``
-    #: (the default) opts the semiring out of the vectorized backend:
-    #: :mod:`repro.backends.vectorized` then returns ``None`` and the
-    #: caller falls back to the pure-Python kernels.
-    vector_add_expr: str | None = None
-    vector_mul_expr: str | None = None
-    vector_dtype: str | None = None
-    vector_eq_tols: tuple[float, float] | None = None
-
     # ------------------------------------------------------------------
     # Core interface
     # ------------------------------------------------------------------

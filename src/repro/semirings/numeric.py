@@ -60,9 +60,6 @@ class BooleanSemiring(Semiring[bool]):
     selective = True
     compiled_add_expr = "({a} or {b})"
     compiled_mul_expr = "({a} and {b})"
-    vector_add_expr = "logical_or"
-    vector_mul_expr = "logical_and"
-    vector_dtype = "bool"
 
     @property
     def zero(self) -> bool:
@@ -93,11 +90,6 @@ class CountingSemiring(Semiring[int]):
     absorptive = False
     compiled_add_expr = "({a} + {b})"
     compiled_mul_expr = "({a} * {b})"
-    # int64 columns; repro.backends.vectorized guards against overflow
-    # and bails back to Python bigints when counts approach 2**62.
-    vector_add_expr = "add"
-    vector_mul_expr = "multiply"
-    vector_dtype = "int64"
 
     @property
     def zero(self) -> int:
@@ -174,9 +166,6 @@ class TropicalSemiring(Semiring[float]):
     selective = True
     compiled_add_expr = "({a} if {a} <= {b} else {b})"
     compiled_mul_expr = "({a} + {b})"
-    vector_add_expr = "minimum"
-    vector_mul_expr = "add"
-    vector_dtype = "float64"
 
     @property
     def zero(self) -> float:
@@ -219,10 +208,6 @@ class ViterbiSemiring(Semiring[float]):
     selective = True
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "({a} * {b})"
-    vector_add_expr = "maximum"
-    vector_mul_expr = "multiply"
-    vector_dtype = "float64"
-    vector_eq_tols = (1e-12, 1e-15)
 
     @property
     def zero(self) -> float:
@@ -256,9 +241,6 @@ class FuzzySemiring(Semiring[float]):
     selective = True
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "({a} if {a} <= {b} else {b})"
-    vector_add_expr = "maximum"
-    vector_mul_expr = "minimum"
-    vector_dtype = "float64"
 
     @property
     def zero(self) -> float:
@@ -328,9 +310,6 @@ class ArcticSemiring(Semiring[float]):
     selective = True
     compiled_add_expr = "({a} if {a} >= {b} else {b})"
     compiled_mul_expr = "({a} + {b})"
-    vector_add_expr = "maximum"
-    vector_mul_expr = "add"
-    vector_dtype = "float64"
 
     @property
     def zero(self) -> float:

@@ -66,7 +66,7 @@ from .batcher import BatcherClosed, LaneBatcher
 from .resilience import Deadline, IdempotencyCache, ResilienceConfig, ResilienceStats
 from ..datalog.analysis import ProgramValidationError, analyze_program, require_valid
 from ..datalog.ast import DatalogError, Fact
-from ..datalog.database import Database
+from ..datalog.database import Database, check_weight
 from ..datalog.evaluation import DivergenceError
 from ..datalog.parser import ParseError, parse_atom, parse_program
 from ..testing.faults import FLUSH_RAISE, FLUSH_SLOW, HANDLER_STALL, PARTIAL_WRITE, SOCKET_RESET
@@ -244,9 +244,7 @@ class _CircuitEntry:
         if batcher is None:
             def flush(assignments: List) -> List:
                 self._fault_gate()
-                return self.compiled.evaluate_batch(
-                    semiring, assignments, backend=self.session.config.backend
-                )
+                return self.compiled.evaluate_batch(semiring, assignments)
 
             batcher = LaneBatcher(flush, lane_width=self.lane_width, max_delay=self.max_delay)
             self.numeric_batchers[name] = batcher
@@ -687,8 +685,9 @@ class CircuitServer:
         require_valid(program)
         database = _database_from_body(body)
         # Every config field the body carries (engine, strategy,
-        # construction, optimize_depth, backend, prune); bad values
-        # raise ValueError/TypeError, which _dispatch maps to 400.
+        # construction, optimize_depth, prune); bad values raise
+        # ValueError/TypeError, which _dispatch maps to 400.  Fields
+        # that are not config fields are ignored.
         config = ExecutionConfig(
             **{f.name: body[f.name] for f in dataclasses.fields(ExecutionConfig) if f.name in body}
         )
@@ -756,9 +755,7 @@ class CircuitServer:
                 assignment = dict(base)
                 assignment.update(_parse_weights(raw, "each assignment"))
                 assignments.append(assignment)
-            values = entry.compiled.evaluate_batch(
-                semiring, assignments, backend=entry.session.config.backend
-            )
+            values = entry.compiled.evaluate_batch(semiring, assignments)
             return {"values": values}
         assignment = dict(base)
         assignment.update(_parse_weights(body.get("weights"), "'weights'"))
@@ -818,6 +815,8 @@ class CircuitServer:
         for fact in retracts:
             if fact not in database:
                 raise ServingError(400, f"cannot retract {fact}: not in the database")
+        for weight in [w for _, w in inserts] + list(weights.values()):
+            check_weight(weight)
         known = entry.compiled.var_slots
         structural = any(fact not in known and fact not in database for fact, _ in inserts)
         inserted = 0

@@ -31,6 +31,7 @@ from repro.circuits import (
     reference_evaluate_all,
     reference_evaluate_boolean,
 )
+from repro.circuits.runtime import WORD_SIZE
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL, CappedCountingSemiring
 
 VARIABLES = ["a", "b", "c", "d", "e"]
@@ -105,6 +106,15 @@ def test_evaluate_batch_matches_reference(seed, gates, num_outputs):
                 reference_evaluate_all(circuit, semiring, a)[out] for a in assignments
             ]
             assert evaluate_batch(circuit, semiring, assignments, output=out) == expected
+
+
+def test_evaluate_batch_empty_and_missing_fact():
+    builder = CircuitBuilder()
+    circuit = builder.build(builder.add(builder.mul(builder.var("x"), builder.var("y")), builder.var("z")))
+    compiled = compile_circuit(circuit)
+    assert compiled.evaluate_batch(TROPICAL, []) == []
+    with pytest.raises(KeyError):
+        compiled.evaluate_batch(TROPICAL, [{"x": 1.0, "y": 2.0, "z": 3.0}, {"x": 1.0}])
 
 
 @given(seed=st.integers(0, 10_000), gates=st.integers(1, 30), num_outputs=st.integers(1, 2))
@@ -217,16 +227,15 @@ def test_evaluate_boolean_raises_on_unknown_opcode():
         reference_evaluate_boolean(corrupt, set())
 
 
-def test_bitset_word_size_validation():
+def test_bitset_batches_chunk_into_words():
+    # Two full words and a partial third one.
     builder = CircuitBuilder()
-    circuit = builder.build(builder.var("x"))
-    with pytest.raises(ValueError):
-        evaluate_boolean_batch(circuit, [["x"]], word_size=0)
-    # non-default word sizes chunk identically
-    batches = [["x"] if i % 2 else [] for i in range(10)]
-    assert evaluate_boolean_batch(circuit, batches, word_size=3) == [
-        bool(i % 2) for i in range(10)
-    ]
+    circuit = builder.build(builder.add(builder.mul(builder.var("x"), builder.var("y")), builder.var("z")))
+    rng = random.Random(130)
+    batches = [[label for label in "xyz" if rng.random() < 0.5] for _ in range(130)]
+    assert 2 * WORD_SIZE < len(batches) < 3 * WORD_SIZE
+    expected = [reference_evaluate_boolean(circuit, trues) for trues in batches]
+    assert evaluate_boolean_batch(circuit, batches) == expected
 
 
 def test_variable_table_deduplicates_labels():

@@ -1,6 +1,7 @@
 """The automatic construction dispatcher (the paper's decision tree)."""
 
 from repro.circuits import canonical_polynomial
+from repro.config import ExecutionConfig
 from repro.constructions import provenance_circuit
 from repro.datalog import (
     Database,
@@ -40,7 +41,7 @@ def test_depth_optimized_routes_to_uvg():
     edges = [(0, "L", 1), (1, "R", 2)]
     db = Database.from_labeled_edges(edges)
     fact = Fact("S", (0, 2))
-    choice = provenance_circuit(dyck1(), db, fact, optimize_depth=True)
+    choice = provenance_circuit(dyck1(), db, fact, config=ExecutionConfig(optimize_depth=True))
     assert choice.construction == "ullman-van-gelder"
     assert canonical_polynomial(choice.circuit) == provenance_by_proof_trees(
         dyck1(), db, fact
@@ -61,7 +62,7 @@ def test_same_generation_depth_optimized():
     db.add("Up", "x", "a")
     db.add("Down", "b", "y")
     fact = Fact("SG", ("x", "y"))
-    choice = provenance_circuit(same_generation(), db, fact, optimize_depth=True)
+    choice = provenance_circuit(same_generation(), db, fact, config=ExecutionConfig(optimize_depth=True))
     assert choice.construction == "ullman-van-gelder"
     assert canonical_polynomial(choice.circuit) == provenance_by_proof_trees(
         same_generation(), db, fact

@@ -13,6 +13,7 @@ Two layers are pinned here (DESIGN.md §8):
   plus the probe regression the benchmarks assert.
 """
 
+import pickle
 import random
 
 import pytest
@@ -307,6 +308,23 @@ def test_store_copy_is_independent_and_shares_symbols():
     assert store.size("E") == 1 and clone.size("E") == 2
     assert store.contains_fact(Fact("E", (1, 2)))
     assert not store.contains_fact(Fact("E", (2, 3)))
+
+
+def test_columnar_store_pickle_round_trip():
+    """A store survives a pickle round trip: symbol ids, rows and
+    interning behaviour come back intact."""
+    db = random_digraph(6, 14, seed=19)
+    store = db.columnar_store()
+    clone = pickle.loads(pickle.dumps(store))
+    assert len(clone.symbols) == len(store.symbols)
+    for symbol in range(len(store.symbols)):
+        assert clone.symbols.decode(symbol) == store.symbols.decode(symbol)
+    for predicate in store.predicates():
+        relation, other = store.relation(predicate), clone.relation(predicate)
+        assert other.columns == relation.columns
+        assert len(other) == len(relation)
+    # Interning a fresh constant stays deterministic and local.
+    assert store.symbols.intern("fresh-constant") == clone.symbols.intern("fresh-constant")
 
 
 # -- the Database façade --------------------------------------------------

@@ -1,7 +1,12 @@
 """Annotated databases."""
 
-from repro.datalog import Database, Fact
+import pytest
+
+from repro.api import solve
+from repro.datalog import Database, Fact, transitive_closure
 from repro.semirings import TROPICAL
+from repro.workloads import random_digraph, random_weights
+from tests.oracle import ORACLE
 
 
 def test_add_and_contains():
@@ -55,10 +60,31 @@ def test_set_weight_checks_membership():
     fact = db.add("E", 1, 2)
     db.set_weight(fact, 7.0)
     assert db.weight(fact) == 7.0
-    import pytest
-
     with pytest.raises(KeyError):
         db.set_weight(Fact("E", (9, 9)), 1.0)
+
+
+def test_nan_weights_are_rejected_everywhere():
+    # NaN breaks the semiring laws: a tropical solve with one NaN edge
+    # used to converge in 7 rounds while the naive oracle ran 216
+    # rounds without converging and disagreed with it on 53 facts.
+    db = random_digraph(16, 48, seed=7)
+    weights = random_weights(db, seed=8)
+    first, second = sorted(weights, key=repr)[:2]
+    weights[first] = float("inf")
+    weights[second] = float("nan")
+    for config in (None, ORACLE):
+        with pytest.raises(ValueError, match="NaN"):
+            solve(transitive_closure(), db, TROPICAL, weights=weights, config=config)
+    with pytest.raises(ValueError, match="NaN"):
+        Database(weights=weights)
+    with pytest.raises(ValueError, match="NaN"):
+        db.set_weight(second, float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        db.add("E", 99, 100, weight=float("nan"))
+    assert db.weight(second) is None and Fact("E", (99, 100)) not in db
+    # inf stays a valid tropical weight.
+    db.set_weight(first, float("inf"))
 
 
 def test_from_labeled_edges():

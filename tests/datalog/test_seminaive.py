@@ -24,7 +24,7 @@ from repro.datalog import (
     relevant_grounding,
     transitive_closure,
 )
-from repro.semirings import BOOLEAN, COUNTING, SORP, TROPICAL, CappedCountingSemiring
+from repro.semirings import ARCTIC, BOOLEAN, COUNTING, SORP, TROPICAL, CappedCountingSemiring
 from repro.workloads import cycle_graph, dyck_concatenated_path, random_digraph, random_weights
 from tests.oracle import ORACLE
 
@@ -153,6 +153,20 @@ def test_diverging_value_maps_agree_round_for_round():
             TC, database, COUNTING, max_iterations=rounds
         )
         assert naive.values == semi.values, rounds
+
+
+def test_divergent_arctic_cycle_agrees_with_oracle():
+    # A positive-weight 3-cycle diverges under ARCTIC (max, +): both
+    # evaluators stop at the same cap with the same values.
+    database = Database.from_edges([(1, 2), (2, 3), (3, 1)])
+    weights = {fact: 1.0 for fact in database.facts()}
+    naive = naive_evaluation(
+        TC, database, ARCTIC, weights=weights, max_iterations=50, config=ORACLE
+    )
+    semi = naive_evaluation(TC, database, ARCTIC, weights=weights, max_iterations=50)
+    assert naive.values == semi.values
+    assert naive.iterations == semi.iterations == 50
+    assert not naive.converged and not semi.converged
 
 
 def test_capped_counting_converges_on_cycle():

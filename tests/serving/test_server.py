@@ -21,6 +21,7 @@ from repro.serving import CircuitClient, CircuitServer, ServerError
 
 TC = "T(X,Y) :- E(X,Y).\nT(X,Z) :- T(X,Y), E(Y,Z)."
 EDGES = ["E(0,1)", "E(1,2)", "E(2,3)", "E(0,2)"]
+NAN = float("nan")
 
 
 def run(coro):
@@ -247,7 +248,7 @@ def test_solve_reports_divergence_as_422():
 DEAD_S = TC + "\nS(X) :- A(X), S(X)."
 
 
-def test_register_threads_backend_and_prune_into_the_config():
+def test_register_threads_prune_into_the_config():
     async def scenario():
         server = CircuitServer()
         async with server as (host, port):
@@ -261,16 +262,12 @@ def test_register_threads_backend_and_prune_into_the_config():
                         "facts": EDGES,
                         "output": "T(0,3)",
                         "weights": {"E(0,1)": 1.0, "E(1,2)": 1.0, "E(2,3)": 1.0, "E(0,2)": 5.0},
-                        "backend": "auto",
                         "prune": True,
                     },
                 )
                 assert status == 200
                 config = server._circuits[reg["key"]].session.config
-                assert config.backend == "auto"
                 assert config.prune is True
-                # The numeric lane runs under the requested backend and
-                # still answers exactly.
                 assert await client.evaluate(reg["key"], "tropical") == 3.0
 
     run(scenario())
@@ -295,8 +292,6 @@ def test_bad_config_values_map_to_400_naming_the_vocabulary():
         assert status == 400
         assert "unknown engine 'indexed'" in payload["error"]
         assert "('columnar', 'naive')" in payload["error"]
-        status, payload = await client.request("POST", "/circuits", dict(body, backend="gpu"))
-        assert status == 400 and "unknown backend" in payload["error"]
         status, payload = await client.request("POST", "/circuits", dict(body, prune="yes"))
         assert status == 400 and "prune must be a bool" in payload["error"]
 
@@ -346,6 +341,24 @@ def test_malformed_requests_return_400_not_a_dropped_connection():
         writer.close()
         # The keep-alive client connection is still healthy afterwards.
         assert (await client.healthz())["status"] == "ok"
+
+    run(with_server(scenario))
+
+
+def test_nan_weights_are_rejected_with_400():
+    # json.loads accepts NaN, but NaN is no semiring value.
+    async def scenario(host, port, client):
+        body = {"program": TC, "target": "T", "facts": EDGES, "output": "T(0,3)"}
+        status, payload = await client.request("POST", "/circuits", dict(body, weights={"E(0,1)": NAN}))
+        assert status == 400 and "NaN" in payload["error"]
+        weights = {"E(0,1)": 1.0, "E(1,2)": 1.0, "E(2,3)": 1.0, "E(0,2)": 5.0}
+        reg = await client.register(TC, EDGES, "T(0,3)", target="T", weights=weights)
+        path = f"/circuits/{reg['key']}/facts"
+        for delta in ({"weights": {"E(0,1)": NAN}}, {"insert": [{"fact": "E(3,4)", "weight": NAN}]}):
+            status, payload = await client.request("POST", path, delta)
+            assert status == 400 and "NaN" in payload["error"]
+        # Nothing of the rejected deltas landed.
+        assert await client.evaluate(reg["key"], "tropical") == 3.0
 
     run(with_server(scenario))
 

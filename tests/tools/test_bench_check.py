@@ -135,40 +135,6 @@ def test_smoke_and_full_records_gate_separately(tmp_path):
     assert "[smoke]" in failures[0]
 
 
-def test_backend_tagged_records_gate_separately(tmp_path):
-    # The vectorized bench emits python- and vectorized-tagged records
-    # for the same bench key; each backend has its own baseline, so
-    # only the regression within a backend group fails.
-    path = write_trajectory(
-        tmp_path / "BENCH_t.json",
-        [
-            record("v/bf", speedup=5.0, backend="vectorized"),
-            record("v/bf", speedup=1.0, backend="python"),
-            record("v/bf", speedup=1.1, backend="python"),
-            record("v/bf", speedup=2.0, backend="vectorized"),
-        ],
-    )
-    failures, notes = check_trajectory(path, 0.25)
-    assert len(failures) == 1
-    assert "[vectorized]" in failures[0]
-    assert any("[python]" in note and "OK" in note for note in notes)
-
-
-def test_backend_tag_composes_with_smoke_suffix(tmp_path):
-    path = write_trajectory(
-        tmp_path / "BENCH_t.json",
-        [
-            record("v/bf", speedup=5.0, backend="vectorized", smoke=True),
-            record("v/bf", speedup=2.0, backend="vectorized"),
-            record("v/bf", speedup=4.9, backend="vectorized", smoke=True),
-            record("v/bf", speedup=1.9, backend="vectorized"),
-        ],
-    )
-    failures, notes = check_trajectory(path, 0.25)
-    assert not failures
-    assert any("[vectorized] [smoke]" in note for note in notes)
-
-
 def test_unscored_records_do_not_gate(tmp_path):
     path = write_trajectory(
         tmp_path / "BENCH_t.json",

@@ -37,11 +37,7 @@ fewer than two scored records skips cleanly -- a brand-new bench
 cannot regress against itself.  Smoke-mode records (``"smoke": true``,
 shrunk sweeps) gate separately from full-mode records of the same
 bench key: the two run different representative scales, so comparing
-across modes would measure the sweep, not the code.  Likewise a
-record tagged with a top-level ``"backend"`` field (the vectorized
-NumPy bench emits ``"python"``- and ``"vectorized"``-tagged records)
-gates per backend: the two kernels have different baselines, so
-pooling them would let a slow backend hide behind a fast one.
+across modes would measure the sweep, not the code.
 
 Usage::
 
@@ -114,9 +110,6 @@ def check_trajectory(
     by_key: Dict[str, List[dict]] = {}
     for record in load_records(path):
         key = record.get("bench", "?")
-        backend = record.get("backend")
-        if isinstance(backend, str) and backend:
-            key += f" [{backend}]"
         if record.get("smoke"):
             key += " [smoke]"
         by_key.setdefault(key, []).append(record)
