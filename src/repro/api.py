@@ -42,17 +42,16 @@ from .datalog.analysis import (
     prune_unreachable,
 )
 from .datalog.ast import DatalogError, Fact, Program
-from .datalog.database import Database
+from .datalog.database import Database, check_weight
 from .datalog.evaluation import EvaluationResult
 from .datalog.grounding import ColumnarGroundProgram, GroundProgram
-from .datalog.incremental import MaintainedFixpoint, MaintenancePolicy
+from .datalog.incremental import MaintainedFixpoint
 from .datalog.seminaive import FixpointEngine
 from .semirings import BOOLEAN
 from .semirings.base import Semiring
 
 __all__ = [
     "ExecutionConfig",
-    "MaintenancePolicy",
     "ProgramValidationError",
     "Session",
     "StreamSession",
@@ -280,9 +279,7 @@ class Session:
 
     # -- streaming -----------------------------------------------------
 
-    def stream(
-        self, *semirings: Semiring, policy: Optional[MaintenancePolicy] = None
-    ) -> "StreamSession":
+    def stream(self, *semirings: Semiring) -> "StreamSession":
         """The session's live write handle (lazily created, cached).
 
         Attaches a :class:`~repro.datalog.incremental.MaintainedFixpoint`
@@ -294,12 +291,11 @@ class Session:
         receive leaf-level pushes.  Pass the semirings to maintain
         dense value state for (more can be tracked later).
 
-        *policy* (first call only) arms the maintenance watchdogs; a
-        budget trip degrades the stream to full recompute instead of
-        surfacing the error (DESIGN.md §12).
+        If maintenance ever fails, the stream degrades to full
+        recompute instead of surfacing the error (DESIGN.md §12).
         """
         if self._stream is None:
-            self._stream = StreamSession(self, semirings, policy)
+            self._stream = StreamSession(self, semirings)
         else:
             for semiring in semirings:
                 self._stream.track(semiring)
@@ -378,9 +374,9 @@ class StreamSession:
       live through leaf pushes and only rebuild on structural inserts.
 
     **Degrade-to-recompute** (DESIGN.md §12): if maintenance ever
-    fails -- a watchdog budget trips, a non-stable semiring diverges,
-    or the maintainer crashes mid-propagation -- the stream *detaches*
-    the broken maintainer and degrades: reads fall back to full
+    fails -- the maintainer raises anything while absorbing a write
+    or tracking a semiring -- the stream *detaches* the broken
+    maintainer and degrades: reads fall back to full
     recompute through :meth:`Session.solve` and writes apply straight
     to the database.  Answers stay exactly correct, only slower.  The
     next write attempts one clean rebuild of the maintainer from
@@ -392,10 +388,8 @@ class StreamSession:
         self,
         session: Session,
         semirings: Tuple[Semiring, ...] = (),
-        policy: Optional[MaintenancePolicy] = None,
     ):
         self.session = session
-        self.policy = policy
         self._semirings: list[Semiring] = list(semirings)
         self._served: list[ServedStream] = []
         self.fixpoint: Optional[MaintainedFixpoint] = None
@@ -418,7 +412,6 @@ class StreamSession:
             session.program,
             session.database,
             semirings=tuple(self._semirings),
-            policy=self.policy,
         )
         self.fixpoint.add_listener(self._on_delta)
         self.degraded = False
@@ -501,6 +494,7 @@ class StreamSession:
         """Insert an EDB fact; True iff it was new."""
         coerced = fact if isinstance(fact, Fact) else Fact(fact, tuple(args))
         self._guard_idb(coerced)
+        check_weight(weight)
         if self.fixpoint is None:
             database = self.session.database
             new = coerced not in database
@@ -532,6 +526,7 @@ class StreamSession:
     def set_weight(self, fact: Fact, weight: object) -> None:
         """Change one EDB fact's annotation."""
         self._guard_idb(fact)
+        check_weight(weight)
         database = self.session.database
         if self.fixpoint is None:
             return self._recover_then(

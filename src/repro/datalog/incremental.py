@@ -49,9 +49,7 @@ the database directly and re-evaluates the compiled circuit.
 
 from __future__ import annotations
 
-import time
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..semirings.base import Semiring
@@ -68,66 +66,7 @@ from .grounding import (
 )
 from .seminaive import COLUMNAR, _columnar_fixpoint
 
-__all__ = ["MaintainedFixpoint", "MaintenanceBudgetExceeded", "MaintenancePolicy"]
-
-
-class MaintenanceBudgetExceeded(DatalogError):
-    """A maintenance pass ran past its :class:`MaintenancePolicy` budget.
-
-    Raised by the watchdogs on :meth:`MaintainedFixpoint._propagate` /
-    :meth:`MaintainedFixpoint._refresh`; callers that serve live
-    traffic (:class:`repro.api.StreamSession`) treat it as a degrade
-    signal -- detach the maintainer, fall back to full recompute --
-    rather than an error to surface (DESIGN.md §12).
-    """
-
-    def __init__(self, site: str, detail: str):
-        super().__init__(f"maintenance budget exceeded at {site}: {detail}")
-        self.site = site
-
-
-@dataclass(frozen=True)
-class MaintenancePolicy:
-    """Watchdog budgets for a :class:`MaintainedFixpoint`.
-
-    ``None`` disables the corresponding guard (the default: batch
-    workloads should not pay watchdog overhead).  A serving stack
-    passes finite budgets so a poisoned update -- a delta whose dirty
-    cone is pathologically large, or a semiring oscillating inside it
-    -- trips :class:`MaintenanceBudgetExceeded` instead of wedging the
-    event loop.
-
-    *fault_hook*, when set, is called with a site name at every
-    watchdog tick (``"propagate.round"``, ``"refresh"``,
-    ``"reground.round"``); the fault-injection harness
-    (:mod:`repro.testing.faults`) uses it to crash the maintainer
-    mid-stream deterministically.  Whatever the hook raises propagates
-    exactly like a budget trip.
-    """
-
-    #: Wall-clock budget for one delta's restricted propagation.
-    max_propagate_seconds: Optional[float] = None
-    #: Round cap for one delta's restricted propagation (tighter than
-    #: the divergence self-heal cap, which *refreshes* instead of
-    #: raising).
-    max_propagate_rounds: Optional[int] = None
-    #: Wall-clock budget for one full-kernel refresh (checked after
-    #: the kernel run -- the exec-generated loop is uninterruptible --
-    #: so a too-slow refresh degrades the *next* maintenance step).
-    max_refresh_seconds: Optional[float] = None
-    #: Wall-clock budget for one delta's incremental regrounding.
-    max_reground_seconds: Optional[float] = None
-    #: Fault-injection tap; called at every watchdog tick.
-    fault_hook: Optional[Callable[[str], None]] = None
-
-    def tick(self, site: str, started: float, budget: Optional[float]) -> None:
-        """One watchdog check: fault tap first, then the clock."""
-        if self.fault_hook is not None:
-            self.fault_hook(site)
-        if budget is not None and time.monotonic() - started > budget:
-            raise MaintenanceBudgetExceeded(
-                site, f"exceeded {budget:.3f}s wall-clock budget"
-            )
+__all__ = ["MaintainedFixpoint"]
 
 
 def _coerce_fact(fact, args: Tuple) -> Fact:
@@ -201,11 +140,9 @@ class MaintainedFixpoint:
         program: Program,
         database: Database,
         semirings: Iterable[Semiring] = (),
-        policy: Optional[MaintenancePolicy] = None,
     ):
         self.program = program
         self.database = database
-        self.policy = policy if policy is not None else MaintenancePolicy()
         self._idbs = program.idb_predicates
         #: The id-space grounding: starts as the batch grounder's
         #: output and is appended to in place; dead rules stay in its
@@ -488,10 +425,7 @@ class MaintainedFixpoint:
         store = self.store
         stats = _stats()
         derived = self._derived
-        policy = self.policy
-        started = time.monotonic()
         while True:
-            policy.tick("reground.round", started, policy.max_reground_seconds)
             deltas = store.deltas_since(mark)
             if not deltas:
                 return
@@ -545,20 +479,14 @@ class MaintainedFixpoint:
 
     def _seed(self, tracked: _Tracked) -> None:
         """Fill an absorptive, selective semiring's state by one ascent
-        from zero, which also sets every fact's witness.  This is
-        initial tracking, not a delta: the refresh budget watches it,
-        the propagation budget does not."""
-        policy = self.policy
-        started = time.monotonic()
-        policy.tick("refresh", started, policy.max_refresh_seconds)
+        from zero, which also sets every fact's witness."""
         semiring = tracked.semiring
         cground = self.cground
         tracked.value = [semiring.zero] * cground.fact_count
         self._fill_edb(tracked.value, semiring, self.database.valuation(semiring))
         tracked.rule_term = [semiring.zero] * len(cground)
         tracked.witness = array("q", [-1]) * cground.fact_count
-        self._propagate(tracked, range(len(cground)), watched=False)
-        policy.tick("refresh", started, policy.max_refresh_seconds)
+        self._propagate(tracked, range(len(cground)))
 
     def _grow(self, tracked: _Tracked, fid: Optional[int]) -> None:
         """Extend one state over the fact ids and rule positions a
@@ -646,7 +574,6 @@ class MaintainedFixpoint:
         tracked: _Tracked,
         dirty_positions,
         region: Optional[Set[int]] = None,
-        watched: bool = True,
     ) -> None:
         """Restricted chaotic iteration: recompute ⊗-terms of dirty
         rules, refold their heads (only those in *region*, when given),
@@ -658,7 +585,7 @@ class MaintainedFixpoint:
         equals its new value.  Hitting the round cap means the
         semiring diverges on this program -- fall back to one full
         kernel run so the maintained state equals the batch engine's
-        capped state.  *watched* arms the per-delta watchdogs."""
+        capped state."""
         semiring = tracked.semiring
         value, rule_term, witness = tracked.value, tracked.rule_term, tracked.witness
         mul, add, eq = semiring.mul, semiring.add, semiring.eq
@@ -669,21 +596,12 @@ class MaintainedFixpoint:
         rule_head = cground.rule_head
         head_rules, body_rules = self._head_rules, self._body_rules
         cap = self._round_cap()
-        policy = self.policy
-        round_cap = policy.max_propagate_rounds
-        started = time.monotonic()
         dirty = set(dirty_positions)
         rounds = 0
         while dirty:
             if rounds >= cap:
                 self._refresh(tracked)
                 return
-            if watched:
-                policy.tick("propagate.round", started, policy.max_propagate_seconds)
-                if round_cap is not None and rounds >= round_cap:
-                    raise MaintenanceBudgetExceeded(
-                        "propagate.round", f"exceeded {round_cap} round budget"
-                    )
             rounds += 1
             heads = set()
             for position in dirty:
@@ -716,22 +634,13 @@ class MaintainedFixpoint:
         """Rebuild one semiring's state with a full kernel run over the
         compacted grounding (initial tracking of a semiring without
         witnesses, and the divergence fallback, after which the
-        semiring keeps no witnesses).
-
-        The watchdog tick runs *before and after* the kernel: the
-        exec-generated loop itself is uninterruptible, so the wall
-        clock check after it catches a refresh that blew its budget
-        and raises before the (consistent) state is used to serve."""
-        policy = self.policy
-        started = time.monotonic()
-        policy.tick("refresh", started, policy.max_refresh_seconds)
+        semiring keeps no witnesses)."""
         semiring = tracked.semiring
         cground = self.cground
         valuation = self.database.valuation(semiring)
         value, _, converged, _ = _columnar_fixpoint(
             cground, semiring, valuation, self._round_cap()
         )
-        policy.tick("refresh", started, policy.max_refresh_seconds)
         self._fill_edb(value, semiring, valuation)
         tracked.value = value
         tracked.converged = converged

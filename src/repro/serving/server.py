@@ -61,6 +61,7 @@ from collections import OrderedDict
 from typing import Any, Awaitable, Dict, List, Mapping, Optional, Set, Tuple, TypeVar
 
 from ..api import Session
+from ..circuits.runtime import WORD_SIZE
 from ..config import ExecutionConfig
 from .batcher import BatcherClosed, LaneBatcher
 from .resilience import Deadline, IdempotencyCache, ResilienceConfig, ResilienceStats
@@ -149,6 +150,8 @@ def _parse_weights(raw: object, where: str) -> Dict[Fact, object]:
         return {}
     if not isinstance(raw, Mapping):
         raise ServingError(400, f"{where} must be an object of fact → value")
+    for value in raw.values():
+        check_weight(value)
     return {fact_from_wire(label): value for label, value in raw.items()}
 
 
@@ -184,28 +187,16 @@ class _CircuitEntry:
         "base_valuations",
         "queries",
         "faults",
-        "lane_width",
-        "max_delay",
     )
 
-    def __init__(
-        self,
-        key: str,
-        session: Session,
-        output: Fact,
-        lane_width: int,
-        max_delay: float,
-        faults=None,
-    ):
+    def __init__(self, key: str, session: Session, output: Fact, faults=None):
         self.key = key
         self.session = session
         self.output = output
         self.faults = faults
-        self.lane_width = lane_width
-        self.max_delay = max_delay
         self.choice = session.circuit(output)
         self.compiled = self.choice.compiled()
-        self.boolean_batcher = LaneBatcher(self._boolean_flush, lane_width=lane_width, max_delay=max_delay)
+        self.boolean_batcher = LaneBatcher(self._boolean_flush)
         # name → LaneBatcher for numeric point queries (built lazily).
         self.numeric_batchers: Dict[str, LaneBatcher] = {}
         # name → IncrementalEvaluator update session (built lazily).
@@ -246,7 +237,7 @@ class _CircuitEntry:
                 self._fault_gate()
                 return self.compiled.evaluate_batch(semiring, assignments)
 
-            batcher = LaneBatcher(flush, lane_width=self.lane_width, max_delay=self.max_delay)
+            batcher = LaneBatcher(flush)
             self.numeric_batchers[name] = batcher
         return batcher
 
@@ -277,8 +268,9 @@ class CircuitServer:
     ``max_circuits`` bounds the cache; registration of a key already
     present is a cache hit (the expensive ground/construct/compile
     pipeline is skipped), and the least-recently-used entry is evicted
-    past the bound.  ``lane_width``/``max_delay`` set the micro-batching
-    policy shared by every entry's Boolean and numeric batchers.
+    past the bound.  Every entry's Boolean and numeric batchers share
+    one micro-batching policy: ``WORD_SIZE``-wide lanes and a
+    :data:`~repro.serving.batcher.MAX_DELAY` window.
 
     ``resilience`` carries the failure-model knobs (defaults on -- see
     :class:`~repro.serving.resilience.ResilienceConfig`);
@@ -301,8 +293,6 @@ class CircuitServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_circuits: int = 32,
-        lane_width: int = 64,
-        max_delay: float = 0.002,
         resilience: Optional[ResilienceConfig] = None,
         fault_injector=None,
     ):
@@ -311,8 +301,6 @@ class CircuitServer:
         self.host = host
         self.port = port
         self.max_circuits = max_circuits
-        self.lane_width = lane_width
-        self.max_delay = max_delay
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.fault_injector = fault_injector
         self.res_stats = ResilienceStats()
@@ -710,14 +698,7 @@ class CircuitServer:
             self._circuits.move_to_end(key)
         else:
             self.cache_misses += 1
-            entry = _CircuitEntry(
-                key,
-                session,
-                output,
-                self.lane_width,
-                self.max_delay,
-                faults=self.fault_injector,
-            )
+            entry = _CircuitEntry(key, session, output, faults=self.fault_injector)
             self._circuits[key] = entry
             while len(self._circuits) > self.max_circuits:
                 _, evicted = self._circuits.popitem(last=False)
@@ -798,7 +779,9 @@ class CircuitServer:
             if isinstance(item, Mapping):
                 if "fact" not in item:
                     raise ServingError(400, "each weighted insert needs a 'fact' key")
-                inserts.append((fact_from_wire(item["fact"]), item.get("weight")))
+                weight = item.get("weight")
+                check_weight(weight)
+                inserts.append((fact_from_wire(item["fact"]), weight))
             else:
                 inserts.append((fact_from_wire(item), None))
         retracts = [fact_from_wire(item) for item in body.get("retract", ())]
@@ -815,8 +798,6 @@ class CircuitServer:
         for fact in retracts:
             if fact not in database:
                 raise ServingError(400, f"cannot retract {fact}: not in the database")
-        for weight in [w for _, w in inserts] + list(weights.values()):
-            check_weight(weight)
         known = entry.compiled.var_slots
         structural = any(fact not in known and fact not in database for fact, _ in inserts)
         inserted = 0
@@ -900,7 +881,7 @@ class CircuitServer:
         per_circuit = {key: entry.stats() for key, entry in self._circuits.items()}
         lane_batches = sum(e.boolean_batcher.stats.batches for e in self._circuits.values())
         lane_items = sum(e.boolean_batcher.stats.items for e in self._circuits.values())
-        fill = lane_items / (lane_batches * self.lane_width) if lane_batches else 0.0
+        fill = lane_items / (lane_batches * WORD_SIZE) if lane_batches else 0.0
         return {
             "circuits": len(self._circuits),
             "max_circuits": self.max_circuits,
@@ -913,7 +894,7 @@ class CircuitServer:
                 "evictions": self.evictions,
             },
             "boolean_lanes": {
-                "lane_width": self.lane_width,
+                "lane_width": WORD_SIZE,
                 "batches": lane_batches,
                 "items": lane_items,
                 "fill_ratio": round(fill, 4),

@@ -12,7 +12,6 @@ from .faults import (
     FLUSH_RAISE,
     FLUSH_SLOW,
     HANDLER_STALL,
-    MAINTAINER_CRASH,
     PARTIAL_WRITE,
     SOCKET_RESET,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "FLUSH_RAISE",
     "FLUSH_SLOW",
     "HANDLER_STALL",
-    "MAINTAINER_CRASH",
     "PARTIAL_WRITE",
     "SOCKET_RESET",
 ]

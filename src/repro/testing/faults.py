@@ -19,16 +19,10 @@ code under test):
 ``flush.slow``            a lane-batcher flush kernel stalls (blocking)
 ``handler.stall``         the route handler stalls cooperatively
                           (exercises the handler deadline -> 504)
-``maintainer.crash``      the maintained fixpoint crashes mid-propagation
-                          (exercises the library ``StreamSession``'s
-                          degrade-to-recompute, through
-                          :meth:`FaultInjector.maintenance_hook`)
 ========================  =================================================
 
 The server consults the injector *only* when one is passed to its
 constructor; production paths carry a ``None`` check and nothing else.
-The server has no maintained fixpoint, so ``maintainer.crash`` never
-fires there.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ __all__ = [
     "FLUSH_RAISE",
     "FLUSH_SLOW",
     "HANDLER_STALL",
-    "MAINTAINER_CRASH",
 ]
 
 SOCKET_RESET = "socket.reset"
@@ -55,7 +48,6 @@ PARTIAL_WRITE = "socket.partial_write"
 FLUSH_RAISE = "flush.raise"
 FLUSH_SLOW = "flush.slow"
 HANDLER_STALL = "handler.stall"
-MAINTAINER_CRASH = "maintainer.crash"
 
 FAULT_SITES = (
     SOCKET_RESET,
@@ -63,7 +55,6 @@ FAULT_SITES = (
     FLUSH_RAISE,
     FLUSH_SLOW,
     HANDLER_STALL,
-    MAINTAINER_CRASH,
 )
 
 
@@ -140,17 +131,6 @@ class FaultInjector:
         """Cooperative stall (cancellable -- exercises deadlines)."""
         if self.fires(site):
             await asyncio.sleep(self.delays.get(site, 0.01))
-
-    # -- plumbing adapters ---------------------------------------------
-
-    def maintenance_hook(self, site: str = MAINTAINER_CRASH):
-        """A ``fault_hook`` for :class:`~repro.datalog.incremental.
-        MaintenancePolicy`: every maintenance tick probes *site*."""
-
-        def hook(_tick_site: str) -> None:
-            self.check(site)
-
-        return hook
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         return {

@@ -1,19 +1,18 @@
-"""Watchdogs and degrade-to-recompute for differential maintenance (§12).
+"""Degrade-to-recompute for differential maintenance (DESIGN.md §12).
 
-Two layers under test.  :class:`MaintenancePolicy` arms the
-*maintainer* with wall-clock/round budgets and a fault-injection tap;
-tripping either raises :class:`MaintenanceBudgetExceeded` (or the
-injected error) out of the write.  :class:`repro.api.StreamSession`
-is the *streaming* wrapper that must never surface those: it detaches
-the broken maintainer, keeps answering exactly (via full recompute),
-reports the write as applied -- the database mutation lands before
-maintainer notification, so it is durable -- and re-attaches a fresh
-maintainer on the next clean write.
+:class:`repro.api.StreamSession` is the streaming wrapper around a
+:class:`MaintainedFixpoint` that must never surface a maintainer
+failure: it detaches the broken maintainer, keeps answering exactly
+(via full recompute), reports the write as applied -- the database
+mutation lands before maintainer notification, so it is durable --
+and re-attaches a fresh maintainer on the next clean write.  The
+maintainer is crashed here by patching one of its internal passes to
+raise a set number of times.
 """
 
 import pytest
 
-from repro.api import MaintenancePolicy, Session
+from repro.api import Session, database_fingerprint
 from repro.datalog import (
     Database,
     DatalogError,
@@ -21,9 +20,7 @@ from repro.datalog import (
     MaintainedFixpoint,
     transitive_closure,
 )
-from repro.datalog.incremental import MaintenanceBudgetExceeded
-from repro.semirings import BOOLEAN, COUNTING
-from repro.testing import FaultInjector, InjectedFault, MAINTAINER_CRASH
+from repro.semirings import BOOLEAN, TROPICAL
 
 TC = transitive_closure()
 EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -33,66 +30,23 @@ def fresh(edges=EDGES):
     return Database.from_edges(edges)
 
 
-# -- MaintainedFixpoint watchdogs ------------------------------------------
+class MaintainerCrash(RuntimeError):
+    """The failure the patched maintainer pass raises."""
 
 
-def test_propagate_round_budget_trips():
-    policy = MaintenancePolicy(max_propagate_rounds=0)
-    fixpoint = MaintainedFixpoint(TC, fresh(), semirings=(BOOLEAN,), policy=policy)
-    with pytest.raises(MaintenanceBudgetExceeded) as err:
-        fixpoint.insert(Fact("E", (3, 4)))
-    assert err.value.site == "propagate.round"
+def crash(monkeypatch, method, times):
+    """Make ``MaintainedFixpoint.<method>`` raise on its next *times*
+    calls, then behave normally again."""
+    original = getattr(MaintainedFixpoint, method)
+    remaining = {"n": times}
 
-
-def test_propagate_wall_clock_budget_trips():
-    policy = MaintenancePolicy(max_propagate_seconds=0.0)
-    fixpoint = MaintainedFixpoint(TC, fresh(), semirings=(BOOLEAN,), policy=policy)
-    with pytest.raises(MaintenanceBudgetExceeded) as err:
-        fixpoint.insert(Fact("E", (3, 4)))
-    assert err.value.site in ("propagate.round", "reground.round")
-
-
-def test_refresh_wall_clock_budget_trips():
-    # Initial tracking goes through _refresh, whose post-kernel tick
-    # catches a blown budget before the state serves anything.
-    policy = MaintenancePolicy(max_refresh_seconds=0.0)
-    with pytest.raises(MaintenanceBudgetExceeded) as err:
-        MaintainedFixpoint(TC, fresh(), semirings=(COUNTING,), policy=policy)
-    assert err.value.site == "refresh"
-
-
-def test_fault_hook_crash_propagates_from_the_write():
-    injector = FaultInjector(seed=5, rates={MAINTAINER_CRASH: 1.0})
-    policy = MaintenancePolicy(fault_hook=injector.maintenance_hook())
-    fixpoint = MaintainedFixpoint(TC, fresh(), policy=policy)
-    with pytest.raises(InjectedFault):
-        fixpoint.insert(Fact("E", (3, 4)))
-    assert injector.fired[MAINTAINER_CRASH] >= 1
-
-
-def test_budgets_off_by_default():
-    # The default policy must add no behavior: a plain maintainer and
-    # a budgeted-with-None maintainer agree on a nontrivial stream.
-    fixpoint = MaintainedFixpoint(TC, fresh(), semirings=(BOOLEAN,), policy=MaintenancePolicy())
-    fixpoint.insert(Fact("E", (3, 4)))
-    fixpoint.retract(Fact("E", (0, 1)))
-    assert fixpoint.value(Fact("T", (1, 4)), BOOLEAN) is True
-    assert fixpoint.value(Fact("T", (0, 2)), BOOLEAN) is False
-
-
-# -- StreamSession degrade-to-recompute ------------------------------------
-
-
-def crash_times(n):
-    """A fault hook that raises on the first *n* ticks, then heals."""
-    remaining = {"n": n}
-
-    def hook(site):
+    def crashing(self, *args, **kwargs):
         if remaining["n"] > 0:
             remaining["n"] -= 1
-            raise InjectedFault(MAINTAINER_CRASH)
+            raise MaintainerCrash(f"{method} crashed")
+        return original(self, *args, **kwargs)
 
-    return hook
+    monkeypatch.setattr(MaintainedFixpoint, method, crashing)
 
 
 def expected_closure(session):
@@ -101,27 +55,44 @@ def expected_closure(session):
     }
 
 
-def test_stream_degrades_and_keeps_answering_exactly():
+# -- MaintainedFixpoint ----------------------------------------------------
+
+
+def test_maintainer_crash_propagates_from_the_write(monkeypatch):
+    # Only the stream wrapper degrades; a bare maintainer surfaces the
+    # failure to whoever wrote.
+    fixpoint = MaintainedFixpoint(TC, fresh())
+    crash(monkeypatch, "_reground", 1)
+    with pytest.raises(MaintainerCrash):
+        fixpoint.insert(Fact("E", (3, 4)))
+
+
+# -- StreamSession degrade-to-recompute ------------------------------------
+
+
+def test_stream_degrades_and_keeps_answering_exactly(monkeypatch):
     session = Session(TC, fresh())
-    stream = session.stream(policy=MaintenancePolicy(fault_hook=crash_times(1)))
+    stream = session.stream()
+    crash(monkeypatch, "_reground", 1)
     # The first write crashes the maintainer mid-maintenance; the
     # stream degrades instead of surfacing the fault...
     assert stream.insert(Fact("E", (3, 4))) is True
     assert stream.degraded is True
     assert stream.degradations == 1
-    assert "InjectedFault" in stream.last_degrade_reason
+    assert "MaintainerCrash" in stream.last_degrade_reason
     # ...and the write is durable: the database took it before the
     # maintainer was notified, and reads (now full recomputes) see it.
     assert stream.value(Fact("T", (0, 4))) is True
     assert stream.values(BOOLEAN) == {f: True for f in expected_closure(session)}
 
 
-def test_degraded_stream_reattaches_on_next_clean_write():
+def test_degraded_stream_reattaches_on_next_clean_write(monkeypatch):
     session = Session(TC, fresh())
-    stream = session.stream(policy=MaintenancePolicy(fault_hook=crash_times(1)))
+    stream = session.stream()
+    crash(monkeypatch, "_reground", 1)
     stream.insert(Fact("E", (3, 4)))
     assert stream.degraded is True
-    # The hook healed: the next write rebuilds a fresh maintainer from
+    # The crash healed: the next write rebuilds a fresh maintainer from
     # current database state and maintenance resumes differentially.
     assert stream.insert(Fact("E", (4, 5))) is True
     assert stream.degraded is False
@@ -130,9 +101,12 @@ def test_degraded_stream_reattaches_on_next_clean_write():
     assert stream.value(Fact("T", (0, 5))) is True
 
 
-def test_stream_stays_degraded_while_faults_persist():
+def test_stream_stays_degraded_while_faults_persist(monkeypatch):
     session = Session(TC, fresh())
-    stream = session.stream(BOOLEAN, policy=MaintenancePolicy(fault_hook=crash_times(1000)))
+    stream = session.stream(BOOLEAN)
+    # Every propagation crashes, re-attach included (tracking BOOLEAN
+    # seeds its state through _propagate).
+    crash(monkeypatch, "_propagate", 1000)
     stream.insert(Fact("E", (3, 4)))
     stream.insert(Fact("E", (4, 5)))
     retracted = stream.retract(Fact("E", (0, 1)))
@@ -146,18 +120,31 @@ def test_stream_stays_degraded_while_faults_persist():
     assert stream.values(BOOLEAN) == {f: True for f in closure}
 
 
-def test_budget_trip_degrades_instead_of_raising():
+def test_reweight_crash_degrades_and_the_weight_is_visible(monkeypatch):
     session = Session(TC, fresh())
-    stream = session.stream(BOOLEAN, policy=MaintenancePolicy(max_propagate_rounds=0))
-    assert stream.insert(Fact("E", (3, 4))) is True
+    stream = session.stream(TROPICAL)
+    crash(monkeypatch, "_propagate", 1)
+    assert stream.set_weight(Fact("E", (0, 1)), 5.0) is None
     assert stream.degraded is True
-    assert "MaintenanceBudgetExceeded" in stream.last_degrade_reason
-    assert stream.value(Fact("T", (0, 4))) is True
+    assert stream.degradations == 1
+    assert stream.value(Fact("T", (0, 3)), TROPICAL) == 5.0
+    assert stream.values(TROPICAL)[Fact("T", (0, 2))] == 5.0
+    # The next write re-attaches and maintains from the reweighted state.
+    stream.set_weight(Fact("E", (1, 2)), 2.0)
+    assert stream.degraded is False
+    assert stream.degradations == 1
+    assert stream.value(Fact("T", (0, 3)), TROPICAL) == 7.0
+    assert stream.values(TROPICAL) == {
+        fact: value
+        for fact, value in session.solve(TROPICAL).values.items()
+        if value != TROPICAL.zero
+    }
 
 
-def test_caller_errors_are_not_degrade_triggers():
+def test_caller_errors_are_not_degrade_triggers(monkeypatch):
     session = Session(TC, fresh())
-    stream = session.stream(policy=MaintenancePolicy(fault_hook=crash_times(1)))
+    stream = session.stream()
+    crash(monkeypatch, "_reground", 1)
     # IDB writes are rejected up front, degraded or not...
     with pytest.raises(DatalogError):
         stream.insert(Fact("T", (0, 3)))
@@ -171,15 +158,33 @@ def test_caller_errors_are_not_degrade_triggers():
     assert stream.degradations == 1
 
 
-def test_served_circuits_survive_a_degrade():
+def test_nan_weights_are_caller_errors():
+    database = fresh()
+    session = Session(TC, database)
+    stream = session.stream(TROPICAL)
+    before = database_fingerprint(database)
+    with pytest.raises(ValueError):
+        stream.insert(Fact("E", (2, 3)), weight=float("nan"))
+    with pytest.raises(ValueError):
+        stream.insert(Fact("E", (3, 4)), weight=float("nan"))
+    with pytest.raises(ValueError):
+        stream.set_weight(Fact("E", (0, 1)), float("nan"))
+    assert stream.degradations == 0
+    assert stream.degraded is False
+    assert Fact("E", (3, 4)) not in database
+    assert database_fingerprint(database) == before
+
+
+def test_served_circuits_survive_a_degrade(monkeypatch):
     session = Session(TC, fresh())
-    stream = session.stream(policy=MaintenancePolicy(fault_hook=crash_times(1)))
+    stream = session.stream()
     served = stream.serve(Fact("T", (0, 3)), BOOLEAN)
     assert served.value() is True
+    crash(monkeypatch, "_reground", 1)
     stream.insert(Fact("E", (3, 4)))  # degrades
     assert stream.degraded is True
     # The served evaluator was rebuilt from post-write state and keeps
-    # answering; a subsequent degraded-path retract flows into it too.
+    # answering; a subsequent retract flows into it too.
     assert served.value() is True
     stream.retract(Fact("E", (2, 3)))
     assert served.value() is False

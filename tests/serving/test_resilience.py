@@ -22,6 +22,7 @@ from repro.serving import (
     ResilienceConfig,
     RetryPolicy,
     ServerError,
+    batcher as batcher_module,
 )
 from repro.testing import FaultInjector, HANDLER_STALL, SOCKET_RESET
 
@@ -256,10 +257,12 @@ def test_inflight_shed_sends_503_and_keeps_the_connection():
 # -- graceful shutdown -----------------------------------------------------
 
 
-def test_close_drains_parked_lane_queries():
+def test_close_drains_parked_lane_queries(monkeypatch):
+    # A huge lane delay: queries park until *something* flushes.
+    monkeypatch.setattr(batcher_module, "MAX_DELAY", 60.0)
+
     async def scenario():
-        # A huge lane delay: queries park until *something* flushes.
-        server = CircuitServer(max_delay=60.0)
+        server = CircuitServer()
         host, port = await server.start()
         client = CircuitClient(host, port)
         reg = await client.register(TC, EDGES, "T(0,3)", target="T")

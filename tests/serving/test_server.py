@@ -359,6 +359,17 @@ def test_nan_weights_are_rejected_with_400():
             assert status == 400 and "NaN" in payload["error"]
         # Nothing of the rejected deltas landed.
         assert await client.evaluate(reg["key"], "tropical") == 3.0
+        # Query and update weights are checked the same way.
+        key = reg["key"]
+        for route, delta in (
+            ("evaluate", {"semiring": "tropical", "weights": {"E(0,2)": NAN}}),
+            ("evaluate", {"semiring": "tropical", "assignments": [{"E(0,2)": NAN}]}),
+            ("update", {"semiring": "tropical", "delta": {"E(0,2)": NAN}}),
+        ):
+            status, payload = await client.request("POST", f"/circuits/{key}/{route}", delta)
+            assert status == 400 and "NaN" in payload["error"]
+        # The persistent update session never saw the NaN.
+        assert (await client.update(key, "tropical", {"E(2,3)": 2.0}))["outputs"] == [4.0]
 
     run(with_server(scenario))
 
