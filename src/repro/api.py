@@ -12,7 +12,9 @@ Each layer exposes its own entry point (``relevant_grounding``,
 * :func:`solve` -- the one-shot "evaluate this program on this
   database over this semiring" call;
 * :class:`Session` -- the compile-once handle: it caches the
-  grounding, the per-output-fact circuit constructions and their
+  grounding (a :class:`~repro.datalog.grounding.ColumnarGroundProgram`,
+  which the fixpoint, the analyzer and the proof-tree enumerators all
+  read), the per-output-fact circuit constructions and their
   compiled forms, so many queries against one (program, database)
   pair pay interning/grounding/compilation once.  The serving stack
   (:mod:`repro.serving`) holds one ``Session`` per cache entry;
@@ -23,7 +25,7 @@ Each layer exposes its own entry point (``relevant_grounding``,
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple
 
 from .circuits.runtime import CompiledCircuit, IncrementalEvaluator
 from .config import (
@@ -44,7 +46,7 @@ from .datalog.analysis import (
 from .datalog.ast import DatalogError, Fact, Program
 from .datalog.database import Database, check_weight
 from .datalog.evaluation import EvaluationResult
-from .datalog.grounding import ColumnarGroundProgram, GroundProgram
+from .datalog.grounding import ColumnarGroundProgram
 from .datalog.incremental import MaintainedFixpoint
 from .datalog.seminaive import FixpointEngine
 from .semirings import BOOLEAN
@@ -104,9 +106,8 @@ class Session:
     session is that pattern as an object.  Everything expensive is
     computed lazily and cached:
 
-    * :meth:`ground` -- the grounding, in the representation the
-      configured strategy consumes (id-space for the default
-      ``strategy="columnar"``, tuple-space for the ``naive`` oracle);
+    * :meth:`ground` -- the relevant grounding, joined by the
+      configured engine;
     * :meth:`circuit` -- one :class:`ConstructionChoice` per output
       fact, built by the configured construction (``auto`` runs the
       paper's decision tree); the choice caches its
@@ -143,7 +144,7 @@ class Session:
             if not report.ok:
                 raise ProgramValidationError(report.errors())
         self._engine = FixpointEngine(config=self.config.evolve(construction=None))
-        self._ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None
+        self._ground: Optional[ColumnarGroundProgram] = None
         self._plan: Optional[Program] = None
         self._choices: Dict[Fact, ConstructionChoice] = {}
         self._fingerprint: Optional[Tuple[str, str, str]] = None
@@ -189,14 +190,14 @@ class Session:
             config=self.config,
         )
 
-    def ground(self) -> Union[GroundProgram, ColumnarGroundProgram]:
-        """The cached grounding, in the strategy's native representation."""
+    def ground(self) -> ColumnarGroundProgram:
+        """The cached relevant grounding."""
         ground = self._cached_ground()
         if ground is None:
             ground = self._ground = self._engine.ground(self.plan_program, self.database)
         return ground
 
-    def _cached_ground(self) -> Optional[Union[GroundProgram, ColumnarGroundProgram]]:
+    def _cached_ground(self) -> Optional[ColumnarGroundProgram]:
         """The live stream maintainer's ground program while one is
         attached, else the grounding cached here (if any)."""
         stream = self._stream
@@ -590,7 +591,7 @@ def solve(
     *,
     config: ConfigLike = None,
     weights: Optional[Mapping[Fact, object]] = None,
-    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     max_iterations: Optional[int] = None,
     raise_on_divergence: bool = False,
     strict: bool = False,

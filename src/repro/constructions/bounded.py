@@ -16,7 +16,7 @@ from ..circuits.circuit import Circuit
 from ..config import ConfigLike
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
-from ..datalog.grounding import GroundProgram
+from ..datalog.grounding import ColumnarGroundProgram
 from .generic import generic_circuit
 
 __all__ = ["bounded_circuit"]
@@ -27,7 +27,7 @@ def bounded_circuit(
     database: Database,
     bound: int,
     facts: Optional[Union[Fact, Sequence[Fact]]] = None,
-    ground: Optional[GroundProgram] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     config: ConfigLike = None,
 ) -> Circuit:
     """The Theorem 4.3 circuit: *bound* ICO layers, balanced sums.

@@ -39,7 +39,6 @@ from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
 from ..datalog.grounding import (
     ColumnarGroundProgram,
-    GroundProgram,
     columnar_grounding,
     relevant_grounding,
 )
@@ -71,7 +70,7 @@ def fringe_circuit(
     facts: Optional[Union[Fact, Sequence[Fact]]] = None,
     stages: Optional[int] = None,
     fringe_bound: Optional[int] = None,
-    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     config: ConfigLike = None,
 ) -> Circuit:
     """Theorem 6.2's circuit for *facts* (default: all target facts).
@@ -82,9 +81,8 @@ def fringe_circuit(
     :func:`~repro.datalog.grounding.relevant_grounding`); the default
     grounds straight into id space and the per-stage rule sweeps read
     the columnar arrays -- facts are decoded only for input-gate
-    labels and outputs.  A precomputed grounding of either form can be
-    passed as *ground*; a tuple-space one is lowered into id space
-    first.  Input labels are EDB facts, so
+    labels and outputs.  A precomputed grounding from either engine
+    can be passed as *ground*.  Input labels are EDB facts, so
     ``database.valuation(semiring)`` evaluates the result.
     """
     if ground is None:
@@ -92,8 +90,6 @@ def fringe_circuit(
             ground = relevant_grounding(program, database, config=config)
         else:
             ground = columnar_grounding(program, database)
-    if isinstance(ground, GroundProgram):
-        ground = ColumnarGroundProgram.from_ground_program(ground)
     if stages is None:
         stages = default_stage_count(ground, fringe_bound)
     return _fringe_circuit_columnar(program, ground, facts, stages)
@@ -218,26 +214,24 @@ def _fringe_circuit_columnar(
     edge_var: Dict[int, int] = {
         fid: builder.var(decode(fid)) for fid in cground.edb_fact_ids()
     }
-    nrules = len(cground)
     idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
     edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-    rule_edb_product: List[int] = [
-        builder.mul_all(
-            [
-                edge_var[edb_flat[at]]
-                for at in range(edb_indptr[position], edb_indptr[position + 1])
-            ]
+    rule_edb_product: List[int] = []
+    rule_head_num: List[int] = []
+    rule_idb_nums: List[Tuple[int, ...]] = []
+    for position, head in enumerate(cground.rule_head):
+        idb_fids = idb_flat[idb_indptr[position] : idb_indptr[position + 1]]
+        if not all(fid in fact_num for fid in idb_fids):
+            # A stored IDB fact no rule derives is 0 in both
+            # fixpoints, so the rule's term is 0: drop the rule.
+            continue
+        rule_edb_product.append(
+            builder.mul_all(
+                [edge_var[fid] for fid in edb_flat[edb_indptr[position] : edb_indptr[position + 1]]]
+            )
         )
-        for position in range(nrules)
-    ]
-    rule_head_num: List[int] = [fact_num[fid] for fid in cground.rule_head]
-    rule_idb_nums: List[Tuple[int, ...]] = [
-        tuple(
-            fact_num[idb_flat[at]]
-            for at in range(idb_indptr[position], idb_indptr[position + 1])
-        )
-        for position in range(nrules)
-    ]
+        rule_head_num.append(fact_num[head])
+        rule_idb_nums.append(tuple(fact_num[fid] for fid in idb_fids))
     graph = _fringe_stages(builder, stages, rule_edb_product, rule_head_num, rule_idb_nums)
 
     root_row = graph.get(_ROOT, {})

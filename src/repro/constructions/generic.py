@@ -36,7 +36,6 @@ from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
 from ..datalog.grounding import (
     ColumnarGroundProgram,
-    GroundProgram,
     columnar_grounding,
     relevant_grounding,
 )
@@ -49,7 +48,7 @@ def generic_circuit(
     database: Database,
     facts: Optional[Union[Fact, Sequence[Fact]]] = None,
     stages: Optional[int] = None,
-    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     config: ConfigLike = None,
 ) -> Circuit:
     """Build the Theorem 3.1 circuit for *facts* (default: all target
@@ -63,8 +62,8 @@ def generic_circuit(
     supplied (see :func:`~repro.datalog.grounding.relevant_grounding`);
     the default grounds straight into id space
     (:func:`~repro.datalog.grounding.columnar_grounding`).  A
-    precomputed grounding of either form can be passed as *ground*; a
-    tuple-space one is lowered into id space first.
+    precomputed grounding from either engine can be passed as
+    *ground*.
 
     The circuit's input labels are the EDB :class:`Fact` objects, so
     ``database.valuation(semiring)`` is a ready-made assignment.
@@ -74,8 +73,6 @@ def generic_circuit(
             ground = relevant_grounding(program, database, config=config)
         else:
             ground = columnar_grounding(program, database)
-    if isinstance(ground, GroundProgram):
-        ground = ColumnarGroundProgram.from_ground_program(ground)
     return _generic_circuit_columnar(program, ground, facts, stages)
 
 
@@ -103,15 +100,13 @@ def _generic_circuit_columnar(
     nfacts = cground.fact_count
     nrules = len(cground)
     decode = cground.decode_fact
-    # Node slot per fact id: const0 for IDB facts, an input gate for
-    # EDB facts (a fid outside both sets cannot occur in a relevant
-    # grounding; the None placeholder fails fast if it ever does,
-    # mirroring the tuple path's KeyError).
-    value: List[Optional[int]] = [None] * nfacts
-    is_head = bytearray(nfacts)
+    # Node slot per fact id: an input gate for EDB facts, const0 for
+    # the rest.  That includes a stored IDB fact no rule derives: both
+    # fixpoints read it as 0 too.
     const0 = builder.const0()
+    value: List[int] = [const0] * nfacts
+    is_head = bytearray(nfacts)
     for fid in head_fids:
-        value[fid] = const0
         is_head[fid] = 1
     for fid in cground.edb_fact_ids():
         if not is_head[fid]:
@@ -179,8 +174,7 @@ def _generic_circuit_columnar(
         next_dirty.sort()
         dirty = next_dirty
 
-    # Outputs decode at the boundary only; order matches the tuple
-    # path (repr-sorted idb facts filtered to the target).
+    # Outputs decode at the boundary only, target facts in repr order.
     output_nodes: List[int] = []
     if facts is None:
         targets = sorted(

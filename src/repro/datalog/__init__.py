@@ -2,9 +2,10 @@
 
 The engine: AST + parser, annotated databases backed by an interned
 columnar fact store (:mod:`repro.datalog.store`, DESIGN.md §8),
-grounding (full and relevant, each served by the columnar id-space
-join engine by default with the naive nested-loop engine as the
-selectable reference oracle -- see :mod:`repro.datalog.grounding` and
+grounding into one id-space :class:`ColumnarGroundProgram` (relevant
+grounding served by the columnar join engine by default with the naive
+nested-loop engine as the selectable reference oracle, full grounding
+by the paper's cross product -- see :mod:`repro.datalog.grounding` and
 DESIGN.md §8), fixpoint evaluation over any naturally ordered semiring
 via the :class:`FixpointEngine` (delta-driven columnar rounds by
 default, the paper's naive loop as the selectable reference oracle --
@@ -53,7 +54,6 @@ from .grounding import (
     GROUNDING_STATS,
     ColumnarGroundProgram,
     GroundingStats,
-    GroundProgram,
     GroundRule,
     columnar_grounding,
     count_join_probes,
@@ -132,7 +132,6 @@ __all__ = [
     "parse_atom",
     "ParseError",
     "GroundRule",
-    "GroundProgram",
     "ColumnarGroundProgram",
     "GroundingStats",
     "SymbolTable",

@@ -83,14 +83,13 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..config import ConfigLike
 from ..semirings.base import Semiring
 from .ast import DatalogError, Fact, Program, Rule, SourceSpan
 from .database import Database
-from .grounding import ColumnarGroundProgram, GroundProgram, relevant_grounding
+from .grounding import ColumnarGroundProgram, relevant_grounding
 
 __all__ = [
     "SEVERITIES",
@@ -460,30 +459,22 @@ def _plus_chain_unstable(semiring: Semiring, budget: int = 4096) -> bool:
     return True
 
 
-def _first_cycle_fact(ground: Union[GroundProgram, ColumnarGroundProgram]) -> Optional[Fact]:
+def _first_cycle_fact(ground: ColumnarGroundProgram) -> Optional[Fact]:
     """A fact on a directed cycle of the ground dependency graph, or None.
 
     The graph has an edge ``body fact → head fact`` for every ground
     rule; only IDB facts can lie on a cycle (EDB facts have no
-    incoming edges).  Works on either ground representation -- in id
-    space for :class:`ColumnarGroundProgram` (no decode except the
-    witness) -- via an iterative white/gray/black DFS.
+    incoming edges).  Runs in id space via an iterative
+    white/gray/black DFS; only the witness is decoded.
     """
-    if isinstance(ground, ColumnarGroundProgram):
-        nrules = len(ground)
-        indptr, flat = ground.idb_indptr, ground.idb_flat
-        adjacency: Dict[object, List[object]] = {}
-        for position in range(nrules):
-            head = ground.rule_head[position]
-            for at in range(indptr[position], indptr[position + 1]):
-                adjacency.setdefault(flat[at], []).append(head)
-        witness = _dfs_cycle(adjacency)
-        return ground.decode_fact(witness) if witness is not None else None
-    adjacency = {}
-    for rule in ground.rules:
-        for body_fact in rule.idb_body:
-            adjacency.setdefault(body_fact, []).append(rule.head)
-    return _dfs_cycle(adjacency)
+    indptr, flat = ground.idb_indptr, ground.idb_flat
+    adjacency: Dict[object, List[object]] = {}
+    for position in range(len(ground)):
+        head = ground.rule_head[position]
+        for at in range(indptr[position], indptr[position + 1]):
+            adjacency.setdefault(flat[at], []).append(head)
+    witness = _dfs_cycle(adjacency)
+    return ground.decode_fact(witness) if witness is not None else None
 
 
 _WHITE, _GRAY, _BLACK = 0, 1, 2
@@ -592,7 +583,7 @@ def predict_divergence(
     program: Program,
     semiring: Semiring,
     database: Optional[Database] = None,
-    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     config: ConfigLike = None,
 ) -> DivergencePrediction:
     """Will the fixpoint of *program* over *semiring* converge?
@@ -926,7 +917,7 @@ def analyze_program(
     program: Program,
     database: Optional[Database] = None,
     semiring: Optional[Semiring] = None,
-    ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     config: ConfigLike = None,
 ) -> AnalysisReport:
     """Run the full pass battery over *program*.

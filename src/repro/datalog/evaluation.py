@@ -16,6 +16,8 @@ Two strategies compute that fixpoint (see
 * ``naive`` -- the paper's loop, kept verbatim in
   :func:`_naive_fixpoint` as the reference oracle: every round
   re-evaluates every ground rule, ``O(iterations × |ground rules|)``.
+  It reads the same grounding, decoded once into :class:`Fact`-space
+  ground rules, and keeps its values in a dict keyed by fact.
 
 :func:`naive_evaluation` keeps its historical name but delegates to
 the engine, so every caller gets the columnar fast path unless it pins
@@ -39,7 +41,7 @@ from ..config import ConfigLike
 from ..semirings.base import Semiring
 from .ast import Fact, Program
 from .database import Database
-from .grounding import GroundProgram, derivable_facts
+from .grounding import ColumnarGroundProgram, derivable_facts
 
 __all__ = [
     "EvaluationResult",
@@ -86,7 +88,7 @@ class EvaluationResult:
 
 
 def _naive_fixpoint(
-    ground: GroundProgram,
+    ground: ColumnarGroundProgram,
     semiring: Semiring,
     edb_value: Mapping[Fact, object],
     idb_facts: List[Fact],
@@ -97,9 +99,10 @@ def _naive_fixpoint(
     Returns ``(values, iterations, converged, rule_evaluations)``; the
     reference the columnar strategy is tested against.
     """
+    rules = [ground.rule(position) for position in range(len(ground))]
     # Precompute each ground rule's EDB product once.
     rule_edb_product = [
-        semiring.mul_all(edb_value[fact] for fact in rule.edb_body) for rule in ground.rules
+        semiring.mul_all(edb_value[fact] for fact in rule.edb_body) for rule in rules
     ]
 
     values: Dict[Fact, object] = {fact: semiring.zero for fact in idb_facts}
@@ -109,7 +112,7 @@ def _naive_fixpoint(
     zero = semiring.zero
     for _ in range(max_iterations):
         fresh: Dict[Fact, object] = {fact: semiring.zero for fact in idb_facts}
-        for rule, edb_product in zip(ground.rules, rule_edb_product):
+        for rule, edb_product in zip(rules, rule_edb_product):
             term = edb_product
             for body_fact in rule.idb_body:
                 # A stored IDB fact no rule derives is read as 0, like
@@ -131,7 +134,7 @@ def naive_evaluation(
     database: Database,
     semiring: Semiring,
     weights: Optional[Mapping[Fact, object]] = None,
-    ground: Optional[GroundProgram] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     max_iterations: Optional[int] = None,
     raise_on_divergence: bool = False,
     config: ConfigLike = None,
@@ -151,9 +154,7 @@ def naive_evaluation(
     or the ``"naive"`` oracle) and ``config.engine`` the join engine
     used when *ground* is not supplied (see
     :func:`~repro.datalog.grounding.relevant_grounding`).  All pairs
-    produce identical results round for round.  *ground* itself may be
-    a tuple-space ``GroundProgram`` or an id-space
-    :class:`~repro.datalog.grounding.ColumnarGroundProgram`.
+    produce identical results round for round.
 
     ``validate=True`` (the default) runs the DL001/DL002 static checks
     before grounding and raises

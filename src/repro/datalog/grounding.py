@@ -14,8 +14,8 @@ constants.  Two strategies are provided:
   the Theorem 3.1/6.2 constructions practical (DESIGN.md §2, ablated
   in DESIGN.md §6).
 
-Each strategy is served by one of two join *engines*, selected with
-``config=ExecutionConfig(engine=...)`` (DESIGN.md §8):
+:func:`relevant_grounding` is served by one of two join *engines*,
+selected with ``config=ExecutionConfig(engine=...)`` (DESIGN.md §8):
 
 * ``"columnar"`` (the default, the fast path) -- a fused,
   delta-driven pass run entirely in *id space* on the interned
@@ -24,18 +24,23 @@ Each strategy is served by one of two join *engines*, selected with
   ``array('q')`` columns, rules are slot-compiled into precomputed
   join plans over sorted-id index ranges, and semi-naive rounds
   consume the store's :class:`~repro.datalog.store.DeltaView`
-  windows.  :func:`columnar_grounding` emits the result as a
-  :class:`ColumnarGroundProgram` -- ground rules as parallel int
-  arrays over interned fact ids, the form the columnar fixpoint and
-  the circuit constructions consume (DESIGN.md §9);
-  :func:`relevant_grounding` decodes it into the tuple
-  :class:`GroundProgram` at the boundary.
+  windows (:func:`columnar_grounding`).
 
 * ``"naive"`` -- the reference oracle: a Boolean semi-naive fixpoint
   (:func:`derivable_facts`) followed by a backtracking nested-loop
   re-join of every rule, with only single-argument-position indexing
   (narrowest index wins, every candidate row is scanned).  The
   equivalence tests compare the fast path against it.
+
+:class:`ColumnarGroundProgram` is the one ground-program type: ground
+rules as parallel int arrays over interned fact ids, the form the
+fixpoints, the proof-tree enumerators, the analyzer and the circuit
+constructions all consume (DESIGN.md §9).  Every producer emits it --
+the naive engine and :func:`full_grounding` intern into a private
+:class:`~repro.datalog.store.SymbolTable` so they never grow the
+shared one -- and :class:`Fact`/:class:`GroundRule` objects are
+decoded from it only on demand (:meth:`ColumnarGroundProgram.rule`,
+:meth:`ColumnarGroundProgram.rules_for`).
 
 Both engines produce the *same* set of ground rules; only the number
 of join probes differs.  Probes are counted in the context-local
@@ -48,8 +53,7 @@ read.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
     Callable,
@@ -79,7 +83,6 @@ from .store import SymbolTable
 
 __all__ = [
     "GroundRule",
-    "GroundProgram",
     "ColumnarGroundProgram",
     "GroundingStats",
     "GROUNDING_STATS",
@@ -196,79 +199,16 @@ class GroundRule:
         return f"{self.head} :- {body}"
 
 
-@dataclass
-class GroundProgram:
-    """The grounded program: ground rules indexed by head fact.
-
-    The tuple-space boundary form of a grounding: the fixpoint and the
-    circuit constructions run on the id-space
-    :class:`ColumnarGroundProgram`, and :meth:`ColumnarGroundProgram
-    .to_ground_program` decodes into this form for the naive oracle,
-    proof trees and boundedness checks.
-    """
-
-    program: Program
-    rules: List[GroundRule]
-    by_head: Dict[Fact, List[GroundRule]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.by_head:
-            for rule in self.rules:
-                self.by_head.setdefault(rule.head, []).append(rule)
-
-
-    def rule_keys(self) -> FrozenSet[Tuple]:
-        """The grounding as a set of order-independent rule identities
-        ``(rule_index, head, idb_body, edb_body)``.
-
-        Engines emit the same ground rules in different orders, so
-        this is the identity the engine-equivalence tests and the
-        head-to-head benchmarks compare on.
-        """
-        return frozenset(
-            (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
-            for rule in self.rules
-        )
-
-    @property
-    def idb_facts(self) -> FrozenSet[Fact]:
-        return frozenset(self.by_head)
-
-    @property
-    def size(self) -> int:
-        """``M`` of Theorem 4.3: total atoms over all ground rules."""
-        return sum(1 + len(rule.body) for rule in self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def rules_for(self, fact: Fact) -> Sequence[GroundRule]:
-        return self.by_head.get(fact, ())
-
-    def target_facts(self) -> List[Fact]:
-        return sorted(
-            (f for f in self.by_head if f.predicate == self.program.target), key=repr
-        )
-
-    def max_body_idbs(self) -> int:
-        return max((len(r.idb_body) for r in self.rules), default=0)
-
-    def __repr__(self) -> str:
-        return (
-            f"GroundProgram(rules={len(self.rules)}, idb_facts={len(self.by_head)}, "
-            f"size={self.size})"
-        )
-
-
 class ColumnarGroundProgram:
     """The grounded program in id space: rules as parallel int arrays
     (DESIGN.md §9).
 
-    The columnar twin of :class:`GroundProgram`, produced by
-    :func:`columnar_grounding` without ever decoding a constant.
-    Every distinct ground fact is interned once into a dense *fact
-    id* -- an index into the parallel ``fact_preds`` / ``fact_rows``
-    tables -- and the ground rules are parallel ``array('q')`` runs:
+    The one ground-program type: :func:`columnar_grounding` produces
+    it without ever decoding a constant, and the naive engine and
+    :func:`full_grounding` emit into it as well.  Every distinct
+    ground fact is interned once into a dense *fact id* -- an index
+    into the parallel ``fact_preds`` / ``fact_rows`` tables -- and the
+    ground rules are parallel ``array('q')`` runs:
 
     * ``rule_head[r]`` -- the head's fact id;
     * ``rule_no[r]`` -- the originating program-rule index;
@@ -286,8 +226,8 @@ class ColumnarGroundProgram:
 
     Decoding back to :class:`Fact` / :class:`GroundRule` objects
     happens only at the boundary (:meth:`decode_fact`,
-    :meth:`idb_facts`, :meth:`rule_keys`, :meth:`to_ground_program`),
-    once per distinct fact.
+    :meth:`idb_facts`, :meth:`rule`, :meth:`rules_for`,
+    :meth:`rule_keys`), once per distinct fact.
     """
 
     __slots__ = (
@@ -498,7 +438,8 @@ class ColumnarGroundProgram:
     def idb_facts(self) -> FrozenSet[Fact]:
         return frozenset(self.decode_fact(fid) for fid in self.idb_fact_ids())
 
-    def _decode_rule(self, position: int) -> GroundRule:
+    def rule(self, position: int) -> GroundRule:
+        """The ground rule at *position*, decoded into :class:`Fact` space."""
         decode = self.decode_fact
         idb = tuple(
             decode(fid)
@@ -514,46 +455,28 @@ class ColumnarGroundProgram:
         )
         return GroundRule(decode(self.rule_head[position]), idb, edb, self.rule_no[position])
 
+    def rules_for(self, fact: Fact) -> List[GroundRule]:
+        """The ground rules deriving *fact*, in rule order (empty when
+        no rule does)."""
+        fid = self.find_fact_id(fact)
+        if fid is None:
+            return []
+        indptr, positions = self.by_head_csr()
+        return [self.rule(positions[at]) for at in range(indptr[fid], indptr[fid + 1])]
+
     def rule_keys(self) -> FrozenSet[Tuple]:
-        """Same order-independent identity as
-        :meth:`GroundProgram.rule_keys`, so the engine/strategy
-        equivalence tests compare tuple and columnar groundings
-        directly."""
+        """The grounding as a set of order-independent rule identities
+        ``(rule_index, head, idb_body, edb_body)``.
+
+        Engines emit the same ground rules in different orders and
+        over different symbol tables, so this is the identity the
+        engine-equivalence tests and the head-to-head benchmarks
+        compare on.
+        """
         return frozenset(
             (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
-            for rule in (self._decode_rule(position) for position in range(len(self)))
+            for rule in map(self.rule, range(len(self)))
         )
-
-    def to_ground_program(self) -> GroundProgram:
-        """Decode the whole grounding into the tuple form (boundary
-        use: the naive oracle, proof trees, boundedness, the analyzer)."""
-        return GroundProgram(
-            self.program, [self._decode_rule(position) for position in range(len(self))]
-        )
-
-    @classmethod
-    def from_ground_program(
-        cls, ground: GroundProgram, symbols: Optional[SymbolTable] = None
-    ) -> "ColumnarGroundProgram":
-        """Lower a tuple-space grounding into id space.
-
-        Lets the columnar fixpoint run on groundings produced by the
-        tuple engines or precomputed by callers.  Interns into a
-        private table by default: the lowering is self-contained, so
-        it must not grow the shared default table.
-        """
-        symbols = SymbolTable() if symbols is None else symbols
-        out = cls(ground.program, symbols)
-        intern_row = symbols.intern_row
-        fact_id = out.fact_id
-        for rule in ground.rules:
-            out.append_rule(
-                rule.rule_index,
-                fact_id(rule.head.predicate, intern_row(rule.head.args)),
-                [fact_id(f.predicate, intern_row(f.args)) for f in rule.idb_body],
-                [fact_id(f.predicate, intern_row(f.args)) for f in rule.edb_body],
-            )
-        return out
 
     def __repr__(self) -> str:
         return (
@@ -1105,13 +1028,9 @@ def columnar_grounding(program: Program, database: Database) -> ColumnarGroundPr
     :class:`_ColumnarProgramGrounder` and returns a
     :class:`ColumnarGroundProgram` -- ground rules as parallel int
     arrays over interned fact ids -- without decoding a single ground
-    rule into :class:`Fact` tuples.  The columnar fixpoint
-    (:mod:`repro.datalog.seminaive`), the maintained fixpoint and the
-    circuit constructions consume it directly; its
-    :meth:`~ColumnarGroundProgram.to_ground_program` /
-    :meth:`~ColumnarGroundProgram.rule_keys` recover the tuple form at
-    the boundary.  The result's ``iterations`` records the Boolean
-    fixpoint rounds of the pass (the :func:`derivable_facts` count).
+    rule into :class:`Fact` tuples.  The result's ``iterations``
+    records the Boolean fixpoint rounds of the pass (the
+    :func:`derivable_facts` count).
     """
     grounder = _ColumnarProgramGrounder(program, database).run()
     cground = grounder.cground
@@ -1121,21 +1040,20 @@ def columnar_grounding(program: Program, database: Database) -> ColumnarGroundPr
 
 def relevant_grounding(
     program: Program, database: Database, config: ConfigLike = None
-) -> GroundProgram:
-    """Ground rules whose body facts are all derivable (see module
-    doc), in the tuple form.
+) -> ColumnarGroundProgram:
+    """Ground rules whose body facts are all derivable (see module doc).
 
     ``config.engine`` selects the join engine: ``"columnar"`` (the
-    default) decodes :func:`columnar_grounding` at the boundary;
-    ``"naive"`` is the reference Boolean fixpoint followed by a
-    from-scratch re-join of every rule, ``O(rounds × Σ candidate rows
-    scanned)``.  Both return the same set of ground rules (the
-    equivalence is property-tested); only probe counts and rule order
-    differ.
+    default) is :func:`columnar_grounding`; ``"naive"`` is the
+    reference Boolean fixpoint followed by a from-scratch re-join of
+    every rule, ``O(rounds × Σ candidate rows scanned)``.  Both return
+    the same set of ground rules and the same ``iterations`` (the
+    equivalence is property-tested); only probe counts, rule order and
+    the symbol table differ.
     """
     if coerce_config(config).resolved_engine == "naive":
         return _relevant_grounding_naive(program, database)
-    return columnar_grounding(program, database).to_ground_program()
+    return columnar_grounding(program, database)
 
 
 def derivable_facts(
@@ -1154,12 +1072,11 @@ def derivable_facts(
     count); the naive engine is the historical loop re-joining every
     rule each round.
 
-    A precomputed :class:`ColumnarGroundProgram` from
-    :func:`columnar_grounding` already carries both answers; pass it
-    as *ground* to skip the closure entirely.  A grounding with no
-    recorded round count (e.g. one lowered via
-    :meth:`ColumnarGroundProgram.from_ground_program`) is rejected
-    rather than silently recomputed against the live database.
+    A precomputed :func:`relevant_grounding` already carries both
+    answers; pass it as *ground* to skip the closure entirely.  A
+    grounding with no recorded round count (a :func:`full_grounding`)
+    is rejected rather than silently recomputed against the live
+    database.
     """
     if ground is None:
         if coerce_config(config).resolved_engine == "naive":
@@ -1168,7 +1085,7 @@ def derivable_facts(
     elif ground.iterations is None:
         raise ValueError(
             "ground carries no Boolean round count (only "
-            "columnar_grounding results do); drop the argument to "
+            "relevant_grounding results do); drop the argument to "
             "recompute the closure from the database"
         )
     return ground.idb_facts, ground.iterations
@@ -1218,9 +1135,42 @@ def _derivable_facts_naive(
     return frozenset(derived), iterations
 
 
-def _relevant_grounding_naive(program: Program, database: Database) -> GroundProgram:
+def _naive_emitter(
+    program: Program,
+) -> Tuple[ColumnarGroundProgram, Callable[[GroundRule], None]]:
+    """An empty grounding over a private :class:`SymbolTable` and the
+    deduplicating emitter the naive engines append through.
+
+    The reference joins stay in :class:`Fact` space; each new ground
+    rule is interned into the grounding as it is found.  The private
+    table keeps the shared default one from growing.
+    """
+    cground = ColumnarGroundProgram(program, SymbolTable())
+    intern_row, fact_id = cground.symbols.intern_row, cground.fact_id
+    seen: Set[GroundRule] = set()
+    stats = _stats()
+
+    def fid(fact: Fact) -> int:
+        return fact_id(fact.predicate, intern_row(fact.args))
+
+    def emit(rule: GroundRule) -> None:
+        if rule in seen:
+            return
+        seen.add(rule)
+        cground.append_rule(
+            rule.rule_index,
+            fid(rule.head),
+            [fid(fact) for fact in rule.idb_body],
+            [fid(fact) for fact in rule.edb_body],
+        )
+        stats.ground_rules += 1
+
+    return cground, emit
+
+
+def _relevant_grounding_naive(program: Program, database: Database) -> ColumnarGroundProgram:
     """Reference implementation: fixpoint, then re-join every rule."""
-    derived, _ = _derivable_facts_naive(program, database)
+    derived, iterations = _derivable_facts_naive(program, database)
     idbs = program.idb_predicates
     index = _FactIndex()
     for fact in database.facts():
@@ -1228,43 +1178,12 @@ def _relevant_grounding_naive(program: Program, database: Database) -> GroundPro
     for fact in derived:
         index.insert(fact)
 
-    ground_rules: List[GroundRule] = []
-    seen: Set[GroundRule] = set()
-    stats = _stats()
+    cground, emit = _naive_emitter(program)
+    cground.iterations = iterations
     for rule_index, rule in enumerate(program.rules):
         for theta in _join(rule.body, index, {}):
-            ground_rule = _ground_rule(rule_index, rule, theta, idbs)
-            if ground_rule not in seen:
-                seen.add(ground_rule)
-                ground_rules.append(ground_rule)
-                stats.ground_rules += 1
-    return GroundProgram(program, ground_rules)
-
-
-def full_grounding(
-    program: Program,
-    database: Database,
-    max_instantiations: int = 2_000_000,
-    config: ConfigLike = None,
-) -> GroundProgram:
-    """All groundings over the active domain with EDB body atoms present.
-
-    Ground rules whose EDB atoms are absent from the input are dropped
-    (their value is identically ``0``); IDB body facts are kept
-    unconstrained, exactly as in the paper's grounded program.
-
-    With the ``"naive"`` engine, a rule whose ``|Dom(I)|^{#vars}``
-    cross product exceeds *max_instantiations* raises
-    :class:`DatalogError` up front (the cross product is what that
-    engine enumerates).  The ``"columnar"`` engine (the default)
-    instead joins the EDB atoms first and only enumerates the
-    remaining free variables over the domain, so its guard counts the
-    instantiations that would actually be emitted -- a join-cost
-    counting pass per rule, before any ground rule is materialized.
-    """
-    if coerce_config(config).resolved_engine == "naive":
-        return _full_grounding_naive(program, database, max_instantiations)
-    return _full_grounding_columnar(program, database, max_instantiations)
+            emit(_ground_rule(rule_index, rule, theta, idbs))
+    return cground
 
 
 def _ground_rule(rule_index: int, rule, theta, idbs) -> GroundRule:
@@ -1275,58 +1194,26 @@ def _ground_rule(rule_index: int, rule, theta, idbs) -> GroundRule:
     return GroundRule(rule.head.substitute(theta).to_fact(), idb_body, edb_body, rule_index)
 
 
-def _full_grounding_columnar(
-    program: Program, database: Database, max_instantiations: int
-) -> GroundProgram:
-    """Join-then-enumerate: each rule's EDB atoms join in id space over
-    the shared store snapshot through a compiled slot plan (nothing is
-    appended, so no copy is taken), and only the free variables left
-    unbound by that join are enumerated over the domain.  The guard
-    pass counts join bindings in id space, before anything is decoded
-    or materialized, so an exploding rule is rejected at join cost."""
-    store = database.columnar_store()
-    symbols = store.symbols
+def full_grounding(
+    program: Program,
+    database: Database,
+    max_instantiations: int = 2_000_000,
+) -> ColumnarGroundProgram:
+    """All groundings over the active domain with EDB body atoms present.
+
+    Ground rules whose EDB atoms are absent from the input are dropped
+    (their value is identically ``0``); IDB body facts are kept
+    unconstrained, exactly as in the paper's grounded program.  The
+    whole ``|Dom(I)|^{#vars}`` cross product of each rule is
+    enumerated, so a rule whose cross product exceeds
+    *max_instantiations* raises :class:`DatalogError` up front.
+
+    The result's ``iterations`` is ``None``: its heads include facts
+    no rule derives, so it answers no Boolean-closure question.
+    """
     domain = sorted(database.active_domain(), key=repr)
     idbs = program.idb_predicates
-    ground_rules: List[GroundRule] = []
-    stats = _stats()
-    for rule_index, rule in enumerate(program.rules):
-        variables = sorted(rule.variables, key=lambda v: v.name)
-        slot_of = {var: slot for slot, var in enumerate(variables)}
-        edb_atoms = [
-            _SlotAtom(atom, symbols, slot_of) for atom in rule.body if atom.predicate not in idbs
-        ]
-        plan = _compile_slot_plan(_order_slot_atoms(edb_atoms, store, set()), set())
-        joined = [var for var in variables if any(slot_of[var] in a.slots for a in edb_atoms)]
-        free = [var for var in variables if var not in joined]
-        theta = [-1] * len(variables)
-        bindings = sum(1 for _ in _enum_slot_plan(plan, 0, store, theta, stats))
-        total = len(domain) ** len(free) * bindings
-        if total > max_instantiations:
-            raise DatalogError(
-                f"full grounding of rule {rule} would create {total} "
-                f"instantiations (> {max_instantiations}); "
-                "use relevant_grounding instead"
-            )
-        for _ in _enum_slot_plan(plan, 0, store, theta, stats):
-            edb_theta = {var: Constant(symbols.decode(theta[slot_of[var]])) for var in joined}
-            for values in product(domain, repeat=len(free)):
-                stats.probes += 1
-                full_theta = dict(edb_theta)
-                full_theta.update(zip(free, map(Constant, values)))
-                ground_rules.append(_ground_rule(rule_index, rule, full_theta, idbs))
-                stats.ground_rules += 1
-    return GroundProgram(program, ground_rules)
-
-
-def _full_grounding_naive(
-    program: Program, database: Database, max_instantiations: int
-) -> GroundProgram:
-    """Reference implementation: enumerate the whole cross product."""
-    domain = sorted(database.active_domain(), key=repr)
-    idbs = program.idb_predicates
-    ground_rules: List[GroundRule] = []
-    seen: Set[GroundRule] = set()
+    cground, emit = _naive_emitter(program)
     stats = _stats()
     for rule_index, rule in enumerate(program.rules):
         rule_vars = sorted(rule.variables, key=lambda v: v.name)
@@ -1344,11 +1231,6 @@ def _full_grounding_naive(
         for theta in assignments:
             stats.probes += 1
             ground_rule = _ground_rule(rule_index, rule, theta, idbs)
-            if any(fact not in database for fact in ground_rule.edb_body):
-                continue
-            if ground_rule not in seen:
-                seen.add(ground_rule)
-                ground_rules.append(ground_rule)
-                stats.ground_rules += 1
-    return GroundProgram(program, ground_rules)
-
+            if all(fact in database for fact in ground_rule.edb_body):
+                emit(ground_rule)
+    return cground

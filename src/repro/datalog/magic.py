@@ -21,18 +21,18 @@ Specialization is a pure program rewrite; its payoff is realized at
 grounding time, where the bound constant turns every IDB join into a
 selective lookup (the specialized program grounds in ``O(m)`` instead
 of ``Θ(n·m)``, DESIGN.md §2).  :func:`magic_grounding` packages the
-two steps -- rewrite, then ground -- so
-callers and benchmarks can measure the combination directly.
+two steps -- rewrite, then ground with the configured join engine --
+so callers and benchmarks can measure the combination directly.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Union
+from typing import Hashable, List
 
 from ..config import ConfigLike
 from .ast import Atom, Constant, DatalogError, Fact, Program, Rule
 from .database import Database
-from .grounding import ColumnarGroundProgram, GroundProgram
+from .grounding import ColumnarGroundProgram
 
 __all__ = [
     "magic_specialize",
@@ -98,7 +98,7 @@ def magic_grounding(
     source: Hashable,
     database: Database,
     config: ConfigLike = None,
-) -> Union[GroundProgram, ColumnarGroundProgram]:
+) -> ColumnarGroundProgram:
     """Specialize *program* on *source* and ground the result.
 
     The returned grounding has ``O(m)`` rules for a left-linear chain
@@ -106,13 +106,9 @@ def magic_grounding(
     specialization -- the separation
     ``benchmarks/bench_ablation_grounding.py`` measures.
 
-    The result comes in the representation ``config.strategy``
-    consumes (:meth:`~repro.datalog.seminaive.FixpointEngine.ground`):
-    an id-space :class:`~repro.datalog.grounding.ColumnarGroundProgram`
-    under the default ``"columnar"`` fast path, a tuple-space
-    :class:`~repro.datalog.grounding.GroundProgram` under the
-    ``"naive"`` oracle, joined by ``config.engine`` either way.  All
-    four pairs hold the same rule set (``rule_keys()`` agree).
+    ``config.engine`` picks the join engine
+    (:meth:`~repro.datalog.seminaive.FixpointEngine.ground`); both
+    hold the same rule set (``rule_keys()`` agree).
     """
     from .seminaive import FixpointEngine
 

@@ -9,7 +9,9 @@ over tight trees only (non-tight monomials are absorbed).
 Enumeration is exponential in general; these functions are reference
 implementations used to validate the circuit constructions on small
 inputs, plus probes for the polynomial fringe property (Definition
-6.1).
+6.1).  They take any grounding and decode the ground rules of each
+goal on demand (:meth:`~repro.datalog.grounding.ColumnarGroundProgram
+.rules_for`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import FrozenSet, Iterator, List, Optional, Tuple
 from ..semirings.polynomial import Monomial, Polynomial
 from .ast import Fact, Program
 from .database import Database
-from .grounding import GroundProgram, GroundRule, relevant_grounding
+from .grounding import ColumnarGroundProgram, GroundRule, relevant_grounding
 
 __all__ = [
     "ProofTree",
@@ -105,7 +107,7 @@ class ProofTree:
 
 
 def enumerate_tight_proof_trees(
-    ground: GroundProgram,
+    ground: ColumnarGroundProgram,
     fact: Fact,
     limit: Optional[int] = None,
 ) -> Iterator[ProofTree]:
@@ -147,7 +149,7 @@ def enumerate_tight_proof_trees(
 
 
 def enumerate_proof_trees(
-    ground: GroundProgram,
+    ground: ColumnarGroundProgram,
     fact: Fact,
     max_height: int,
     limit: Optional[int] = None,
@@ -186,7 +188,7 @@ def provenance_by_proof_trees(
     database: Database,
     fact: Fact,
     idempotent_mul: bool = False,
-    ground: Optional[GroundProgram] = None,
+    ground: Optional[ColumnarGroundProgram] = None,
     limit: Optional[int] = None,
 ) -> Polynomial:
     """``p_Π^I(α)``: the provenance polynomial via tight-tree enumeration.
@@ -202,7 +204,7 @@ def provenance_by_proof_trees(
     return Polynomial(monomials, idempotent_mul=idempotent_mul)
 
 
-def count_tight_proof_trees(ground: GroundProgram, fact: Fact, limit: int = 1_000_000) -> int:
+def count_tight_proof_trees(ground: ColumnarGroundProgram, fact: Fact, limit: int = 1_000_000) -> int:
     """Number of tight proof trees of *fact* (capped by *limit*)."""
     count = 0
     for _ in enumerate_tight_proof_trees(ground, fact, limit=limit):
@@ -210,7 +212,7 @@ def count_tight_proof_trees(ground: GroundProgram, fact: Fact, limit: int = 1_00
     return count
 
 
-def max_tight_fringe(ground: GroundProgram, fact: Fact, limit: Optional[int] = 10_000) -> int:
+def max_tight_fringe(ground: ColumnarGroundProgram, fact: Fact, limit: Optional[int] = 10_000) -> int:
     """Largest fringe over tight proof trees of *fact* (Definition 6.1
     probe: a program has the polynomial fringe property when this stays
     polynomial in the input size)."""

@@ -8,6 +8,9 @@ nothing changed between rounds.  It is the reference oracle.  This
 module provides the fast path -- semi-naive rounds on the id-space
 grounding (:func:`_columnar_fixpoint`, DESIGN.md §9) -- and the common
 :class:`FixpointEngine` front-end through which both are selected.
+Both strategies read the same
+:class:`~repro.datalog.grounding.ColumnarGroundProgram`, whichever join
+engine produced it.
 
 Delta-driven evaluation (round ``t``):
 
@@ -37,7 +40,7 @@ oracle-vs-fast tests in ``tests/datalog/test_seminaive.py`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..config import (
     DEFAULT_FIXPOINT_STRATEGY,
@@ -52,7 +55,6 @@ from .database import Database, check_weight
 from .evaluation import DivergenceError, EvaluationResult, _naive_fixpoint
 from .grounding import (
     ColumnarGroundProgram,
-    GroundProgram,
     columnar_grounding,
     derivable_facts,
     relevant_grounding,
@@ -103,18 +105,10 @@ class FixpointEngine:
         """The resolved fixpoint strategy."""
         return self.config.resolved_strategy
 
-    def ground(
-        self, program: Program, database: Database
-    ) -> Union[GroundProgram, ColumnarGroundProgram]:
-        """The grounding in the representation the strategy consumes:
-        id space for ``columnar``, tuple space for ``naive``, joined by
-        the configured engine."""
-        if self.strategy == NAIVE:
-            return relevant_grounding(program, database, config=self.config)
+    def ground(self, program: Program, database: Database) -> ColumnarGroundProgram:
+        """The relevant grounding, joined by the configured engine."""
         if self.config.resolved_engine == NAIVE:
-            return ColumnarGroundProgram.from_ground_program(
-                relevant_grounding(program, database, config=self.config)
-            )
+            return relevant_grounding(program, database, config=self.config)
         return columnar_grounding(program, database)
 
     def evaluate(
@@ -123,7 +117,7 @@ class FixpointEngine:
         database: Database,
         semiring: Semiring,
         weights: Optional[Mapping[Fact, object]] = None,
-        ground: Optional[Union[GroundProgram, ColumnarGroundProgram]] = None,
+        ground: Optional[ColumnarGroundProgram] = None,
         max_iterations: Optional[int] = None,
         raise_on_divergence: bool = False,
         validate: bool = True,
@@ -131,12 +125,9 @@ class FixpointEngine:
         """Least fixpoint of *program* on *database* over *semiring*.
 
         *weights* overrides stored annotations, *ground* reuses a
-        precomputed grounding (tuple-space
-        :class:`~repro.datalog.grounding.GroundProgram` or id-space
-        :class:`~repro.datalog.grounding.ColumnarGroundProgram` --
-        each strategy lowers or decodes the other form at the
-        boundary), ``max_iterations`` defaults to
-        ``max(#IDB facts, 1) + 2`` and guards non-stable semirings.
+        precomputed grounding from either engine, ``max_iterations``
+        defaults to ``max(#IDB facts, 1) + 2`` and guards non-stable
+        semirings.
 
         ``validate=True`` (the default) re-runs the DL001/DL002 checks
         of :func:`repro.datalog.analysis.require_valid` before any
@@ -162,8 +153,6 @@ class FixpointEngine:
                 check_weight(weight)
             edb_value.update(weights)
         if self.strategy == NAIVE:
-            if isinstance(ground, ColumnarGroundProgram):
-                ground = ground.to_ground_program()
             idb_facts = sorted(ground.idb_facts, key=repr)
             if max_iterations is None:
                 max_iterations = max(len(idb_facts), 1) + 2
@@ -171,8 +160,6 @@ class FixpointEngine:
                 ground, semiring, edb_value, idb_facts, max_iterations
             )
         else:
-            if isinstance(ground, GroundProgram):
-                ground = ColumnarGroundProgram.from_ground_program(ground)
             head_fids = ground.idb_fact_ids()
             if max_iterations is None:
                 max_iterations = max(len(head_fids), 1) + 2

@@ -262,7 +262,7 @@ def test_pruning_shrinks_the_grounding():
     db = edge_db(("a", "b"), ("b", "c"), ("c", "d"))
     full = relevant_grounding(program, db)
     pruned = relevant_grounding(prune_unreachable(program), db)
-    assert len(pruned.rules) < len(full.rules)
+    assert len(pruned) < len(full)
     # The pruned grounding is exactly the reachable-headed subset.
     kept = {key for key in full.rule_keys() if key[1].predicate == "T"}
     remapped = {key[1:] for key in pruned.rule_keys()}

@@ -6,8 +6,8 @@ Three layers are pinned here:
   parallel-array grounding produced by
   :func:`~repro.datalog.grounding.columnar_grounding`: rule arrays,
   CSR ``by_head``/``by_body`` adjacency against dict indexes built
-  from the tuple ``GroundProgram``, boundary decoding, lowering from
-  tuple space;
+  from the decoded rules, boundary decoding, and the naive engine's
+  private symbol table;
 * the ``strategy="columnar"`` fixpoint -- observational equivalence
   (values, iterations, convergence, rule-evaluation counts) with the
   naive oracle, over semirings with and without closure-compiler
@@ -108,30 +108,30 @@ def test_columnar_grounding_matches_tuple_grounding():
     cground = columnar_grounding(TC, db)
     assert cground.rule_keys() == ground.rule_keys()
     assert cground.idb_facts == ground.idb_facts
-    assert len(cground) == len(ground.rules)
+    assert len(cground) == len(ground)
     assert cground.size == ground.size
     assert cground.max_body_idbs() == ground.max_body_idbs()
-    assert cground.to_ground_program().rule_keys() == ground.rule_keys()
-    # The grounding pass records its Boolean round count.
+    # Both grounding passes record the Boolean round count.
     facts, iterations = derivable_facts(TC, db, ground=cground)
     naive_facts, naive_iterations = derivable_facts(TC, db, config=NAIVE_ENGINE)
     assert facts == naive_facts
     assert iterations == naive_iterations
+    assert derivable_facts(TC, db, ground=ground) == (naive_facts, naive_iterations)
 
 
 def test_csr_adjacency_matches_dict_indexes():
     db = random_edge_db(5, 7, 16)
     cground = columnar_grounding(TC, db)
-    ground = cground.to_ground_program()
+    rules = [cground.rule(position) for position in range(len(cground))]
     by_head_ptr, by_head_rules = cground.by_head_csr()
     by_body_ptr, by_body_rules = cground.by_body_csr()
 
     def decoded(position):
-        rule = ground.rules[position]
+        rule = rules[position]
         return (rule.rule_index, rule.head, rule.idb_body, rule.edb_body)
 
     rule_indices_by_head, rules_by_idb_body = {}, {}
-    for position, rule in enumerate(ground.rules):
+    for position, rule in enumerate(rules):
         rule_indices_by_head.setdefault(rule.head, []).append(position)
         for fact in set(rule.idb_body):
             rules_by_idb_body.setdefault(fact, []).append(position)
@@ -148,17 +148,18 @@ def test_csr_adjacency_matches_dict_indexes():
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
 
 
-def test_from_ground_program_round_trips_and_stays_private():
-    from repro.datalog import GLOBAL_SYMBOLS
+def test_naive_grounding_interns_into_a_private_table():
+    from repro.datalog import GLOBAL_SYMBOLS, full_grounding
 
-    db = random_edge_db(9, 6, 12)
-    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
+    db = Database.from_edges([("naive-only-a", "naive-only-b"), ("naive-only-b", "naive-only-c")])
     before = len(GLOBAL_SYMBOLS)
-    lowered = ColumnarGroundProgram.from_ground_program(ground)
-    assert lowered.rule_keys() == ground.rule_keys()
-    assert lowered.idb_facts == ground.idb_facts
-    assert len(GLOBAL_SYMBOLS) == before  # lowering interns privately
-    assert lowered.iterations is None  # no Boolean pass ran
+    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
+    full = full_grounding(TC, db)
+    assert len(GLOBAL_SYMBOLS) == before
+    assert GLOBAL_SYMBOLS.get("naive-only-a") is None
+    assert ground.symbols is not full.symbols
+    assert full.iterations is None  # no Boolean pass ran
+    assert ground.rule_keys() == columnar_grounding(TC, db).rule_keys()
 
 
 def test_find_fact_id_misses_cleanly():
@@ -214,10 +215,11 @@ def test_columnar_grounding_nullary_atoms():
 
 
 def test_derivable_facts_rejects_ground_without_round_count():
+    from repro.datalog import full_grounding
+
     db = Database.from_edges([(1, 2), (2, 3)])
-    lowered = ColumnarGroundProgram.from_ground_program(relevant_grounding(TC, db))
     with pytest.raises(ValueError, match="round count"):
-        derivable_facts(TC, db, ground=lowered)
+        derivable_facts(TC, db, ground=full_grounding(TC, db))
 
 
 def test_columnar_grounding_repeated_variables():
@@ -297,7 +299,9 @@ def test_columnar_strategy_counts_rule_evaluations_like_seminaive():
             for fact, value in rounds[t].items()
             if not BOOLEAN.eq(value, rounds[t - 1].get(fact, BOOLEAN.zero))
         }
-        expected += sum(1 for rule in ground.rules if moved.intersection(rule.idb_body))
+        expected += sum(
+            1 for position in range(len(ground)) if moved.intersection(ground.rule(position).idb_body)
+        )
     assert result.iterations >= 3
     assert result.rule_evaluations == expected
 
@@ -316,9 +320,7 @@ def test_columnar_strategy_divergence_matches():
 
 
 def test_ground_forms_interchange_across_strategies():
-    """Either grounding representation feeds either strategy: the
-    columnar strategy lowers tuple groundings, the naive oracle decodes
-    columnar ones."""
+    """A grounding from either engine feeds either strategy."""
     db = random_edge_db(2, 7, 16)
     ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     cground = columnar_grounding(TC, db)
@@ -432,16 +434,16 @@ def test_pairs_agree_with_oracle(workload, semiring):
 
 def test_magic_grounding_composes_with_columnar():
     graph = random_digraph(14, 24, seed=9)
-    tuple_ground = magic_grounding(TC, 0, graph, config=ORACLE)
+    oracle_ground = magic_grounding(TC, 0, graph, config=ORACLE)
     cground = magic_grounding(TC, 0, graph)
     assert isinstance(cground, ColumnarGroundProgram)
-    assert cground.rule_keys() == tuple_ground.rule_keys()
+    assert cground.rule_keys() == oracle_ground.rule_keys()
     for config in PAIRS:
         ground = magic_grounding(TC, 0, graph, config=config)
-        assert ground.rule_keys() == tuple_ground.rule_keys(), config
+        assert ground.rule_keys() == oracle_ground.rule_keys(), config
     a = FixpointEngine().evaluate(magic_specialize(TC, 0), graph, BOOLEAN, ground=cground)
     b = FixpointEngine(config=ORACLE).evaluate(
-        magic_specialize(TC, 0), graph, BOOLEAN, ground=tuple_ground
+        magic_specialize(TC, 0), graph, BOOLEAN, ground=oracle_ground
     )
     assert a.values == b.values
 
@@ -467,9 +469,9 @@ def test_generic_circuit_columnar_stream_agrees(seed, n, m):
     weights = random_weights(db, seed=seed)
     assignment = dict(db.valuation(TROPICAL))
     assignment.update(weights)
-    tuple_circuit = generic_circuit(TC, db, config=NAIVE_ENGINE)
+    naive_circuit = generic_circuit(TC, db, config=NAIVE_ENGINE)
     columnar_circuit = generic_circuit(TC, db)
-    assert circuit_outputs(tuple_circuit, TROPICAL, assignment) == circuit_outputs(
+    assert circuit_outputs(naive_circuit, TROPICAL, assignment) == circuit_outputs(
         columnar_circuit, TROPICAL, assignment
     )
 
@@ -481,9 +483,9 @@ def test_fringe_circuit_columnar_stream_agrees(seed, pairs):
 
     db = dyck_db(seed, pairs)
     assignment = dict(db.valuation(BOOLEAN))
-    tuple_circuit = fringe_circuit(DYCK, db, config=NAIVE_ENGINE)
+    naive_circuit = fringe_circuit(DYCK, db, config=NAIVE_ENGINE)
     columnar_circuit = fringe_circuit(DYCK, db)
-    assert circuit_outputs(tuple_circuit, BOOLEAN, assignment) == circuit_outputs(
+    assert circuit_outputs(naive_circuit, BOOLEAN, assignment) == circuit_outputs(
         columnar_circuit, BOOLEAN, assignment
     )
 
@@ -494,11 +496,11 @@ def test_circuits_accept_explicit_facts_and_precomputed_ground():
     db = random_edge_db(1, 7, 16)
     assignment = dict(db.valuation(BOOLEAN))
     cground = columnar_grounding(TC, db)
-    ground = relevant_grounding(TC, db)
+    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     requested = [Fact("T", (0, 1)), Fact("T", (99, 98)), Fact("E", (0, 1))]
     for build in (generic_circuit, fringe_circuit):
-        via_tuple = build(TC, db, facts=requested, ground=ground)
+        via_naive = build(TC, db, facts=requested, ground=ground)
         via_columnar = build(TC, db, facts=requested, ground=cground)
-        assert circuit_outputs(via_tuple, BOOLEAN, assignment) == circuit_outputs(
+        assert circuit_outputs(via_naive, BOOLEAN, assignment) == circuit_outputs(
             via_columnar, BOOLEAN, assignment
         ), build.__name__

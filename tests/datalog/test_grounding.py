@@ -34,6 +34,14 @@ def test_relevant_grounding_heads_are_derivable():
     assert ground.idb_facts == derived
 
 
+def test_derivable_facts_reads_a_naive_grounding():
+    from tests.oracle import NAIVE_ENGINE
+
+    program, db = transitive_closure(), small_db()
+    ground = relevant_grounding(program, db, config=NAIVE_ENGINE)
+    assert derivable_facts(program, db, ground=ground) == derivable_facts(program, db)
+
+
 def test_relevant_grounding_rule_shapes():
     ground = relevant_grounding(transitive_closure(), small_db())
     rules_for_02 = ground.rules_for(Fact("T", (0, 2)))
@@ -49,9 +57,7 @@ def test_full_grounding_contains_relevant_rules():
     db = small_db()
     full = full_grounding(program, db)
     relevant = relevant_grounding(program, db)
-    full_keys = {(r.head, r.idb_body, r.edb_body) for r in full.rules}
-    relevant_keys = {(r.head, r.idb_body, r.edb_body) for r in relevant.rules}
-    assert relevant_keys <= full_keys
+    assert relevant.rule_keys() <= full.rule_keys()
 
 
 def test_full_grounding_keeps_underivable_idb_bodies():
@@ -61,7 +67,7 @@ def test_full_grounding_keeps_underivable_idb_bodies():
     db = small_db()
     full = full_grounding(program, db)
     relevant = relevant_grounding(program, db)
-    assert len(full.rules) > len(relevant.rules)
+    assert len(full) > len(relevant)
 
 
 def test_full_grounding_explosion_guard():
@@ -73,13 +79,14 @@ def test_full_grounding_explosion_guard():
 
 def test_grounding_size_metric():
     ground = relevant_grounding(transitive_closure(), small_db())
-    assert ground.size == sum(1 + len(r.body) for r in ground.rules)
-    assert len(ground) == len(ground.rules)
+    rules = [ground.rule(position) for position in range(len(ground))]
+    assert ground.size == sum(1 + len(r.body) for r in rules)
+    assert len(ground) == len(ground.rule_keys())
 
 
 def test_target_facts():
     ground = relevant_grounding(transitive_closure(), small_db())
-    assert ground.target_facts() == [
+    assert sorted(map(ground.decode_fact, ground.target_fact_ids()), key=repr) == [
         Fact("T", (0, 1)),
         Fact("T", (0, 2)),
         Fact("T", (1, 2)),

@@ -2,8 +2,8 @@
 
 The columnar engine (slot-compiled id-space joins, selectivity-ordered
 bodies, fused semi-naive pass) must be a pure optimization over the
-naive oracle: identical :class:`GroundProgram` (as a set of ground
-rules), identical derivable facts and Boolean iteration counts,
+naive oracle: identical groundings (as sets of ground rules),
+identical derivable facts and Boolean iteration counts,
 identical fixpoint values -- with measurably fewer join probes.
 DESIGN.md §8 describes the design; these tests pin its observable
 contract.
@@ -23,7 +23,6 @@ from repro.datalog import (
     count_join_probes,
     derivable_facts,
     dyck1,
-    full_grounding,
     magic_grounding,
     magic_specialize,
     naive_evaluation,
@@ -55,7 +54,7 @@ def rule_set(ground):
 def assert_same_ground_program(naive, columnar):
     # Same rules as a set, no duplicates on either side, same head index.
     assert rule_set(naive) == rule_set(columnar)
-    assert len(naive.rules) == len(columnar.rules)
+    assert len(naive) == len(columnar)
     assert naive.idb_facts == columnar.idb_facts
     for fact in naive.idb_facts:
         assert {
@@ -98,7 +97,7 @@ def test_no_duplicate_rules_with_database_idb_facts():
     db.add("T", 2, 3)
     naive = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     columnar = relevant_grounding(TC, db)
-    assert len(columnar.rules) == len(set(columnar.rules))
+    assert len(columnar) == len(columnar.rule_keys())
     assert_same_ground_program(naive, columnar)
     naive_facts, naive_iters = derivable_facts(TC, db, config=NAIVE_ENGINE)
     columnar_facts, columnar_iters = derivable_facts(TC, db)
@@ -139,16 +138,6 @@ def test_derivable_facts_engines_agree(seed, n, m):
     assert naive_iters == columnar_iters
 
 
-@given(seed=st.integers(0, 5000), n=st.integers(3, 5), m=st.integers(3, 7))
-@settings(max_examples=20, deadline=None)
-def test_full_grounding_engines_agree(seed, n, m):
-    db = random_edge_db(seed, n, m)
-    assert_same_ground_program(
-        full_grounding(TC, db, config=NAIVE_ENGINE),
-        full_grounding(TC, db),
-    )
-
-
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
 @settings(max_examples=20, deadline=None)
 def test_fixpoint_values_engine_independent(seed, n, m):
@@ -180,7 +169,7 @@ def test_engines_agree_on_same_generation_and_magic():
     graph = random_digraph(14, 24, seed=7)
     assert_same_ground_program(
         magic_grounding(TC, 0, graph, config=ORACLE),
-        magic_grounding(TC, 0, graph).to_ground_program(),
+        magic_grounding(TC, 0, graph),
     )
 
 
@@ -218,7 +207,7 @@ def test_grounding_stats_counts_ground_rules():
     db = Database.from_edges([(0, 1), (1, 2)])
     GROUNDING_STATS.reset()
     ground = relevant_grounding(TC, db)
-    assert GROUNDING_STATS.ground_rules == len(ground.rules)
+    assert GROUNDING_STATS.ground_rules == len(ground)
     assert GROUNDING_STATS.matches <= GROUNDING_STATS.probes
 
 
@@ -234,7 +223,7 @@ def test_count_join_probes_does_not_touch_the_global_accumulator():
     GROUNDING_STATS.probes = 123_456  # stale noise a capture must not read
     probes, ground = count_join_probes(lambda: relevant_grounding(TC, db))
     assert 0 < probes < 123_456
-    assert len(ground.rules) > 0
+    assert len(ground) > 0
     assert GROUNDING_STATS.probes == 123_456  # untouched by the capture
     GROUNDING_STATS.reset()
 
@@ -300,8 +289,6 @@ def test_unknown_engine_rejected():
         relevant_grounding(TC, db, config={"engine": "btree"})
     with pytest.raises(ValueError):
         derivable_facts(TC, db, config={"engine": "btree"})
-    with pytest.raises(ValueError):
-        full_grounding(TC, db, config={"engine": "btree"})
     with pytest.raises(ValueError):
         FixpointEngine(config={"engine": "btree"})
     with pytest.raises(ValueError, match="expected one of"):

@@ -79,7 +79,7 @@ def test_grounding_shrinks_from_quadratic_to_linear():
     full = relevant_grounding(TC, db)
     magic = relevant_grounding(magic_specialize(TC, 0), db)
     assert len(magic.idb_facts) < len(full.idb_facts)
-    assert len(magic.rules) < len(full.rules)
+    assert len(magic) < len(full)
 
 
 def test_specialized_circuit_matches_reference():

@@ -81,6 +81,19 @@ def test_figure1_has_three_tight_trees(figure1_db, figure1_fact, tc_program):
     assert count_tight_proof_trees(ground, figure1_fact) == 3
 
 
+def test_proof_trees_read_any_grounding(figure1_db, figure1_fact, tc_program):
+    """A session's cached grounding and the naive engine's grounding
+    enumerate the same trees as the default one."""
+    from repro.api import Session
+    from tests.oracle import NAIVE_ENGINE
+
+    session_ground = Session(tc_program, figure1_db).ground()
+    naive_ground = relevant_grounding(tc_program, figure1_db, config=NAIVE_ENGINE)
+    assert count_tight_proof_trees(session_ground, figure1_fact) == 3
+    assert count_tight_proof_trees(naive_ground, figure1_fact) == 3
+    assert count_tight_proof_trees(session_ground, Fact("T", ("missing", 0))) == 0
+
+
 def test_provenance_polynomial_matches_naive_evaluation():
     from repro.datalog import naive_evaluation
     from repro.workloads import random_digraph, random_weights
