@@ -46,8 +46,15 @@ one TCP connection for its whole query stream.
 
 Wire format: facts are either strings in surface syntax (``"E(0,1)"``,
 parsed by the Datalog parser, numerals become ints) or
-``[predicate, [arg, ...]]`` pairs taken literally.  Responses are JSON
-objects; errors are ``{"error": ...}`` with a 4xx/5xx status.
+``[predicate, [arg, ...]]`` pairs taken literally.  On a registered
+circuit every route decodes strings through the entry's wire map, a
+dict from ``repr(leaf)`` to the circuit leaf it names; a string the
+map misses goes through the parser, and the map keeps it when it is
+exactly the ``repr`` of the leaf it parses to.  The map therefore holds
+at most one string per leaf of the compiled circuit, accepts exactly
+what the parser accepts, and is cleared when ``/facts`` recompiles.
+Responses are JSON objects; errors are ``{"error": ...}`` with a
+4xx/5xx status.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import hashlib
 import json
 import time
 from collections import OrderedDict
-from typing import Any, Awaitable, Dict, List, Mapping, Optional, Set, Tuple, TypeVar
+from typing import Any, Awaitable, Callable, Dict, List, Mapping, Optional, Set, Tuple, TypeVar
 
 from ..api import Session
 from ..circuits.runtime import WORD_SIZE
@@ -145,14 +152,14 @@ def _resolve_semiring(body: Mapping[str, Any]):
     return name, semiring
 
 
-def _parse_weights(raw: object, where: str) -> Dict[Fact, object]:
+def _parse_weights(raw: object, where: str, decode: Callable[[object], Fact]) -> Dict[Fact, object]:
     if raw is None:
         return {}
     if not isinstance(raw, Mapping):
         raise ServingError(400, f"{where} must be an object of fact → value")
     for value in raw.values():
         check_weight(value)
-    return {fact_from_wire(label): value for label, value in raw.items()}
+    return {decode(label): value for label, value in raw.items()}
 
 
 def _program_text(body: Mapping[str, Any]) -> str:
@@ -167,7 +174,7 @@ def _database_from_body(body: Mapping[str, Any]) -> Database:
     database = Database()
     for wire_fact in body.get("facts", ()):
         database.add_fact(fact_from_wire(wire_fact))
-    for fact, weight in _parse_weights(body.get("weights"), "'weights'").items():
+    for fact, weight in _parse_weights(body.get("weights"), "'weights'", fact_from_wire).items():
         database.set_weight(fact, weight)
     return database
 
@@ -187,6 +194,7 @@ class _CircuitEntry:
         "base_valuations",
         "queries",
         "faults",
+        "wire_facts",
     )
 
     def __init__(self, key: str, session: Session, output: Fact, faults=None):
@@ -196,6 +204,8 @@ class _CircuitEntry:
         self.faults = faults
         self.choice = session.circuit(output)
         self.compiled = self.choice.compiled()
+        # Wire string → the leaf it names; filled by decode().
+        self.wire_facts: Dict[str, Fact] = {}
         self.boolean_batcher = LaneBatcher(self._boolean_flush)
         # name → LaneBatcher for numeric point queries (built lazily).
         self.numeric_batchers: Dict[str, LaneBatcher] = {}
@@ -204,6 +214,30 @@ class _CircuitEntry:
         # name → dense base valuation reused to complete sparse queries.
         self.base_valuations: Dict[str, Dict[Fact, object]] = {}
         self.queries = 0
+
+    def decode(self, obj: object) -> Fact:
+        """:func:`fact_from_wire` through the entry's wire map.
+
+        A parsed string is kept only when it is exactly the ``repr`` of
+        a leaf of the compiled circuit, so the map holds at most one
+        string per leaf and answers exactly what the parser would.
+        """
+        if isinstance(obj, str):
+            fact = self.wire_facts.get(obj)
+            if fact is not None:
+                return fact
+            fact = fact_from_wire(obj)
+            if fact in self.compiled.var_slots and repr(fact) == obj:
+                self.wire_facts[obj] = fact
+            return fact
+        return fact_from_wire(obj)
+
+    def recompile(self) -> None:
+        """Rebuild the circuit from the current session; the wire map
+        describes the old circuit's leaves, so it starts empty."""
+        self.choice = self.session.circuit(self.output)
+        self.compiled = self.choice.compiled()
+        self.wire_facts.clear()
 
     def _fault_gate(self) -> None:
         """Fault-injection tap shared by every flush kernel."""
@@ -718,12 +752,12 @@ class CircuitServer:
 
     async def _boolean(self, entry: _CircuitEntry, body: Mapping[str, Any]) -> dict:
         if "batches" in body:
-            batches = [frozenset(fact_from_wire(f) for f in batch) for batch in body["batches"]]
+            batches = [frozenset(map(entry.decode, batch)) for batch in body["batches"]]
             values = entry.compiled.evaluate_boolean_batch(batches)
             return {"values": values}
         if "true_facts" not in body:
             raise ServingError(400, "expected 'true_facts' (point query) or 'batches'")
-        true_facts = frozenset(fact_from_wire(f) for f in body["true_facts"])
+        true_facts = frozenset(map(entry.decode, body["true_facts"]))
         value = await entry.boolean_batcher.submit(true_facts)
         return {"value": value}
 
@@ -734,19 +768,19 @@ class CircuitServer:
             assignments = []
             for raw in body["assignments"]:
                 assignment = dict(base)
-                assignment.update(_parse_weights(raw, "each assignment"))
+                assignment.update(_parse_weights(raw, "each assignment", entry.decode))
                 assignments.append(assignment)
             values = entry.compiled.evaluate_batch(semiring, assignments)
             return {"values": values}
         assignment = dict(base)
-        assignment.update(_parse_weights(body.get("weights"), "'weights'"))
+        assignment.update(_parse_weights(body.get("weights"), "'weights'", entry.decode))
         batcher = entry.numeric_batcher(name, semiring)
         value = await batcher.submit(assignment)
         return {"value": value}
 
     def _update(self, entry: _CircuitEntry, body: Mapping[str, Any]) -> dict:
         name, semiring = _resolve_semiring(body)
-        delta = _parse_weights(body.get("delta"), "'delta'")
+        delta = _parse_weights(body.get("delta"), "'delta'", entry.decode)
         if not delta:
             raise ServingError(400, "missing 'delta' (fact → new value)")
         session = entry.update_session(name, semiring)
@@ -774,6 +808,7 @@ class CircuitServer:
         return 200, payload
 
     def _facts(self, entry: _CircuitEntry, body: Mapping[str, Any]) -> dict:
+        decode = entry.decode
         inserts: List[Tuple[Fact, object]] = []
         for item in body.get("insert", ()):
             if isinstance(item, Mapping):
@@ -781,25 +816,35 @@ class CircuitServer:
                     raise ServingError(400, "each weighted insert needs a 'fact' key")
                 weight = item.get("weight")
                 check_weight(weight)
-                inserts.append((fact_from_wire(item["fact"]), weight))
+                inserts.append((decode(item["fact"]), weight))
             else:
-                inserts.append((fact_from_wire(item), None))
-        retracts = [fact_from_wire(item) for item in body.get("retract", ())]
-        weights = _parse_weights(body.get("weights"), "'weights'")
+                inserts.append((decode(item), None))
+        retracts = [decode(item) for item in body.get("retract", ())]
+        weights = _parse_weights(body.get("weights"), "'weights'", decode)
         if not inserts and not retracts and not weights:
             raise ServingError(400, "expected 'insert', 'retract' and/or 'weights'")
         # Validate the whole delta up front so a bad item can't leave the
-        # route half-applied.
+        # route half-applied: every write below must then succeed.
         database = entry.session.database
         idbs = entry.session.program.idb_predicates
         for fact in [f for f, _ in inserts] + retracts + list(weights):
             if fact.predicate in idbs:
                 raise ServingError(400, f"{fact} is an IDB fact; only EDB facts stream")
+        retracted: Set[Fact] = set()
         for fact in retracts:
             if fact not in database:
                 raise ServingError(400, f"cannot retract {fact}: not in the database")
+            if fact in retracted:
+                raise ServingError(400, f"cannot retract {fact} twice in one delta")
+            retracted.add(fact)
+        inserted_facts = {fact for fact, _ in inserts}
+        for fact in weights:
+            if fact in retracted:
+                raise ServingError(400, f"cannot reweight {fact}: the same delta retracts it")
+            if fact not in database and fact not in inserted_facts:
+                raise ServingError(400, f"cannot reweight {fact}: not in the database")
         known = entry.compiled.var_slots
-        structural = any(fact not in known and fact not in database for fact, _ in inserts)
+        structural = any(fact not in known and fact not in database for fact in inserted_facts)
         inserted = 0
         for fact, weight in inserts:
             inserted += fact not in database
@@ -814,8 +859,7 @@ class CircuitServer:
         entry.base_valuations.clear()
         entry.incremental.clear()
         if structural:
-            entry.choice = entry.session.circuit(entry.output)
-            entry.compiled = entry.choice.compiled()
+            entry.recompile()
         return {
             "inserted": inserted,
             "retracted": len(retracts),
@@ -861,7 +905,7 @@ class CircuitServer:
     def _solve(self, body: Mapping[str, Any]) -> dict:
         session, _config = self._build_problem(body)
         name, semiring = _resolve_semiring(body)
-        weights = _parse_weights(body.get("weights"), "'weights'") or None
+        weights = _parse_weights(body.get("weights"), "'weights'", fact_from_wire) or None
         result = session.solve(
             semiring,
             weights=weights,

@@ -214,6 +214,29 @@ def test_facts_validation_is_atomic():
 
         assert (await client.evaluate(key, "tropical")) == baseline
 
+        # Bodies whose items each pass a check on their own but which
+        # cannot all be written: none of their items may land.  A valid
+        # unrelated write afterwards refreshes the served valuation, so
+        # a half-applied body would show in the next answer.
+        noop = {Fact("E", (2, 3)): START[Fact("E", (2, 3))]}
+        fingerprint = (await client.facts(key, weights=noop))["database_fingerprint"]
+        edge = Fact("E", (0, 1))
+        for bad in (
+            dict(retract=[edge, edge]),
+            dict(retract=[edge], weights={edge: 5.0}),
+            dict(weights={edge: 5.0, Fact("E", (9, 9)): 1.0}),
+        ):
+            try:
+                await client.facts(key, **bad)
+            except ServerError as exc:
+                assert exc.status == 400
+            else:  # pragma: no cover
+                raise AssertionError(f"expected HTTP 400 for {bad}")
+            report = await client.facts(key, weights=noop)
+            assert report["database_fingerprint"] == fingerprint
+            assert (await client.evaluate(key, "tropical")) == baseline
+            assert (await client.boolean(key, list(START))) is True
+
     run(with_server(scenario))
 
 

@@ -18,6 +18,7 @@ from repro.constructions import provenance_circuit
 from repro.datalog import Database, Fact, parse_atom, parse_program
 from repro.semirings import TROPICAL
 from repro.serving import CircuitClient, CircuitServer, ServerError
+from repro.serving import server as server_module
 
 TC = "T(X,Y) :- E(X,Y).\nT(X,Z) :- T(X,Y), E(Y,Z)."
 EDGES = ["E(0,1)", "E(1,2)", "E(2,3)", "E(0,2)"]
@@ -396,6 +397,192 @@ def test_wire_accepts_list_form_facts():
         assert await client.boolean(reg["key"], [["E", [0, 1]]]) is False
 
     run(with_server(scenario))
+
+
+# -- wire decoding through the entry's leaf map -----------------------------
+
+
+WEIGHTS = {"E(0,1)": 1.0, "E(1,2)": 1.0, "E(2,3)": 1.0, "E(0,2)": 5.0}
+
+
+async def with_entry(scenario):
+    """Run ``scenario(client, server, key)`` on a registered TC circuit."""
+    server = CircuitServer()
+    async with server as (host, port):
+        async with CircuitClient(host, port) as client:
+            reg = await client.register(TC, EDGES, "T(0,3)", target="T", weights=WEIGHTS)
+            return await scenario(client, server, reg["key"])
+
+
+def spaced(wire):
+    return wire.replace(",", ", ")
+
+
+def listed(wire):
+    fact = parse_atom(wire).to_fact()
+    return [fact.predicate, list(fact.args)]
+
+
+def test_wire_spellings_and_the_parser_path_agree(monkeypatch):
+    parsed_strings = []
+
+    def counting_parse_atom(text):
+        parsed_strings.append(text)
+        return parse_atom(text)
+
+    monkeypatch.setattr(server_module, "parse_atom", counting_parse_atom)
+    cases = [
+        ["E(0,1)", "E(1,2)", "E(2,3)"],
+        ["E(0,2)", "E(2,3)"],
+        ["E(0,1)", "E(2,3)"],
+        [],
+        EDGES,
+    ]
+    assignments = [WEIGHTS, {"E(0,2)": 0.5}, {"E(0,1)": 4.0, "E(2,3)": 2.0}]
+
+    async def answers(client, key, spell):
+        boolean = [await client.boolean(key, [spell(f) for f in case]) for case in cases]
+        batch = await client.boolean_batch(key, [[spell(f) for f in case] for case in cases])
+        weights = [{spell(f): w for f, w in a.items()} for a in assignments]
+        numeric = [await client.evaluate(key, "tropical", w) for w in weights]
+        numeric_batch = await client.evaluate_batch(key, "tropical", weights)
+        return boolean, batch, numeric, numeric_batch
+
+    async def scenario(client, server, key):
+        entry = server._circuits[key]
+        assert entry.wire_facts == {}
+        # First pass: every string misses the map and is parsed.
+        parsed = await answers(client, key, str)
+        assert set(entry.wire_facts) == set(EDGES)
+        # Second pass: the same strings, now all map hits.
+        parsed_strings.clear()
+        mapped = await answers(client, key, str)
+        assert mapped == parsed
+        assert parsed_strings == []
+        assert await answers(client, key, spaced) == parsed
+        assert set(entry.wire_facts) == set(EDGES)
+        # The list form is decoded literally and never enters the map.
+        boolean, batch, _, _ = parsed
+        listed_boolean = [await client.boolean(key, [listed(f) for f in case]) for case in cases]
+        assert listed_boolean == boolean
+        assert await client.boolean_batch(key, [[listed(f) for f in c] for c in cases]) == batch
+        assert set(entry.wire_facts) == set(EDGES)
+
+        compiled = entry.compiled
+        direct = compiled.evaluate_boolean_batch(
+            [frozenset(parse_atom(f).to_fact() for f in case) for case in cases]
+        )
+        assert boolean == batch == direct == [True, True, False, False, True]
+
+        def valuation(weights):
+            full = {parse_atom(f).to_fact(): w for f, w in WEIGHTS.items()}
+            full.update({parse_atom(f).to_fact(): w for f, w in weights.items()})
+            return full
+
+        expected = compiled.evaluate_batch(TROPICAL, [valuation(a) for a in assignments])
+        assert parsed[2] == parsed[3] == expected == [3.0, 1.5, 7.0]
+
+        # /update deltas and /facts reweights decode the same way.
+        canonical = await client.update(key, "counting", {"E(0,2)": 0})
+        respelled = await client.update(key, "counting", {"E(0, 2)": 0})
+        assert canonical["outputs"] == respelled["outputs"] == [1]
+        await client.facts(key, weights={"E(0, 1)": 2.0})
+        assert await client.evaluate(key, "tropical") == 4.0
+        await client.facts(key, weights={"E(0,1)": 1.0})
+        assert await client.evaluate(key, "tropical") == 3.0
+
+    run(with_entry(scenario))
+
+
+def test_wire_map_keeps_the_parsers_rejections():
+    # repr(Fact("E", ("A", 1))) is "E(A,1)", which the parser reads as
+    # a non-ground atom: a leaf with that repr must not make it valid.
+    bad_strings = {
+        "E(A,1)": "bad fact 'E(A,1)': atom E(A, 1) is not ground",
+        "E(0,1": "bad fact 'E(0,1': expected RPAREN, found EOF '' (line 1, column 6)",
+        "not a fact (": "bad fact 'not a fact (': expected LPAREN, found IDENT 'a' (line 1, column 5)",
+    }
+
+    async def scenario():
+        server = CircuitServer()
+        async with server as (host, port):
+            async with CircuitClient(host, port) as client:
+                reg = await client.register(TC, [["E", ["A", 1]], ["E", [1, 2]]], ["T", ["A", 2]], target="T")
+                key = reg["key"]
+                entry = server._circuits[key]
+                assert Fact("E", ("A", 1)) in entry.compiled.var_slots
+                assert await client.boolean(key, [["E", ["A", 1]], "E(1,2)"]) is True
+                for wire, message in bad_strings.items():
+                    for route, body in (
+                        ("boolean", {"true_facts": [wire]}),
+                        ("boolean", {"batches": [["E(1,2)", wire]]}),
+                        ("evaluate", {"semiring": "tropical", "weights": {wire: 1.0}}),
+                        ("evaluate", {"semiring": "tropical", "assignments": [{wire: 1.0}]}),
+                        ("update", {"semiring": "tropical", "delta": {wire: 1.0}}),
+                        ("facts", {"insert": [wire]}),
+                        ("facts", {"retract": [wire]}),
+                        ("facts", {"weights": {wire: 1.0}}),
+                    ):
+                        status, payload = await client.request("POST", f"/circuits/{key}/{route}", body)
+                        assert (status, payload) == (400, {"error": message}), (route, body)
+                assert set(entry.wire_facts) == {"E(1,2)"}
+
+    run(scenario())
+
+
+def test_wire_map_is_bounded_by_the_circuit_leaves():
+    respellings = [
+        "E(0,1)",
+        "E(0, 1)",
+        "E( 0,1)",
+        "E(0 ,1 )",
+        "E(00,1)",
+        "E(-0,1)",
+        "E(0,01)",
+        "E(0,1) ",
+        " E(0,1)",
+        "E(5,6)",  # in the language, not a leaf
+        "E(1,0)",
+    ]
+
+    async def scenario(client, server, key):
+        entry = server._circuits[key]
+        leaves = entry.compiled.var_labels
+        for _ in range(3):
+            for wire in respellings + EDGES:
+                await client.boolean(key, [wire])
+                await client.evaluate(key, "tropical", {wire: 2.0})
+                assert len(entry.wire_facts) <= len(leaves)
+        assert set(entry.wire_facts) == set(EDGES)
+        assert all(repr(fact) == wire for wire, fact in entry.wire_facts.items())
+        assert set(entry.wire_facts.values()) <= set(leaves)
+
+    run(with_entry(scenario))
+
+
+def test_wire_map_follows_a_recompiling_insert():
+    async def scenario(client, server, key):
+        entry = server._circuits[key]
+        assert await client.boolean(key, EDGES) is True
+        assert set(entry.wire_facts) == set(EDGES)
+        report = await client.facts(key, insert=[{"fact": "E(1,3)", "weight": 0.5}], retract=["E(0,2)"])
+        assert report["recompiled"] is True
+        assert Fact("E", (1, 3)) in entry.compiled.var_slots
+        # The rebuilt circuit has no E(0,2) leaf, so its string left the map.
+        assert Fact("E", (0, 2)) not in entry.compiled.var_slots
+        assert "E(0,2)" not in entry.wire_facts
+        assert await client.boolean(key, ["E(0,2)", "E(2,3)"]) is False
+        assert "E(0,2)" not in entry.wire_facts
+        # The new leaf decodes and answers through the rebuilt circuit.
+        assert await client.boolean(key, ["E(0,1)", "E(1,3)"]) is True
+        assert await client.boolean(key, ["E(0,1)", "E(1,3)"]) is True
+        assert "E(1,3)" in entry.wire_facts
+        assert await client.evaluate(key, "tropical") == 1.5
+        assert await client.evaluate(key, "tropical", {"E(1,3)": 9.0}) == 3.0
+        assert len(entry.wire_facts) <= len(entry.compiled.var_labels)
+        assert set(entry.wire_facts.values()) <= set(entry.compiled.var_labels)
+
+    run(with_entry(scenario))
 
 
 def test_stats_payload_is_json_round_trippable():
