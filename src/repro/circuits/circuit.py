@@ -17,13 +17,30 @@ The :class:`CircuitBuilder` adds optional hash-consing (structural
 common-subexpression elimination) and convenience helpers for balanced
 ``⊕``/``⊗``-trees, which the constructions of Sections 3--6 use to get
 the ``O(log n)``-depth summations the paper's proofs invoke.
+
+A construction that unrolls an operator stage by stage (Theorem 3.1's
+immediate consequence operator, Theorem 5.6's Bellman–Ford rounds) can
+hand the builder a :class:`StageRecord`; the built circuit keeps it,
+and the compiled runtime uses it to stop a valuation at its own
+fixpoint (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Mapping, Optional, Sequence
+from array import array
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["OP_VAR", "OP_CONST0", "OP_CONST1", "OP_ADD", "OP_MUL", "Circuit", "CircuitBuilder"]
+__all__ = [
+    "OP_VAR",
+    "OP_CONST0",
+    "OP_CONST1",
+    "OP_ADD",
+    "OP_MUL",
+    "ZERO",
+    "Circuit",
+    "CircuitBuilder",
+    "StageRecord",
+]
 
 OP_VAR = 0
 OP_CONST0 = 1
@@ -39,6 +56,12 @@ _OP_NAMES = {
     OP_MUL: "⊗",
 }
 
+#: Node id that :meth:`StageRecord.exits` uses for the constant 0.
+ZERO = -1
+
+#: One exit point: ``(end, pairs, outputs)`` in circuit numbering.
+Exit = Tuple[int, List[Tuple[int, int]], List[int]]
+
 
 class Circuit:
     """An immutable fan-in-2 semiring circuit.
@@ -52,9 +75,15 @@ class Circuit:
         for other nodes.
     outputs:
         Indices of the designated output gates (usually one).
+    stages:
+        The :class:`StageRecord` of the construction that built the
+        circuit, or ``None``.  Only :meth:`CircuitBuilder.build` with
+        ``prune=True`` attaches one; every other way of making a
+        circuit (``with_outputs``, the formula transforms,
+        ``Circuit(...)``) carries none.
     """
 
-    __slots__ = ("ops", "lhs", "rhs", "labels", "outputs", "_depths", "_op_counts", "_compiled")
+    __slots__ = ("ops", "lhs", "rhs", "labels", "outputs", "stages", "_depths", "_op_counts", "_compiled")
 
     def __init__(
         self,
@@ -74,6 +103,7 @@ class Circuit:
         for out in self.outputs:
             if not 0 <= out < len(self.ops):
                 raise ValueError(f"output index {out} out of range")
+        self.stages: Optional[StageRecord] = None
         self._depths: Optional[List[int]] = None
         self._op_counts: Optional[tuple] = None
         self._compiled = None  # CompiledCircuit cache (repro.circuits.runtime)
@@ -184,6 +214,10 @@ class Circuit:
 
     def prune(self) -> "Circuit":
         """Drop gates not reachable from the outputs, preserving order."""
+        return self._pruned()[0]
+
+    def _pruned(self) -> Tuple["Circuit", List[int]]:
+        """:meth:`prune` plus its renumbering (``-1`` for a dropped node)."""
         marked = self.reachable_from_outputs()
         remap = [-1] * len(self.ops)
         ops: List[int] = []
@@ -203,7 +237,7 @@ class Circuit:
                 lhs.append(-1)
                 rhs.append(-1)
         outputs = [remap[out] for out in self.outputs]
-        return Circuit(ops, lhs, rhs, labels, outputs)
+        return Circuit(ops, lhs, rhs, labels, outputs), remap
 
     def with_outputs(self, outputs: Iterable[int]) -> "Circuit":
         """Same DAG with a different designated output set."""
@@ -391,8 +425,141 @@ class CircuitBuilder:
 
     # -- finish -----------------------------------------------------------
 
-    def build(self, outputs: Sequence[int] | int, prune: bool = False) -> Circuit:
+    def build(
+        self,
+        outputs: Sequence[int] | int,
+        prune: bool = False,
+        stages: Optional["StageRecord"] = None,
+    ) -> Circuit:
+        """Freeze the nodes into a :class:`Circuit` with *outputs*.
+
+        With ``prune=True`` the circuit keeps only the output cone, and
+        *stages* (the construction's :class:`StageRecord`, in builder
+        numbering) rides along with the renumbering, to be translated
+        on first use.  Without pruning the record is not kept.
+        """
         if isinstance(outputs, int):
             outputs = [outputs]
         circuit = Circuit(self.ops, self.lhs, self.rhs, self.labels, list(outputs))
-        return circuit.prune() if prune else circuit
+        if not prune:
+            return circuit
+        pruned, remap = circuit._pruned()
+        if stages is not None:
+            stages.remap = remap
+            pruned.stages = stages
+        return pruned
+
+
+class StageRecord:
+    """The stages a construction unrolled, for early exit at runtime.
+
+    A construction that applies one operator stage after stage calls
+    :meth:`add_stage` after each stage's last gate, with every
+    *relevant* fact whose node the stage replaced.  A fact is relevant
+    when an output depends on it; that set must be closed under the
+    operator's inputs.  Then, once a stage leaves every
+    relevant value exactly as the stage before did, every later stage
+    does too, and each output already holds its final value.  Facts
+    are small integers of the construction's choosing, and a fact a
+    stage did not change keeps its node.
+
+    The columns are flat ``array('q')`` columns in builder numbering.
+    :meth:`exits` translates them through the renumbering of
+    ``build(prune=True)`` on first use, so a circuit that is never
+    queried through an outputs-only kernel pays nothing for it.
+    """
+
+    __slots__ = (
+        "ends",
+        "starts",
+        "fids",
+        "prev",
+        "new",
+        "output_fids",
+        "output_initial",
+        "zero",
+        "remap",
+        "_exits",
+    )
+
+    def __init__(self, output_fids: Sequence[int], output_initial: Sequence[int], zero: int):
+        """*output_fids* names each output's fact (``-1``: a constant
+        output), *output_initial* the node it holds before the first
+        stage, and *zero* the builder's constant-0 node."""
+        self.ends = array("q")
+        self.starts = array("q", [0])
+        self.fids = array("q")
+        self.prev = array("q")
+        self.new = array("q")
+        self.output_fids = array("q", output_fids)
+        self.output_initial = array("q", output_initial)
+        self.zero = zero
+        self.remap: Optional[List[int]] = None
+        self._exits: Optional[List[Exit]] = None
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def add_stage(self, end: int, fids: Iterable[int], prev: Iterable[int], new: Iterable[int]) -> None:
+        """Record a stage that moved each fact of *fids* from its node in
+        *prev* to its node in *new*; *end* is the builder's length after
+        the stage's last gate."""
+        self.fids.extend(fids)
+        self.prev.extend(prev)
+        self.new.extend(new)
+        self.ends.append(end)
+        self.starts.append(len(self.fids))
+
+    def exits(self) -> List[Exit]:
+        """The exit points, in stage order and circuit numbering.
+
+        Each is ``(end, pairs, outputs)``: once every node below *end*
+        is evaluated, the valuation has reached its fixpoint if both
+        nodes of each ``(prev, new)`` pair hold exactly equal values,
+        and then each output's value is at the node listed for it.
+        :data:`ZERO` stands for the constant 0.  A stage that would
+        read a node the pruning dropped is not an exit point.
+        """
+        if self._exits is None:
+            self._exits = self._translate()
+            self.remap = None
+        return self._exits
+
+    def _translate(self) -> List[Exit]:
+        remap, zero = self.remap, self.zero
+
+        def node(index: int) -> Optional[int]:
+            if index == zero:
+                return ZERO
+            index = remap[index]
+            return index if index >= 0 else None
+
+        positions: Dict[int, List[int]] = {}
+        for position, fid in enumerate(self.output_fids):
+            if fid >= 0:
+                positions.setdefault(fid, []).append(position)
+        latest = list(self.output_initial)
+        exits: List[Exit] = []
+        kept = scanned = 0
+        fids, prev, new = self.fids, self.prev, self.new
+        for stage, end in enumerate(self.ends):
+            # Ends are builder lengths, so they never decrease: one
+            # forward scan counts the nodes the pruning kept below each.
+            while scanned < end:
+                if remap[scanned] >= 0:
+                    kept += 1
+                scanned += 1
+            pairs: List[Tuple[int, int]] = []
+            exit_point = True
+            for at in range(self.starts[stage], self.starts[stage + 1]):
+                for position in positions.get(fids[at], ()):
+                    latest[position] = new[at]
+                before, after = node(prev[at]), node(new[at])
+                if before is None or after is None:
+                    exit_point = False
+                else:
+                    pairs.append((before, after))
+            outputs = [node(index) for index in latest]
+            if exit_point and None not in outputs:
+                exits.append((kept, pairs, outputs))
+        return exits

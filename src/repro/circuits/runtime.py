@@ -35,6 +35,16 @@ input gate.  This module amortizes all of that over a batch
   a sparse assignment delta, recomputes only the dirty cone of
   influence via a fanout-indexed worklist -- the "one EDB weight
   changed, re-answer the query" serving scenario.
+* **Stage-level early exit.**  A circuit whose construction recorded
+  its stages (:class:`~repro.circuits.circuit.StageRecord`) gets
+  outputs-only kernels (``evaluate``/``evaluate_batch``/
+  ``evaluate_boolean_batch`` against a designated output) that check,
+  after each stage's last gate, whether the stage repeated the one
+  before it on every fact the outputs depend on.  The check is exact
+  ``==`` (on a bitset word: every lane converged); on a repeat the
+  kernel returns each output's latest node.  ``evaluate_all``,
+  interior ``output=`` queries and :class:`IncrementalEvaluator` run
+  every gate.
 
 All entry points are exact drop-in equivalents of the seed
 interpreter (property-tested in ``tests/circuits/test_runtime.py``).
@@ -43,11 +53,12 @@ interpreter (property-tested in ``tests/circuits/test_runtime.py``).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..semirings.base import Semiring
-from .circuit import OP_ADD, OP_CONST0, OP_CONST1, OP_MUL, OP_VAR, Circuit
+from .circuit import OP_ADD, OP_CONST0, OP_CONST1, OP_MUL, OP_VAR, ZERO, Circuit, Exit
 
 __all__ = [
     "CompiledCircuit",
@@ -87,24 +98,38 @@ _STRAIGHT_LINE_LIMIT = 20_000
 # *source* depends only on the streams and the two fused expressions.
 
 
+def _local(node: int) -> str:
+    """The straight-line kernel's name for *node*'s value."""
+    return "zero" if node == ZERO else f"v{node}"
+
+
 def _gen_straight_source(
     compiled: "CompiledCircuit",
     add_expr: str,
     mul_expr: str,
     generic: bool,
     keep: Optional[List[bool]],
+    exits: List[Exit],
 ) -> str:
     """One statement per node, every value a Python local.
 
     With *keep* (the reachable-from-outputs mask) the generated code
     skips dead nodes entirely and returns only the designated output
     values -- the single-query serving kernel.  Without it, every node
-    is materialized and the full value array is returned.
+    is materialized and the full value array is returned.  Each of
+    *exits* becomes an inline ``if v_a == v_b and ...: return [...]``
+    right after the stage's last gate.
     """
     lines = ["def _kernel(vec, zero, one" + (", add, mul" if generic else "") + "):"]
     ops, lhs, rhs = compiled.ops, compiled.lhs, compiled.rhs
     node_slot = compiled.node_slot
+    checks: Dict[int, List[str]] = {}
+    for end, pairs, outputs in exits:
+        returns = "return [" + ", ".join(map(_local, outputs)) + "]"
+        test = " and ".join(f"{_local(a)} == {_local(b)}" for a, b in pairs)
+        checks.setdefault(end, []).append(f"    if {test}: {returns}" if pairs else f"    {returns}")
     for i in range(compiled.size):
+        lines.extend(checks.get(i, ()))
         if keep is not None and not keep[i]:
             continue
         op = ops[i]
@@ -135,10 +160,15 @@ def _gen_straight_source(
 def _gen_loop_source(add_expr: str, mul_expr: str, generic: bool, outputs_only: bool) -> str:
     """Segment-loop kernel: one branch per same-opcode run, not per node.
 
-    The instruction streams (``_loads``/``_ones``/``_segments``) are
+    The instruction streams (``_loads``/``_ones``/``_stages``) are
     bound as defaults at ``exec`` time; the outputs-only variant gets
     streams pre-filtered to the output cone and returns only the
-    designated output values.
+    designated output values.  ``_stages`` lists ``(segments, pairs,
+    exit)``: after a stage's segments, when every pair holds equal
+    values, the kernel returns the values at *exit*; a stage without
+    an exit point has ``exit`` ``None``.  A staged kernel's value array
+    has one spare last slot that stays ``zero``, which is where
+    :data:`~repro.circuits.circuit.ZERO` (``-1``) indexes.
     """
     if generic:
         add_stmt = "values[_d] = add(values[_l], values[_r])"
@@ -150,21 +180,64 @@ def _gen_loop_source(add_expr: str, mul_expr: str, generic: bool, outputs_only: 
     return (
         "def _kernel(vec, zero, one"
         + (", add, mul" if generic else "")
-        + ", _loads=_loads, _ones=_ones, _segments=_segments, _n=_n, _outputs=_outputs):\n"
-        "    values = [zero] * _n\n"
+        + ", _loads=_loads, _ones=_ones, _stages=_stages, _width=_width, _outputs=_outputs):\n"
+        "    values = [zero] * _width\n"
         "    for _d in _ones:\n"
         "        values[_d] = one\n"
         "    for _d, _s in _loads:\n"
         "        values[_d] = vec[_s]\n"
-        "    for _op, _triples in _segments:\n"
-        f"        if _op == {OP_ADD}:\n"
-        "            for _d, _l, _r in _triples:\n"
-        f"                {add_stmt}\n"
-        "        else:\n"
-        "            for _d, _l, _r in _triples:\n"
-        f"                {mul_stmt}\n"
+        "    for _segments, _pairs, _exit in _stages:\n"
+        "        for _op, _triples in _segments:\n"
+        f"            if _op == {OP_ADD}:\n"
+        "                for _d, _l, _r in _triples:\n"
+        f"                    {add_stmt}\n"
+        "            else:\n"
+        "                for _d, _l, _r in _triples:\n"
+        f"                    {mul_stmt}\n"
+        "        if _exit is not None:\n"
+        "            for _a, _b in _pairs:\n"
+        "                if not values[_a] == values[_b]:\n"
+        "                    break\n"
+        "            else:\n"
+        "                return [values[_o] for _o in _exit]\n"
         f"    return {returns}\n"
     )
+
+
+def _split_at_exits(segments: List[Tuple[int, list]], exits: List[Exit]) -> List[tuple]:
+    """The segment stream cut at each exit point's end.
+
+    Segments wholly inside a stage are shared, not copied; only a run
+    that straddles a stage end is sliced in two.  Returns the
+    ``_stages`` list of :func:`_gen_loop_source`.
+    """
+    stages: List[tuple] = []
+    chunk: List[Tuple[int, list]] = []
+    pending = iter(segments)
+    carry: Optional[Tuple[int, list]] = None
+    for end, pairs, outputs in exits:
+        while True:
+            if carry is None:
+                carry = next(pending, None)
+                if carry is None:
+                    break
+            op, triples = carry
+            if triples[-1][0] < end:
+                chunk.append(carry)
+                carry = None
+                continue
+            if triples[0][0] < end:
+                cut = bisect_left(triples, (end,))
+                chunk.append((op, triples[:cut]))
+                carry = (op, triples[cut:])
+            break
+        stages.append((chunk, pairs, outputs))
+        chunk = []
+    if carry is not None:
+        chunk.append(carry)
+    chunk.extend(pending)
+    stages.append((chunk, None, None))
+    return stages
 
 
 class CompiledCircuit:
@@ -270,6 +343,13 @@ class CompiledCircuit:
         """Same-opcode instruction runs in the gate stream."""
         return len(self.segments)
 
+    @property
+    def num_stages(self) -> int:
+        """Stages the construction recorded (0 without a record): the
+        stage ends at which outputs-only kernels may exit early."""
+        stages = self.circuit.stages
+        return len(stages) if stages is not None else 0
+
     def users(self) -> List[List[int]]:
         """Fanout index: ``users()[i]`` lists the gates reading node ``i``."""
         if self._users is None:
@@ -290,6 +370,8 @@ class CompiledCircuit:
                     f"circuit has {len(self.outputs)} outputs; pass output= explicitly"
                 )
             return self.outputs[0]
+        if not 0 <= output < self.size:
+            raise ValueError(f"output index {output} out of range")
         return output
 
     # ------------------------------------------------------------------
@@ -313,18 +395,31 @@ class CompiledCircuit:
             self._out_positions = positions
         return positions.get(node)
 
+    def _exit_points(self) -> List[Exit]:
+        """The stage record's exit points (none without a record)."""
+        stages = self.circuit.stages
+        return stages.exits() if stages is not None else []
+
     def _filtered_streams(self) -> tuple:
-        """Instruction streams restricted to the output cone."""
+        """Instruction streams restricted to the output cone and cut
+        at the exit points: ``(loads, ones, stages)``."""
         if self._outs_streams is None:
             keep = self._keep_mask()
-            loads = [(dest, slot) for dest, slot in self.load_pairs if keep[dest]]
-            ones = [dest for dest in self.const1_nodes if keep[dest]]
-            segments = []
-            for op, triples in self.segments:
-                live = [t for t in triples if keep[t[0]]]
-                if live:
-                    segments.append((op, live))
-            self._outs_streams = (loads, ones, segments)
+            # A pruned circuit is all cone: share its streams, since the
+            # stage split below slices only the runs that straddle a cut.
+            if all(keep):
+                loads, ones, segments = self.load_pairs, self.const1_nodes, self.segments
+            else:
+                loads = [(dest, slot) for dest, slot in self.load_pairs if keep[dest]]
+                ones = [dest for dest in self.const1_nodes if keep[dest]]
+                segments = []
+                for op, triples in self.segments:
+                    live = [t for t in triples if keep[t[0]]]
+                    if live:
+                        segments.append((op, live))
+            exits = self._exit_points()
+            stages = _split_at_exits(segments, exits) if exits else [(segments, None, None)]
+            self._outs_streams = (loads, ones, stages)
         return self._outs_streams
 
     def _kernel(
@@ -334,11 +429,12 @@ class CompiledCircuit:
 
         The ``outputs_only`` variant applies dead-cone elimination --
         nodes not reachable from the designated outputs are never
-        computed -- and returns only the output values; the full
-        variant materializes every node (the ``evaluate_all``
-        contract).  ``reuse=False`` marks a kernel that will run once:
-        it is always the segment loop, never straight-line code (see
-        :data:`_STRAIGHT_LINE_LIMIT`).
+        computed -- stops at the first stage that repeats the one
+        before it (when the circuit has a stage record) and returns
+        only the output values; the full variant materializes every
+        node (the ``evaluate_all`` contract).  ``reuse=False`` marks a
+        kernel that will run once: it is always the segment loop, never
+        straight-line code (see :data:`_STRAIGHT_LINE_LIMIT`).
         """
         straight = reuse and self.size <= _STRAIGHT_LINE_LIMIT
         key = (exprs, outputs_only, straight)
@@ -346,21 +442,23 @@ class CompiledCircuit:
         if kernel is None:
             generic = exprs is None
             add_expr, mul_expr = ("", "") if generic else exprs
-            if outputs_only:
-                loads, ones, segments = self._filtered_streams()
-            else:
-                loads, ones, segments = self.load_pairs, self.const1_nodes, self.segments
-            namespace: Dict[str, object] = {
-                "_loads": loads,
-                "_ones": ones,
-                "_segments": segments,
-                "_n": self.size,
-                "_outputs": self.outputs,
-            }
+            exits = self._exit_points() if outputs_only else []
             if straight:
+                namespace: Dict[str, object] = {}
                 keep = self._keep_mask() if outputs_only else None
-                source = _gen_straight_source(self, add_expr, mul_expr, generic, keep)
+                source = _gen_straight_source(self, add_expr, mul_expr, generic, keep, exits)
             else:
+                if outputs_only:
+                    loads, ones, stages = self._filtered_streams()
+                else:
+                    loads, ones, stages = self.load_pairs, self.const1_nodes, [(self.segments, None, None)]
+                namespace = {
+                    "_loads": loads,
+                    "_ones": ones,
+                    "_stages": stages,
+                    "_width": self.size + 1 if exits else self.size,
+                    "_outputs": self.outputs,
+                }
                 source = _gen_loop_source(add_expr, mul_expr, generic, outputs_only)
             exec(source, namespace)  # noqa: S102 - the closure compiler
             kernel = namespace["_kernel"]

@@ -11,13 +11,18 @@ source to ``j``::
 absorbed by their path sub-monomials (absorptive law), so the output
 equals the TC provenance polynomial.  Size ``O(m·n)``, depth
 ``O(n log n)`` (each in-neighbourhood sum is a balanced tree).
+
+Each round is a stage of the circuit's
+:class:`~repro.circuits.circuit.StageRecord`: its facts are the
+vertices that reach a sink, so a valuation whose round leaves them
+all unchanged stops there at runtime (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..circuits.circuit import Circuit, CircuitBuilder
+from ..circuits.circuit import Circuit, CircuitBuilder, StageRecord
 from ..datalog.ast import Fact
 from ..datalog.database import Database
 
@@ -96,9 +101,27 @@ def _bellman_ford(
                 edge_var[fact] = builder.var(fact)
 
     # f^0: only the source is reached (by the empty walk, value 1).
-    value: Dict[Vertex, int] = {
-        v: (builder.const1() if v == source else builder.const0()) for v in vertices
-    }
+    zero = builder.const0()
+    value: Dict[Vertex, int] = {v: (builder.const1() if v == source else zero) for v in vertices}
+
+    # The stage record's facts are vertex positions; f_j reads f_i for
+    # every in-neighbour i, so the relevant vertices are those that
+    # reach a sink.
+    position = {v: i for i, v in enumerate(vertices)}
+    relevant = {s for s in sinks if s in position}
+    stack = list(relevant)
+    while stack:
+        for u, _fact in incoming.get(stack.pop(), ()):
+            if u not in relevant:
+                relevant.add(u)
+                stack.append(u)
+    sink_order = sorted(sinks, key=repr)
+    record = StageRecord(
+        [position.get(s, -1) for s in sink_order],
+        [value.get(s, zero) for s in sink_order],
+        zero,
+    )
+
     for _ in range(rounds):
         fresh: Dict[Vertex, int] = {}
         for v in vertices:
@@ -108,11 +131,17 @@ def _bellman_ford(
             fresh[v] = builder.add_all(terms)
         if fresh == value:
             break  # structural fixpoint (acyclic or converged early)
+        changed = [v for v in vertices if fresh[v] != value[v] and v in relevant]
+        record.add_stage(
+            len(builder),
+            [position[v] for v in changed],
+            [value[v] for v in changed],
+            [fresh[v] for v in changed],
+        )
         value = fresh
 
     # Build with every sink as an output, then prune the dead cone.
-    sink_order = sorted(sinks, key=repr)
-    outputs = [value.get(s, builder.const0()) for s in sink_order]
-    circuit = builder.build(outputs, prune=True)
+    outputs = [value.get(s, zero) for s in sink_order]
+    circuit = builder.build(outputs, prune=True, stages=record)
     node_of = {s: circuit.outputs[i] for i, s in enumerate(sink_order)}
     return circuit, node_of

@@ -14,7 +14,13 @@ improves on for special classes.
 
 Gates are hash-consed, so when the symbolic layer values stabilize
 early (e.g. bounded programs, acyclic inputs) the construction stops
-adding gates and exits.
+adding gates and exits.  Its runtime twin is the stage record: the
+loop notes where each stage's gates end and, for every fact an output
+depends on, which node the stage replaced by which
+(:class:`~repro.circuits.circuit.StageRecord`).  A valuation that
+reaches its own fixpoint at stage ``k`` has every later stage equal to
+stage ``k``, so the compiled circuit's outputs-only kernels stop there
+(DESIGN.md §7).
 
 The stage loop is the *symbolic* twin of the columnar fixpoint
 (:mod:`repro.datalog.seminaive`), streamed from the id-space grounding
@@ -28,9 +34,10 @@ found with far fewer builder calls.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import List, Optional, Sequence, Union
 
-from ..circuits.circuit import Circuit, CircuitBuilder
+from ..circuits.circuit import Circuit, CircuitBuilder, StageRecord
 from ..config import ConfigLike, coerce_config
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
@@ -90,7 +97,9 @@ def _generic_circuit_columnar(
     ``by_body`` / ``by_head`` adjacency are read from the CSR arrays,
     and dirty bookkeeping is ``bytearray`` marks -- the only
     :class:`Fact` objects ever materialized are the EDB input labels
-    (once each) and the requested outputs.
+    (once each) and the requested outputs.  Each stage that changes a
+    node is noted in the circuit's :class:`StageRecord`, restricted to
+    the facts the outputs depend on.
     """
     head_fids = cground.idb_fact_ids()
     if stages is None:
@@ -132,6 +141,23 @@ def _generic_circuit_columnar(
         for position in range(nrules)
     ]
 
+    # Outputs resolve before the stage loop, because the stage record
+    # checks only the facts they depend on.  Target facts come in repr
+    # order; a requested fact no rule derives is the constant 0 (-1).
+    if facts is None:
+        targets = sorted(
+            ((decode(fid), fid) for fid in cground.target_fact_ids()),
+            key=lambda pair: repr(pair[0]),
+        )
+        output_fids = [fid for _, fid in targets]
+    else:
+        output_fids = []
+        for fact in [facts] if isinstance(facts, Fact) else facts:
+            fid = cground.find_fact_id(fact)
+            output_fids.append(fid if fid is not None and is_head[fid] else -1)
+    relevant = _relevant_facts(output_fids, nfacts, idb_rows, by_head_ptr, by_head_rules)
+    record = StageRecord(output_fids, [const0] * len(output_fids), const0)
+
     rule_node: List[int] = list(rule_edb_product)
     head_mark = bytearray(nfacts)
     dirty: Sequence[int] = range(nrules)
@@ -161,8 +187,16 @@ def _generic_circuit_columnar(
                 delta_nodes.append(fresh)
         if not delta_fids:
             break  # symbolic fixpoint: further layers are no-ops
+        prev_nodes = [value[head] for head in delta_fids]
         for head, node in zip(delta_fids, delta_nodes):
             value[head] = node
+        keep = [relevant[head] for head in delta_fids]
+        record.add_stage(
+            len(builder),
+            compress(delta_fids, keep),
+            compress(prev_nodes, keep),
+            compress(delta_nodes, keep),
+        )
         rule_mark = bytearray(nrules)
         next_dirty: List[int] = []
         for head in delta_fids:
@@ -174,19 +208,33 @@ def _generic_circuit_columnar(
         next_dirty.sort()
         dirty = next_dirty
 
-    # Outputs decode at the boundary only, target facts in repr order.
-    output_nodes: List[int] = []
-    if facts is None:
-        targets = sorted(
-            ((decode(fid), fid) for fid in cground.target_fact_ids()),
-            key=lambda pair: repr(pair[0]),
-        )
-        output_nodes = [value[fid] for _, fid in targets]
-    else:
-        for fact in [facts] if isinstance(facts, Fact) else facts:
-            fid = cground.find_fact_id(fact)
-            if fid is not None and is_head[fid]:
-                output_nodes.append(value[fid])
-            else:
-                output_nodes.append(builder.const0())
-    return builder.build(output_nodes, prune=True)
+    output_nodes = [value[fid] if fid >= 0 else const0 for fid in output_fids]
+    return builder.build(output_nodes, prune=True, stages=record)
+
+
+def _relevant_facts(
+    output_fids: Sequence[int],
+    nfacts: int,
+    idb_rows: Sequence[Sequence[int]],
+    by_head_ptr: Sequence[int],
+    by_head_rules: Sequence[int],
+) -> bytearray:
+    """Mark the facts some output reaches over ground-rule bodies.
+
+    The set is closed under rule bodies, so a stage that leaves each
+    marked fact's value unchanged is a fixpoint for the outputs.
+    """
+    relevant = bytearray(nfacts)
+    stack: List[int] = []
+    for fid in output_fids:
+        if fid >= 0 and not relevant[fid]:
+            relevant[fid] = 1
+            stack.append(fid)
+    while stack:
+        head = stack.pop()
+        for at in range(by_head_ptr[head], by_head_ptr[head + 1]):
+            for fid in idb_rows[by_head_rules[at]]:
+                if not relevant[fid]:
+                    relevant[fid] = 1
+                    stack.append(fid)
+    return relevant

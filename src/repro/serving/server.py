@@ -286,6 +286,7 @@ class _CircuitEntry:
         return {
             "construction": self.choice.construction,
             "size": self.compiled.size,
+            "stages": self.compiled.num_stages,
             "queries": self.queries,
             "boolean_lanes": self.boolean_batcher.stats.snapshot(),
             "numeric_lanes": {
@@ -746,6 +747,7 @@ class CircuitServer:
             "construction": entry.choice.construction,
             "theorem": entry.choice.theorem,
             "size": entry.compiled.size,
+            "stages": entry.compiled.num_stages,
             "program_fingerprint": program_fp,
             "database_fingerprint": db_fp,
         }

@@ -9,6 +9,11 @@ the bitset-parallel ``evaluate_boolean_batch`` and the dirty-cone
 circuits over the Boolean, tropical and counting semirings, including
 multi-output circuits, callable assignments and delta sequences that
 flip a variable back and forth.
+
+The stage-level early exit of the outputs-only kernels is checked
+differentially against ``evaluate_all`` on every construction that
+records its stages, and its three soundness rules are pinned on
+hand-built stage records.
 """
 
 import random
@@ -31,8 +36,28 @@ from repro.circuits import (
     reference_evaluate_all,
     reference_evaluate_boolean,
 )
+from repro.circuits import runtime
+from repro.circuits.circuit import ZERO, StageRecord
 from repro.circuits.runtime import WORD_SIZE
-from repro.semirings import BOOLEAN, COUNTING, TROPICAL, CappedCountingSemiring
+from repro.circuits.transform import circuit_to_formula
+from repro.constructions import (
+    bellman_ford_all_targets,
+    bellman_ford_circuit,
+    bounded_circuit,
+    generic_circuit,
+    provenance_circuit,
+)
+from repro.datalog import Database, Fact, columnar_grounding, transitive_closure
+from repro.semirings import (
+    BOOLEAN,
+    COUNTING,
+    FUZZY,
+    TROPICAL,
+    VITERBI,
+    BooleanSemiring,
+    CappedCountingSemiring,
+)
+from repro.workloads import random_digraph
 
 VARIABLES = ["a", "b", "c", "d", "e"]
 SEMIRINGS = (BOOLEAN, TROPICAL, COUNTING)
@@ -305,3 +330,258 @@ def test_incremental_seed_runs_the_segment_loop(monkeypatch, semiring, pool):
     out = circuit.outputs[0]
     assert evaluator.compiled.evaluate(semiring, assignment, output=out) == expected[out]
     assert len(calls) == 1
+
+
+# ----------------------------------------------------------------------
+# Explicit output indices
+# ----------------------------------------------------------------------
+
+
+def test_explicit_output_index_is_range_checked():
+    """``output=-2`` once read the interior gate ``x ⊗ y`` through
+    Python's negative indexing, and ``output=99`` raised a bare
+    ``IndexError``."""
+    builder = CircuitBuilder()
+    x, y = builder.var("x"), builder.var("y")
+    circuit = builder.build(builder.add(x, builder.mul(x, y)))
+    assert circuit.size == 4
+    compiled = compile_circuit(circuit)
+    weights = {"x": 1.0, "y": 2.0}
+    for bad in (-2, -1, 4, 99):
+        with pytest.raises(ValueError, match=f"output index {bad} out of range"):
+            compiled.evaluate(TROPICAL, weights, output=bad)
+        with pytest.raises(ValueError, match=f"output index {bad} out of range"):
+            compiled.evaluate_batch(TROPICAL, [weights], output=bad)
+        with pytest.raises(ValueError, match=f"output index {bad} out of range"):
+            compiled.evaluate_boolean_batch([["x"]], output=bad)
+    assert compiled.evaluate(TROPICAL, weights, output=2) == 3.0  # interior, in range
+
+
+# ----------------------------------------------------------------------
+# Stage-level early exit
+# ----------------------------------------------------------------------
+
+EXIT_POOLS = {
+    "boolean": [False, True, True],
+    "tropical": [float("inf"), 1.0, 2.0, 5.0, 9.0],
+    "viterbi": [0.0, 0.3, 0.5, 0.9, 1.0],
+    "fuzzy": [0.0, 0.3, 0.5, 0.9, 1.0],
+    # Mostly 0, so some valuations converge and others keep counting
+    # walks round a cycle.
+    "counting": [0, 0, 0, 1, 2],
+}
+EXIT_SEMIRINGS = (BOOLEAN, TROPICAL, VITERBI, FUZZY, COUNTING)
+
+
+def _staged_circuits():
+    """One circuit per construction that records its stages, on a
+    cyclic graph so that valuations converge at different stages."""
+    tc = transitive_closure()
+    graph = random_digraph(9, 20, seed=3)
+    facts = [Fact("T", (0, 8)), Fact("T", (2, 5)), Fact("T", (7, 7)), Fact("T", (0, 99))]
+    choice = provenance_circuit(tc, graph, Fact("T", (0, 8)))
+    assert choice.construction == "magic-generic"
+    return {
+        "generic": generic_circuit(tc, graph, facts),
+        "generic-all-targets": generic_circuit(tc, random_digraph(5, 8, seed=1)),
+        "magic-generic": choice.circuit,
+        "bounded": bounded_circuit(tc, graph, bound=4, facts=facts),
+        "bellman-ford": bellman_ford_circuit(graph, 0, 8),
+        "bellman-ford-all-targets": bellman_ford_all_targets(graph, 0)[0],
+    }
+
+
+def _force_loop_kernel(monkeypatch, straight: bool) -> None:
+    """Put every circuit on one side of the straight-line limit."""
+    if not straight:
+        monkeypatch.setattr(runtime, "_STRAIGHT_LINE_LIMIT", 0)
+
+
+@pytest.mark.parametrize("straight", [True, False], ids=["straight-line", "segment-loop"])
+@pytest.mark.parametrize("semiring", EXIT_SEMIRINGS, ids=lambda s: s.name)
+def test_early_exit_matches_full_evaluation(monkeypatch, straight, semiring):
+    _force_loop_kernel(monkeypatch, straight)
+    rng = random.Random(7)
+    pool = EXIT_POOLS[semiring.name]
+    for name, circuit in _staged_circuits().items():
+        compiled = compile_circuit(circuit)
+        assert compiled.num_stages > 0, name
+        variables = circuit.variables()
+        assignments = [{v: rng.choice(pool) for v in variables} for _ in range(12)]
+        assignments.append({v: semiring.zero for v in variables})
+        assignments.append({v: semiring.one for v in variables})
+        full = [compiled.evaluate_all(semiring, a) for a in assignments]
+        for out in circuit.outputs:
+            expected = [values[out] for values in full]
+            got = [compiled.evaluate(semiring, a, output=out) for a in assignments]
+            assert got == expected, (name, out)
+            assert compiled.evaluate_batch(semiring, assignments, output=out) == expected, (name, out)
+
+
+@pytest.mark.parametrize("straight", [True, False], ids=["straight-line", "segment-loop"])
+def test_bitset_lanes_converge_at_different_stages(monkeypatch, straight):
+    """A word exits only once every lane has converged; lanes here
+    settle anywhere from the first stage (no edge true) to the last."""
+    _force_loop_kernel(monkeypatch, straight)
+    rng = random.Random(11)
+    for name, circuit in _staged_circuits().items():
+        compiled = compile_circuit(circuit)
+        variables = circuit.variables()
+        batches = [[v for v in variables if rng.random() < rng.random()] for _ in range(WORD_SIZE + 37)]
+        batches[3] = []
+        batches[-1] = list(variables)
+        for out in circuit.outputs:
+            expected = [
+                compiled.evaluate_all(BOOLEAN, {v: v in set(trues) for v in variables})[out]
+                for trues in batches
+            ]
+            assert compiled.evaluate_boolean_batch(batches, output=out) == expected, (name, out)
+            # one lane alone, a word that converges at stage 1
+            nothing = compiled.evaluate_all(BOOLEAN, {v: False for v in variables})[out]
+            assert compiled.evaluate_boolean_batch([[]], output=out) == [nothing]
+
+
+class CallCountingBoolean(BooleanSemiring):
+    """Boolean semiring through the generic kernel, counting gate calls."""
+
+    compiled_add_expr = None
+    compiled_mul_expr = None
+
+    def __init__(self):
+        self.calls = 0
+
+    def add(self, a, b):
+        self.calls += 1
+        return a or b
+
+    def mul(self, a, b):
+        self.calls += 1
+        return a and b
+
+
+def _gate_calls(circuit, assignment, outputs_only: bool):
+    semiring = CallCountingBoolean()
+    compiled = compile_circuit(circuit)
+    if outputs_only:
+        value = compiled.evaluate(semiring, assignment)
+    else:
+        value = compiled.evaluate_all(semiring, assignment)[circuit.outputs[0]]
+    return value, semiring.calls
+
+
+@pytest.mark.parametrize("straight", [True, False], ids=["straight-line", "segment-loop"])
+def test_early_exit_checks_only_relevant_facts(monkeypatch, straight):
+    """Soundness rule 1.  The output ``T(0,2)`` lives on a 3-cycle; an
+    8-cycle elsewhere keeps changing the construction's other heads for
+    dozens of stages.  Only facts the output depends on are recorded,
+    so an all-true valuation stops after a few stages."""
+    _force_loop_kernel(monkeypatch, straight)
+    db = Database()
+    for u, v in [(0, 1), (1, 2), (2, 0)] + [(10 + i, 10 + (i + 1) % 8) for i in range(8)]:
+        db.add("E", u, v)
+    tc = transitive_closure()
+    ground = columnar_grounding(tc, db)
+    circuit = generic_circuit(tc, db, Fact("T", (0, 2)), ground=ground)
+    recorded = {ground.decode_fact(fid) for fid in circuit.stages.fids}
+    assert recorded and all(max(fact.args) < 10 for fact in recorded)
+    assignment = {v: True for v in circuit.variables()}
+    early, early_calls = _gate_calls(circuit, assignment, outputs_only=True)
+    full, full_calls = _gate_calls(circuit, assignment, outputs_only=False)
+    assert early is full is True
+    assert early_calls < full_calls
+
+
+def _two_stage_record():
+    """A hand-built record: fact 0 goes 0 → x → x ⊕ y, and a third
+    stage moves fact 1 to ``x ⊗ y``, which the pruning drops."""
+    builder = CircuitBuilder()
+    zero = builder.const0()
+    x, y = builder.var("x"), builder.var("y")
+    record = StageRecord([0], [zero], zero)
+    record.add_stage(len(builder), [0], [zero], [x])
+    total = builder.add(x, y)
+    record.add_stage(len(builder), [0], [x], [total])
+    product = builder.mul(x, y)
+    record.add_stage(len(builder), [1], [zero], [product])
+    return builder.build(total, prune=True, stages=record)
+
+
+def test_exit_points_skip_pruned_nodes_and_map_const0_to_zero():
+    """Soundness rule 2: a stage that reads a pruned node is no exit
+    point, and a pruned ``const0`` compares against ``zero``."""
+    circuit = _two_stage_record()
+    assert circuit.size == 3  # x, y, x ⊕ y: const0 and x ⊗ y were pruned
+    x, total = 0, 2
+    assert circuit.stages.exits() == [(2, [(ZERO, x)], [x]), (3, [(x, total)], [total])]
+    assert circuit.stages.remap is None  # translated once, then dropped
+    assert compile_circuit(circuit).num_stages == 3
+    for straight in (True, False):
+        compiled = CompiledCircuit(circuit)
+        runner = compiled._runner(TROPICAL, outputs_only=True, reuse=straight)
+        assert runner([1.0, 2.0]) == [1.0]  # stage 2 repeats stage 1: min(1, 3) == 1
+        assert runner([5.0, 2.0]) == [2.0]
+
+
+def test_output_latest_node_pruned_is_no_exit_point():
+    """An output whose latest node the pruning dropped blocks its stage."""
+    builder = CircuitBuilder()
+    zero = builder.const0()
+    x, y = builder.var("x"), builder.var("y")
+    dead = builder.mul(x, y)
+    record = StageRecord([0], [zero], zero)
+    record.add_stage(len(builder), [0], [zero], [dead])
+    circuit = builder.build(x, prune=True, stages=record)
+    assert circuit.stages.exits() == []
+    assert compile_circuit(circuit).evaluate(TROPICAL, {"x": 4.0}) == 4.0
+
+
+@pytest.mark.parametrize("straight", [True, False], ids=["straight-line", "segment-loop"])
+def test_early_exit_compares_with_exact_equality(monkeypatch, straight):
+    """Soundness rule 3: Viterbi's ``eq`` is ``isclose``, and stopping on
+    it would return stage 2's ``x·y`` where full evaluation gives
+    stage 3's ``x·y·y``."""
+    _force_loop_kernel(monkeypatch, straight)
+    builder = CircuitBuilder()
+    zero = builder.const0()
+    x, y = builder.var("x"), builder.var("y")
+    record = StageRecord([0], [zero], zero)
+    stages = [x, builder.mul(x, y)]
+    stages.append(builder.mul(stages[-1], y))
+    previous = zero
+    for node in stages:
+        record.add_stage(len(builder), [0], [previous], [node])
+        previous = node
+    circuit = builder.build(previous, prune=True, stages=record)
+    weights = {"x": 0.5, "y": 1.0 - 1e-12}
+    values = compile_circuit(circuit).evaluate_all(VITERBI, weights)
+    _end, [(second, third)], _outputs = circuit.stages.exits()[-1]
+    assert VITERBI.eq(values[second], values[third])
+    assert values[second] != values[third]
+    assert evaluate(circuit, VITERBI, weights) == values[circuit.outputs[0]]
+
+
+def test_stage_record_structure():
+    """After pruning, exit ends never decrease and every id is in range;
+    circuits made any other way carry no record."""
+    for name, circuit in _staged_circuits().items():
+        record = circuit.stages
+        raw_ends = list(record.ends)
+        assert raw_ends == sorted(raw_ends) and len(raw_ends) == len(record)
+        exits = record.exits()
+        assert exits, name
+        ends = [end for end, _, _ in exits]
+        assert ends == sorted(ends), name
+        for end, pairs, outputs in exits:
+            assert 0 <= end <= circuit.size
+            assert len(outputs) == len(circuit.outputs)
+            for node in [n for pair in pairs for n in pair] + outputs:
+                assert node == ZERO or 0 <= node < end, name
+        rebuilt = Circuit(circuit.ops, circuit.lhs, circuit.rhs, circuit.labels, circuit.outputs)
+        for other in (circuit.with_outputs(circuit.outputs), rebuilt, circuit.prune()):
+            assert other.stages is None
+            assert compile_circuit(other).num_stages == 0
+    small = generic_circuit(transitive_closure(), random_digraph(3, 3, seed=0), Fact("T", (0, 2)))
+    assert small.stages is not None
+    assert circuit_to_formula(small).stages is None
+    builder = CircuitBuilder()
+    assert builder.build(builder.var("x"), stages=StageRecord([], [], -1)).stages is None

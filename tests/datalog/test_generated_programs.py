@@ -14,15 +14,21 @@ Each generated pair is checked against the oracle:
   (values, rounds, convergence);
 * the generic (Theorem 3.1) and fringe (Theorem 6.2) circuits for
   every derived IDB fact agree with the fixpoint
-  (:func:`repro.circuits.crosscheck_fixpoint`).
+  (:func:`repro.circuits.crosscheck_fixpoint`);
+* on the generic and bounded circuits, the outputs-only kernels,
+  which stop at a valuation's own fixpoint, agree exactly with full
+  evaluation, over BOOLEAN, TROPICAL and the non-absorptive COUNTING
+  semiring, on both sides of the straight-line kernel limit.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session, solve
-from repro.circuits import crosscheck_fixpoint
-from repro.constructions import fringe_circuit, generic_circuit
+from repro.circuits import CompiledCircuit, crosscheck_fixpoint
+from repro.constructions import bounded_circuit, fringe_circuit, generic_circuit
 from repro.datalog import (
     Atom,
     Constant,
@@ -35,7 +41,7 @@ from repro.datalog import (
     parse_program,
     relevant_grounding,
 )
-from repro.semirings import BOOLEAN, TROPICAL
+from repro.semirings import BOOLEAN, COUNTING, TROPICAL
 from repro.workloads import random_weights
 from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result
 
@@ -80,6 +86,34 @@ def assert_constructions_agree(program, db, facts, semiring, weights=None):
         circuit = build(program, db, facts)
         mismatches = crosscheck_fixpoint(circuit, facts, program, db, semiring, weights=weights)
         assert mismatches == {}, (build.__name__, semiring.name)
+
+
+def assert_early_exit_agrees(circuit, valuation, semiring):
+    """Every outputs-only query equals the full value array's entry,
+    through the straight-line kernel and through the segment loop."""
+    for straight in (True, False):
+        compiled = CompiledCircuit(circuit)  # fresh kernel cache per side
+        full = compiled.evaluate_all(semiring, valuation)
+        runner = compiled._runner(semiring, outputs_only=True, reuse=straight)
+        assert runner(compiled.bind(valuation)) == [full[out] for out in circuit.outputs]
+        for out in circuit.outputs:
+            assert compiled.evaluate_batch(semiring, [valuation], output=out) == [full[out]]
+
+
+@given(programs_with_databases(), st.integers(0, 1000), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_early_exit_agrees_with_full_evaluation(pair, seed, bound):
+    program, db = pair
+    facts = sorted(solve(program, db, BOOLEAN).values, key=repr)
+    if not facts:
+        return
+    rng = random.Random(seed)
+    pools = ((BOOLEAN, (False, True, True)), (TROPICAL, (1.0, 2.0, 5.0, float("inf"))), (COUNTING, (0, 1, 2)))
+    for circuit in (generic_circuit(program, db, facts), bounded_circuit(program, db, bound, facts)):
+        assert circuit.stages is not None
+        for semiring, pool in pools:
+            valuation = {fact: rng.choice(pool) for fact in db.facts()}
+            assert_early_exit_agrees(circuit, valuation, semiring)
 
 
 @given(programs_with_databases(), st.integers(0, 1000))

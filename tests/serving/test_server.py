@@ -57,6 +57,9 @@ def test_register_compiles_once_and_hits_cache():
         first = await client.register(TC, EDGES, "T(0,3)", target="T")
         assert first["cached"] is False
         assert first["size"] > 0
+        # magic-generic records its stages, so early exit applies
+        assert first["construction"] == "magic-generic"
+        assert first["stages"] > 0
         again = await client.register(TC, EDGES, "T(0,3)", target="T")
         assert again["cached"] is True
         assert again["key"] == first["key"]
@@ -593,6 +596,7 @@ def test_stats_payload_is_json_round_trippable():
         stats = await client.stats()
         assert json.loads(json.dumps(stats)) == stats
         entry = stats["per_circuit"][reg["key"]]
+        assert entry["stages"] == reg["stages"]
         assert entry["queries"] >= 2
         assert entry["boolean_lanes"]["items"] == 1
         assert "tropical" in entry["numeric_lanes"]
