@@ -20,11 +20,17 @@ selected with ``config=ExecutionConfig(engine=...)`` (DESIGN.md §8):
 * ``"columnar"`` (the default, the fast path) -- a fused,
   delta-driven pass run entirely in *id space* on the interned
   columnar store of :mod:`repro.datalog.store`: constants are
-  interned once into integer ids, relations are parallel
-  ``array('q')`` columns, rules are slot-compiled into precomputed
-  join plans over sorted-id index ranges, and semi-naive rounds
-  consume the store's :class:`~repro.datalog.store.DeltaView`
-  windows (:func:`columnar_grounding`).
+  interned once into integer ids and relations are parallel
+  ``array('q')`` columns.  Every join -- one per ``(rule, seed
+  atom)``, the seed being a :class:`~repro.datalog.store.DeltaView`
+  window, or none for round 0 -- runs as a generated kernel: straight
+  nested loops over the seed rows and sorted-id index ranges, with the
+  bound-slot checks, the fact-id interning and the appends to the
+  ground program inline (:func:`columnar_grounding`).  A kernel's
+  source holds only integer literals and fixed identifiers, and the
+  compiled kernels sit in a cache bounded by size and keyed by source.
+  :class:`~repro.datalog.incremental.MaintainedFixpoint` regrounds
+  inserts with the same kernels.
 
 * ``"naive"`` -- the reference oracle: a Boolean semi-naive fixpoint
   (:func:`derivable_facts`) followed by a backtracking nested-loop
@@ -52,9 +58,10 @@ read.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import lru_cache
 from typing import (
     Callable,
     Dict,
@@ -273,31 +280,20 @@ class ColumnarGroundProgram:
 
     # -- writers (grounding-time) ----------------------------------------
 
-    def interner(self, predicate: str):
-        """A ``row ids -> fact id`` interning closure for one predicate.
-
-        The emission hot path calls one of these per body atom per
-        ground rule; binding the per-predicate row dict and the fact
-        tables up front keeps that to a single small-tuple dict probe
-        (no ``(predicate, ids)`` key allocation, no string hashing).
-        """
-        table = self._fact_ids.setdefault(predicate, {})
-        fact_preds, fact_rows = self.fact_preds, self.fact_rows
-
-        def fact_id_for(ids: Tuple[int, ...]) -> int:
-            fid = table.get(ids)
-            if fid is None:
-                fid = len(fact_preds)
-                table[ids] = fid
-                fact_preds.append(predicate)
-                fact_rows.append(ids)
-            return fid
-
-        return fact_id_for
+    def fact_table(self, predicate: str) -> Dict[Tuple[int, ...], int]:
+        """The ``row ids -> fact id`` dict of one predicate; the join
+        kernels intern through it inline."""
+        return self._fact_ids.setdefault(predicate, {})
 
     def fact_id(self, predicate: str, ids: Tuple[int, ...]) -> int:
         """The dense fact id of ``predicate(ids)``, interning on first use."""
-        return self.interner(predicate)(ids)
+        table = self.fact_table(predicate)
+        fid = table.get(ids)
+        if fid is None:
+            fid = table[ids] = len(self.fact_preds)
+            self.fact_preds.append(predicate)
+            self.fact_rows.append(ids)
+        return fid
 
     def append_rule(
         self,
@@ -312,8 +308,12 @@ class ColumnarGroundProgram:
         self.idb_indptr.append(len(self.idb_flat))
         self.edb_flat.extend(edb_fids)
         self.edb_indptr.append(len(self.edb_flat))
-        self._by_head = self._by_body = None
-        self._idb_fids = self._edb_fids = None
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the lazy adjacency and id-set caches after the rule
+        arrays change."""
+        self._by_head = self._by_body = self._idb_fids = self._edb_fids = None
 
     # -- shape -----------------------------------------------------------
 
@@ -608,23 +608,22 @@ def _join(
 
 
 # ---------------------------------------------------------------------------
-# Columnar engine: slot-compiled id-space joins over the array-backed store.
+# Columnar engine: slot-compiled id-space joins run as generated kernels.
 # ---------------------------------------------------------------------------
 
 
 class _SlotAtom:
     """An atom lowered to id space with *rule-local variable slots*.
 
-    The slot representation is what lets the fused
-    :class:`_ColumnarProgramGrounder` join without substitution
-    dicts: a rule's variables are numbered ``0..k-1`` (sorted by name,
-    so the slot vector doubles as the per-round dedup key), and an
-    atom's ``terms`` encode constants as their non-negative interned
-    id and variable slot ``s`` as ``-(s + 1)`` -- one int tuple per
-    atom, instantiated against a flat ``theta`` list by sign check.
+    The slot representation is what lets the join kernels of
+    :class:`_ColumnarProgramGrounder` bind without substitution dicts:
+    a rule's variables are numbered ``0..k-1`` (sorted by name, so the
+    slot vector doubles as the per-round dedup key), and an atom's
+    ``terms`` encode constants as their non-negative interned id and
+    variable slot ``s`` as ``-(s + 1)`` -- one int tuple per atom.
 
-    ``const_items``/``var_items`` pre-split the positions so the plan
-    compiler and the delta seeding never re-inspect term types.
+    ``const_items``/``var_items`` pre-split the positions so the
+    ordering pass and the kernel writer never re-inspect term types.
 
     *intern* must be True only for atoms that are **instantiated**
     (rule heads): their constants become store rows, so they need real
@@ -632,9 +631,9 @@ class _SlotAtom:
     non-inserting :meth:`~repro.datalog.store.SymbolTable.get` -- a
     constant the table has never seen can match no row, now or in any
     later round (every id a derived fact can carry was interned from
-    the EDB or from a head, and :func:`_compile_rules` compiles every
-    head before any body), so the atom is marked :attr:`impossible`
-    instead of growing the shared table.
+    the EDB or from a head, and the grounder compiles every head before
+    any body), so the atom is marked :attr:`impossible` instead of
+    growing the shared table.
     """
 
     __slots__ = ("predicate", "arity", "terms", "const_items", "var_items", "slots", "impossible")
@@ -662,30 +661,6 @@ class _SlotAtom:
         self.const_items = tuple(const_items)
         self.var_items = tuple(var_items)
         self.slots = tuple(dict.fromkeys(slot for _, slot in var_items))
-
-
-def _row_builder(terms: Tuple[int, ...]):
-    """A ``theta -> id row`` callable for one slot-encoded atom.
-
-    The all-variable case (every ground atom of a constant-free rule)
-    compiles to :func:`operator.itemgetter` -- one C call per emitted
-    atom instead of a Python-level loop; atoms mentioning constants
-    take the generic sign-check path, and nullary (propositional)
-    atoms have the one constant row.
-    """
-    if not terms:
-        return lambda theta: ()
-    if all(t < 0 for t in terms):
-        slots = tuple(-1 - t for t in terms)
-        if len(slots) == 1:
-            only = slots[0]
-            return lambda theta: (theta[only],)
-        return itemgetter(*slots)
-
-    def build(theta, terms=terms):
-        return tuple([t if t >= 0 else theta[-1 - t] for t in terms])
-
-    return build
 
 
 def _order_slot_atoms(
@@ -719,305 +694,341 @@ def _order_slot_atoms(
 
 def _compile_slot_plan(
     ordered: Sequence[_SlotAtom], bound: Set[int]
-) -> Tuple[Tuple, ...]:
-    """Freeze an ordered body into per-atom join steps.
+) -> Tuple[Tuple[_SlotAtom, Tuple[int, ...]], ...]:
+    """Freeze an ordered body into join steps ``(atom, positions)``.
 
     Which slots are bound when each atom's turn comes is fully
-    determined by the order, so the bound-pattern computation that the
-    naive join redoes per candidate binding happens **once** here:
-    each step carries its lookup position tuple, a key template
-    (constant id, or slot to read from ``theta``), and the runtime
-    bind-or-check items for still-unbound slots.  Compiled plans are
-    cached per ``(rule, delta position)`` across rounds.
-    """
-    plan: List[Tuple] = []
+    determined by the order, so each step's lookup positions -- those
+    holding a constant or an already-bound slot -- are fixed here
+    once; the kernel writer turns the rest into bind-or-check code."""
+    plan = []
     bound = set(bound)
     for atom in ordered:
-        items: List[Tuple[int, bool, int]] = [
-            (position, False, sid) for position, sid in atom.const_items
-        ]
-        runtime: List[Tuple[int, int]] = []
-        for position, slot in atom.var_items:
-            if slot in bound:
-                items.append((position, True, slot))
-            else:
-                runtime.append((position, slot))
-        items.sort()
-        plan.append(
-            (
-                atom.predicate,
-                atom.arity,
-                tuple(position for position, _, _ in items),
-                tuple(is_slot for _, is_slot, _ in items),
-                tuple(value for _, _, value in items),
-                tuple(runtime),
-                atom.impossible,
-            )
-        )
+        positions = tuple(p for p, term in enumerate(atom.terms) if term >= 0 or -1 - term in bound)
+        plan.append((atom, positions))
         bound.update(atom.slots)
     return tuple(plan)
 
 
-def _enum_slot_plan(
-    plan: Sequence[Tuple], at: int, store, theta: List[int], stats: GroundingStats
-) -> Iterator[None]:
-    """Backtracking join over a compiled slot plan.
+#: Join loops per run of nested loops: CPython refuses more than 20
+#: statically nested blocks, so a longer plan materializes its
+#: bindings after this many levels and continues from that list.
+_LOOPS_PER_PART = 16
 
-    Yields once per complete binding; *theta* is mutated in place
-    (read it at the yield point) and restored via an undo trail on
-    backtrack -- no per-match dict copies.  Candidate cells are read
-    straight out of the relation's columns, so no row tuple is built
-    per probe either.  Probe/match accounting matches the naive join:
-    one probe per candidate row, one match per row that extends the
-    binding.
+#: The kernel's parameters (``rule``: a one-element ``array('q')``
+#: holding the rule number).
+_KERNEL_ARGS = "seed, steps, consts, tables, preds, rule, out, seen, derived, fresh"
+
+#: Locals every kernel binds once per call, before its loops.
+_KERNEL_PRELUDE = (
+    "probes = matches = 0",
+    "fact_preds, fact_rows, rule_head, rule_no, idb_flat, idb_indptr, edb_flat, edb_indptr = out",
+    "preds_append, rows_append = fact_preds.append, fact_rows.append",
+    "head_append, idb_append, edb_append = rule_head.append, idb_flat.append, edb_flat.append",
+    "fresh_add = fresh.add",
+    "emitted, ni, ne = len(rule_head), len(idb_flat), len(edb_flat)",
+)
+
+
+def _kernel_source(
+    seed: Optional[_SlotAtom],
+    plan: Sequence[Tuple[_SlotAtom, Tuple[int, ...]]],
+    body: Sequence[_SlotAtom],
+    idb_flags: Sequence[bool],
+    head: _SlotAtom,
+    dedup: bool,
+) -> Tuple[str, Tuple[int, ...]]:
+    """The source of one join kernel and the constant ids it reads.
+
+    Straight nested loops, one per join level: the *seed* atom's delta
+    rows (``None``: round 0's full join), then each *plan* step's
+    pattern-index range or full scan.  Bound-slot checks, probe and
+    match counts, the round dedup key (with *dedup*), the fact-id
+    interning and the appends to the ground program's arrays are all
+    inline.  An atom whose slots an outer level binds has its fact id
+    looked up at that level, so the inner loops reuse it; interning
+    still happens at emission, in body order.  ``rule_no`` and the
+    ``indptr`` entries follow from the emitted count and the rule's
+    atom counts.
+
+    The source holds only integer literals (slots, positions, atom
+    counts) and fixed identifiers: constant ids, predicates, fact
+    tables, relations and the rule number arrive as arguments, so one
+    source serves every rule of the same shape and no program text
+    ever reaches ``exec``.
     """
-    if at == len(plan):
-        yield None
-        return
-    predicate, arity, positions, key_is_slot, key_vals, runtime, impossible = plan[at]
-    if impossible:
-        return
-    relation = store.relation(predicate, arity)
-    if relation is None:
-        return
-    if positions:
-        if len(key_vals) == 1:
-            key = theta[key_vals[0]] if key_is_slot[0] else key_vals[0]
+    consts: List[int] = []
+
+    def term(code: int) -> str:
+        if code < 0:
+            return f"s{-1 - code}"
+        consts.append(code)
+        return f"k{len(consts) - 1}"
+
+    prelude = list(_KERNEL_PRELUDE)
+    code: List[str] = []
+    depth = 1
+
+    def put(*lines: str) -> None:
+        code.extend("    " * depth + line for line in lines)
+
+    atoms = (*body, head)
+    levels = ([(seed, None)] if seed is not None else []) + list(plan)
+    last_part = (len(levels) - 1) // _LOOPS_PER_PART
+    bound: Set[int] = set()
+    hoisted: Set[int] = set()
+    for level, (atom, positions) in enumerate(levels):
+        if level and level % _LOOPS_PER_PART == 0:
+            names = "".join(f"s{slot}, " for slot in sorted(bound))
+            prelude.append(f"part{level} = []")
+            put(f"part{level}.append(({names}))")
+            depth = 1
+            put(f"for ({names}) in part{level}:")
+            depth = 2
+        if positions is None:
+            prelude.append(f"start, stop, cols{level} = seed")
+            count, loop, checked = "stop - start", "range(start, stop)", range(atom.arity)
         else:
-            key = tuple(
-                theta[value] if is_slot else value
-                for is_slot, value in zip(key_is_slot, key_vals)
-            )
-        rows = relation.index_for(positions).lookup(key)
-    else:
-        rows = range(len(relation))
-    columns = relation.columns
-    rest = at + 1
-    for row_index in rows:
-        stats.probes += 1
-        ok = True
-        trail: List[int] = []
-        for position, slot in runtime:
-            sid = columns[position][row_index]
-            bound_sid = theta[slot]
-            if bound_sid < 0:
-                theta[slot] = sid
-                trail.append(slot)
-            elif bound_sid != sid:
-                ok = False
-                break
-        if ok:
-            stats.matches += 1
-            yield from _enum_slot_plan(plan, rest, store, theta, stats)
-        for slot in trail:
-            theta[slot] = -1
+            step = level - (seed is not None)
+            prelude.append(f"n{level}, keys{level}, rows{level}, tail{level}, cols{level} = steps[{step}]")
+            checked = [p for p in range(atom.arity) if p not in positions]
+            count, loop = f"n{level}", f"range(n{level})"
+            if positions:
+                key = term(atom.terms[positions[0]])
+                if len(positions) > 1:
+                    put(f"key = ({', '.join(term(atom.terms[p]) for p in positions)})")
+                    key = "key"
+                put(
+                    f"lo = bisect_left(keys{level}, {key})",
+                    f"r{level} = rows{level}[lo:bisect_right(keys{level}, {key}, lo)]",
+                    f"if tail{level}:",
+                    f"    r{level} = [*r{level}, *tail{level}.get({key}, ())]",
+                )
+                count, loop = f"len(r{level})", f"r{level}"
+        binds: List[str] = []
+        checks: List[str] = []
+        for p in checked:
+            prelude.append(f"c{level}_{p} = cols{level}[{p}]")
+            cell, slot = f"c{level}_{p}[x{level}]", -1 - atom.terms[p]
+            if slot < 0 or slot in bound:
+                checks.append(f"if {cell} != {term(atom.terms[p])}:")
+            else:
+                bound.add(slot)
+                binds.append(f"s{slot} = {cell}")
+        put(f"probes += {count}")
+        if not checks:
+            put(f"matches += {count}")
+        put(f"for x{level} in {loop}:")
+        depth += 1
+        put(*binds)
+        for check in checks:
+            put(check, "    continue")
+        if checks:
+            put("matches += 1")
+        if level < len(levels) - 1 and level // _LOOPS_PER_PART == last_part:
+            for j, other in enumerate(atoms):
+                if j not in hoisted and bound.issuperset(other.slots):
+                    hoisted.add(j)
+                    put(f"row{j} = ({''.join(term(c) + ', ' for c in other.terms)})", f"f{j} = t{j}.get(row{j})")
 
-
-def _compile_rules(
-    program: Program, symbols, cground: ColumnarGroundProgram, intern_bodies: bool
-) -> Tuple[List[int], List[Tuple[_SlotAtom, ...]], List[Tuple]]:
-    """Slot-compile every rule: ``(slot_counts, bodies, emit_plans)``.
-
-    Every head is compiled (interning its constants) before any body,
-    so a body constant that only a later rule's head produces is not
-    taken for one no row can carry.  Bodies intern only with
-    *intern_bodies*: a maintainer's store receives later inserts, so
-    it must not freeze the :attr:`_SlotAtom.impossible` shortcut in.
-    An emit plan is ``(head predicate, head row builder, head
-    interner, ((row builder, is IDB, interner) per body atom))``.
-    """
-    idbs = program.idb_predicates
-    slot_ofs = [
-        {var: slot for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))}
-        for rule in program.rules
+    # One ground rule per complete binding.
+    if dedup:
+        prelude.append("seen_add = seen.add")
+        put(f"key = ({''.join(f's{slot}, ' for slot in sorted(bound))})", "if key in seen:", "    continue",
+            "seen_add(key)")
+    for j, atom in enumerate(atoms):
+        prelude += [f"t{j} = tables[{j}]", f"p{j} = preds[{j}]"]
+        intern = [
+            f"f{j} = t{j}[row{j}] = len(fact_rows)",
+            f"preds_append(p{j})",
+            f"rows_append(row{j})",
+        ]
+        if j in hoisted:
+            put(f"if f{j} is None:", f"    f{j} = t{j}.get(row{j})", f"    if f{j} is None:")
+            put(*("        " + line for line in intern))
+        else:
+            put(f"row{j} = ({''.join(term(c) + ', ' for c in atom.terms)})", f"f{j} = t{j}.get(row{j})",
+                f"if f{j} is None:")
+            put(*("    " + line for line in intern))
+        put(f"{'head' if j == len(body) else 'idb' if idb_flags[j] else 'edb'}_append(f{j})")
+    put(f"if f{len(body)} not in derived:", f"    fresh_add(f{len(body)})")
+    n_idb = sum(idb_flags)
+    lines = [
+        f"def _join({_KERNEL_ARGS}):",
+        *("    " + line for line in prelude),
+        *(f"    k{n} = consts[{n}]" for n in range(len(consts))),
+        *code,
+        "    emitted = len(rule_head) - emitted",
+        "    rule_no.extend(rule * emitted)",
+        f"    idb_indptr.extend(range(ni + {n_idb}, len(idb_flat) + 1, {n_idb}))" if n_idb else
+        "    idb_indptr.extend(idb_indptr[-1:] * emitted)",
+        f"    edb_indptr.extend(range(ne + {len(body) - n_idb}, len(edb_flat) + 1, {len(body) - n_idb}))"
+        if len(body) > n_idb else "    edb_indptr.extend(edb_indptr[-1:] * emitted)",
+        "    return probes, matches",
     ]
-    heads = [_SlotAtom(r.head, symbols, slot_of, intern=True) for r, slot_of in zip(program.rules, slot_ofs)]
-    bodies: List[Tuple[_SlotAtom, ...]] = []
-    emit_plans: List[Tuple] = []
-    for rule, slot_of, head in zip(program.rules, slot_ofs, heads):
-        body = tuple(_SlotAtom(atom, symbols, slot_of, intern=intern_bodies) for atom in rule.body)
-        bodies.append(body)
-        body_plan = tuple(
-            (_row_builder(atom.terms), atom.predicate in idbs, cground.interner(atom.predicate))
-            for atom in body
-        )
-        emit_plans.append(
-            (head.predicate, _row_builder(head.terms), cground.interner(head.predicate), body_plan)
-        )
-    return [len(slot_of) for slot_of in slot_ofs], bodies, emit_plans
+    return "\n".join(lines) + "\n", tuple(consts)
 
 
-def _delta_round(
-    bodies: Sequence[Tuple[_SlotAtom, ...]],
-    slot_counts: Sequence[int],
-    store,
-    deltas: Mapping,
-    plans: Dict[Tuple[int, int], Tuple],
-    stats: GroundingStats,
-    emit: Callable[[int, List[int]], Optional[Tuple[str, Tuple[int, ...]]]],
-    derived: Set[Tuple[str, Tuple[int, ...]]],
-) -> Set[Tuple[str, Tuple[int, ...]]]:
-    """One semi-naive round: join each rule once per body atom over a
-    *deltas* predicate, seeded by that atom's delta rows.
+#: Generated kernels, keyed by source and bounded: sources are shapes,
+#: so a long-lived process grounding client programs keeps at most
+#: this many compiled functions however many programs it sees.
+_KERNEL_CACHE_SIZE = 256
 
-    ``emit(rule_index, theta)`` runs once per complete binding (read
-    *theta* during the call) and returns the head row or ``None``; the
-    round returns the heads not yet in *derived*.  Join plans are
-    compiled on first need into *plans*, keyed ``(rule, position)``:
-    the bound-slot set depends only on that key, and freezing the atom
-    order keeps later rounds free of the ``O(k²)`` ordering pass.
-    """
-    fresh: Set[Tuple[str, Tuple[int, ...]]] = set()
-    for rule_index, body in enumerate(bodies):
-        nslots = slot_counts[rule_index]
-        for position, atom in enumerate(body):
-            view = deltas.get((atom.predicate, atom.arity))
-            if view is None or atom.impossible:
-                continue
-            plan = plans.get((rule_index, position))
-            if plan is None:
-                rest = [a for at, a in enumerate(body) if at != position]
-                bound = set(atom.slots)
-                plan = _compile_slot_plan(_order_slot_atoms(rest, store, bound), bound)
-                plans[(rule_index, position)] = plan
-            const_items = atom.const_items
-            var_items = atom.var_items
-            for row in view.id_rows():
-                stats.probes += 1
-                ok = True
-                for pos, sid in const_items:
-                    if row[pos] != sid:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                theta = [-1] * nslots
-                for pos, slot in var_items:
-                    sid = row[pos]
-                    bound_sid = theta[slot]
-                    if bound_sid < 0:
-                        theta[slot] = sid
-                    elif bound_sid != sid:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                stats.matches += 1
-                for _ in _enum_slot_plan(plan, 0, store, theta, stats):
-                    head = emit(rule_index, theta)
-                    if head is not None and head not in derived:
-                        fresh.add(head)
-    return fresh
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _compile_kernel(source: str):
+    """The ``_join`` function of one generated kernel source."""
+    namespace: Dict[str, object] = {"bisect_left": bisect_left, "bisect_right": bisect_right}
+    exec(source, namespace)  # noqa: S102 - join compiler, ints and fixed names only
+    return namespace["_join"]
+
+
+def _step_args(store, atom: _SlotAtom, positions: Tuple[int, ...]) -> Tuple:
+    """One join step's kernel arguments ``(rows, index keys, index
+    rows, index tail, columns)``, read at call time: an impossible atom
+    or a relation with no rows yet joins nothing."""
+    relation = None if atom.impossible else store.relation(atom.predicate, atom.arity)
+    if relation is None:
+        return 0, (), (), None, ((),) * atom.arity
+    if not positions:
+        return len(relation), None, None, None, relation.columns
+    return (len(relation), *relation.index_for(positions).parts(), relation.columns)
 
 
 class _ColumnarProgramGrounder:
     """The fused semi-naive pass emitting a
     :class:`ColumnarGroundProgram` -- id space end to end.
 
-    The fast path behind :func:`columnar_grounding`.  Boolean fixpoint
-    and ground-rule emission run in one delta-driven sweep: the
-    database's lazily materialized store is :meth:`copied
-    <repro.datalog.store.ColumnarStore.copy>` so derived facts can be
-    appended without mutating the shared EDB snapshot; round 0 joins
-    every rule in full, and round ``t ≥ 1`` (:func:`_delta_round`)
-    re-joins only rules with a body atom over a delta predicate,
-    seeding the join with each :class:`~repro.datalog.store.DeltaView`
-    row between two store watermarks.  Only facts *new to the store*
-    seed joins (a derived head already resident as an input fact seeds
-    nothing), so a ground instance is discovered exactly in the round
-    after its last body fact arrived and never in two rounds; a
-    per-round key over the slot vector removes the within-round
+    The fast path behind :func:`columnar_grounding`, and the regrounder
+    :class:`~repro.datalog.incremental.MaintainedFixpoint` runs on
+    every insert.  Boolean fixpoint and ground-rule emission run in one
+    delta-driven sweep over a working *store*: round 0 joins every rule
+    in full, and round ``t ≥ 1`` re-joins only rules with a body atom
+    over a delta relation, seeding the join with that atom's
+    :class:`~repro.datalog.store.DeltaView` rows.  Only facts *new to
+    the store* seed joins (a derived head already resident as an input
+    fact seeds nothing), so a ground instance is discovered exactly in
+    the round after its last body fact arrived and never in two rounds;
+    a per-round key over the slot vector removes the within-round
     duplicates that arise when two body facts are both in the delta.
-    On top of that,
 
-    * rules are slot-compiled once (:func:`_compile_rules`):
-      substitutions are flat int lists indexed by slot,
-      extended/rolled back through an undo trail instead of being
-      copied dicts;
-    * join steps are precompiled (:func:`_compile_slot_plan`), cached
-      per ``(rule, delta position)`` across rounds, and read candidate
-      cells directly from the store's columns;
-    * emission appends plain ints to the ground program's parallel
-      arrays through per-predicate interning closures -- no
-      :class:`Fact` object, no constant decoding, anywhere.
-
-    :class:`~repro.datalog.incremental.MaintainedFixpoint` regrounds
-    inserts through the same two helpers, with its own emit callback.
+    Each join is one generated kernel per ``(rule, seed atom)``
+    (:func:`_kernel_source`): rules are slot-compiled once (every head
+    before any body), the body is selectivity-ordered the first time
+    the kernel is needed, and the plan is frozen into straight nested
+    loops that read the store's columns and pattern-index runs and
+    append plain ints to the ground program's arrays -- no
+    :class:`Fact` object, no substitution dict, no call per binding.
+    Bodies intern their constants only with *intern_bodies*: a
+    maintainer's store receives later inserts, so it must not freeze
+    the :attr:`_SlotAtom.impossible` shortcut in.
     """
 
-    def __init__(self, program: Program, database: Database):
-        self.program = program
-        self.store = database.columnar_store().copy()
-        self.cground = ColumnarGroundProgram(program, self.store.symbols)
-        self.slot_counts, self.bodies, self.emit_plans = _compile_rules(
-            program, self.store.symbols, self.cground, intern_bodies=False
-        )
-        self.derived: Set[Tuple[str, Tuple[int, ...]]] = set()
-        self.iterations = 0
-        self.stats = _stats()
-        self._round_seen: Set[Tuple] = set()
-        # Emission writes the ground program's parallel arrays through
-        # bound methods: ColumnarGroundProgram.append_rule's per-call
-        # cache invalidation is pointless mid-build (the lazy CSR /
-        # id-set caches are first read after the run), and the bound
-        # appends shave a call per rule off the hottest emit path.
-        cground = self.cground
-        self._idb_flat = cground.idb_flat
-        self._edb_flat = cground.edb_flat
-        self._append_head = cground.rule_head.append
-        self._append_no = cground.rule_no.append
-        self._append_idb_ptr = cground.idb_indptr.append
-        self._append_edb_ptr = cground.edb_indptr.append
+    def __init__(
+        self, program: Program, store, cground: ColumnarGroundProgram, intern_bodies: bool = False
+    ):
+        self.store = store
+        self.cground = cground
+        symbols, idbs = store.symbols, program.idb_predicates
+        slot_ofs = [
+            {var: slot for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))}
+            for rule in program.rules
+        ]
+        heads = [_SlotAtom(r.head, symbols, slot_of, intern=True) for r, slot_of in zip(program.rules, slot_ofs)]
+        #: Per rule: ``(head, body, IDB flag per body atom, fact tables
+        #: and predicates of the body atoms then the head)``.
+        self.rules: List[Tuple] = []
+        for rule, slot_of, head in zip(program.rules, slot_ofs, heads):
+            body = tuple(_SlotAtom(atom, symbols, slot_of, intern=intern_bodies) for atom in rule.body)
+            atoms = (*body, head)
+            self.rules.append((
+                head,
+                body,
+                tuple(atom.predicate in idbs for atom in body),
+                tuple(cground.fact_table(atom.predicate) for atom in atoms),
+                tuple(atom.predicate for atom in atoms),
+            ))
+        #: Fact ids of the derived IDB facts in the store.
+        self.derived: Set[int] = set()
+        self._plans: Dict[Tuple[int, Optional[int]], Tuple] = {}
+        self._kernels: Dict[Tuple[int, Optional[int], bool], Tuple] = {}
 
-    def _emit(
-        self, rule_index: int, theta: List[int]
-    ) -> Optional[Tuple[str, Tuple[int, ...]]]:
-        key = (rule_index, *theta)
-        round_seen = self._round_seen
-        if key in round_seen:
-            return None
-        round_seen.add(key)
-        head_pred, head_build, head_intern, body_plan = self.emit_plans[rule_index]
-        head_ids = head_build(theta)
-        idb_flat, edb_flat = self._idb_flat, self._edb_flat
-        for build, is_idb, intern in body_plan:
-            fid = intern(build(theta))
-            (idb_flat if is_idb else edb_flat).append(fid)
-        self._append_head(head_intern(head_ids))
-        self._append_no(rule_index)
-        self._append_idb_ptr(len(idb_flat))
-        self._append_edb_ptr(len(edb_flat))
-        return (head_pred, head_ids)
+    def run(self) -> int:
+        """Round 0, then delta rounds to closure; the Boolean round count."""
+        return 1 + self.saturate(self.round(None))
 
-    def run(self) -> "_ColumnarProgramGrounder":
-        store = self.store
-        stats = self.stats
-        derived = self.derived
-        emit = self._emit
-        fresh: Set[Tuple[str, Tuple[int, ...]]] = set()
-
-        # Round 0: full join of every rule, selectivity-ordered.
-        for rule_index, body in enumerate(self.bodies):
-            plan = _compile_slot_plan(_order_slot_atoms(body, store, set()), set())
-            theta = [-1] * self.slot_counts[rule_index]
-            for _ in _enum_slot_plan(plan, 0, store, theta, stats):
-                head = emit(rule_index, theta)
-                if head is not None and head not in derived:
-                    fresh.add(head)
-        self.iterations = 1
-
-        delta_plans: Dict[Tuple[int, int], Tuple] = {}
+    def saturate(self, fresh: Dict[str, Set[int]]) -> int:
+        """Admit the *fresh* heads (per predicate, rows ascending) and
+        run delta rounds until none is fresh; the number of rounds."""
+        store, rows = self.store, self.cground.fact_rows
+        rounds = 0
         while fresh:
-            self.iterations += 1
+            rounds += 1
             mark = store.watermark()
-            for predicate, ids in sorted(fresh):
-                derived.add((predicate, ids))
-                store.insert_ids(predicate, ids)
-            self._round_seen.clear()
-            deltas = store.deltas_since(mark)
-            fresh = _delta_round(self.bodies, self.slot_counts, store, deltas, delta_plans, stats, emit, derived)
-        stats.ground_rules += len(self.cground)
-        return self
+            for predicate in sorted(fresh):
+                self.derived.update(fresh[predicate])
+                store.extend_ids(predicate, sorted(map(rows.__getitem__, fresh[predicate])))
+            fresh = self.round(store.deltas_since(mark))
+        return rounds
+
+    def round(self, deltas: Optional[Mapping]) -> Dict[str, Set[int]]:
+        """One round: every rule joined in full (*deltas* ``None``) or
+        once per body atom over a delta relation, seeded by its delta
+        rows.  Returns the head fact ids not yet derived, per predicate."""
+        store, cground = self.store, self.cground
+        out = (
+            cground.fact_preds, cground.fact_rows, cground.rule_head, cground.rule_no,
+            cground.idb_flat, cground.idb_indptr, cground.edb_flat, cground.edb_indptr,
+        )
+        fresh: Dict[str, Set[int]] = {}
+        probes = matches = 0
+        for rule_index, (head, body, _, tables, preds) in enumerate(self.rules):
+            if deltas is None:
+                seeds: Sequence[Optional[int]] = (None,)
+            else:
+                seeds = [
+                    at for at, atom in enumerate(body)
+                    if not atom.impossible and (atom.predicate, atom.arity) in deltas
+                ]
+            dedup = len(seeds) > 1
+            seen: Optional[Set[Tuple[int, ...]]] = set() if dedup else None
+            heads = fresh.setdefault(head.predicate, set())
+            rule_no = array("q", (rule_index,))
+            for at in seeds:
+                plan, kernel, consts = self._kernel(rule_index, at, dedup)
+                seed = None
+                if at is not None:
+                    view = deltas[(body[at].predicate, body[at].arity)]
+                    seed = (view.start, view.stop, view.relation.columns)
+                steps = tuple(_step_args(store, atom, positions) for atom, positions in plan)
+                counts = kernel(seed, steps, consts, tables, preds, rule_no, out, seen, self.derived, heads)
+                probes += counts[0]
+                matches += counts[1]
+        stats = _stats()
+        stats.probes += probes
+        stats.matches += matches
+        cground._invalidate()
+        return {predicate: fids for predicate, fids in fresh.items() if fids}
+
+    def _kernel(self, rule_index: int, at: Optional[int], dedup: bool) -> Tuple:
+        """``(plan, kernel, constant ids)`` for one rule seeded at body
+        atom *at*, compiled on first need.  The plan is ordered then
+        and frozen: the bound-slot set depends only on ``(rule, at)``,
+        and later rounds skip the ``O(k²)`` ordering pass."""
+        key = (rule_index, at, dedup)
+        entry = self._kernels.get(key)
+        if entry is None:
+            head, body, idb_flags, _, _ = self.rules[rule_index]
+            seed = None if at is None else body[at]
+            plan = self._plans.get((rule_index, at))
+            if plan is None:
+                bound = set() if seed is None else set(seed.slots)
+                rest = [atom for position, atom in enumerate(body) if position != at]
+                plan = _compile_slot_plan(_order_slot_atoms(rest, self.store, bound), bound)
+                self._plans[(rule_index, at)] = plan
+            source, consts = _kernel_source(seed, plan, body, idb_flags, head, dedup)
+            entry = self._kernels[key] = (plan, _compile_kernel(source), consts)
+        return entry
 
 
 def columnar_grounding(program: Program, database: Database) -> ColumnarGroundProgram:
@@ -1025,16 +1036,17 @@ def columnar_grounding(program: Program, database: Database) -> ColumnarGroundPr
     (DESIGN.md §9).
 
     Runs the fused delta-driven pass of
-    :class:`_ColumnarProgramGrounder` and returns a
-    :class:`ColumnarGroundProgram` -- ground rules as parallel int
-    arrays over interned fact ids -- without decoding a single ground
-    rule into :class:`Fact` tuples.  The result's ``iterations``
-    records the Boolean fixpoint rounds of the pass (the
-    :func:`derivable_facts` count).
+    :class:`_ColumnarProgramGrounder` over a copy of the database's
+    store and returns a :class:`ColumnarGroundProgram` -- ground rules
+    as parallel int arrays over interned fact ids -- without decoding
+    a single ground rule into :class:`Fact` tuples.  The result's
+    ``iterations`` records the Boolean fixpoint rounds of the pass
+    (the :func:`derivable_facts` count).
     """
-    grounder = _ColumnarProgramGrounder(program, database).run()
-    cground = grounder.cground
-    cground.iterations = grounder.iterations
+    store = database.columnar_store().copy()
+    cground = ColumnarGroundProgram(program, store.symbols)
+    cground.iterations = _ColumnarProgramGrounder(program, store, cground).run()
+    _stats().ground_rules += len(cground)
     return cground
 
 

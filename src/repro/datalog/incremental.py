@@ -6,12 +6,12 @@ all of it.  :class:`MaintainedFixpoint` keeps the id-space artifacts
 of one program/database pair alive across single-fact deltas:
 
 * the :class:`~repro.datalog.grounding.ColumnarGroundProgram` is
-  *regrounded incrementally* -- an inserted EDB fact seeds the
-  columnar grounder's own semi-naive round
-  (:func:`~repro.datalog.grounding._delta_round` over rules from
-  :func:`~repro.datalog.grounding._compile_rules`, body constants
-  interned), so only ground-rule instances that mention the delta
-  are enumerated;
+  *regrounded incrementally* -- an inserted EDB fact seeds the batch
+  grounder's own semi-naive rounds and generated join kernels
+  (:class:`~repro.datalog.grounding._ColumnarProgramGrounder`, body
+  constants interned), so only ground-rule instances that mention the
+  delta are enumerated, and the rules a round appends join the
+  adjacency maps as one range of positions;
 * per-semiring dense value arrays (the fixpoint state) are repaired
   by a restricted chaotic iteration.  An insert, or a reweight that
   makes the fact better, ascends from the old fixpoint.  A retract,
@@ -57,13 +57,7 @@ from ..semirings.numeric import BooleanSemiring
 from .ast import DatalogError, Fact, Program
 from .database import Database
 from .evaluation import DivergenceError, EvaluationResult
-from .grounding import (
-    ColumnarGroundProgram,
-    _compile_rules,
-    _delta_round,
-    _stats,
-    columnar_grounding,
-)
+from .grounding import ColumnarGroundProgram, _ColumnarProgramGrounder, columnar_grounding
 from .seminaive import COLUMNAR, _columnar_fixpoint
 
 __all__ = ["MaintainedFixpoint"]
@@ -160,19 +154,15 @@ class MaintainedFixpoint:
             for predicate in self._idbs
             for fact in database.facts(predicate)
         }
-        self._derived: Set[Tuple[str, Tuple[int, ...]]] = set()
+        # The batch grounder's join kernels over the working store,
+        # appending to the maintained grounding.  Body constants are
+        # interned: one unseen today may arrive with a future insert.
+        self._grounder = _ColumnarProgramGrounder(program, self.store, self._cground, intern_bodies=True)
+        self._derived = self._grounder.derived
         preds, rows = self._cground.fact_preds, self._cground.fact_rows
         for fid in self._cground.idb_fact_ids():
-            key = (preds[fid], rows[fid])
-            self._derived.add(key)
-            self.store.insert_ids(*key)
-        # Slot-compiled rules for delta joins, compiled as the batch
-        # grounder compiles them except that body constants are
-        # interned: one unseen today may arrive with a future insert.
-        self._slot_counts, self._bodies, self._emit_plans = _compile_rules(
-            program, self._cground.symbols, self._cground, intern_bodies=True
-        )
-        self._delta_plans: Dict[Tuple[int, int], Tuple] = {}
+            self._derived.add(fid)
+            self.store.insert_ids(preds[fid], rows[fid])
         #: Tombstoned rule positions awaiting compaction.
         self._dead: Set[int] = set()
         self._rebuild_adjacency()
@@ -374,9 +364,8 @@ class MaintainedFixpoint:
         preds, rows = self._cground.fact_preds, self._cground.fact_rows
         for dfid in dead_facts:
             dead_rules.update(self._body_rules.get(dfid, ()))
-            key = (preds[dfid], rows[dfid])
-            self._derived.discard(key)
-            self.store.remove_ids(*key)
+            self._derived.discard(dfid)
+            self.store.remove_ids(preds[dfid], rows[dfid])
         self._kill(dead_rules)
         for key, tracked in self._tracked.items():
             if not tracked.converged:
@@ -417,45 +406,17 @@ class MaintainedFixpoint:
     # -- incremental regrounding -----------------------------------------
 
     def _reground(self, mark: Dict) -> None:
-        """Delta rounds seeded by rows appended to the working store
-        after *mark* -- the batch grounder's :func:`_delta_round`,
-        emitting only globally-new ground rules (appended at the end of
-        the ground program) and running until no fresh IDB fact
-        appears."""
-        store = self.store
-        stats = _stats()
-        derived = self._derived
-        while True:
-            deltas = store.deltas_since(mark)
-            if not deltas:
-                return
-            mark = store.watermark()
-            fresh = _delta_round(
-                self._bodies, self._slot_counts, store, deltas, self._delta_plans, stats, self._emit, derived
-            )
-            for predicate, ids in sorted(fresh):
-                derived.add((predicate, ids))
-                store.insert_ids(predicate, ids)
+        """The batch grounder's delta rounds, seeded by rows appended
+        to the working store after *mark* and run until no fresh IDB
+        fact appears; the rules they append join the adjacency.
 
-    def _emit(
-        self, rule_index: int, theta: List[int]
-    ) -> Optional[Tuple[str, Tuple[int, ...]]]:
-        head_pred, head_build, head_intern, body_plan = self._emit_plans[rule_index]
-        head_ids = head_build(theta)
-        head_fid = head_intern(head_ids)
-        idb_row: List[int] = []
-        edb_row: List[int] = []
-        for build, is_idb, intern in body_plan:
-            (idb_row if is_idb else edb_row).append(intern(build(theta)))
-        tag = (rule_index, head_fid, tuple(idb_row), tuple(edb_row))
-        if tag in self._rule_seen:
-            return None
-        self._rule_seen.add(tag)
-        cground = self._cground
-        position = len(cground)
-        cground.append_rule(rule_index, head_fid, idb_row, edb_row)
-        self._index_rule(position, head_fid, idb_row, edb_row)
-        return (head_pred, head_ids)
+        Every appended rule is new: a seed row is new to the store,
+        and a live rule reads only resident facts, so no live rule
+        holds it; the kernels' per-round key removes the rest."""
+        grounder = self._grounder
+        first = len(self._cground)
+        grounder.saturate(grounder.round(self.store.deltas_since(mark)))
+        self._index_rules(range(first, len(self._cground)))
 
     # -- value maintenance -----------------------------------------------
 
@@ -673,49 +634,39 @@ class MaintainedFixpoint:
     # -- structural bookkeeping ------------------------------------------
 
     def _rebuild_adjacency(self) -> None:
-        cground = self._cground
-        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-        self._rule_seen: Set[Tuple] = set()
         self._head_rules: Dict[int, List[int]] = {}
         self._body_rules: Dict[int, List[int]] = {}
         self._edb_rules: Dict[int, List[int]] = {}
-        for position in range(len(cground)):
-            head = cground.rule_head[position]
-            idb_row = tuple(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
-            edb_row = tuple(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
-            self._rule_seen.add((cground.rule_no[position], head, idb_row, edb_row))
-            self._index_rule(position, head, idb_row, edb_row)
+        self._index_rules(range(len(self._cground)))
 
-    def _index_rule(self, position: int, head: int, idb_row, edb_row) -> None:
-        """Record rule *position* in the head/body/EDB adjacency."""
-        self._head_rules.setdefault(head, []).append(position)
-        for fid in dict.fromkeys(idb_row):
-            self._body_rules.setdefault(fid, []).append(position)
-        for fid in dict.fromkeys(edb_row):
-            self._edb_rules.setdefault(fid, []).append(position)
+    def _index_rules(self, positions: range) -> None:
+        """Record the rules at *positions* in the head/body/EDB adjacency."""
+        cground = self._cground
+        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
+        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
+        rule_head = cground.rule_head
+        for position in positions:
+            self._head_rules.setdefault(rule_head[position], []).append(position)
+            for fid in dict.fromkeys(idb_flat[idb_indptr[position] : idb_indptr[position + 1]]):
+                self._body_rules.setdefault(fid, []).append(position)
+            for fid in dict.fromkeys(edb_flat[edb_indptr[position] : edb_indptr[position + 1]]):
+                self._edb_rules.setdefault(fid, []).append(position)
 
     def _kill(self, dead: Set[int]) -> None:
         """Tombstone the rule positions in *dead*: out of the adjacency
-        maps and the rule-identity set at once (so a later insert can
-        rediscover them), out of the CSR arrays at the next
+        maps at once, out of the CSR arrays at the next
         :meth:`_compact`, which runs once tombstones pass half the
         program."""
         cground = self._cground
         idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
         edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-        rule_head, rule_no = cground.rule_head, cground.rule_no
         heads: Set[int] = set()
         bodies: Set[int] = set()
         edbs: Set[int] = set()
         for position in dead:
-            head = rule_head[position]
-            idb_row = tuple(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
-            edb_row = tuple(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
-            self._rule_seen.discard((rule_no[position], head, idb_row, edb_row))
-            heads.add(head)
-            bodies.update(idb_row)
-            edbs.update(edb_row)
+            heads.add(cground.rule_head[position])
+            bodies.update(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
+            edbs.update(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
         for adjacency, touched in (
             (self._head_rules, heads),
             (self._body_rules, bodies),
@@ -759,8 +710,7 @@ class MaintainedFixpoint:
         cground.rule_head, cground.rule_no = new_head, new_no
         cground.idb_indptr, cground.idb_flat = new_idb_ptr, new_idb
         cground.edb_indptr, cground.edb_flat = new_edb_ptr, new_edb
-        cground._by_head = cground._by_body = None
-        cground._idb_fids = cground._edb_fids = None
+        cground._invalidate()
         for tracked in self._states():
             tracked.rule_term = [tracked.rule_term[position] for position in keep]
             witness = tracked.witness

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datalog import Database, Fact, scoped_symbols, transitive_closure
+
+#: ``--hypothesis-profile ci``: the CI job runs the generated-program
+#: and grounding-engine properties at this many examples each
+#: (``tests.oracle.examples``), since every new program shape is new
+#: generated join code.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -9,7 +9,10 @@ in heads and bodies, and stored facts for the IDB predicates (*seeds*).
 
 Each generated pair is checked against the oracle:
 
-* the naive and columnar groundings hold the same ground rules;
+* the naive and columnar groundings hold the same ground rules, and
+  so does a maintainer taking one EDB insert -- on generated pairs and
+  on the hand-written shapes the generator never draws
+  (:data:`EDGE_CASES`);
 * the default ``solve()`` and the oracle agree on BOOLEAN and TROPICAL
   (values, rounds, convergence);
 * the generic (Theorem 3.1) and fringe (Theorem 6.2) circuits for
@@ -23,7 +26,7 @@ Each generated pair is checked against the oracle:
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session, solve
@@ -34,8 +37,10 @@ from repro.datalog import (
     Constant,
     Database,
     Fact,
+    MaintainedFixpoint,
     Program,
     Rule,
+    SymbolTable,
     Variable,
     columnar_grounding,
     parse_program,
@@ -43,7 +48,7 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
 from repro.workloads import random_weights
-from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result
+from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result, examples
 
 IDBS = ("P", "Q", "R")
 EDB_ARITY = {"E": 2, "A": 1}
@@ -101,7 +106,7 @@ def assert_early_exit_agrees(circuit, valuation, semiring):
 
 
 @given(programs_with_databases(), st.integers(0, 1000), st.integers(1, 3))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_early_exit_agrees_with_full_evaluation(pair, seed, bound):
     program, db = pair
     facts = sorted(solve(program, db, BOOLEAN).values, key=repr)
@@ -116,14 +121,91 @@ def test_early_exit_agrees_with_full_evaluation(pair, seed, bound):
             assert_early_exit_agrees(circuit, valuation, semiring)
 
 
-@given(programs_with_databases(), st.integers(0, 1000))
-@settings(max_examples=200, deadline=None)
-def test_generated_programs_agree_with_the_oracle(pair, seed):
-    program, db = pair
-    assert (
-        relevant_grounding(program, db, config=NAIVE_ENGINE).rule_keys()
-        == columnar_grounding(program, db).rule_keys()
-    )
+def edge_case(text, facts, insert):
+    database = Database()
+    for predicate, *args in facts:
+        database.add(predicate, *args)
+    return (parse_program(text), database), Fact(insert[0], tuple(insert[1:]))
+
+
+#: An ``E`` chain 22 atoms long: past the 20 nested blocks CPython
+#: compiles, so its kernels continue from a list of partial bindings.
+LONG_CHAIN = "P(X0, X22) :- " + ", ".join(f"E(X{i}, X{i + 1})" for i in range(22)) + "."
+
+#: Shapes the generator never draws, each with an EDB insert:
+#: repeated variables in a seed atom (``R(X, X)``) and in an atom
+#: joined by a full scan (``E(Y, Y)``); arity-3 atoms looked up on
+#: two and three positions; a body constant only a later rule's head
+#: produces; a join over an IDB relation with no rows yet; an insert
+#: whose constant was unseen when the maintainer compiled its rules;
+#: two atoms over one fact (``E(a, a)``) whose fact ids an outer loop
+#: looks up before either is interned; and a body longer than one run
+#: of nested loops.
+EDGE_CASES = [
+    edge_case(
+        "R(X, Y) :- E(X, Y). R(X, Z) :- R(X, Y), E(Y, Z). L(X) :- R(X, X). M(X, Y) :- L(X), E(Y, Y).",
+        [("E", 0, 1), ("E", 1, 0), ("E", 2, 2), ("E", 2, 3)],
+        ("E", 3, 3),
+    ),
+    edge_case(
+        "T(X, Y, Z) :- E(X, Y), E(Y, Z). U(X, Z) :- T(X, Y, Z), T(Y, Z, X), F(X, Y, Z). V(X) :- F(X, Y, X), A(Y).",
+        [("E", 0, 1), ("E", 1, 2), ("E", 2, 0), ("F", 0, 1, 2), ("F", 1, 2, 1), ("A", 2)],
+        ("F", 1, 2, 0),
+    ),
+    edge_case("P(X) :- E(X, Y), Q(9). Q(9) :- A(X).", [("E", 0, 1), ("E", 1, 1)], ("A", 2)),
+    edge_case(
+        "P(X) :- A(X), S(X). S(X) :- E(X, X). S(Y) :- S(X), E(X, Y).",
+        [("A", 0), ("A", 1), ("E", 0, 0)],
+        ("E", 0, 1),
+    ),
+    edge_case(
+        "H(X) :- E(X, hot). T(X, Y) :- H(X), E(X, Y). T(X, Z) :- T(X, Y), E(Y, Z).",
+        [("E", 1, 2), ("E", 2, 3)],
+        ("E", 1, "hot"),
+    ),
+    edge_case(
+        "P(X) :- E(X, Y), E(Y, X), A(X).",
+        [("E", 0, 0), ("E", 0, 1), ("E", 1, 0), ("A", 0), ("A", 1)],
+        ("E", 1, 1),
+    ),
+    edge_case(LONG_CHAIN, [("E", i, i + 1) for i in range(23)] + [("E", 0, 2)], ("E", 23, 24)),
+]
+
+#: EDB inserts for generated pairs; ``3`` occurs in no database.
+INSERTS = st.builds(lambda u, v: Fact("E", (u, v)), st.sampled_from(CONSTANTS), st.sampled_from(CONSTANTS))
+
+
+def assert_interned_once(ground):
+    assert len(set(zip(ground.fact_preds, ground.fact_rows))) == ground.fact_count
+
+
+def assert_same_grounding(program, db):
+    """The columnar grounding equals the naive oracle's, with no
+    duplicate rule or fact id; returns the oracle's rule keys."""
+    keys = relevant_grounding(program, db, config=NAIVE_ENGINE).rule_keys()
+    columnar = columnar_grounding(program, db)
+    assert columnar.rule_keys() == keys
+    assert len(columnar) == len(keys)
+    assert_interned_once(columnar)
+    return keys
+
+
+def _with_edge_cases(test):
+    for pair, insert in EDGE_CASES:
+        test = example(pair=pair, seed=0, insert=insert)(test)
+    return test
+
+
+@given(pair=programs_with_databases(), seed=st.integers(0, 1000), insert=INSERTS)
+@_with_edge_cases
+@settings(max_examples=examples(200), deadline=None)
+def test_generated_programs_agree_with_the_oracle(pair, seed, insert):
+    """Each pair interns into a private table, so an *insert* constant
+    no fact mentions is unseen when the maintainer compiles its rules
+    (the interned-body-constant path)."""
+    program, db = pair[0], pair[1].copy()
+    db.columnar_store(SymbolTable())
+    assert_same_grounding(program, db)
     weights = random_weights(db, seed=seed)
     for semiring, semiring_weights in ((BOOLEAN, None), (TROPICAL, weights)):
         reference = solve(program, db, semiring, config=ORACLE, weights=semiring_weights)
@@ -131,6 +213,13 @@ def test_generated_programs_agree_with_the_oracle(pair, seed):
         facts = sorted(reference.values, key=repr)
         if facts:
             assert_constructions_agree(program, db, facts, semiring, semiring_weights)
+    fix = MaintainedFixpoint(program, db, semirings=(BOOLEAN,))
+    fix.insert(insert)
+    keys = assert_same_grounding(program, db)
+    assert fix.rule_keys() == keys
+    assert len(fix.cground) == len(keys)
+    assert_interned_once(fix.cground)
+    assert fix.values(BOOLEAN) == solve(program, db, BOOLEAN, config=ORACLE).values
 
 
 def test_constructions_read_an_underived_stored_idb_fact_as_zero():
@@ -147,3 +236,4 @@ def test_constructions_read_an_underived_stored_idb_fact_as_zero():
         assert_constructions_agree(program, db, facts, semiring)
         choice = Session(program, db).circuit(facts[0])
         assert crosscheck_fixpoint(choice.circuit, facts, program, db, semiring) == {}
+

@@ -9,7 +9,11 @@ DESIGN.md §8 describes the design; these tests pin its observable
 contract.
 """
 
+import ast
+import itertools
 import random
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,21 +22,33 @@ from hypothesis import strategies as st
 from repro.config import ExecutionConfig
 from repro.datalog import (
     GROUNDING_STATS,
+    Atom,
+    Constant,
     Database,
+    Fact,
     FixpointEngine,
+    MaintainedFixpoint,
+    Program,
+    Rule,
+    SymbolTable,
+    Variable,
     count_join_probes,
     derivable_facts,
     dyck1,
     magic_grounding,
     magic_specialize,
     naive_evaluation,
+    parse_program,
     relevant_grounding,
     same_generation,
     transitive_closure,
 )
+from repro.datalog import grounding
 from repro.semirings import BOOLEAN, TROPICAL
 from repro.workloads import random_digraph, random_weights
-from tests.oracle import NAIVE_ENGINE, ORACLE
+from repro.workloads.labeled import random_bracket_graph
+from tests.datalog.test_generated_programs import programs_with_databases
+from tests.oracle import NAIVE_ENGINE, ORACLE, examples
 
 TC = transitive_closure()
 
@@ -71,7 +87,7 @@ def assert_same_ground_program(naive, columnar):
     m=st.integers(3, 14),
     seeded_idbs=st.integers(0, 3),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_relevant_grounding_engines_agree_tc(seed, n, m, seeded_idbs):
     # seeded_idbs > 0 puts facts for the IDB predicate directly in the
     # input database: instances over them are discoverable in round 0
@@ -106,7 +122,7 @@ def test_no_duplicate_rules_with_database_idb_facts():
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 4))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_relevant_grounding_engines_agree_dyck(seed, pairs):
     # Non-linear program: rules with two IDB body atoms exercise the
     # within-round duplicate handling of the fused pass.
@@ -129,7 +145,7 @@ def test_relevant_grounding_engines_agree_dyck(seed, pairs):
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_derivable_facts_engines_agree(seed, n, m):
     db = random_edge_db(seed, n, m)
     naive_facts, naive_iters = derivable_facts(TC, db, config=NAIVE_ENGINE)
@@ -139,7 +155,7 @@ def test_derivable_facts_engines_agree(seed, n, m):
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_fixpoint_values_engine_independent(seed, n, m):
     db = random_edge_db(seed, n, m)
     rng = random.Random(seed)
@@ -313,3 +329,183 @@ def test_weighted_evaluation_matches_across_engines_at_scale():
     a = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=naive_ground)
     b = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=columnar_ground)
     assert a.values == b.values
+
+
+# -- the generated join kernels ------------------------------------------
+
+
+def same_generation_forest() -> Database:
+    rng = random.Random(11)
+    db = Database()
+    for child in range(1, 40):
+        parent = rng.randrange(child)
+        db.add("Up", child, parent)
+        db.add("Down", parent, child)
+    for _ in range(20):
+        db.add("Flat", rng.randrange(40), rng.randrange(40))
+    return db
+
+
+def looped_digraph() -> Database:
+    db = random_digraph(12, 30, seed=2)
+    for vertex in (0, 3, 7):
+        db.add("E", vertex, vertex)
+    return db
+
+
+def ternary_database() -> Database:
+    rng = random.Random(4)
+    db = Database()
+    for _ in range(30):
+        db.add("E", rng.randrange(8), rng.randrange(8))
+    for _ in range(40):
+        db.add("F", rng.randrange(8), rng.randrange(8), rng.randrange(8))
+    for vertex in range(0, 8, 2):
+        db.add("A", vertex)
+    return db
+
+
+#: ``(probes, matches, ground rules, Boolean rounds)`` of the columnar
+#: engine, recorded from the generator-based join the kernels replaced:
+#: a kernel that changes a join plan, a join order or the accounting
+#: changes one of them.  The last two programs have repeated variables,
+#: so their probes and matches differ, and the last one looks up
+#: arity-3 atoms on two and three positions.
+PINNED_ACCOUNTING = [
+    ("tc", TC, lambda: random_digraph(24, 72, seed=5), (2376, 2376, 1800, 8)),
+    ("dyck", dyck1(), lambda: Database.from_labeled_edges(random_bracket_graph(12, 60, seed=3)), (3342, 3342, 2082, 4)),
+    ("same-generation", same_generation(), same_generation_forest, (814, 814, 299, 7)),
+    (
+        "repeated-variables",
+        parse_program("R(X, Y) :- E(X, Y). R(X, Z) :- R(X, Y), E(Y, Z). L(X) :- R(X, X). M(X, Y) :- L(X), E(Y, Y)."),
+        looped_digraph,
+        (1034, 583, 440, 8),
+    ),
+    (
+        "ternary",
+        parse_program(
+            "T(X, Y, Z) :- E(X, Y), E(Y, Z). U(X, Z) :- T(X, Y, Z), T(Y, Z, X), F(X, Y, Z). V(X) :- F(X, Y, X), A(Y)."
+        ),
+        ternary_database,
+        (251, 236, 70, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("program, database, pinned", [case[1:] for case in PINNED_ACCOUNTING],
+                         ids=[case[0] for case in PINNED_ACCOUNTING])
+def test_join_kernels_reproduce_the_pinned_accounting(program, database, pinned):
+    db = database()
+    GROUNDING_STATS.reset()
+    ground = relevant_grounding(program, db)
+    got = (GROUNDING_STATS.probes, GROUNDING_STATS.matches, len(ground), ground.iterations)
+    GROUNDING_STATS.reset()
+    assert got == pinned
+
+
+#: Every identifier a kernel source may hold: fixed names, plus fixed
+#: prefixes numbered by slot, level, atom or constant position.
+KERNEL_NAMES = frozenset(
+    grounding._KERNEL_ARGS.replace(" ", "").split(",")
+    + "_join probes matches lo key seen_add emitted ni ne start stop len range bisect_left bisect_right".split()
+    + "fact_preds fact_rows rule_head rule_no idb_flat idb_indptr edb_flat edb_indptr".split()
+    + "preds_append rows_append head_append idb_append edb_append fresh_add".split()
+)
+KERNEL_NUMBERED = re.compile(r"(?:s|k|x|r|n|keys|rows|tail|cols|t|p|f|row|part)\d+|c\d+_\d+")
+KERNEL_ATTRIBUTES = frozenset({"add", "append", "get", "extend"})
+
+#: Constants and predicates that must never reach a kernel's source.
+HOSTILE = "'); __import__('os').system('echo pwned') #"
+
+
+def hostile_program():
+    x, y = Variable("X"), Variable("Y")
+    edge = HOSTILE + "E"
+    program = Program([
+        Rule(Atom(HOSTILE, (x, Constant(HOSTILE))), [Atom(edge, (x, y)), Atom(edge, (y, Constant("\n" + HOSTILE)))]),
+        Rule(Atom(HOSTILE, (y, Constant(HOSTILE))), [Atom(HOSTILE, (x, Constant(HOSTILE))), Atom(edge, (x, y))]),
+    ])
+    db = Database()
+    for u, v in ((0, 1), (1, "\n" + HOSTILE), (1, 2)):
+        db.add(edge, u, v)
+    return program, db
+
+
+def assert_kernel_source_is_inert(source: str) -> None:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant):
+            assert node.value is None or type(node.value) is int, source
+        elif isinstance(node, ast.Name):
+            assert node.id in KERNEL_NAMES or KERNEL_NUMBERED.fullmatch(node.id), (node.id, source)
+        elif isinstance(node, ast.arg):
+            assert node.arg in KERNEL_NAMES, (node.arg, source)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr in KERNEL_ATTRIBUTES, (node.attr, source)
+        elif isinstance(node, ast.FunctionDef):
+            assert node.name == "_join", source
+
+
+def recorded_kernel_sources(program, db, insert=None):
+    """Every kernel source grounding *program* writes, and a
+    maintainer's after *insert*."""
+    sources = []
+    write = grounding._kernel_source
+
+    def recording(*args):
+        source, consts = write(*args)
+        sources.append(source)
+        return source, consts
+
+    with mock.patch.object(grounding, "_kernel_source", recording):
+        relevant_grounding(program, db)
+        if insert is not None:
+            MaintainedFixpoint(program, db).insert(insert)
+    return sources
+
+
+def test_kernel_sources_hold_no_program_text():
+    program, db = hostile_program()
+    sources = recorded_kernel_sources(program, db, insert=Fact(HOSTILE + "E", (2, "\n" + HOSTILE)))
+    assert len(sources) >= 4  # round 0, delta and maintainer kernels
+    for source in sources:
+        assert "pwned" not in source
+        assert_kernel_source_is_inert(source)
+
+
+@given(programs_with_databases(), st.sampled_from([(0, 3), (3, 1), (2, 2)]))
+@settings(max_examples=examples(60), deadline=None)
+def test_generated_kernel_sources_hold_only_ints_and_fixed_names(pair, edge):
+    program, db = pair
+    db = db.copy()
+    db.columnar_store(SymbolTable())
+    for source in recorded_kernel_sources(program, db, insert=Fact("E", edge)):
+        assert_kernel_source_is_inert(source)
+
+
+def test_module_level_caches_stay_bounded():
+    """Ground 300 programs of distinct shapes -- one ``G/6`` atom per
+    pattern of variables (named in order of first occurrence) and a
+    constant -- and check that no module-level container of the
+    grounding module grows, and that the kernel cache stays within its
+    bound although the shapes outnumber it."""
+
+    def containers():
+        return {name: len(value) for name, value in vars(grounding).items() if isinstance(value, (dict, list, set))}
+
+    def canonical(pattern):
+        names = list(dict.fromkeys(term for term in pattern if term != "0"))
+        return names == ["X", "Y", "Z"][: len(names)] and "X" in names
+
+    db = Database()
+    for row in itertools.product((0, 1), repeat=6):
+        db.add("G", *row)
+    terms = {"X": Variable("X"), "Y": Variable("Y"), "Z": Variable("Z"), "0": Constant(0)}
+    shapes = [p for p in itertools.product("XYZ0", repeat=6) if canonical(p)][:300]
+    grounding._compile_kernel.cache_clear()
+    before = containers()
+    for shape in shapes:
+        program = Program([Rule(Atom("P", (terms["X"],)), [Atom("G", tuple(terms[t] for t in shape))])])
+        assert len(relevant_grounding(program, db)) > 0
+    info = grounding._compile_kernel.cache_info()
+    assert containers() == before
+    assert info.misses == len(shapes) > info.maxsize >= info.currsize

@@ -255,6 +255,8 @@ class StreamMachine(RuleBasedStateMachine):
             assert self.dfix.values(semiring) == fresh.values
             assert result_key(self.dfix.result(semiring)) == result_key(fresh)
         assert self.dfix.rule_keys() == columnar_grounding(DYCK, ddb).rule_keys()
+        for fix in (self.wfix, self.pfix, self.dfix):
+            assert len(fix.cground) == len(fix.rule_keys())  # no duplicate ground rule
 
     @invariant()
     def witnesses_are_sound(self):

@@ -6,6 +6,8 @@ The equivalence tests run every ``(engine, strategy)`` pair and compare
 it against the all-naive oracle.
 """
 
+from hypothesis import settings
+
 from repro.config import ExecutionConfig
 
 #: Naive grounding plus the naive fixpoint: the reference every fast
@@ -28,3 +30,12 @@ def assert_same_result(result, reference, semiring) -> None:
     assert set(result.values) == set(reference.values)
     for fact, value in reference.values.items():
         assert semiring.eq(result.values[fact], value), fact
+
+
+def examples(count: int) -> int:
+    """*count* Hypothesis examples, or the ``ci`` profile's count when
+    that profile is loaded (``--hypothesis-profile ci``, registered in
+    ``tests/conftest.py``): explicit per-test settings would otherwise
+    override the profile."""
+    ci = settings.get_profile("ci").max_examples
+    return ci if settings.default.max_examples == ci else count

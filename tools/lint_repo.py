@@ -16,7 +16,7 @@ Checks
   serving layer's resilience story depends on ``KeyboardInterrupt`` /
   ``CancelledError`` escaping handlers (``except Exception`` is the
   widest allowed).
-* **exec-kernel** -- ``exec``/``eval`` only in the two vetted closure
+* **exec-kernel** -- ``exec``/``eval`` only in the three vetted closure
   compilers (:data:`EXEC_ALLOWLIST`), and only in the
   ``exec(source, namespace)`` shape where ``source`` is a *variable*
   holding template-generated code -- never a literal, f-string, or
@@ -45,12 +45,15 @@ SCAN_DIRS = ("src", "tests", "tools", "benchmarks", "examples")
 
 MAX_LINE_LENGTH = 120
 
-#: The only files allowed to call ``exec``/``eval``: the two closure
+#: The only files allowed to call ``exec``/``eval``: the three closure
 #: compilers whose sources are built exclusively from the vetted
-#: semiring expression templates.
+#: semiring expression templates (the circuit runtime, the fixpoint)
+#: or from integer literals and fixed identifiers (the grounding join
+#: kernels).
 EXEC_ALLOWLIST = frozenset(
     {
         "src/repro/circuits/runtime.py",
+        "src/repro/datalog/grounding.py",
         "src/repro/datalog/seminaive.py",
     }
 )
