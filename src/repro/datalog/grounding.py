@@ -745,9 +745,7 @@ def _kernel_source(
     pattern-index range or full scan.  Bound-slot checks, probe and
     match counts, the round dedup key (with *dedup*), the fact-id
     interning and the appends to the ground program's arrays are all
-    inline.  An atom whose slots an outer level binds has its fact id
-    looked up at that level, so the inner loops reuse it; interning
-    still happens at emission, in body order.  ``rule_no`` and the
+    inline, the interning at emission in body order.  ``rule_no`` and the
     ``indptr`` entries follow from the emitted count and the rule's
     atom counts.
 
@@ -772,11 +770,8 @@ def _kernel_source(
     def put(*lines: str) -> None:
         code.extend("    " * depth + line for line in lines)
 
-    atoms = (*body, head)
     levels = ([(seed, None)] if seed is not None else []) + list(plan)
-    last_part = (len(levels) - 1) // _LOOPS_PER_PART
     bound: Set[int] = set()
-    hoisted: Set[int] = set()
     for level, (atom, positions) in enumerate(levels):
         if level and level % _LOOPS_PER_PART == 0:
             names = "".join(f"s{slot}, " for slot in sorted(bound))
@@ -825,31 +820,22 @@ def _kernel_source(
             put(check, "    continue")
         if checks:
             put("matches += 1")
-        if level < len(levels) - 1 and level // _LOOPS_PER_PART == last_part:
-            for j, other in enumerate(atoms):
-                if j not in hoisted and bound.issuperset(other.slots):
-                    hoisted.add(j)
-                    put(f"row{j} = ({''.join(term(c) + ', ' for c in other.terms)})", f"f{j} = t{j}.get(row{j})")
 
     # One ground rule per complete binding.
     if dedup:
         prelude.append("seen_add = seen.add")
         put(f"key = ({''.join(f's{slot}, ' for slot in sorted(bound))})", "if key in seen:", "    continue",
             "seen_add(key)")
-    for j, atom in enumerate(atoms):
+    for j, atom in enumerate((*body, head)):
         prelude += [f"t{j} = tables[{j}]", f"p{j} = preds[{j}]"]
-        intern = [
-            f"f{j} = t{j}[row{j}] = len(fact_rows)",
-            f"preds_append(p{j})",
-            f"rows_append(row{j})",
-        ]
-        if j in hoisted:
-            put(f"if f{j} is None:", f"    f{j} = t{j}.get(row{j})", f"    if f{j} is None:")
-            put(*("        " + line for line in intern))
-        else:
-            put(f"row{j} = ({''.join(term(c) + ', ' for c in atom.terms)})", f"f{j} = t{j}.get(row{j})",
-                f"if f{j} is None:")
-            put(*("    " + line for line in intern))
+        put(
+            f"row{j} = ({''.join(term(c) + ', ' for c in atom.terms)})",
+            f"f{j} = t{j}.get(row{j})",
+            f"if f{j} is None:",
+            f"    f{j} = t{j}[row{j}] = len(fact_rows)",
+            f"    preds_append(p{j})",
+            f"    rows_append(row{j})",
+        )
         put(f"{'head' if j == len(body) else 'idb' if idb_flags[j] else 'edb'}_append(f{j})")
     put(f"if f{len(body)} not in derived:", f"    fresh_add(f{len(body)})")
     n_idb = sum(idb_flags)
@@ -967,7 +953,8 @@ class _ColumnarProgramGrounder:
             mark = store.watermark()
             for predicate in sorted(fresh):
                 self.derived.update(fresh[predicate])
-                store.extend_ids(predicate, sorted(map(rows.__getitem__, fresh[predicate])))
+                for row in sorted(map(rows.__getitem__, fresh[predicate])):
+                    store.insert_ids(predicate, row)
             fresh = self.round(store.deltas_since(mark))
         return rounds
 

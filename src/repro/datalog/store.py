@@ -56,7 +56,6 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import (
     Dict,
     Hashable,
@@ -355,21 +354,6 @@ class ColumnarRelation:
                 index.add(tuple(ids[p] for p in positions), row)
         return row
 
-    def extend(self, rows: Sequence[IdRow]) -> None:
-        """:meth:`append` every row of *rows* in order, resident ones
-        skipped: one pass per column instead of one call per row,
-        unless a pattern index must take the rows one at a time."""
-        if self._indexes or set(map(len, rows)) - {self.arity}:
-            for ids in rows:
-                self.append(ids)  # maintains the indexes, raises an arity clash
-            return
-        row_index = self._row_index
-        start = len(row_index)
-        fresh = [ids for ids in dict.fromkeys(rows) if ids not in row_index]
-        row_index.update(zip(fresh, range(start, start + len(fresh))))
-        for position, column in enumerate(self.columns):
-            column.extend(map(itemgetter(position), fresh))
-
     def row(self, index: int) -> IdRow:
         return tuple(column[index] for column in self.columns)
 
@@ -516,20 +500,14 @@ class ColumnarStore:
         found = [rel for (pred, _), rel in self._relations.items() if pred == predicate]
         return found[0] if len(found) == 1 else None
 
-    def _writable(self, predicate: str, arity: int) -> ColumnarRelation:
-        relation = self._relations.get((predicate, arity))
-        if relation is None:
-            relation = self._relations[(predicate, arity)] = ColumnarRelation(predicate, arity)
-        return relation
-
     def insert_ids(self, predicate: str, ids: IdRow) -> bool:
         """Append an already-interned row; True iff it was new."""
-        return self._writable(predicate, len(ids)).append(ids) is not None
-
-    def extend_ids(self, predicate: str, rows: Sequence[IdRow]) -> None:
-        """:meth:`insert_ids` for many rows of one arity, in order."""
-        if rows:
-            self._writable(predicate, len(rows[0])).extend(rows)
+        key = (predicate, len(ids))
+        relation = self._relations.get(key)
+        if relation is None:
+            relation = ColumnarRelation(predicate, len(ids))
+            self._relations[key] = relation
+        return relation.append(ids) is not None
 
     def insert_fact(self, fact: Fact) -> bool:
         """Intern and append one fact; True iff it was new."""

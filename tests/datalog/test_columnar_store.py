@@ -104,8 +104,6 @@ def test_relation_append_dedups_and_checks_arity():
     # Direct relation writers are arity-checked...
     with pytest.raises(DatalogError):
         store.relation("E").append((0, 1, 2))
-    with pytest.raises(DatalogError):
-        store.relation("E").extend([(0, 1), (0, 1, 2)])
     # ... but the store keys relations by (predicate, arity), so a
     # database holding one predicate at two arities (legal for inputs,
     # illegal in programs) lands in two relations instead of clashing.
@@ -204,7 +202,6 @@ def test_pattern_index_interleaved_ops_match_reference(seed, arity, nops):
     lookups keep landing between appends, so tails are probed and
     merged at every fill level, interleaved with watermark/delta reads
     over the same append log (the ISSUE 5 pattern-index satellite).
-    Appends go through both the one-row and the bulk writer.
     """
     rng = random.Random(seed)
     store = ColumnarStore(SymbolTable())
@@ -219,16 +216,11 @@ def test_pattern_index_interleaved_ops_match_reference(seed, arity, nops):
     for _ in range(nops):
         action = rng.random()
         if action < 0.5 or relation is None:
-            if rng.random() < 0.7:
-                batch = [random_row()]
-                store.insert_ids("R", batch[0])
-            else:  # the bulk writer, repeats and resident rows included
-                batch = [random_row() for _ in range(rng.randint(1, 6))]
-                store.extend_ids("R", batch)
-            for row in batch:
-                if row not in resident:
-                    resident.add(row)
-                    reference.append(row)
+            row = random_row()
+            store.insert_ids("R", row)
+            if row not in resident:
+                resident.add(row)
+                reference.append(row)
             relation = store.relation("R", arity)
         elif action < 0.85:
             positions = tuple(sorted(rng.sample(range(arity), rng.randint(1, arity))))

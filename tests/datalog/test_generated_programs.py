@@ -138,9 +138,8 @@ LONG_CHAIN = "P(X0, X22) :- " + ", ".join(f"E(X{i}, X{i + 1})" for i in range(22
 #: two and three positions; a body constant only a later rule's head
 #: produces; a join over an IDB relation with no rows yet; an insert
 #: whose constant was unseen when the maintainer compiled its rules;
-#: two atoms over one fact (``E(a, a)``) whose fact ids an outer loop
-#: looks up before either is interned; and a body longer than one run
-#: of nested loops.
+#: two atoms over one fact (``E(a, a)``), so one binding interns a fact
+#: and then finds it; and a body longer than one run of nested loops.
 EDGE_CASES = [
     edge_case(
         "R(X, Y) :- E(X, Y). R(X, Z) :- R(X, Y), E(Y, Z). L(X) :- R(X, X). M(X, Y) :- L(X), E(Y, Y).",
