@@ -201,7 +201,7 @@ def _fringe_circuit_columnar(
     """Theorem 6.2's construction streamed from the id-space grounding.
 
     Vertices of ``H`` are numbered straight off the head fact ids;
-    rules and their IDB bodies are read from the columnar CSR arrays,
+    rules and their IDB bodies are read from the stored body rows,
     EDB constants are decoded once for the input-gate labels, and
     outputs decode at the very end -- no other tuple conversion
     anywhere.
@@ -214,22 +214,15 @@ def _fringe_circuit_columnar(
     edge_var: Dict[int, int] = {
         fid: builder.var(decode(fid)) for fid in cground.edb_fact_ids()
     }
-    idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-    edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
     rule_edb_product: List[int] = []
     rule_head_num: List[int] = []
     rule_idb_nums: List[Tuple[int, ...]] = []
-    for position, head in enumerate(cground.rule_head):
-        idb_fids = idb_flat[idb_indptr[position] : idb_indptr[position + 1]]
+    for head, idb_fids, edb_fids in zip(cground.rule_head, cground.idb_rows, cground.edb_rows):
         if not all(fid in fact_num for fid in idb_fids):
             # A stored IDB fact no rule derives is 0 in both
             # fixpoints, so the rule's term is 0: drop the rule.
             continue
-        rule_edb_product.append(
-            builder.mul_all(
-                [edge_var[fid] for fid in edb_flat[edb_indptr[position] : edb_indptr[position + 1]]]
-            )
-        )
+        rule_edb_product.append(builder.mul_all([edge_var[fid] for fid in edb_fids]))
         rule_head_num.append(fact_num[head])
         rule_idb_nums.append(tuple(fact_num[fid] for fid in idb_fids))
     graph = _fringe_stages(builder, stages, rule_edb_product, rule_head_num, rule_idb_nums)

@@ -24,9 +24,9 @@ stage ``k``, so the compiled circuit's outputs-only kernels stop there
 
 The stage loop is the *symbolic* twin of the columnar fixpoint
 (:mod:`repro.datalog.seminaive`), streamed from the id-space grounding
-(DESIGN.md §9): per-fact node deltas plus the grounding's CSR
-body index mean each stage only rebuilds ``⊗``-chains for rules whose
-body node actually changed.  Hash-consing makes this an exact
+(DESIGN.md §9): per-fact node deltas plus the grounding's fact →
+body-rules lists mean each stage only rebuilds ``⊗``-chains for rules
+whose body node actually changed.  Hash-consing makes this an exact
 optimization -- an unchanged head re-folds to the identical gate id --
 so the constructed circuit is the same one the dense loop produced,
 found with far fewer builder calls.
@@ -94,12 +94,13 @@ def _generic_circuit_columnar(
 
     Delta-driven construction over hash-consed gates: node ids
     live in one dense list indexed by fact id, rules and the
-    ``by_body`` / ``by_head`` adjacency are read from the CSR arrays,
-    and dirty bookkeeping is ``bytearray`` marks -- the only
-    :class:`Fact` objects ever materialized are the EDB input labels
-    (once each) and the requested outputs.  Each stage that changes a
-    node is noted in the circuit's :class:`StageRecord`, restricted to
-    the facts the outputs depend on.
+    ``by_body`` / ``by_head`` adjacency are read from the grounding's
+    stored body rows and per-fact lists, and dirty bookkeeping is
+    ``bytearray`` marks -- the only :class:`Fact` objects ever
+    materialized are the EDB input labels (once each) and the
+    requested outputs.  Each stage that changes a node is noted in
+    the circuit's :class:`StageRecord`, restricted to the facts the
+    outputs depend on.
     """
     head_fids = cground.idb_fact_ids()
     if stages is None:
@@ -121,24 +122,11 @@ def _generic_circuit_columnar(
         if not is_head[fid]:
             value[fid] = builder.var(decode(fid))
 
-    idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-    edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-    rule_head = cground.rule_head
-    by_head_ptr, by_head_rules = cground.by_head_csr()
-    by_body_ptr, by_body_rules = cground.by_body_csr()
-    idb_rows: List[Sequence[int]] = [
-        tuple(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
-        for position in range(nrules)
-    ]
-    mul, add_all = builder.mul, builder.add_all
+    idb_rows, rule_head = cground.idb_rows, cground.rule_head
+    by_head, by_body = cground.by_head(), cground.by_body()
+    mul, add_all, mul_all = builder.mul, builder.add_all, builder.mul_all
     rule_edb_product: List[int] = [
-        builder.mul_all(
-            [
-                value[edb_flat[at]]
-                for at in range(edb_indptr[position], edb_indptr[position + 1])
-            ]
-        )
-        for position in range(nrules)
+        mul_all([value[fid] for fid in row]) for row in cground.edb_rows
     ]
 
     # Outputs resolve before the stage loop, because the stage record
@@ -155,7 +143,7 @@ def _generic_circuit_columnar(
         for fact in [facts] if isinstance(facts, Fact) else facts:
             fid = cground.find_fact_id(fact)
             output_fids.append(fid if fid is not None and is_head[fid] else -1)
-    relevant = _relevant_facts(output_fids, nfacts, idb_rows, by_head_ptr, by_head_rules)
+    relevant = _relevant_facts(output_fids, nfacts, idb_rows, by_head)
     record = StageRecord(output_fids, [const0] * len(output_fids), const0)
 
     rule_node: List[int] = list(rule_edb_product)
@@ -176,12 +164,7 @@ def _generic_circuit_columnar(
         delta_nodes: List[int] = []
         for head in dirty_heads:
             head_mark[head] = 0
-            fresh = add_all(
-                [
-                    rule_node[by_head_rules[at]]
-                    for at in range(by_head_ptr[head], by_head_ptr[head + 1])
-                ]
-            )
+            fresh = add_all([rule_node[position] for position in by_head[head]])
             if fresh != value[head]:
                 delta_fids.append(head)
                 delta_nodes.append(fresh)
@@ -200,8 +183,7 @@ def _generic_circuit_columnar(
         rule_mark = bytearray(nrules)
         next_dirty: List[int] = []
         for head in delta_fids:
-            for at in range(by_body_ptr[head], by_body_ptr[head + 1]):
-                position = by_body_rules[at]
+            for position in by_body[head]:
                 if not rule_mark[position]:
                     rule_mark[position] = 1
                     next_dirty.append(position)
@@ -216,8 +198,7 @@ def _relevant_facts(
     output_fids: Sequence[int],
     nfacts: int,
     idb_rows: Sequence[Sequence[int]],
-    by_head_ptr: Sequence[int],
-    by_head_rules: Sequence[int],
+    by_head: Sequence[Sequence[int]],
 ) -> bytearray:
     """Mark the facts some output reaches over ground-rule bodies.
 
@@ -232,8 +213,8 @@ def _relevant_facts(
             stack.append(fid)
     while stack:
         head = stack.pop()
-        for at in range(by_head_ptr[head], by_head_ptr[head + 1]):
-            for fid in idb_rows[by_head_rules[at]]:
+        for position in by_head[head]:
+            for fid in idb_rows[position]:
                 if not relevant[fid]:
                     relevant[fid] = 1
                     stack.append(fid)

@@ -467,12 +467,10 @@ def _first_cycle_fact(ground: ColumnarGroundProgram) -> Optional[Fact]:
     incoming edges).  Runs in id space via an iterative
     white/gray/black DFS; only the witness is decoded.
     """
-    indptr, flat = ground.idb_indptr, ground.idb_flat
     adjacency: Dict[object, List[object]] = {}
-    for position in range(len(ground)):
-        head = ground.rule_head[position]
-        for at in range(indptr[position], indptr[position + 1]):
-            adjacency.setdefault(flat[at], []).append(head)
+    for head, row in zip(ground.rule_head, ground.idb_rows):
+        for fid in row:
+            adjacency.setdefault(fid, []).append(head)
     witness = _dfs_cycle(adjacency)
     return ground.decode_fact(witness) if witness is not None else None
 

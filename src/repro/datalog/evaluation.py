@@ -11,8 +11,8 @@ Two strategies compute that fixpoint (see
 * ``columnar`` -- the default fast path: per-fact deltas re-evaluate
   only rules whose body actually changed, run in id space on a
   :class:`~repro.datalog.grounding.ColumnarGroundProgram` (dense
-  value arrays indexed by fact id, CSR adjacency, object-space ⊗/⊕;
-  DESIGN.md §9), round-for-round equivalent to naive.
+  value arrays indexed by fact id, per-fact adjacency lists,
+  object-space ⊗/⊕; DESIGN.md §9), round-for-round equivalent to naive.
 * ``naive`` -- the paper's loop, kept verbatim in
   :func:`_naive_fixpoint` as the reference oracle: every round
   re-evaluates every ground rule, ``O(iterations × |ground rules|)``.

@@ -39,7 +39,7 @@ selected with ``config=ExecutionConfig(engine=...)`` (DESIGN.md §8):
   equivalence tests compare the fast path against it.
 
 :class:`ColumnarGroundProgram` is the one ground-program type: ground
-rules as parallel int arrays over interned fact ids, the form the
+rules as parallel columns over interned fact ids, the form the
 fixpoints, the proof-tree enumerators, the analyzer and the circuit
 constructions all consume (DESIGN.md §9).  Every producer emits it --
 the naive engine and :func:`full_grounding` intern into a private
@@ -67,6 +67,7 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -207,34 +208,42 @@ class GroundRule:
 
 
 class ColumnarGroundProgram:
-    """The grounded program in id space: rules as parallel int arrays
-    (DESIGN.md §9).
+    """The grounded program in id space: rules as parallel columns
+    over interned fact ids (DESIGN.md §9).
 
     The one ground-program type: :func:`columnar_grounding` produces
     it without ever decoding a constant, and the naive engine and
     :func:`full_grounding` emit into it as well.  Every distinct
     ground fact is interned once into a dense *fact id* -- an index
-    into the parallel ``fact_preds`` / ``fact_rows`` tables -- and the
-    ground rules are parallel ``array('q')`` runs:
+    into the parallel ``fact_preds`` / ``fact_rows`` tables -- and
+    ground rule ``r`` is position ``r`` of four parallel columns:
 
-    * ``rule_head[r]`` -- the head's fact id;
-    * ``rule_no[r]`` -- the originating program-rule index;
-    * ``idb_indptr`` / ``idb_flat`` -- CSR rows of IDB body fact ids,
-      in original body-atom order;
-    * ``edb_indptr`` / ``edb_flat`` -- the same for the EDB body.
+    * ``rule_head[r]`` -- the head's fact id (``array('q')``);
+    * ``rule_no[r]`` -- the originating program-rule index
+      (``array('q')``);
+    * ``idb_rows[r]`` -- the IDB body fact ids as a tuple, in original
+      body-atom order (``()`` when the body has no IDB atom);
+    * ``edb_rows[r]`` -- the same for the EDB body.
+
+    The join kernels share one ``unit_rows[fid] == (fid,)`` tuple per
+    fact between every side that holds only that fact, so a linear
+    program's rows cost a tuple per fact, not two per rule.
+
+    The body rows are stored in the form every reader iterates: the
+    fixpoint kernel, the circuit constructions and the maintainer
+    loop over ``idb_rows[r]`` directly, with no range arithmetic.
 
     The two adjacency indexes the delta-driven fixpoint consumes --
     fact → rules with it in the IDB body, and head fact → rules
-    deriving it -- are CSR arrays over fact ids (:meth:`by_body_csr`,
-    :meth:`by_head_csr`): one contiguous ``(indptr, data)`` pair
-    each, built in two counting passes and probed by plain integer
-    indexing -- no :class:`Fact` hashing anywhere on the fixpoint's
-    hot path.
+    deriving it -- are per-fact lists of ascending rule positions
+    (:meth:`by_body`, :meth:`by_head`), each built lazily in one pass
+    and probed by plain integer indexing -- no :class:`Fact` hashing
+    anywhere on the fixpoint's hot path.
 
     Decoding back to :class:`Fact` / :class:`GroundRule` objects
     happens only at the boundary (:meth:`decode_fact`,
-    :meth:`idb_facts`, :meth:`rule`, :meth:`rules_for`,
-    :meth:`rule_keys`), once per distinct fact.
+    :meth:`decode_facts`, :meth:`idb_facts`, :meth:`rule`,
+    :meth:`rules_for`, :meth:`rule_keys`), once per distinct fact.
     """
 
     __slots__ = (
@@ -243,12 +252,11 @@ class ColumnarGroundProgram:
         "iterations",
         "fact_preds",
         "fact_rows",
+        "unit_rows",
         "rule_head",
         "rule_no",
-        "idb_indptr",
-        "idb_flat",
-        "edb_indptr",
-        "edb_flat",
+        "idb_rows",
+        "edb_rows",
         "_fact_ids",
         "_decoded",
         "_by_head",
@@ -265,16 +273,17 @@ class ColumnarGroundProgram:
         self.iterations: Optional[int] = None
         self.fact_preds: List[str] = []
         self.fact_rows: List[Tuple[int, ...]] = []
+        #: ``unit_rows[fid] == (fid,)``: the body row of a side that
+        #: holds only that fact, one shared tuple per fact.
+        self.unit_rows: List[Tuple[int]] = []
         self.rule_head = array("q")
         self.rule_no = array("q")
-        self.idb_indptr = array("q", (0,))
-        self.idb_flat = array("q")
-        self.edb_indptr = array("q", (0,))
-        self.edb_flat = array("q")
+        self.idb_rows: List[Tuple[int, ...]] = []
+        self.edb_rows: List[Tuple[int, ...]] = []
         self._fact_ids: Dict[str, Dict[Tuple[int, ...], int]] = {}
         self._decoded: Dict[int, Fact] = {}
-        self._by_head: Optional[Tuple[array, array]] = None
-        self._by_body: Optional[Tuple[array, array]] = None
+        self._by_head: Optional[List[List[int]]] = None
+        self._by_body: Optional[List[List[int]]] = None
         self._idb_fids: Optional[array] = None
         self._edb_fids: Optional[array] = None
 
@@ -293,6 +302,7 @@ class ColumnarGroundProgram:
             fid = table[ids] = len(self.fact_preds)
             self.fact_preds.append(predicate)
             self.fact_rows.append(ids)
+            self.unit_rows.append((fid,))
         return fid
 
     def append_rule(
@@ -304,15 +314,13 @@ class ColumnarGroundProgram:
     ) -> None:
         self.rule_head.append(head_fid)
         self.rule_no.append(rule_no)
-        self.idb_flat.extend(idb_fids)
-        self.idb_indptr.append(len(self.idb_flat))
-        self.edb_flat.extend(edb_fids)
-        self.edb_indptr.append(len(self.edb_flat))
+        self.idb_rows.append(tuple(idb_fids))
+        self.edb_rows.append(tuple(edb_fids))
         self._invalidate()
 
     def _invalidate(self) -> None:
         """Drop the lazy adjacency and id-set caches after the rule
-        arrays change."""
+        columns change."""
         self._by_head = self._by_body = self._idb_fids = self._edb_fids = None
 
     # -- shape -----------------------------------------------------------
@@ -327,13 +335,14 @@ class ColumnarGroundProgram:
     @property
     def size(self) -> int:
         """``M`` of Theorem 4.3: total atoms over all ground rules."""
-        return len(self.rule_head) + len(self.idb_flat) + len(self.edb_flat)
+        return (
+            len(self.rule_head)
+            + sum(map(len, self.idb_rows))
+            + sum(map(len, self.edb_rows))
+        )
 
     def max_body_idbs(self) -> int:
-        indptr = self.idb_indptr
-        return max(
-            (indptr[r + 1] - indptr[r] for r in range(len(self))), default=0
-        )
+        return max(map(len, self.idb_rows), default=0)
 
     def idb_fact_ids(self) -> array:
         """Distinct head fact ids, ascending (the IDB facts)."""
@@ -348,8 +357,9 @@ class ColumnarGroundProgram:
         """Distinct EDB body fact ids, ascending."""
         if self._edb_fids is None:
             mark = bytearray(self.fact_count)
-            for fid in self.edb_flat:
-                mark[fid] = 1
+            for row in self.edb_rows:
+                for fid in row:
+                    mark[fid] = 1
             self._edb_fids = array("q", (i for i, m in enumerate(mark) if m))
         return self._edb_fids
 
@@ -359,61 +369,33 @@ class ColumnarGroundProgram:
         preds = self.fact_preds
         return [fid for fid in self.idb_fact_ids() if preds[fid] == target]
 
-    # -- CSR adjacency ---------------------------------------------------
+    # -- adjacency -------------------------------------------------------
 
-    @staticmethod
-    def _csr(
-        keys: Sequence[int], payload: Sequence[int], buckets: int
-    ) -> Tuple[array, array]:
-        """Bucket *payload* by *keys*: ``(indptr, data)`` with bucket
-        ``b``'s payload at ``data[indptr[b]:indptr[b + 1]]``, append
-        order preserved within a bucket (two counting passes)."""
-        indptr = [0] * (buckets + 1)
-        for key in keys:
-            indptr[key + 1] += 1
-        for bucket in range(buckets):
-            indptr[bucket + 1] += indptr[bucket]
-        data = array("q", bytes(8 * len(payload)))
-        fill = indptr[:-1]
-        for key, value in zip(keys, payload):
-            data[fill[key]] = value
-            fill[key] += 1
-        return array("q", indptr), data
-
-    def by_head_csr(self) -> Tuple[array, array]:
-        """Fact id → positions of the ground rules deriving it (CSR).
-
-        ``data[indptr[fid]:indptr[fid + 1]]`` lists rule positions in
-        ascending order; non-head fact ids have empty ranges.
-        """
+    def by_head(self) -> List[List[int]]:
+        """Fact id → ascending positions of the ground rules deriving
+        it (empty for a fact no rule derives)."""
         if self._by_head is None:
-            self._by_head = self._csr(
-                self.rule_head, range(len(self.rule_head)), self.fact_count
-            )
+            by_head: List[List[int]] = [[] for _ in range(self.fact_count)]
+            for position, head in enumerate(self.rule_head):
+                by_head[head].append(position)
+            self._by_head = by_head
         return self._by_head
 
-    def by_body_csr(self) -> Tuple[array, array]:
-        """Fact id → positions of the ground rules with that fact in
-        their IDB body (CSR; deduplicated per rule).  When a fact's value changes, exactly these rules can
-        produce a different ⊗-term."""
+    def by_body(self) -> List[List[int]]:
+        """Fact id → ascending positions of the ground rules with that
+        fact in their IDB body, each rule listed once.  When a fact's
+        value changes, exactly these rules can produce a different
+        ⊗-term."""
         if self._by_body is None:
-            keys = array("q")
-            payload = array("q")
-            indptr, flat = self.idb_indptr, self.idb_flat
-            for position in range(len(self)):
-                start, stop = indptr[position], indptr[position + 1]
-                if stop - start == 1:
-                    keys.append(flat[start])
-                    payload.append(position)
-                elif stop > start:
-                    row = flat[start:stop]
-                    seen = set()
-                    for fid in row:
-                        if fid not in seen:
-                            seen.add(fid)
-                            keys.append(fid)
-                            payload.append(position)
-            self._by_body = self._csr(keys, payload, self.fact_count)
+            by_body: List[List[int]] = [[] for _ in range(self.fact_count)]
+            for position, row in enumerate(self.idb_rows):
+                for fid in row:
+                    bucket = by_body[fid]
+                    # Positions ascend, so a fact repeated in this row
+                    # has just appended this very position.
+                    if not bucket or bucket[-1] != position:
+                        bucket.append(position)
+            self._by_body = by_body
         return self._by_body
 
     # -- boundary decoding -----------------------------------------------
@@ -426,6 +408,20 @@ class ColumnarGroundProgram:
             self._decoded[fid] = fact
         return fact
 
+    def decode_facts(self, fids: Iterable[int]) -> List[Fact]:
+        """The :class:`Fact` behind each of *fids*, in order: one
+        batch pass sharing :meth:`decode_fact`'s cache."""
+        decoded, preds, rows = self._decoded, self.fact_preds, self.fact_rows
+        decode_row = self.symbols.decode_row
+        out: List[Fact] = []
+        append = out.append
+        for fid in fids:
+            fact = decoded.get(fid)
+            if fact is None:
+                fact = decoded[fid] = Fact(preds[fid], decode_row(rows[fid]))
+            append(fact)
+        return out
+
     def find_fact_id(self, fact: Fact) -> Optional[int]:
         """The fact id of *fact*, or ``None`` when it never occurs in
         the grounding (unknown constants short-circuit)."""
@@ -436,24 +432,17 @@ class ColumnarGroundProgram:
 
     @property
     def idb_facts(self) -> FrozenSet[Fact]:
-        return frozenset(self.decode_fact(fid) for fid in self.idb_fact_ids())
+        return frozenset(self.decode_facts(self.idb_fact_ids()))
 
     def rule(self, position: int) -> GroundRule:
         """The ground rule at *position*, decoded into :class:`Fact` space."""
         decode = self.decode_fact
-        idb = tuple(
-            decode(fid)
-            for fid in self.idb_flat[
-                self.idb_indptr[position] : self.idb_indptr[position + 1]
-            ]
+        return GroundRule(
+            decode(self.rule_head[position]),
+            tuple(map(decode, self.idb_rows[position])),
+            tuple(map(decode, self.edb_rows[position])),
+            self.rule_no[position],
         )
-        edb = tuple(
-            decode(fid)
-            for fid in self.edb_flat[
-                self.edb_indptr[position] : self.edb_indptr[position + 1]
-            ]
-        )
-        return GroundRule(decode(self.rule_head[position]), idb, edb, self.rule_no[position])
 
     def rules_for(self, fact: Fact) -> List[GroundRule]:
         """The ground rules deriving *fact*, in rule order (empty when
@@ -461,8 +450,7 @@ class ColumnarGroundProgram:
         fid = self.find_fact_id(fact)
         if fid is None:
             return []
-        indptr, positions = self.by_head_csr()
-        return [self.rule(positions[at]) for at in range(indptr[fid], indptr[fid + 1])]
+        return [self.rule(position) for position in self.by_head()[fid]]
 
     def rule_keys(self) -> FrozenSet[Tuple]:
         """The grounding as a set of order-independent rule identities
@@ -722,11 +710,11 @@ _KERNEL_ARGS = "seed, steps, consts, tables, preds, rule, out, seen, derived, fr
 #: Locals every kernel binds once per call, before its loops.
 _KERNEL_PRELUDE = (
     "probes = matches = 0",
-    "fact_preds, fact_rows, rule_head, rule_no, idb_flat, idb_indptr, edb_flat, edb_indptr = out",
-    "preds_append, rows_append = fact_preds.append, fact_rows.append",
-    "head_append, idb_append, edb_append = rule_head.append, idb_flat.append, edb_flat.append",
+    "fact_preds, fact_rows, unit_rows, rule_head, rule_no, idb_rows, edb_rows = out",
+    "preds_append, rows_append, units_append = fact_preds.append, fact_rows.append, unit_rows.append",
+    "head_append, idb_append, edb_append = rule_head.append, idb_rows.append, edb_rows.append",
     "fresh_add = fresh.add",
-    "emitted, ni, ne = len(rule_head), len(idb_flat), len(edb_flat)",
+    "emitted = len(rule_head)",
 )
 
 
@@ -744,10 +732,12 @@ def _kernel_source(
     rows (``None``: round 0's full join), then each *plan* step's
     pattern-index range or full scan.  Bound-slot checks, probe and
     match counts, the round dedup key (with *dedup*), the fact-id
-    interning and the appends to the ground program's arrays are all
-    inline, the interning at emission in body order.  ``rule_no`` and the
-    ``indptr`` entries follow from the emitted count and the rule's
-    atom counts.
+    interning and the appends to the ground program's columns are all
+    inline, the interning at emission in body order, then the head.
+    Each emitted rule appends its head and one tuple of fact ids per
+    non-empty body side (a one-fact side's shared unit row);
+    ``rule_no`` and an empty side's ``()`` rows follow from the
+    emitted count.
 
     The source holds only integer literals (slots, positions, atom
     counts) and fixed identifiers: constant ids, predicates, fact
@@ -835,10 +825,22 @@ def _kernel_source(
             f"    f{j} = t{j}[row{j}] = len(fact_rows)",
             f"    preds_append(p{j})",
             f"    rows_append(row{j})",
+            f"    units_append((f{j},))",
         )
-        put(f"{'head' if j == len(body) else 'idb' if idb_flags[j] else 'edb'}_append(f{j})")
+    put(f"head_append(f{len(body)})")
+    # One tuple per body side and rule: a one-fact side shares its
+    # fact's unit row, and an empty side's ``()`` rows are added in
+    # bulk after the loops.
+    bulk: List[str] = []
+    for side, flag in (("idb", True), ("edb", False)):
+        fids = [f"f{j}" for j in range(len(body)) if idb_flags[j] == flag]
+        if len(fids) == 1:
+            put(f"{side}_append(unit_rows[{fids[0]}])")
+        elif fids:
+            put(f"{side}_append(({''.join(fid + ', ' for fid in fids)}))")
+        else:
+            bulk.append(f"    {side}_rows.extend([()] * emitted)")
     put(f"if f{len(body)} not in derived:", f"    fresh_add(f{len(body)})")
-    n_idb = sum(idb_flags)
     lines = [
         f"def _join({_KERNEL_ARGS}):",
         *("    " + line for line in prelude),
@@ -846,10 +848,7 @@ def _kernel_source(
         *code,
         "    emitted = len(rule_head) - emitted",
         "    rule_no.extend(rule * emitted)",
-        f"    idb_indptr.extend(range(ni + {n_idb}, len(idb_flat) + 1, {n_idb}))" if n_idb else
-        "    idb_indptr.extend(idb_indptr[-1:] * emitted)",
-        f"    edb_indptr.extend(range(ne + {len(body) - n_idb}, len(edb_flat) + 1, {len(body) - n_idb}))"
-        if len(body) > n_idb else "    edb_indptr.extend(edb_indptr[-1:] * emitted)",
+        *bulk,
         "    return probes, matches",
     ]
     return "\n".join(lines) + "\n", tuple(consts)
@@ -903,7 +902,7 @@ class _ColumnarProgramGrounder:
     before any body), the body is selectivity-ordered the first time
     the kernel is needed, and the plan is frozen into straight nested
     loops that read the store's columns and pattern-index runs and
-    append plain ints to the ground program's arrays -- no
+    append plain ints to the ground program's columns -- no
     :class:`Fact` object, no substitution dict, no call per binding.
     Bodies intern their constants only with *intern_bodies*: a
     maintainer's store receives later inserts, so it must not freeze
@@ -964,8 +963,8 @@ class _ColumnarProgramGrounder:
         rows.  Returns the head fact ids not yet derived, per predicate."""
         store, cground = self.store, self.cground
         out = (
-            cground.fact_preds, cground.fact_rows, cground.rule_head, cground.rule_no,
-            cground.idb_flat, cground.idb_indptr, cground.edb_flat, cground.edb_indptr,
+            cground.fact_preds, cground.fact_rows, cground.unit_rows, cground.rule_head,
+            cground.rule_no, cground.idb_rows, cground.edb_rows,
         )
         fresh: Dict[str, Set[int]] = {}
         probes = matches = 0
@@ -1025,7 +1024,7 @@ def columnar_grounding(program: Program, database: Database) -> ColumnarGroundPr
     Runs the fused delta-driven pass of
     :class:`_ColumnarProgramGrounder` over a copy of the database's
     store and returns a :class:`ColumnarGroundProgram` -- ground rules
-    as parallel int arrays over interned fact ids -- without decoding
+    as parallel columns over interned fact ids -- without decoding
     a single ground rule into :class:`Fact` tuples.  The result's
     ``iterations`` records the Boolean fixpoint rounds of the pass
     (the :func:`derivable_facts` count).

@@ -24,7 +24,7 @@ of one program/database pair alive across single-fact deltas:
 * structure is the same repair run on a private Boolean *liveness*
   state: the facts a retract's region leaves ``False`` are dead, and
   the ground rules that read them become tombstones.  Tombstones
-  leave the adjacency maps at once; the CSR arrays are compacted
+  leave the adjacency maps at once; the rule columns are compacted
   only when dead positions pass half the program, or when the
   grounding is read through :attr:`MaintainedFixpoint.cground`.
 
@@ -552,9 +552,7 @@ class MaintainedFixpoint:
         mul, add, eq = semiring.mul, semiring.add, semiring.eq
         zero, one = semiring.zero, semiring.one
         cground = self._cground
-        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-        rule_head = cground.rule_head
+        idb_rows, edb_rows, rule_head = cground.idb_rows, cground.edb_rows, cground.rule_head
         head_rules, body_rules = self._head_rules, self._body_rules
         cap = self._round_cap()
         dirty = set(dirty_positions)
@@ -567,9 +565,9 @@ class MaintainedFixpoint:
             heads = set()
             for position in dirty:
                 term = one
-                for fid in edb_flat[edb_indptr[position] : edb_indptr[position + 1]]:
+                for fid in edb_rows[position]:
                     term = mul(term, value[fid])
-                for fid in idb_flat[idb_indptr[position] : idb_indptr[position + 1]]:
+                for fid in idb_rows[position]:
                     term = mul(term, value[fid])
                 rule_term[position] = term
                 head = rule_head[position]
@@ -607,14 +605,12 @@ class MaintainedFixpoint:
         tracked.converged = converged
         tracked.witness = None
         mul, one = semiring.mul, semiring.one
-        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
         rule_term: List[object] = []
-        for position in range(len(cground)):
+        for edb_row, idb_row in zip(cground.edb_rows, cground.idb_rows):
             term = one
-            for fid in edb_flat[edb_indptr[position] : edb_indptr[position + 1]]:
+            for fid in edb_row:
                 term = mul(term, value[fid])
-            for fid in idb_flat[idb_indptr[position] : idb_indptr[position + 1]]:
+            for fid in idb_row:
                 term = mul(term, value[fid])
             rule_term.append(term)
         tracked.rule_term = rule_term
@@ -640,33 +636,39 @@ class MaintainedFixpoint:
         self._index_rules(range(len(self._cground)))
 
     def _index_rules(self, positions: range) -> None:
-        """Record the rules at *positions* in the head/body/EDB adjacency."""
+        """Record the rules at *positions* in the head/body/EDB
+        adjacency, each rule once per fact.  *positions* ascend past
+        every indexed position, so a fact repeated in one body row
+        finds this very position at the end of its list."""
         cground = self._cground
-        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-        rule_head = cground.rule_head
+        rule_head, head_rules = cground.rule_head, self._head_rules
         for position in positions:
-            self._head_rules.setdefault(rule_head[position], []).append(position)
-            for fid in dict.fromkeys(idb_flat[idb_indptr[position] : idb_indptr[position + 1]]):
-                self._body_rules.setdefault(fid, []).append(position)
-            for fid in dict.fromkeys(edb_flat[edb_indptr[position] : edb_indptr[position + 1]]):
-                self._edb_rules.setdefault(fid, []).append(position)
+            head_rules.setdefault(rule_head[position], []).append(position)
+        for rows, adjacency in (
+            (cground.idb_rows, self._body_rules),
+            (cground.edb_rows, self._edb_rules),
+        ):
+            for position in positions:
+                for fid in rows[position]:
+                    rules = adjacency.get(fid)
+                    if rules is None:
+                        adjacency[fid] = [position]
+                    elif rules[-1] != position:
+                        rules.append(position)
 
     def _kill(self, dead: Set[int]) -> None:
         """Tombstone the rule positions in *dead*: out of the adjacency
-        maps at once, out of the CSR arrays at the next
+        maps at once, out of the rule columns at the next
         :meth:`_compact`, which runs once tombstones pass half the
         program."""
         cground = self._cground
-        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
         heads: Set[int] = set()
         bodies: Set[int] = set()
         edbs: Set[int] = set()
         for position in dead:
             heads.add(cground.rule_head[position])
-            bodies.update(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
-            edbs.update(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
+            bodies.update(cground.idb_rows[position])
+            edbs.update(cground.edb_rows[position])
         for adjacency, touched in (
             (self._head_rules, heads),
             (self._body_rules, bodies),
@@ -684,7 +686,7 @@ class MaintainedFixpoint:
 
     def _compact(self) -> None:
         """Drop the tombstones from the ground program's parallel
-        arrays.  Live rules keep their relative order; every state's
+        columns.  Live rules keep their relative order; every state's
         cached terms and witnesses move in lockstep, and the adjacency
         is rebuilt over the new positions.  Fact ids are stable --
         only rule positions move."""
@@ -694,22 +696,12 @@ class MaintainedFixpoint:
         cground = self._cground
         keep = [p for p in range(len(cground)) if p not in dead]
         moved = array("q", [-1]) * len(cground)
-        idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-        edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-        new_head, new_no = array("q"), array("q")
-        new_idb_ptr, new_idb = array("q", (0,)), array("q")
-        new_edb_ptr, new_edb = array("q", (0,)), array("q")
         for at, position in enumerate(keep):
             moved[position] = at
-            new_head.append(cground.rule_head[position])
-            new_no.append(cground.rule_no[position])
-            new_idb.extend(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
-            new_idb_ptr.append(len(new_idb))
-            new_edb.extend(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
-            new_edb_ptr.append(len(new_edb))
-        cground.rule_head, cground.rule_no = new_head, new_no
-        cground.idb_indptr, cground.idb_flat = new_idb_ptr, new_idb
-        cground.edb_indptr, cground.edb_flat = new_edb_ptr, new_edb
+        cground.rule_head = array("q", map(cground.rule_head.__getitem__, keep))
+        cground.rule_no = array("q", map(cground.rule_no.__getitem__, keep))
+        cground.idb_rows = list(map(cground.idb_rows.__getitem__, keep))
+        cground.edb_rows = list(map(cground.edb_rows.__getitem__, keep))
         cground._invalidate()
         for tracked in self._states():
             tracked.rule_term = [tracked.rule_term[position] for position in keep]

@@ -17,13 +17,13 @@ Delta-driven evaluation (round ``t``):
 1. **Delta set** -- the IDB facts whose value changed in round
    ``t − 1``.
 2. **Dirty rules** -- via the grounding's fact → rules-with-it-in-the-
-   body CSR index, exactly the ground rules with a delta fact in their
-   body; only their ``⊗``-terms are recomputed (every other rule's
-   cached term is still current because none of its body values
-   moved).
+   body lists, exactly the ground rules with a delta fact in their
+   body; only their ``⊗``-terms are recomputed from the stored body
+   rows (every other rule's cached term is still current because none
+   of its body values moved).
 3. **Dirty heads** -- heads of dirty rules are re-folded with
-   ``semiring.add`` over the cached per-rule terms (head → rules CSR
-   index); a head whose new value differs (``semiring.eq``) enters the
+   ``semiring.add`` over the cached per-rule terms (head → rules
+   lists); a head whose new value differs (``semiring.eq``) enters the
    next delta set.
 4. **Convergence** is certified by an empty delta set -- no full
    ``eq`` sweep over all facts is ever needed.
@@ -166,8 +166,7 @@ class FixpointEngine:
             value, iterations, converged, rule_evaluations = _columnar_fixpoint(
                 ground, semiring, edb_value, max_iterations
             )
-            decode = ground.decode_fact
-            values = {decode(fid): value[fid] for fid in head_fids}
+            values = dict(zip(ground.decode_facts(head_fids), map(value.__getitem__, head_fids)))
         if not converged and raise_on_divergence:
             raise DivergenceError(
                 f"{self.strategy} evaluation over {semiring.name} did not "
@@ -221,14 +220,13 @@ _CALL_TEMPLATES = ("add({a}, {b})", "mul({a}, {b})")
 #: a semiring may override equality independently.  ``add``/``mul``
 #: are the bound methods, which :data:`_CALL_TEMPLATES` call.
 _KERNEL_SOURCE = """\
-def _kernel(value, idb_rows, edb_rows, rule_head,
-            by_head_ptr, by_head_rules, by_body_ptr, by_body_rules,
+def _kernel(value, idb_rows, edb_rows, rule_head, by_head, by_body,
             nfacts, nrules, max_iterations, zero, one, eq, add, mul):
     edb_product = []
     append_product = edb_product.append
-    for position in range(nrules):
+    for row in edb_rows:
         term = one
-        for fid in edb_rows[position]:
+        for fid in row:
             other = value[fid]
             term = {mul_expr}
         append_product(term)
@@ -256,8 +254,8 @@ def _kernel(value, idb_rows, edb_rows, rule_head,
         for head in dirty_heads:
             head_mark[head] = 0
             total = zero
-            for at in range(by_head_ptr[head], by_head_ptr[head + 1]):
-                other = rule_term[by_head_rules[at]]
+            for position in by_head[head]:
+                other = rule_term[position]
                 total = {add_expr}
             if not eq(total, value[head]):
                 delta_fids.append(head)
@@ -271,8 +269,7 @@ def _kernel(value, idb_rows, edb_rows, rule_head,
         rule_mark = bytearray(nrules)
         next_dirty = []
         for head in delta_fids:
-            for at in range(by_body_ptr[head], by_body_ptr[head + 1]):
-                position = by_body_rules[at]
+            for position in by_body[head]:
                 if not rule_mark[position]:
                     rule_mark[position] = 1
                     next_dirty.append(position)
@@ -313,14 +310,15 @@ def _columnar_fixpoint(
     re-folded), so values, iteration counts, the ``converged`` flag
     and divergence behaviour coincide with the naive oracle.  Values
     live in one dense list indexed by fact id (EDB slots filled once
-    from *edb_value*, IDB slots
-    starting at ``0``), per-rule cached ⊗-terms in a parallel list,
-    and the dirty sets are flat int lists deduplicated through
-    ``bytearray`` marks over the CSR adjacency
-    (:meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_body_csr`
+    from *edb_value*, IDB slots starting at ``0``), per-rule cached
+    ⊗-terms in a parallel list, and the dirty sets are flat int lists
+    deduplicated through ``bytearray`` marks over the per-fact
+    adjacency lists
+    (:meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_body`
     /
-    :meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_head_csr`)
-    -- no :class:`Fact` is hashed or decoded anywhere in the loop.
+    :meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_head`).
+    The kernel reads the grounding's stored body rows as they are --
+    no :class:`Fact` is hashed or decoded anywhere in the loop.
     Semiring ``⊗``/``⊕`` folds stay object-space calls on the dense
     arrays, so every existing semiring works unchanged (the hybrid
     mode).
@@ -328,32 +326,15 @@ def _columnar_fixpoint(
     Returns ``(value, iterations, converged, rule_evaluations)`` with
     *value* indexed by fact id; the caller decodes the IDB slots.
     """
-    nrules = len(cground)
     nfacts = cground.fact_count
-    idb_indptr, idb_flat = cground.idb_indptr, cground.idb_flat
-    edb_indptr, edb_flat = cground.edb_indptr, cground.edb_flat
-    rule_head = cground.rule_head
-    by_head_ptr, by_head_rules = cground.by_head_csr()
-    by_body_ptr, by_body_rules = cground.by_body_csr()
 
-    # Dense valuation: EDB slots are decoded once per distinct EDB
-    # fact; IDB slots start at 0 exactly like the naive oracle.
+    # Dense valuation: EDB slots are decoded in one batch, once per
+    # distinct EDB fact; IDB slots start at 0 exactly like the naive
+    # oracle.
     value: List[object] = [semiring.zero] * nfacts
-    decode = cground.decode_fact
-    for fid in cground.edb_fact_ids():
-        value[fid] = edb_value[decode(fid)]
-
-    # Per-rule body rows as small tuples: the ⊗-recomputation re-reads
-    # the IDB rows every round a rule is dirty, so one flattening pass
-    # beats per-eval CSR range arithmetic.
-    idb_rows: List[Tuple[int, ...]] = [
-        tuple(idb_flat[idb_indptr[position] : idb_indptr[position + 1]])
-        for position in range(nrules)
-    ]
-    edb_rows: List[Tuple[int, ...]] = [
-        tuple(edb_flat[edb_indptr[position] : edb_indptr[position + 1]])
-        for position in range(nrules)
-    ]
+    edb_fids = cground.edb_fact_ids()
+    for fid, fact in zip(edb_fids, cground.decode_facts(edb_fids)):
+        value[fid] = edb_value[fact]
 
     # Semirings that declare closure-compiler templates (DESIGN.md §7)
     # get ⊗/⊕ inlined as expressions; everything else runs the same
@@ -364,15 +345,13 @@ def _columnar_fixpoint(
     kernel = _fixpoint_kernel(*templates)
     iterations, converged, rule_evaluations = kernel(
         value,
-        idb_rows,
-        edb_rows,
-        rule_head,
-        by_head_ptr,
-        by_head_rules,
-        by_body_ptr,
-        by_body_rules,
+        cground.idb_rows,
+        cground.edb_rows,
+        cground.rule_head,
+        cground.by_head(),
+        cground.by_body(),
         nfacts,
-        nrules,
+        len(cground),
         max_iterations,
         semiring.zero,
         semiring.one,

@@ -141,8 +141,7 @@ class SymbolTable:
         return self._values[symbol]
 
     def decode_row(self, symbols: Iterable[int]) -> Tuple[Hashable, ...]:
-        values = self._values
-        return tuple(values[s] for s in symbols)
+        return tuple(map(self._values.__getitem__, symbols))
 
     def clear(self) -> None:
         """Forget every interning, in place (the table object survives).

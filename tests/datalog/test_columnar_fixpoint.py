@@ -3,15 +3,17 @@
 Three layers are pinned here:
 
 * :class:`~repro.datalog.grounding.ColumnarGroundProgram` -- the
-  parallel-array grounding produced by
-  :func:`~repro.datalog.grounding.columnar_grounding`: rule arrays,
-  CSR ``by_head``/``by_body`` adjacency against dict indexes built
-  from the decoded rules, boundary decoding, and the naive engine's
-  private symbol table;
+  parallel-column grounding produced by
+  :func:`~repro.datalog.grounding.columnar_grounding`: rule columns
+  and stored body rows, the per-fact ``by_head``/``by_body``
+  adjacency lists against dict indexes built from the decoded rules
+  (a fact repeated in one body listed once), boundary decoding, and
+  the naive engine's private symbol table;
 * the ``strategy="columnar"`` fixpoint -- observational equivalence
   (values, iterations, convergence, rule-evaluation counts) with the
   naive oracle, over semirings with and without closure-compiler
-  kernels, including divergence behaviour;
+  kernels, including divergence behaviour, and a default ``solve()``'s
+  pinned rounds, rule evaluations and values;
 * the **oracle-vs-fast matrix** -- every ``(engine, strategy)`` pair
   must agree with naive grounding plus the naive fixpoint on
   ``rule_keys()``, fixpoint values, iterations and convergence over
@@ -19,6 +21,7 @@ Three layers are pinned here:
   BOOLEAN, COUNTING and TROPICAL.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -44,8 +47,9 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
 from repro.semirings.numeric import BooleanSemiring
-from repro.workloads import random_digraph, random_weights
-from tests.oracle import NAIVE_ENGINE, ORACLE, PAIRS, assert_same_result
+from repro.workloads import complete_dag, random_digraph, random_weights
+from repro.workloads.labeled import random_bracket_graph
+from tests.oracle import NAIVE_ENGINE, ORACLE, PAIRS, assert_same_result, examples
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -119,12 +123,13 @@ def test_columnar_grounding_matches_tuple_grounding():
     assert derivable_facts(TC, db, ground=ground) == (naive_facts, naive_iterations)
 
 
-def test_csr_adjacency_matches_dict_indexes():
+def test_adjacency_lists_match_dict_indexes():
     db = random_edge_db(5, 7, 16)
     cground = columnar_grounding(TC, db)
     rules = [cground.rule(position) for position in range(len(cground))]
-    by_head_ptr, by_head_rules = cground.by_head_csr()
-    by_body_ptr, by_body_rules = cground.by_body_csr()
+    by_head, by_body = cground.by_head(), cground.by_body()
+    assert len(by_head) == len(by_body) == cground.fact_count
+    assert cground.unit_rows == [(fid,) for fid in range(cground.fact_count)]
 
     def decoded(position):
         rule = rules[position]
@@ -138,14 +143,67 @@ def test_csr_adjacency_matches_dict_indexes():
 
     for fact, positions in rule_indices_by_head.items():
         fid = cground.find_fact_id(fact)
-        got = [by_head_rules[at] for at in range(by_head_ptr[fid], by_head_ptr[fid + 1])]
+        got = by_head[fid]
         assert got == sorted(got)  # ascending rule positions
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
     for fact, positions in rules_by_idb_body.items():
         fid = cground.find_fact_id(fact)
-        got = [by_body_rules[at] for at in range(by_body_ptr[fid], by_body_ptr[fid + 1])]
+        got = by_body[fid]
+        assert got == sorted(got)  # ascending rule positions
         assert len(got) == len(set(got))  # per-rule dedup
         assert {decoded(p) for p in got} == {decoded(p) for p in positions}
+    # No fact lists a rule the dict indexes lack.
+    assert sum(map(len, by_head)) == len(rules)
+    assert sum(map(len, by_body)) == sum(len(set(rule.idb_body)) for rule in rules)
+
+
+def bracket_loops() -> Database:
+    """Brackets ``0 -L-> 1 -R-> 0`` and ``1 -L-> 2 -R-> 1``: Dyck-1's
+    ``S(X,Y) :- S(X,A), S(A,Y)`` grounds ``S(0,0) :- S(0,0), S(0,0)``
+    and ``S(1,1) :- S(1,1), S(1,1)``, rows holding one IDB fact twice."""
+    return Database.from_labeled_edges([(0, "L", 1), (1, "R", 0), (1, "L", 2), (2, "R", 1)])
+
+
+def test_repeated_body_fact_is_one_body_edge():
+    from repro.datalog.incremental import MaintainedFixpoint
+
+    db = bracket_loops()
+    cground = columnar_grounding(DYCK, db)
+    maintained = MaintainedFixpoint(DYCK, db.copy())
+    for loop in (Fact("S", (0, 0)), Fact("S", (1, 1))):
+        fid = cground.find_fact_id(loop)
+        [position] = [p for p, row in enumerate(cground.idb_rows) if row == (fid, fid)]
+        assert cground.by_body()[fid].count(position) == 1
+        assert cground.rule(position).idb_body == (loop, loop)
+        # The maintainer's own body index dedups the same way.
+        mfid = maintained.cground.find_fact_id(loop)
+        rules = maintained._body_rules[mfid]
+        assert len(rules) == len(set(rules))
+        assert any(maintained.cground.idb_rows[p] == (mfid, mfid) for p in rules)
+    maintained.detach()
+
+
+@pytest.mark.parametrize("semiring", [BOOLEAN, TROPICAL, COUNTING], ids=lambda s: s.name)
+def test_repeated_body_fact_agrees_with_oracle(semiring):
+    from repro.api import solve
+    from repro.constructions import generic_circuit
+
+    db = bracket_loops()
+    reference = naive_evaluation(DYCK, db, semiring, config=ORACLE)
+    assert_same_result(solve(DYCK, db, semiring), reference, semiring)
+    # The generic circuit is ``N`` Jacobi rounds from 0 (N = 2 IDB
+    # facts here), so it matches the oracle stopped after N rounds --
+    # the fixpoint where one exists, the capped value under COUNTING,
+    # where the loops diverge.
+    stages = len(columnar_grounding(DYCK, db).idb_fact_ids())
+    assert stages == 2
+    capped = naive_evaluation(DYCK, db, semiring, max_iterations=stages, config=ORACLE)
+    targets = sorted(capped.values, key=repr)
+    circuit = generic_circuit(DYCK, db, facts=targets)
+    assert circuit_outputs(circuit, semiring, db.valuation(semiring)) == [
+        capped.values[fact] for fact in targets
+    ]
+    assert not reference.converged if semiring is COUNTING else reference.converged
 
 
 def test_naive_grounding_interns_into_a_private_table():
@@ -249,21 +307,21 @@ def assert_strategies_agree(program, db, semiring, weights=None):
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 7), m=st.integers(3, 14))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_columnar_strategy_agrees_boolean_tc(seed, n, m):
     db = random_edge_db(seed, n, m)
     assert_strategies_agree(TC, db, BOOLEAN)
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 12))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_columnar_strategy_agrees_tropical_tc(seed, n, m):
     db = random_edge_db(seed, n, m)
     assert_strategies_agree(TC, db, TROPICAL, random_weights(db, seed=seed))
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 4))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_columnar_strategy_agrees_dyck(seed, pairs):
     assert_strategies_agree(DYCK, dyck_db(seed, pairs), BOOLEAN)
 
@@ -319,6 +377,61 @@ def test_columnar_strategy_divergence_matches():
         FixpointEngine().evaluate(TC, db, COUNTING, max_iterations=6, raise_on_divergence=True)
 
 
+def sg_forest(num_vertices: int, seed: int) -> Database:
+    """A random forest as Up/Down parent edges plus n/2 random Flat pairs."""
+    rng = random.Random(seed)
+    db = Database()
+    for child in range(1, num_vertices):
+        parent = rng.randrange(child)
+        db.add("Up", child, parent)
+        db.add("Down", parent, child)
+    for _ in range(num_vertices // 2):
+        db.add("Flat", rng.randrange(num_vertices), rng.randrange(num_vertices))
+    return db
+
+
+def values_digest(values) -> str:
+    """A short fingerprint of a value map, facts in repr order."""
+    text = "\n".join(f"{fact!r}={values[fact]!r}" for fact in sorted(values, key=repr))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def tc_tropical():
+    db = random_digraph(24, 72, seed=5)
+    return db, random_weights(db, seed=5)
+
+
+#: A default ``solve()``'s ``(iterations, rule_evaluations, converged,
+#: IDB fact count, values digest)``, recorded before the fixpoint read
+#: the grounding's stored body rows and per-fact adjacency lists: a
+#: layout change must not move a round, a rule evaluation or a value.
+PINNED_FIXPOINTS = [
+    ("tc-boolean", TC, lambda: (random_digraph(24, 72, seed=5), None), BOOLEAN, False,
+     (8, 3528, True, 576, "8747711600e8085b")),
+    ("tc-tropical", TC, tc_tropical, TROPICAL, False,
+     (9, 4237, True, 576, "edae054298b15ef2")),
+    ("dyck-boolean", DYCK,
+     lambda: (Database.from_labeled_edges(random_bracket_graph(12, 48, seed=5)), None), BOOLEAN, False,
+     (4, 3409, True, 110, "9c52782a06b73ab2")),
+    ("sg-boolean", same_generation(), lambda: (sg_forest(40, 5), None), BOOLEAN, False,
+     (3, 34, True, 27, "366c405564b8dd2e")),
+    ("tc-counting-strict", TC, lambda: (complete_dag(8), None), COUNTING, True,
+     (8, 210, True, 28, "2c52c174504ee95b")),
+]
+
+
+@pytest.mark.parametrize("program, inputs, semiring, strict, pinned",
+                         [case[1:] for case in PINNED_FIXPOINTS], ids=[case[0] for case in PINNED_FIXPOINTS])
+def test_fixpoint_reproduces_the_pinned_accounting(program, inputs, semiring, strict, pinned):
+    from repro.api import solve
+
+    db, weights = inputs()
+    result = solve(program, db, semiring, weights=weights, strict=strict)
+    got = (result.iterations, result.rule_evaluations, result.converged, len(result.values),
+           values_digest(result.values))
+    assert got == pinned
+
+
 def test_ground_forms_interchange_across_strategies():
     """A grounding from either engine feeds either strategy."""
     db = random_edge_db(2, 7, 16)
@@ -359,7 +472,7 @@ def assert_matrix_agrees(program, db, semiring, weights=None):
     m=st.integers(3, 12),
     seeded_idbs=st.integers(0, 2),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 def test_matrix_random_digraph(seed, n, m, seeded_idbs):
     db = random_edge_db(seed, n, m, seeded_idbs)
     if not len(db):
@@ -372,7 +485,7 @@ def test_matrix_random_digraph(seed, n, m, seeded_idbs):
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 3))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 def test_matrix_dyck(seed, pairs):
     assert_matrix_agrees(DYCK, dyck_db(seed, pairs), BOOLEAN)
 
@@ -461,7 +574,7 @@ def circuit_outputs(circuit, semiring, assignment):
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 12))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 def test_generic_circuit_columnar_stream_agrees(seed, n, m):
     from repro.constructions import generic_circuit
 
@@ -477,7 +590,7 @@ def test_generic_circuit_columnar_stream_agrees(seed, n, m):
 
 
 @given(seed=st.integers(0, 5000), pairs=st.integers(1, 3))
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(8), deadline=None)
 def test_fringe_circuit_columnar_stream_agrees(seed, pairs):
     from repro.constructions import fringe_circuit
 

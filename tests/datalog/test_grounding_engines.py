@@ -407,9 +407,9 @@ def test_join_kernels_reproduce_the_pinned_accounting(program, database, pinned)
 #: prefixes numbered by slot, level, atom or constant position.
 KERNEL_NAMES = frozenset(
     grounding._KERNEL_ARGS.replace(" ", "").split(",")
-    + "_join probes matches lo key seen_add emitted ni ne start stop len range bisect_left bisect_right".split()
-    + "fact_preds fact_rows rule_head rule_no idb_flat idb_indptr edb_flat edb_indptr".split()
-    + "preds_append rows_append head_append idb_append edb_append fresh_add".split()
+    + "_join probes matches lo key seen_add emitted start stop len range bisect_left bisect_right".split()
+    + "fact_preds fact_rows unit_rows rule_head rule_no idb_rows edb_rows".split()
+    + "preds_append rows_append units_append head_append idb_append edb_append fresh_add".split()
 )
 KERNEL_NUMBERED = re.compile(r"(?:s|k|x|r|n|keys|rows|tail|cols|t|p|f|row|part)\d+|c\d+_\d+")
 KERNEL_ATTRIBUTES = frozenset({"add", "append", "get", "extend"})

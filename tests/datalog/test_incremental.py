@@ -115,8 +115,7 @@ def assert_witnesses_sound(fix):
                 continue
             assert position in fix._head_rules.get(fid, ()), (state.semiring.name, fid)
             assert eq(state.rule_term[position], state.value[fid]), (state.semiring.name, fid)
-            body = cground.idb_flat[cground.idb_indptr[position] : cground.idb_indptr[position + 1]]
-            reads[fid] = [b for b in body if witness[b] >= 0]
+            reads[fid] = [b for b in cground.idb_rows[position] if witness[b] >= 0]
         tuple(TopologicalSorter(reads).static_order())  # CycleError on a cycle
 
 

@@ -204,21 +204,15 @@ def test_engine_boolean_iterations_matches_module_probe():
 
 def test_grounding_body_index_is_consistent():
     ground = columnar_grounding(TC, GRAPHS["random"]())
-    body_ptr, body_rules = ground.by_body_csr()
-    head_ptr, head_rules = ground.by_head_csr()
-
-    def rules_of(indptr, data, fid):
-        return set(data[indptr[fid] : indptr[fid + 1]])
+    by_body, by_head = ground.by_body(), ground.by_head()
 
     for position in range(len(ground)):
-        body = ground.idb_flat[ground.idb_indptr[position] : ground.idb_indptr[position + 1]]
-        for fid in body:
-            assert position in rules_of(body_ptr, body_rules, fid)
-        assert position in rules_of(head_ptr, head_rules, ground.rule_head[position])
+        for fid in ground.idb_rows[position]:
+            assert position in by_body[fid]
+        assert position in by_head[ground.rule_head[position]]
     for fid in range(ground.fact_count):
-        for position in rules_of(body_ptr, body_rules, fid):
-            start, stop = ground.idb_indptr[position], ground.idb_indptr[position + 1]
-            assert fid in ground.idb_flat[start:stop]
+        for position in by_body[fid]:
+            assert fid in ground.idb_rows[position]
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
