@@ -47,7 +47,7 @@ from .datalog.ast import DatalogError, Fact, Program
 from .datalog.database import Database, check_weight
 from .datalog.evaluation import EvaluationResult
 from .datalog.grounding import ColumnarGroundProgram
-from .datalog.incremental import MaintainedFixpoint
+from .datalog.incremental import MaintainedFixpoint, _coerce_fact
 from .datalog.seminaive import FixpointEngine
 from .semirings import BOOLEAN
 from .semirings.base import Semiring
@@ -493,7 +493,7 @@ class StreamSession:
 
     def insert(self, fact, *args, weight: object = None) -> bool:
         """Insert an EDB fact; True iff it was new."""
-        coerced = fact if isinstance(fact, Fact) else Fact(fact, tuple(args))
+        coerced = _coerce_fact(fact, args)
         self._guard_idb(coerced)
         check_weight(weight)
         if self.fixpoint is None:
@@ -512,7 +512,7 @@ class StreamSession:
 
     def retract(self, fact, *args) -> Fact:
         """Retract an EDB fact; KeyError if absent."""
-        coerced = fact if isinstance(fact, Fact) else Fact(fact, tuple(args))
+        coerced = _coerce_fact(fact, args)
         self._guard_idb(coerced)
         if self.fixpoint is None:
             database = self.session.database

@@ -62,6 +62,7 @@ from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import (
     Callable,
     Dict,
@@ -236,9 +237,13 @@ class ColumnarGroundProgram:
     The two adjacency indexes the delta-driven fixpoint consumes --
     fact → rules with it in the IDB body, and head fact → rules
     deriving it -- are per-fact lists of ascending rule positions
-    (:meth:`by_body`, :meth:`by_head`), each built lazily in one pass
-    and probed by plain integer indexing -- no :class:`Fact` hashing
-    anywhere on the fixpoint's hot path.
+    (:meth:`by_body`, :meth:`by_head`), probed by plain integer
+    indexing -- no :class:`Fact` hashing anywhere on the fixpoint's
+    hot path.  They are built on first read by the same extension
+    that, once they exist, every append runs over the positions it
+    added; a fact with no entry holds the shared ``()``, so only facts
+    with rules cost a list.  The maintainer edits them in place
+    (DESIGN.md §11).
 
     Decoding back to :class:`Fact` / :class:`GroundRule` objects
     happens only at the boundary (:meth:`decode_fact`,
@@ -261,6 +266,7 @@ class ColumnarGroundProgram:
         "_decoded",
         "_by_head",
         "_by_body",
+        "_indexed",
         "_idb_fids",
         "_edb_fids",
     )
@@ -282,8 +288,10 @@ class ColumnarGroundProgram:
         self.edb_rows: List[Tuple[int, ...]] = []
         self._fact_ids: Dict[str, Dict[Tuple[int, ...], int]] = {}
         self._decoded: Dict[int, Fact] = {}
-        self._by_head: Optional[List[List[int]]] = None
-        self._by_body: Optional[List[List[int]]] = None
+        self._by_head: Optional[List[Sequence[int]]] = None
+        self._by_body: Optional[List[Sequence[int]]] = None
+        #: Rule positions the adjacency lists cover: ``[0, _indexed)``.
+        self._indexed = 0
         self._idb_fids: Optional[array] = None
         self._edb_fids: Optional[array] = None
 
@@ -316,11 +324,18 @@ class ColumnarGroundProgram:
         self.rule_no.append(rule_no)
         self.idb_rows.append(tuple(idb_fids))
         self.edb_rows.append(tuple(edb_fids))
-        self._invalidate()
+        self._appended()
+
+    def _appended(self) -> None:
+        """Rules or facts were appended: drop the id-set caches and
+        extend built adjacency lists over the new positions."""
+        self._idb_fids = self._edb_fids = None
+        if self._by_head is not None:
+            self._extend_adjacency()
 
     def _invalidate(self) -> None:
-        """Drop the lazy adjacency and id-set caches after the rule
-        columns change."""
+        """Rule positions moved (compaction): drop every cache; the
+        adjacency lists are rebuilt from position 0 on their next read."""
         self._by_head = self._by_body = self._idb_fids = self._edb_fids = None
 
     # -- shape -----------------------------------------------------------
@@ -371,32 +386,36 @@ class ColumnarGroundProgram:
 
     # -- adjacency -------------------------------------------------------
 
-    def by_head(self) -> List[List[int]]:
+    def by_head(self) -> List[Sequence[int]]:
         """Fact id → ascending positions of the ground rules deriving
-        it (empty for a fact no rule derives)."""
+        it (``()`` for a fact no rule derives)."""
         if self._by_head is None:
-            by_head: List[List[int]] = [[] for _ in range(self.fact_count)]
-            for position, head in enumerate(self.rule_head):
-                by_head[head].append(position)
-            self._by_head = by_head
+            self._by_head, self._by_body, self._indexed = [], [], 0
+            self._extend_adjacency()
         return self._by_head
 
-    def by_body(self) -> List[List[int]]:
+    def by_body(self) -> List[Sequence[int]]:
         """Fact id → ascending positions of the ground rules with that
         fact in their IDB body, each rule listed once.  When a fact's
         value changes, exactly these rules can produce a different
         ⊗-term."""
-        if self._by_body is None:
-            by_body: List[List[int]] = [[] for _ in range(self.fact_count)]
-            for position, row in enumerate(self.idb_rows):
-                for fid in row:
-                    bucket = by_body[fid]
-                    # Positions ascend, so a fact repeated in this row
-                    # has just appended this very position.
-                    if not bucket or bucket[-1] != position:
-                        bucket.append(position)
-            self._by_body = by_body
+        self.by_head()
         return self._by_body
+
+    def _extend_adjacency(self) -> None:
+        """Extend both lists over the facts and rule positions added
+        since they last covered the columns."""
+        by_head, first = self._by_head, self._indexed
+        by_head.extend([()] * (self.fact_count - len(by_head)))
+        for position, head in enumerate(self.rule_head[first:], first):
+            bucket = by_head[head]
+            if not bucket:
+                # Grown by append, as a list starting empty would be:
+                # ``[position]`` over-allocates on its second append.
+                bucket = by_head[head] = []
+            bucket.append(position)
+        _extend_readers(self._by_body, self.idb_rows, first, self.fact_count)
+        self._indexed = len(self.rule_head)
 
     # -- boundary decoding -----------------------------------------------
 
@@ -471,6 +490,22 @@ class ColumnarGroundProgram:
             f"ColumnarGroundProgram(rules={len(self)}, facts={self.fact_count}, "
             f"size={self.size})"
         )
+
+
+def _extend_readers(readers: List[Sequence[int]], rows: Sequence[Tuple[int, ...]], first: int, nfacts: int) -> None:
+    """Extend *readers* (fact id → ascending positions of the rows
+    holding it, ``()`` for none) to *nfacts* facts and over
+    ``rows[first:]``, each position once per fact: positions ascend, so
+    a fact repeated in one row finds this very position last."""
+    readers.extend([()] * (nfacts - len(readers)))
+    for position, row in enumerate(islice(rows, first, None), first):
+        for fid in row:
+            bucket = readers[fid]
+            if not bucket:
+                bucket = readers[fid] = []
+            elif bucket[-1] == position:
+                continue
+            bucket.append(position)
 
 
 Row = Tuple[Hashable, ...]
@@ -993,7 +1028,7 @@ class _ColumnarProgramGrounder:
         stats = _stats()
         stats.probes += probes
         stats.matches += matches
-        cground._invalidate()
+        cground._appended()
         return {predicate: fids for predicate, fids in fresh.items() if fids}
 
     def _kernel(self, rule_index: int, at: Optional[int], dedup: bool) -> Tuple:

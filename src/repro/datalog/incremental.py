@@ -10,21 +10,25 @@ of one program/database pair alive across single-fact deltas:
   grounder's own semi-naive rounds and generated join kernels
   (:class:`~repro.datalog.grounding._ColumnarProgramGrounder`, body
   constants interned), so only ground-rule instances that mention the
-  delta are enumerated, and the rules a round appends join the
-  adjacency maps as one range of positions;
-* per-semiring dense value arrays (the fixpoint state) are repaired
-  by a restricted chaotic iteration.  An insert, or a reweight that
-  makes the fact better, ascends from the old fixpoint.  A retract,
-  or a reweight that makes the fact worse, zeroes a *region* and
-  recomputes it with everything outside held fixed.  On a semiring
-  that is absorptive and selective every fact keeps one acyclic
-  *witness* rule, and the region is the set of facts whose witness
-  chain reads the changed fact; any other semiring falls back to the
-  whole downstream cone;
+  delta are enumerated, and each round extends the grounding's own
+  ``by_head``/``by_body`` lists over the positions it appended;
+* per-semiring dense value arrays (the fixpoint state) are seeded,
+  repaired and refreshed by the batch fixpoint kernel
+  (:func:`~repro.datalog.seminaive._run_fixpoint`), run on the
+  maintained arrays.  The seed and the refresh are solves from zero
+  with every rule dirty.  An insert, or a reweight that makes the fact
+  better, ascends from the old fixpoint with only the changed fact's
+  readers dirty.  A retract, or a reweight that makes the fact worse,
+  zeroes a *region* and recomputes it with a head mask holding
+  everything outside fixed.  On a semiring that is absorptive and
+  selective every fact keeps one acyclic *witness* rule, picked inside
+  the kernel, and the region is the set of facts whose witness chain
+  reads the changed fact; any other semiring falls back to the whole
+  downstream cone;
 * structure is the same repair run on a private Boolean *liveness*
   state: the facts a retract's region leaves ``False`` are dead, and
   the ground rules that read them become tombstones.  Tombstones
-  leave the adjacency maps at once; the rule columns are compacted
+  leave the adjacency lists at once; the rule columns are compacted
   only when dead positions pass half the program, or when the
   grounding is read through :attr:`MaintainedFixpoint.cground`.
 
@@ -50,20 +54,22 @@ the database directly and re-evaluates the compiled circuit.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import Semiring
 from ..semirings.numeric import BooleanSemiring
 from .ast import DatalogError, Fact, Program
 from .database import Database
-from .evaluation import DivergenceError, EvaluationResult
-from .grounding import ColumnarGroundProgram, _ColumnarProgramGrounder, columnar_grounding
-from .seminaive import COLUMNAR, _columnar_fixpoint
+from .evaluation import EvaluationResult
+from .grounding import ColumnarGroundProgram, _ColumnarProgramGrounder, _extend_readers, columnar_grounding
+from .seminaive import FixpointEngine, _run_fixpoint
 
 __all__ = ["MaintainedFixpoint"]
 
 
 def _coerce_fact(fact, args: Tuple) -> Fact:
+    """A :class:`Fact`, or one built from ``predicate, *args``;
+    ``TypeError`` for a :class:`Fact` with extra arguments."""
     if isinstance(fact, Fact):
         if args:
             raise TypeError("pass either a Fact or predicate + args, not both")
@@ -71,14 +77,12 @@ def _coerce_fact(fact, args: Tuple) -> Fact:
     return Fact(fact, tuple(args))
 
 
-
-
 class _Tracked:
     """Maintained fixpoint state for one semiring: the dense value
     array (indexed by fact id, exactly :func:`_columnar_fixpoint`'s
-    layout), the per-rule cached ⊗-terms the restricted iteration
-    refolds heads from, and -- on an absorptive, selective semiring --
-    each fact's witness rule position."""
+    layout), the per-rule cached ⊗-terms the kernel refolds heads
+    from, and -- on an absorptive, selective semiring -- each fact's
+    witness rule position."""
 
     __slots__ = ("semiring", "value", "rule_term", "converged", "witness")
 
@@ -123,10 +127,10 @@ class MaintainedFixpoint:
     maintained grounding and reproduces a from-scratch
     :class:`~repro.datalog.evaluation.EvaluationResult` bit for bit
     (same values, iterations, converged flag and rule-evaluation
-    count).  If a delta propagation ever hits the iteration cap (a
-    non-stable semiring diverging inside the region), the maintainer
-    falls back to one full kernel run for that semiring, so its state
-    still matches the batch engine's capped state exactly.
+    count).  If a repair ever hits the iteration cap (a non-stable
+    semiring diverging inside the region), the maintainer falls back
+    to one kernel run from zero for that semiring, so its state still
+    matches the batch engine's capped state exactly.
     """
 
     def __init__(
@@ -165,7 +169,11 @@ class MaintainedFixpoint:
             self.store.insert_ids(preds[fid], rows[fid])
         #: Tombstoned rule positions awaiting compaction.
         self._dead: Set[int] = set()
-        self._rebuild_adjacency()
+        #: EDB fact id → ascending positions of the live rules reading it.
+        self._edb_readers: List[Sequence[int]] = []
+        _extend_readers(self._edb_readers, self._cground.edb_rows, 0, self._cground.fact_count)
+        #: Facts with at least one live rule (the round cap's IDB count).
+        self._heads = len(self._cground.idb_fact_ids())
         self._live = self._seed_liveness()
         self._tracked: Dict[int, _Tracked] = {}
         self._results: Dict[int, Tuple[Semiring, EvaluationResult]] = {}
@@ -203,26 +211,22 @@ class MaintainedFixpoint:
         key = id(semiring)
         if key not in self._tracked:
             tracked = _Tracked(semiring)
-            if semiring.absorptive and semiring.selective:
-                self._seed(tracked)
-            else:
-                self._refresh(tracked)
+            self._solve(tracked, semiring.absorptive and semiring.selective)
             self._tracked[key] = tracked
 
     def value(self, fact: Fact, semiring: Semiring):
         """Maintained least-fixpoint value of one IDB fact (O(1))."""
         tracked = self._tracked_for(semiring)
         fid = self._cground.find_fact_id(fact)
-        if fid is None or fid not in self._head_rules:
+        if fid is None or not self._cground.by_head()[fid]:
             return semiring.zero
         return tracked.value[fid]
 
     def values(self, semiring: Semiring) -> Dict[Fact, object]:
         """Maintained values of every derivable IDB fact."""
-        tracked = self._tracked_for(semiring)
-        decode = self._cground.decode_fact
-        value = tracked.value
-        return {decode(fid): value[fid] for fid in self._head_rules}
+        value = self._tracked_for(semiring).value
+        heads = [fid for fid, rules in enumerate(self._cground.by_head()) if rules]
+        return dict(zip(self._cground.decode_facts(heads), map(value.__getitem__, heads)))
 
     def result(
         self,
@@ -232,8 +236,9 @@ class MaintainedFixpoint:
     ) -> EvaluationResult:
         """A from-scratch-equivalent :class:`EvaluationResult`.
 
-        Runs the batch columnar kernel over the *maintained* ground
-        program.  The Jacobi rounds depend only on the ground-rule
+        Runs :meth:`FixpointEngine.evaluate
+        <repro.datalog.seminaive.FixpointEngine.evaluate>` over the
+        *maintained* ground program.  The Jacobi rounds depend only on the ground-rule
         set, which incremental regrounding + tombstoning keep equal
         to a fresh grounding's, so every field of the result -- not
         just the values -- matches recompute-from-scratch.  Cached
@@ -244,25 +249,14 @@ class MaintainedFixpoint:
             cached = self._results.get(key)
             if cached is not None and cached[0] is semiring:
                 return cached[1]
-        cground = self.cground
-        head_fids = cground.idb_fact_ids()
-        cap = max(len(head_fids), 1) + 2 if max_iterations is None else max_iterations
-        value, iterations, converged, rule_evaluations = _columnar_fixpoint(
-            cground, semiring, self.database.valuation(semiring), cap
-        )
-        if not converged and raise_on_divergence:
-            raise DivergenceError(
-                f"maintained evaluation over {semiring.name} did not "
-                f"converge in {cap} iterations"
-            )
-        decode = cground.decode_fact
-        result = EvaluationResult(
+        result = FixpointEngine().evaluate(
+            self.program,
+            self.database,
             semiring,
-            {decode(fid): value[fid] for fid in head_fids},
-            iterations,
-            converged,
-            strategy=COLUMNAR,
-            rule_evaluations=rule_evaluations,
+            ground=self.cground,
+            max_iterations=max_iterations,
+            raise_on_divergence=raise_on_divergence,
+            validate=False,
         )
         if max_iterations is None:
             self._results[key] = (semiring, result)
@@ -271,7 +265,7 @@ class MaintainedFixpoint:
     def support_count(self, fact: Fact) -> int:
         """Number of live ground rules deriving *fact* (its support)."""
         fid = self._cground.find_fact_id(fact)
-        return 0 if fid is None else len(self._head_rules.get(fid, ()))
+        return 0 if fid is None else len(self._cground.by_head()[fid])
 
     def rule_keys(self):
         """Order-independent identity of the live ground rules."""
@@ -297,7 +291,7 @@ class MaintainedFixpoint:
     def __repr__(self) -> str:
         return (
             f"MaintainedFixpoint(rules={len(self._cground) - len(self._dead)}, "
-            f"idb={len(self._head_rules)}, semirings={len(self._tracked)})"
+            f"idb={self._heads}, semirings={len(self._tracked)})"
         )
 
     # -- database observer hooks -----------------------------------------
@@ -327,10 +321,10 @@ class MaintainedFixpoint:
             if not tracked.converged:
                 # The stored state is the batch engine's *capped*
                 # state, not a fixpoint: ascent from it is unsound.
-                self._refresh(tracked)
+                self._solve(tracked, False)
                 continue
             end = len(self._cground)
-            self._propagate(tracked, range(end - added, end))
+            self._run(tracked, range(end - added, end))
         self._notify("insert", fact, weight)
 
     def _apply_retract(self, fact: Fact) -> None:
@@ -338,7 +332,7 @@ class MaintainedFixpoint:
         self._results.clear()
         self.store.remove_fact(fact)
         fid = self._cground.find_fact_id(fact)
-        readers = self._edb_rules.get(fid, ()) if fid is not None else ()
+        readers = self._edb_readers[fid] if fid is not None else ()
         if not readers:
             # Read by no live rule: no IDB fact can change.  The slot
             # (if any) records the absence for a later re-insert.
@@ -361,15 +355,16 @@ class MaintainedFixpoint:
         self._repair(live, live_region, readers)
         dead_facts = [dfid for dfid in live_region if not live.value[dfid]]
         dead_rules: Set[int] = set(readers)
-        preds, rows = self._cground.fact_preds, self._cground.fact_rows
+        cground = self._cground
+        preds, rows, by_body = cground.fact_preds, cground.fact_rows, cground.by_body()
         for dfid in dead_facts:
-            dead_rules.update(self._body_rules.get(dfid, ()))
+            dead_rules.update(by_body[dfid])
             self._derived.discard(dfid)
             self.store.remove_ids(preds[dfid], rows[dfid])
         self._kill(dead_rules)
         for key, tracked in self._tracked.items():
             if not tracked.converged:
-                self._refresh(tracked)
+                self._solve(tracked, False)
                 continue
             tracked.value[fid] = tracked.semiring.zero
             self._repair(tracked, regions[key], ())
@@ -381,7 +376,7 @@ class MaintainedFixpoint:
         fid = self._cground.find_fact_id(fact)
         for tracked in self._tracked.values():
             # Read per semiring: a refresh compacts and moves positions.
-            readers = self._edb_rules.get(fid, ()) if fid is not None else ()
+            readers = self._edb_readers[fid] if fid is not None else ()
             semiring = tracked.semiring
             new = semiring.one if weight is None else weight
             if not readers:
@@ -391,14 +386,14 @@ class MaintainedFixpoint:
                     tracked.value[fid] = new
                 continue
             if not tracked.converged:
-                self._refresh(tracked)
+                self._solve(tracked, False)
                 continue
             old = tracked.value[fid]
             tracked.value[fid] = new
             if tracked.witness is not None and semiring.eq(semiring.add(new, old), new):
                 # Better (or equal): ascend from the old fixpoint, as
                 # an insert does.
-                self._propagate(tracked, readers)
+                self._run(tracked, readers)
             else:
                 self._repair(tracked, self._region(tracked, fid), readers)
         self._notify("weight", fact, weight)
@@ -408,15 +403,19 @@ class MaintainedFixpoint:
     def _reground(self, mark: Dict) -> None:
         """The batch grounder's delta rounds, seeded by rows appended
         to the working store after *mark* and run until no fresh IDB
-        fact appears; the rules they append join the adjacency.
+        fact appears; each round extends the adjacency lists over the
+        rules it appends.
 
         Every appended rule is new: a seed row is new to the store,
         and a live rule reads only resident facts, so no live rule
         holds it; the kernels' per-round key removes the rest."""
-        grounder = self._grounder
-        first = len(self._cground)
+        grounder, cground = self._grounder, self._cground
+        first = len(cground)
         grounder.saturate(grounder.round(self.store.deltas_since(mark)))
-        self._index_rules(range(first, len(self._cground)))
+        _extend_readers(self._edb_readers, cground.edb_rows, first, cground.fact_count)
+        # A head whose first live rule is new had none before.
+        by_head = cground.by_head()
+        self._heads += sum(1 for head in set(cground.rule_head[first:]) if by_head[head][0] >= first)
 
     # -- value maintenance -----------------------------------------------
 
@@ -432,22 +431,28 @@ class MaintainedFixpoint:
         live.value = [True] * cground.fact_count
         live.rule_term = [True] * len(cground)
         witness = array("q", [-1]) * cground.fact_count
-        for head, positions in self._head_rules.items():
-            if not self._is_stored(head):
+        for head, positions in enumerate(cground.by_head()):
+            if positions and not self._is_stored(head):
                 witness[head] = positions[0]
         live.witness = witness
         return live
 
-    def _seed(self, tracked: _Tracked) -> None:
-        """Fill an absorptive, selective semiring's state by one ascent
-        from zero, which also sets every fact's witness."""
+    def _solve(self, tracked: _Tracked, witnesses: bool) -> None:
+        """Fill one semiring's state by the kernel from zero, every rule
+        dirty, over the compacted grounding: the initial seed, and the
+        refresh of a state that is not a fixpoint.  With *witnesses*
+        (an absorptive, selective semiring) the kernel also sets every
+        fact's witness.  A run that hits the round cap leaves the batch
+        engine's capped state exactly, and no witnesses."""
         semiring = tracked.semiring
         cground = self.cground
         tracked.value = [semiring.zero] * cground.fact_count
-        self._fill_edb(tracked.value, semiring, self.database.valuation(semiring))
+        self._fill_edb(tracked.value, semiring)
         tracked.rule_term = [semiring.zero] * len(cground)
-        tracked.witness = array("q", [-1]) * cground.fact_count
-        self._propagate(tracked, range(len(cground)))
+        tracked.witness = array("q", [-1]) * cground.fact_count if witnesses else None
+        tracked.converged = self._run(tracked, None)
+        if not tracked.converged:
+            tracked.witness = None
 
     def _grow(self, tracked: _Tracked, fid: Optional[int]) -> None:
         """Extend one state over the fact ids and rule positions a
@@ -494,13 +499,13 @@ class MaintainedFixpoint:
         whose witness chain reads it or, with no witnesses, its whole
         downstream cone."""
         witness = tracked.witness
-        rule_head = self._cground.rule_head
-        edb_rules, body_rules = self._edb_rules, self._body_rules
+        rule_head, by_body = self._cground.rule_head, self._cground.by_body()
+        edb_readers = self._edb_readers
         region: Set[int] = set()
         frontier = [fid]
         while frontier:
             fact = frontier.pop()
-            for rules in (edb_rules.get(fact, ()), body_rules.get(fact, ())):
+            for rules in (edb_readers[fact], by_body[fact]):
                 for position in rules:
                     head = rule_head[position]
                     if head not in region and (witness is None or witness[head] == position):
@@ -520,148 +525,65 @@ class MaintainedFixpoint:
         stay fresh."""
         zero = tracked.semiring.zero
         value, witness = tracked.value, tracked.witness
-        head_rules, body_rules = self._head_rules, self._body_rules
+        cground = self._cground
+        by_head, by_body = cground.by_head(), cground.by_body()
         dirty = set(dirty_positions)
+        outside = bytearray(b"\x01") * cground.fact_count
         for fid in region:
             value[fid] = zero
             if witness is not None:
                 witness[fid] = -1
-            dirty.update(head_rules.get(fid, ()))
-            dirty.update(body_rules.get(fid, ()))
-        self._propagate(tracked, dirty, region)
+            outside[fid] = 0
+            dirty.update(by_head[fid])
+            dirty.update(by_body[fid])
+        self._run(tracked, sorted(dirty), outside)
 
-    def _propagate(
-        self,
-        tracked: _Tracked,
-        dirty_positions,
-        region: Optional[Set[int]] = None,
-    ) -> None:
-        """Restricted chaotic iteration: recompute ⊗-terms of dirty
-        rules, refold their heads (only those in *region*, when given),
-        cascade along the body adjacency.  Sound because it ascends
-        from below the new least fixpoint -- from the old fixpoint
-        for an insert or an improving reweight, from a zeroed region
-        (see :meth:`_repair`) otherwise; exact on convergence.  A head
-        that strictly changes takes as witness a rule whose term
-        equals its new value.  Hitting the round cap means the
-        semiring diverges on this program -- fall back to one full
-        kernel run so the maintained state equals the batch engine's
-        capped state."""
-        semiring = tracked.semiring
-        value, rule_term, witness = tracked.value, tracked.rule_term, tracked.witness
-        mul, add, eq = semiring.mul, semiring.add, semiring.eq
-        zero, one = semiring.zero, semiring.one
-        cground = self._cground
-        idb_rows, edb_rows, rule_head = cground.idb_rows, cground.edb_rows, cground.rule_head
-        head_rules, body_rules = self._head_rules, self._body_rules
-        cap = self._round_cap()
-        dirty = set(dirty_positions)
-        rounds = 0
-        while dirty:
-            if rounds >= cap:
-                self._refresh(tracked)
-                return
-            rounds += 1
-            heads = set()
-            for position in dirty:
-                term = one
-                for fid in edb_rows[position]:
-                    term = mul(term, value[fid])
-                for fid in idb_rows[position]:
-                    term = mul(term, value[fid])
-                rule_term[position] = term
-                head = rule_head[position]
-                if region is None or head in region:
-                    heads.add(head)
-            dirty = set()
-            for head in heads:
-                rules = head_rules[head]
-                total = zero
-                for position in rules:
-                    total = add(total, rule_term[position])
-                if not eq(total, value[head]):
-                    value[head] = total
-                    if witness is not None:
-                        for position in rules:
-                            if eq(rule_term[position], total):
-                                witness[head] = position
-                                break
-                    dirty.update(body_rules.get(head, ()))
-        tracked.converged = True
-
-    def _refresh(self, tracked: _Tracked) -> None:
-        """Rebuild one semiring's state with a full kernel run over the
-        compacted grounding (initial tracking of a semiring without
-        witnesses, and the divergence fallback, after which the
-        semiring keeps no witnesses)."""
-        semiring = tracked.semiring
-        cground = self.cground
-        valuation = self.database.valuation(semiring)
-        value, _, converged, _ = _columnar_fixpoint(
-            cground, semiring, valuation, self._round_cap()
+    def _run(self, tracked: _Tracked, dirty_rules, outside: Optional[bytearray] = None) -> bool:
+        """Run the batch fixpoint kernel on *tracked*'s arrays; whether
+        it converged.  ``None`` dirty rules is a solve from zero (see
+        :meth:`_solve`).  Otherwise it ascends from below the new least
+        fixpoint -- from the old fixpoint for an insert or an improving
+        reweight, from a zeroed region (see :meth:`_repair`) otherwise
+        -- with *dirty_rules* recomputed first and the facts *outside*
+        marks never refolded; exact on convergence.  An ascent that
+        hits the round cap means the semiring diverges on this program:
+        it falls back to a solve from zero, so the maintained state
+        equals the batch engine's capped state."""
+        _, converged, _ = _run_fixpoint(
+            self._cground,
+            tracked.semiring,
+            tracked.value,
+            tracked.rule_term,
+            dirty_rules,
+            self._round_cap(),
+            outside,
+            tracked.witness,
         )
-        self._fill_edb(value, semiring, valuation)
-        tracked.value = value
-        tracked.converged = converged
-        tracked.witness = None
-        mul, one = semiring.mul, semiring.one
-        rule_term: List[object] = []
-        for edb_row, idb_row in zip(cground.edb_rows, cground.idb_rows):
-            term = one
-            for fid in edb_row:
-                term = mul(term, value[fid])
-            for fid in idb_row:
-                term = mul(term, value[fid])
-            rule_term.append(term)
-        tracked.rule_term = rule_term
+        if not converged and dirty_rules is not None:
+            self._solve(tracked, False)
+        return converged
 
-    def _fill_edb(self, value: List[object], semiring: Semiring, valuation) -> None:
+    def _fill_edb(self, value: List[object], semiring: Semiring) -> None:
         """Write every EDB fact's current annotation (``0`` once
         retracted) into *value*, whether a live rule reads it or not:
         an unread fact's slot must be right for the insert that next
         creates a reader."""
         cground = self._cground
         preds, decode, idbs = cground.fact_preds, cground.decode_fact, self._idbs
-        zero = semiring.zero
+        valuation, zero = self.database.valuation(semiring), semiring.zero
         for fid in range(cground.fact_count):
             if preds[fid] not in idbs:
                 value[fid] = valuation.get(decode(fid), zero)
 
     # -- structural bookkeeping ------------------------------------------
 
-    def _rebuild_adjacency(self) -> None:
-        self._head_rules: Dict[int, List[int]] = {}
-        self._body_rules: Dict[int, List[int]] = {}
-        self._edb_rules: Dict[int, List[int]] = {}
-        self._index_rules(range(len(self._cground)))
-
-    def _index_rules(self, positions: range) -> None:
-        """Record the rules at *positions* in the head/body/EDB
-        adjacency, each rule once per fact.  *positions* ascend past
-        every indexed position, so a fact repeated in one body row
-        finds this very position at the end of its list."""
-        cground = self._cground
-        rule_head, head_rules = cground.rule_head, self._head_rules
-        for position in positions:
-            head_rules.setdefault(rule_head[position], []).append(position)
-        for rows, adjacency in (
-            (cground.idb_rows, self._body_rules),
-            (cground.edb_rows, self._edb_rules),
-        ):
-            for position in positions:
-                for fid in rows[position]:
-                    rules = adjacency.get(fid)
-                    if rules is None:
-                        adjacency[fid] = [position]
-                    elif rules[-1] != position:
-                        rules.append(position)
-
     def _kill(self, dead: Set[int]) -> None:
         """Tombstone the rule positions in *dead*: out of the adjacency
-        maps at once, out of the rule columns at the next
+        lists at once, out of the rule columns at the next
         :meth:`_compact`, which runs once tombstones pass half the
         program."""
         cground = self._cground
+        by_head, by_body = cground.by_head(), cground.by_body()
         heads: Set[int] = set()
         bodies: Set[int] = set()
         edbs: Set[int] = set()
@@ -670,16 +592,13 @@ class MaintainedFixpoint:
             bodies.update(cground.idb_rows[position])
             edbs.update(cground.edb_rows[position])
         for adjacency, touched in (
-            (self._head_rules, heads),
-            (self._body_rules, bodies),
-            (self._edb_rules, edbs),
+            (by_head, heads),
+            (by_body, bodies),
+            (self._edb_readers, edbs),
         ):
             for fid in touched:
-                kept = [position for position in adjacency[fid] if position not in dead]
-                if kept:
-                    adjacency[fid] = kept
-                else:
-                    del adjacency[fid]
+                adjacency[fid] = [position for position in adjacency[fid] if position not in dead] or ()
+        self._heads -= sum(1 for head in heads if not by_head[head])
         self._dead.update(dead)
         if 2 * len(self._dead) > len(cground):
             self._compact()
@@ -688,8 +607,8 @@ class MaintainedFixpoint:
         """Drop the tombstones from the ground program's parallel
         columns.  Live rules keep their relative order; every state's
         cached terms and witnesses move in lockstep, and the adjacency
-        is rebuilt over the new positions.  Fact ids are stable --
-        only rule positions move."""
+        lists are rebuilt over the new positions.  Fact ids are stable
+        -- only rule positions move."""
         dead = self._dead
         if not dead:
             return
@@ -711,7 +630,8 @@ class MaintainedFixpoint:
                     if position >= 0:
                         witness[fid] = moved[position]
         dead.clear()
-        self._rebuild_adjacency()
+        self._edb_readers = []
+        _extend_readers(self._edb_readers, cground.edb_rows, 0, cground.fact_count)
 
     # -- small helpers ---------------------------------------------------
 
@@ -747,7 +667,7 @@ class MaintainedFixpoint:
 
     def _round_cap(self) -> int:
         """The engines' default divergence guard over the live IDB."""
-        return max(len(self._head_rules), 1) + 2
+        return max(self._heads, 1) + 2
 
     def _notify(self, kind: str, fact: Fact, weight: object) -> None:
         for listener in tuple(self._listeners):

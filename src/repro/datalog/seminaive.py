@@ -35,12 +35,19 @@ behaviour on non-stable semirings -- coincide *exactly* with naive
 evaluation; only the number of rule evaluations shrinks.  The
 oracle-vs-fast tests in ``tests/datalog/test_seminaive.py`` and
 ``tests/datalog/test_columnar_fixpoint.py`` pin this.
+
+The same generated kernel (:data:`_KERNEL_SOURCE`) is the only
+fixpoint loop of :class:`~repro.datalog.incremental.MaintainedFixpoint`
+too (DESIGN.md §11); a batch solve is its special case from zero with
+every rule dirty.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import (
     DEFAULT_FIXPOINT_STRATEGY,
@@ -205,41 +212,36 @@ class FixpointEngine:
         return iterations
 
 
-#: Compiled fixpoint kernels keyed by ``(add, mul)`` expression
-#: templates (shared across semiring instances with equal templates).
-_FIXPOINT_KERNELS: Dict[Tuple[str, str], object] = {}
-
 #: The ⊗/⊕ templates for semirings that declare no expressions.
 _CALL_TEMPLATES = ("add({a}, {b})", "mul({a}, {b})")
 
-#: The delta loop of :func:`_columnar_fixpoint` with the two semiring
-#: operations spliced in as expressions (no method call per ⊗/⊕) --
-#: the same closure-compiler technique as the circuit runtime's
-#: kernels (DESIGN.md §7).  ``eq`` stays a bound-method call: the
-#: expression templates only promise ``add``/``mul`` equivalence, and
-#: a semiring may override equality independently.  ``add``/``mul``
-#: are the bound methods, which :data:`_CALL_TEMPLATES` call.
+#: The delta loop (module docstring) with the two semiring operations
+#: spliced in as expressions (no method call per ⊗/⊕) -- the same
+#: closure-compiler technique as the circuit runtime's kernels
+#: (DESIGN.md §7).  ``eq`` stays a bound-method call: the expression
+#: templates only promise ``add``/``mul`` equivalence, and a semiring
+#: may override equality independently.  ``add``/``mul`` are the bound
+#: methods, which :data:`_CALL_TEMPLATES` call.
+#:
+#: The caller owns ``value`` and ``rule_term`` and names the first
+#: round's dirty rules.  A head whose ``head_mark`` byte is pre-set
+#: is never refolded, which confines a repair to its region.  With a
+#: ``witness`` array, a head that strictly changes records the first
+#: rule deriving it whose term ``eq``s the new total.  The rule's EDB
+#: factor is spliced in as ``{edb_term}``: a from-zero solve hoists
+#: one product per rule (``{edb_setup}``), a repair folds the few rows
+#: it touches inline.
 _KERNEL_SOURCE = """\
-def _kernel(value, idb_rows, edb_rows, rule_head, by_head, by_body,
-            nfacts, nrules, max_iterations, zero, one, eq, add, mul):
-    edb_product = []
-    append_product = edb_product.append
-    for row in edb_rows:
-        term = one
-        for fid in row:
-            other = value[fid]
-            term = {mul_expr}
-        append_product(term)
-    rule_term = [zero] * nrules
-    head_mark = bytearray(nfacts)
-    dirty_rules = range(nrules)
+def _kernel(value, rule_term, dirty_rules, head_mark, witness, idb_rows, edb_rows,
+            rule_head, by_head, by_body, max_iterations, zero, one, eq, add, mul):
+{edb_setup}
     iterations = 0
     converged = False
     rule_evaluations = 0
     while iterations < max_iterations:
         dirty_heads = []
         for position in dirty_rules:
-            term = edb_product[position]
+{edb_term}
             for fid in idb_rows[position]:
                 other = value[fid]
                 term = {mul_expr}
@@ -253,20 +255,26 @@ def _kernel(value, idb_rows, edb_rows, rule_head, by_head, by_body,
         delta_values = []
         for head in dirty_heads:
             head_mark[head] = 0
+            rules = by_head[head]
             total = zero
-            for position in by_head[head]:
+            for position in rules:
                 other = rule_term[position]
                 total = {add_expr}
             if not eq(total, value[head]):
                 delta_fids.append(head)
                 delta_values.append(total)
+                if witness is not None:
+                    for position in rules:
+                        if eq(rule_term[position], total):
+                            witness[head] = position
+                            break
         iterations += 1
         if not delta_fids:
             converged = True
             break
         for at in range(len(delta_fids)):
             value[delta_fids[at]] = delta_values[at]
-        rule_mark = bytearray(nrules)
+        rule_mark = bytearray(len(rule_term))
         next_dirty = []
         for head in delta_fids:
             for position in by_body[head]:
@@ -278,22 +286,74 @@ def _kernel(value, idb_rows, edb_rows, rule_head, by_head, by_body,
     return iterations, converged, rule_evaluations
 """
 
+#: Every rule dirty, the EDB products hoisted: the from-zero solve.
+_HOISTED_EDB = ("""\
+    edb_product = []
+    append_product = edb_product.append
+    for row in edb_rows:
+        term = one
+        for fid in row:
+            other = value[fid]
+            term = {mul_expr}
+        append_product(term)
+    dirty_rules = range(len(rule_term))""", """\
+            term = edb_product[position]""")
 
-def _fixpoint_kernel(add_template: str, mul_template: str):
+#: The EDB product folded per dirty rule: a repair.
+_INLINE_EDB = ("", """\
+            term = one
+            for fid in edb_rows[position]:
+                other = value[fid]
+                term = {mul_expr}""")
+
+
+@lru_cache(maxsize=None)
+def _fixpoint_kernel(add_template: str, mul_template: str, hoisted: bool):
     """The compiled delta-loop kernel for one pair of operation
-    templates, generated once and cached."""
-    key = (add_template, mul_template)
-    kernel = _FIXPOINT_KERNELS.get(key)
-    if kernel is None:
-        source = _KERNEL_SOURCE.format(
-            add_expr=add_template.format(a="total", b="other"),
-            mul_expr=mul_template.format(a="term", b="other"),
-        )
-        namespace: Dict[str, object] = {}
-        exec(source, namespace)  # noqa: S102 - closure compiler, pure templates
-        kernel = namespace["_kernel"]
-        _FIXPOINT_KERNELS[key] = kernel
-    return kernel
+    templates and one EDB-factor form, generated once and shared
+    across semiring instances with equal templates."""
+    mul_expr = mul_template.format(a="term", b="other")
+    setup, term = _HOISTED_EDB if hoisted else _INLINE_EDB
+    source = _KERNEL_SOURCE.format(
+        edb_setup=setup.format(mul_expr=mul_expr),
+        edb_term=term.format(mul_expr=mul_expr),
+        add_expr=add_template.format(a="total", b="other"),
+        mul_expr=mul_expr,
+    )
+    namespace: Dict[str, object] = {}
+    exec(source, namespace)  # noqa: S102 - closure compiler, pure templates
+    return namespace["_kernel"]
+
+
+def _run_fixpoint(
+    cground: ColumnarGroundProgram,
+    semiring: Semiring,
+    value: List[object],
+    rule_term: List[object],
+    dirty_rules: Optional[Sequence[int]],
+    max_iterations: int,
+    head_mark: Optional[bytearray] = None,
+    witness: Optional[array] = None,
+) -> Tuple[int, bool, int]:
+    """Run the generated kernel on caller-owned *value* (by fact id)
+    and *rule_term* (by rule position), updated in place, from
+    *dirty_rules* -- ``None``: every rule, EDB products hoisted -- with
+    the optional *head_mark* and *witness* of :data:`_KERNEL_SOURCE`.
+    Returns ``(iterations, converged, rule_evaluations)``."""
+    # Semirings that declare closure-compiler templates (DESIGN.md §7)
+    # get ⊗/⊕ inlined as expressions; everything else runs the same
+    # kernel with calls to the bound methods.
+    templates = (semiring.compiled_add_expr, semiring.compiled_mul_expr)
+    if not all(templates):
+        templates = _CALL_TEMPLATES
+    kernel = _fixpoint_kernel(*templates, dirty_rules is None)
+    if head_mark is None:
+        head_mark = bytearray(cground.fact_count)
+    return kernel(
+        value, rule_term, dirty_rules, head_mark, witness,
+        cground.idb_rows, cground.edb_rows, cground.rule_head, cground.by_head(), cground.by_body(),
+        max_iterations, semiring.zero, semiring.one, semiring.eq, semiring.add, semiring.mul,
+    )
 
 
 def _columnar_fixpoint(
@@ -302,8 +362,8 @@ def _columnar_fixpoint(
     edb_value: Mapping[Fact, object],
     max_iterations: int,
 ) -> Tuple[List[object], int, bool, int]:
-    """The delta-driven loop (see the module docstring), run on the
-    id-space grounding (DESIGN.md §9).
+    """The delta-driven loop (see the module docstring), run from zero
+    on the id-space grounding (DESIGN.md §9).
 
     Jacobi round structure (every round-``t`` ⊗-term reads
     round-``t − 1`` values, updates land after all dirty heads are
@@ -326,37 +386,15 @@ def _columnar_fixpoint(
     Returns ``(value, iterations, converged, rule_evaluations)`` with
     *value* indexed by fact id; the caller decodes the IDB slots.
     """
-    nfacts = cground.fact_count
-
     # Dense valuation: EDB slots are decoded in one batch, once per
     # distinct EDB fact; IDB slots start at 0 exactly like the naive
     # oracle.
-    value: List[object] = [semiring.zero] * nfacts
+    value: List[object] = [semiring.zero] * cground.fact_count
     edb_fids = cground.edb_fact_ids()
     for fid, fact in zip(edb_fids, cground.decode_facts(edb_fids)):
         value[fid] = edb_value[fact]
-
-    # Semirings that declare closure-compiler templates (DESIGN.md §7)
-    # get ⊗/⊕ inlined as expressions; everything else runs the same
-    # kernel with calls to the bound methods.
-    templates = (semiring.compiled_add_expr, semiring.compiled_mul_expr)
-    if not all(templates):
-        templates = _CALL_TEMPLATES
-    kernel = _fixpoint_kernel(*templates)
-    iterations, converged, rule_evaluations = kernel(
-        value,
-        cground.idb_rows,
-        cground.edb_rows,
-        cground.rule_head,
-        cground.by_head(),
-        cground.by_body(),
-        nfacts,
-        len(cground),
-        max_iterations,
-        semiring.zero,
-        semiring.one,
-        semiring.eq,
-        semiring.add,
-        semiring.mul,
+    rule_term: List[object] = [semiring.zero] * len(cground)
+    iterations, converged, rule_evaluations = _run_fixpoint(
+        cground, semiring, value, rule_term, None, max_iterations
     )
     return value, iterations, converged, rule_evaluations

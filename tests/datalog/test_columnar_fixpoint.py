@@ -169,17 +169,23 @@ def test_repeated_body_fact_is_one_body_edge():
 
     db = bracket_loops()
     cground = columnar_grounding(DYCK, db)
-    maintained = MaintainedFixpoint(DYCK, db.copy())
+    # The maintainer starts without ``R(2, 1)``: the second loop's rows
+    # arrive in a regrounding round, which extends the same lists.
+    partial = db.copy()
+    partial.retract("R", 2, 1)
+    maintained = MaintainedFixpoint(DYCK, partial)
+    by_body = maintained._cground.by_body()
+    maintained.insert("R", 2, 1)
+    assert maintained._cground.by_body() is by_body
     for loop in (Fact("S", (0, 0)), Fact("S", (1, 1))):
         fid = cground.find_fact_id(loop)
         [position] = [p for p, row in enumerate(cground.idb_rows) if row == (fid, fid)]
         assert cground.by_body()[fid].count(position) == 1
         assert cground.rule(position).idb_body == (loop, loop)
-        # The maintainer's own body index dedups the same way.
-        mfid = maintained.cground.find_fact_id(loop)
-        rules = maintained._body_rules[mfid]
+        mfid = maintained._cground.find_fact_id(loop)
+        rules = by_body[mfid]
         assert len(rules) == len(set(rules))
-        assert any(maintained.cground.idb_rows[p] == (mfid, mfid) for p in rules)
+        assert any(maintained._cground.idb_rows[p] == (mfid, mfid) for p in rules)
     maintained.detach()
 
 

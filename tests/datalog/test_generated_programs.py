@@ -9,10 +9,13 @@ in heads and bodies, and stored facts for the IDB predicates (*seeds*).
 
 Each generated pair is checked against the oracle:
 
-* the naive and columnar groundings hold the same ground rules, and
-  so does a maintainer taking one EDB insert -- on generated pairs and
-  on the hand-written shapes the generator never draws
-  (:data:`EDGE_CASES`);
+* the naive and columnar groundings hold the same ground rules -- on
+  generated pairs and on the hand-written shapes the generator never
+  draws (:data:`EDGE_CASES`);
+* maintainers taking an EDB insert and then a random run of inserts,
+  retracts and reweights keep the oracle's ground rules, and its
+  values, rounds and convergence over BOOLEAN, TROPICAL and COUNTING,
+  with sound witnesses, after every write;
 * the default ``solve()`` and the oracle agree on BOOLEAN and TROPICAL
   (values, rounds, convergence);
 * the generic (Theorem 3.1) and fringe (Theorem 6.2) circuits for
@@ -48,6 +51,7 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL
 from repro.workloads import random_weights
+from tests.datalog.test_incremental import assert_witnesses_sound
 from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result, examples
 
 IDBS = ("P", "Q", "R")
@@ -173,6 +177,20 @@ EDGE_CASES = [
 #: EDB inserts for generated pairs; ``3`` occurs in no database.
 INSERTS = st.builds(lambda u, v: Fact("E", (u, v)), st.sampled_from(CONSTANTS), st.sampled_from(CONSTANTS))
 
+#: Writes after the first insert: ``(kind, fact, pick, integer
+#: weight)``.  A retract or reweight hits *fact* when it is present,
+#: else the *pick*-th present EDB fact.
+WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "retract", "weight")),
+        st.one_of(INSERTS, st.builds(lambda u: Fact("A", (u,)), st.sampled_from(CONSTANTS))),
+        st.integers(0, 100),
+        st.integers(0, 3),
+    ),
+    max_size=5,
+)
+
+
 
 def assert_interned_once(ground):
     assert len(set(zip(ground.fact_preds, ground.fact_rows))) == ground.fact_count
@@ -190,18 +208,39 @@ def assert_same_grounding(program, db):
 
 
 def _with_edge_cases(test):
+    """Each hand-written shape takes its insert, retracts it again, and
+    reweights and retracts a first EDB fact."""
     for pair, insert in EDGE_CASES:
-        test = example(pair=pair, seed=0, insert=insert)(test)
+        writes = [("retract", insert, 0, 0), ("weight", None, 0, 2), ("retract", None, 0, 0)]
+        test = example(pair=pair, seed=0, insert=insert, writes=writes)(test)
     return test
 
 
-@given(pair=programs_with_databases(), seed=st.integers(0, 1000), insert=INSERTS)
+def assert_maintainer_agrees(fix, program, db):
+    """*fix* holds the oracle's ground rules and, per tracked
+    semiring, its values, rounds and convergence; witnesses sound."""
+    keys = assert_same_grounding(program, db)
+    for semiring in (state.semiring for state in fix._tracked.values()):
+        reference = solve(program, db, semiring, config=ORACLE)
+        assert_same_result(fix.result(semiring), reference, semiring)
+        values = fix.values(semiring)
+        assert set(values) == set(reference.values)
+        assert all(semiring.eq(values[fact], value) for fact, value in reference.values.items())
+    assert fix.rule_keys() == keys
+    assert len(fix.cground) == len(keys)
+    assert_interned_once(fix.cground)
+    assert_witnesses_sound(fix)
+
+
+@given(pair=programs_with_databases(), seed=st.integers(0, 1000), insert=INSERTS, writes=WRITES)
 @_with_edge_cases
 @settings(max_examples=examples(200), deadline=None)
-def test_generated_programs_agree_with_the_oracle(pair, seed, insert):
+def test_generated_programs_agree_with_the_oracle(pair, seed, insert, writes):
     """Each pair interns into a private table, so an *insert* constant
     no fact mentions is unseen when the maintainer compiles its rules
-    (the interned-body-constant path)."""
+    (the interned-body-constant path).  The maintainers run on two
+    copies: integer weights under TROPICAL and COUNTING (exact in
+    both), and no weights under BOOLEAN, which takes no reweights."""
     program, db = pair[0], pair[1].copy()
     db.columnar_store(SymbolTable())
     assert_same_grounding(program, db)
@@ -212,13 +251,30 @@ def test_generated_programs_agree_with_the_oracle(pair, seed, insert):
         facts = sorted(reference.values, key=repr)
         if facts:
             assert_constructions_agree(program, db, facts, semiring, semiring_weights)
-    fix = MaintainedFixpoint(program, db, semirings=(BOOLEAN,))
-    fix.insert(insert)
-    keys = assert_same_grounding(program, db)
-    assert fix.rule_keys() == keys
-    assert len(fix.cground) == len(keys)
-    assert_interned_once(fix.cground)
-    assert fix.values(BOOLEAN) == solve(program, db, BOOLEAN, config=ORACLE).values
+    weighted = db.copy()
+    weighted.columnar_store(db.columnar_store().symbols)
+    for fact in weighted.facts():
+        if fact.predicate in EDB_ARITY:
+            weighted.set_weight(fact, 1)
+    fixes = [
+        MaintainedFixpoint(program, db, semirings=(BOOLEAN,)),
+        MaintainedFixpoint(program, weighted, semirings=(TROPICAL, COUNTING)),
+    ]
+    for kind, fact, pick, weight in [("insert", insert, 0, 1), *writes]:
+        for fix in fixes:
+            database = fix.database
+            weighs = database is weighted
+            if kind == "insert":
+                fix.insert(fact, weight=weight if weighs else None)
+            else:
+                present = sorted((f for f in database.facts() if f.predicate in EDB_ARITY), key=repr)
+                if fact is None or fact not in database:
+                    fact = present[pick % len(present)] if present else None
+                if fact is not None and kind == "retract":
+                    fix.retract(fact)
+                elif fact is not None and weighs:
+                    database.set_weight(fact, weight)
+            assert_maintainer_agrees(fix, program, database)
 
 
 def test_constructions_read_an_underived_stored_idb_fact_as_zero():

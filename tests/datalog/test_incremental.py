@@ -9,7 +9,7 @@ columnar kernel's trajectory depends only on the ground-rule set that
 incremental regrounding and the liveness repair keep exactly equal to
 a fresh grounding's.
 
-Three layers:
+Four layers:
 
 * a Hypothesis :class:`RuleBasedStateMachine` drives random
   insert/retract/reweight/query streams and checks the full
@@ -30,6 +30,9 @@ Three layers:
   ground-rule keys, per-fact support counts, symbol-table length and
   pattern-index row accounting all come back, on both the tuple and
   columnar fixpoint pipelines;
+* a pinned trace: the digest of every maintained state after each
+  event of a fixed stream, recorded before seeds, repairs and
+  refreshes moved onto the batch kernel;
 * targeted edge cases: cold start from an empty database, a
   reweight of a fact no live rule reads, retracts that repair only
   the witness region, improving reweights that repair nothing,
@@ -39,6 +42,7 @@ Three layers:
   plumbing.
 """
 
+import hashlib
 import random
 from graphlib import TopologicalSorter
 
@@ -60,10 +64,12 @@ from repro.datalog import (
     default_symbols,
     dyck1,
     parse_program,
+    scoped_symbols,
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, FUZZY, TROPICAL
-from tests.oracle import ORACLE, PAIRS
+from repro.workloads import random_bracket_graph, random_digraph, random_weights
+from tests.oracle import ORACLE, PAIRS, examples
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -113,7 +119,7 @@ def assert_witnesses_sound(fix):
         for fid, position in enumerate(witness):
             if position < 0:
                 continue
-            assert position in fix._head_rules.get(fid, ()), (state.semiring.name, fid)
+            assert position in cground.by_head()[fid], (state.semiring.name, fid)
             assert eq(state.rule_term[position], state.value[fid]), (state.semiring.name, fid)
             reads[fid] = [b for b in cground.idb_rows[position] if witness[b] >= 0]
         tuple(TopologicalSorter(reads).static_order())  # CycleError on a cycle
@@ -264,7 +270,7 @@ class StreamMachine(RuleBasedStateMachine):
 
 
 StreamMachine.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=16, deadline=None
+    max_examples=examples(30), stateful_step_count=16, deadline=None
 )
 
 TestStreamMachine = StreamMachine.TestCase
@@ -366,6 +372,149 @@ def test_weight_cycle_restores_state():
     assert state_snapshot(fix, (TROPICAL,)) != before
     database.set_weight(victim, weight)
     assert state_snapshot(fix, (TROPICAL,)) == before
+
+
+# -- pinned maintained state -----------------------------------------------
+
+
+def tc_events():
+    """Inserts, retracts and reweights (better and worse) on TC over
+    ``random_digraph(24, 72, seed=5)``; the backbone edge ``(0, 1)``
+    leaves and comes back."""
+    database = random_digraph(24, 72, seed=5)
+    weights = random_weights(database, seed=5)
+    rng = random.Random(5)
+    present = sorted(fact.args for fact in database.facts("E"))
+    absent = [(u, v) for u in range(24) for v in range(24) if u != v and (u, v) not in set(present)]
+    events = []
+    for kind in ("insert", "better", "retract", "worse", "insert", "retract"):
+        if kind == "insert":
+            edge = absent.pop(rng.randrange(len(absent)))
+            present.append(edge)
+            events.append(("insert", edge, float(rng.randint(1, 9))))
+        elif kind == "retract":
+            events.append(("retract", present.pop(rng.randrange(len(present))), None))
+        else:
+            edge = rng.choice(present)
+            events.append(("weight", edge, 0.0 if kind == "better" else 9.0))
+    if (0, 1) in present:
+        events += [("retract", (0, 1), None), ("insert", (0, 1), 2.0), ("weight", (0, 1), 0.0)]
+    return database, weights, events
+
+
+def dyck_events():
+    """Dyck-1 over a bracket graph with a stored ``S`` seed: inserts,
+    retracts, reweights, and a reweight of ``R(31, 31)`` while no live
+    rule reads it."""
+    database = Database([Fact("S", (2, 0))])
+    rng = random.Random(5)
+    for u, label, v in random_bracket_graph(8, 24, seed=5):
+        database.add_fact(Fact(label, (u, v)), rng.choice(QUARTERS))
+    brackets = sorted((fact for fact in database.facts() if fact.predicate != "S"), key=repr)
+    events = [
+        ("insert", Fact("L", (30, 31)), 1.0),
+        ("insert", Fact("R", (31, 31)), 0.5),
+        ("insert", Fact("R", (31, 2)), 0.25),
+        ("weight", brackets[3], 0.25),
+        ("retract", brackets[5], None),
+        ("retract", Fact("L", (30, 31)), None),
+        ("weight", Fact("R", (31, 31)), 0.25),
+        ("insert", Fact("L", (30, 31)), 0.5),
+        ("weight", brackets[7], 1.0),
+        ("retract", brackets[1], None),
+    ]
+    return database, events
+
+
+def maintained_digest(fix):
+    """Every state's values, witnesses and converged flag, then each
+    tracked semiring's recompute accounting, as one short digest."""
+    parts = [
+        (state.semiring.name, state.value, None if state.witness is None else list(state.witness), state.converged)
+        for state in fix._states()
+    ]
+    for state in fix._tracked.values():
+        result = fix.result(state.semiring)
+        parts.append((result.iterations, result.rule_evaluations))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:12]
+
+
+def pinned_state_trace():
+    """Per event, the digests of the maintainers it touches: TC with
+    TROPICAL on the weighted graph, BOOLEAN on the unweighted one and
+    COUNTING on the weighted edges ``u < v`` (a DAG, so the counts
+    converge), then Dyck-1 with FUZZY."""
+    database, weights, events = tc_events()
+    weighted, plain, dag = Database(), database.copy(), Database()
+    for fact in database.facts():
+        weighted.add_fact(fact, weights[fact])
+        if fact.args[0] < fact.args[1]:
+            dag.add_fact(fact, weights[fact])
+    fixes = [
+        (MaintainedFixpoint(TC, weighted, semirings=(TROPICAL,)), True),
+        (MaintainedFixpoint(TC, plain, semirings=(BOOLEAN,)), False),
+        (MaintainedFixpoint(TC, dag, semirings=(COUNTING,)), True),
+    ]
+    trace = [tuple(maintained_digest(fix) for fix, _ in fixes)]
+    for kind, edge, weight in events:
+        fact = Fact("E", edge)
+        for fix, weighs in fixes:
+            if fix.database is dag and edge[0] > edge[1]:
+                continue
+            if kind == "insert":
+                fix.insert(fact, weight=weight if weighs else None)
+            elif kind == "retract":
+                fix.retract(fact)
+            elif weighs:
+                fix.database.set_weight(fact, weight)
+        trace.append(tuple(maintained_digest(fix) for fix, _ in fixes))
+    brackets, events = dyck_events()
+    dfix = MaintainedFixpoint(DYCK, brackets, semirings=(FUZZY,))
+    trace.append((maintained_digest(dfix),))
+    for kind, fact, weight in events:
+        if kind == "insert":
+            dfix.insert(fact, weight=weight)
+        elif kind == "retract":
+            dfix.retract(fact)
+        else:
+            brackets.set_weight(fact, weight)
+        trace.append((maintained_digest(dfix),))
+    return trace
+
+
+#: :func:`pinned_state_trace`, recorded while the maintainer still ran
+#: its own propagation loop beside the batch kernel: moving seed,
+#: repair and refresh onto the kernel must not move a value, a witness,
+#: a converged flag, a recompute round or a rule evaluation.
+PINNED_STATE_TRACE = [
+    ("507b36b1a273", "9f25b1e8fb0c", "3fe30af19248"),
+    ("6f652c222214", "456bc0654a3f", "3fe30af19248"),
+    ("8cd4703f02b4", "456bc0654a3f", "3fe30af19248"),
+    ("963c62e226a7", "b9a6bf65b7b8", "3fe30af19248"),
+    ("d8c65af55518", "9cf47aaa43e1", "6c8ac2ff98fd"),
+    ("14575552226e", "56fea893caa7", "6c8ac2ff98fd"),
+    ("c3aa047bf201", "1facd167c6fa", "f868e34f917e"),
+    ("f77a1d1aefa7", "3b7dda23a23f", "6c6133badbf7"),
+    ("b88c67f8a757", "01642aec40eb", "6580c6c6a066"),
+    ("fe5b1ef90c4b", "01642aec40eb", "3c5045a8688a"),
+    ("d74b6cf6caee",),
+    ("d74b6cf6caee",),
+    ("9189328eba0f",),
+    ("36d1d05f0ca3",),
+    ("af75ba5c984c",),
+    ("bb8a7cd3f2ed",),
+    ("8751f338bdc6",),
+    ("1a4bb1106792",),
+    ("060c42cbf22c",),
+    ("55c3a0ca71f0",),
+    ("eafb0d22807c",),
+]
+
+
+def test_maintained_state_reproduces_the_pinned_trace():
+    # Fact ids follow symbol ids: intern into a fresh table.
+    with scoped_symbols():
+        assert pinned_state_trace() == PINNED_STATE_TRACE
 
 
 # -- targeted edge cases ---------------------------------------------------

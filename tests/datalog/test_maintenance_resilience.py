@@ -104,9 +104,9 @@ def test_degraded_stream_reattaches_on_next_clean_write(monkeypatch):
 def test_stream_stays_degraded_while_faults_persist(monkeypatch):
     session = Session(TC, fresh())
     stream = session.stream(BOOLEAN)
-    # Every propagation crashes, re-attach included (tracking BOOLEAN
-    # seeds its state through _propagate).
-    crash(monkeypatch, "_propagate", 1000)
+    # Every fixpoint kernel run crashes, re-attach included (tracking
+    # BOOLEAN seeds its state through _run).
+    crash(monkeypatch, "_run", 1000)
     stream.insert(Fact("E", (3, 4)))
     stream.insert(Fact("E", (4, 5)))
     retracted = stream.retract(Fact("E", (0, 1)))
@@ -123,7 +123,7 @@ def test_stream_stays_degraded_while_faults_persist(monkeypatch):
 def test_reweight_crash_degrades_and_the_weight_is_visible(monkeypatch):
     session = Session(TC, fresh())
     stream = session.stream(TROPICAL)
-    crash(monkeypatch, "_propagate", 1)
+    crash(monkeypatch, "_run", 1)
     assert stream.set_weight(Fact("E", (0, 1)), 5.0) is None
     assert stream.degraded is True
     assert stream.degradations == 1
@@ -173,6 +173,38 @@ def test_nan_weights_are_caller_errors():
     assert stream.degraded is False
     assert Fact("E", (3, 4)) not in database
     assert database_fingerprint(database) == before
+
+
+def test_a_fact_with_extra_arguments_is_a_caller_error(monkeypatch):
+    """``insert(Fact, 5.0)`` reads like a weighted insert but passes the
+    weight positionally: the stream and the bare maintainer both raise
+    TypeError before anything is written, attached or degraded."""
+    database = fresh()
+    session = Session(TC, database)
+    stream = session.stream(TROPICAL)
+    before = database_fingerprint(database)
+
+    def assert_rejected():
+        writes = [stream.insert, stream.retract]
+        if stream.fixpoint is not None:
+            writes += [stream.fixpoint.insert, stream.fixpoint.retract]
+        for write in writes:
+            with pytest.raises(TypeError):
+                write(Fact("E", (3, 4)), 5.0)
+            with pytest.raises(TypeError):
+                write(Fact("E", (2, 3)), 5.0)
+        assert database_fingerprint(database) == before
+        assert Fact("E", (3, 4)) not in database
+
+    assert_rejected()
+    assert stream.degradations == 0
+    assert stream.value(Fact("T", (0, 3)), TROPICAL) == 0.0
+    crash(monkeypatch, "_reground", 1)
+    stream.insert(Fact("E", (5, 6)))  # degrades
+    assert stream.degraded is True
+    before = database_fingerprint(database)
+    assert_rejected()
+    assert stream.degradations == 1
 
 
 def test_served_circuits_survive_a_degrade(monkeypatch):
