@@ -12,7 +12,7 @@ theorems quantify over: linear, monadic, chain (Section 5), connected
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple, Union
 
 __all__ = [
@@ -130,21 +130,47 @@ class Atom:
         return f"{self.predicate}({inner})"
 
 
-@dataclass(frozen=True)
 class Fact:
     """A ground fact ``R(c₁, ..., cₖ)`` with raw constant values.
 
     Facts are the variable tags of provenance circuits: the input gate
     for EDB fact ``α`` carries the label ``Fact(α)`` (the ``x_α`` of
     Section 2.4).
+
+    Immutable and slotted, with the hash ``hash((predicate, args))``
+    computed once at construction: a fact is a dict key on every
+    boundary it crosses, and a frozen dataclass would recompute that
+    tuple hash on each insert and probe.  Equal only to another
+    :class:`Fact` with the same predicate and arguments.
     """
+
+    __slots__ = ("predicate", "args", "_hash")
 
     predicate: str
     args: Tuple[Hashable, ...]
 
     def __init__(self, predicate: str, args: Iterable[Hashable]):
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "args", tuple(args))
+        args = tuple(args)
+        _set_predicate(self, predicate)
+        _set_args(self, args)
+        _set_hash(self, hash((predicate, args)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.predicate == other.predicate and self.args == other.args
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (self.__class__, (self.predicate, self.args))
 
     @property
     def arity(self) -> int:
@@ -156,6 +182,12 @@ class Fact:
     def __repr__(self) -> str:
         inner = ",".join(str(a) for a in self.args)
         return f"{self.predicate}({inner})"
+
+
+# The slot descriptors' setters: the only writers of a Fact's fields.
+_set_predicate = Fact.predicate.__set__
+_set_args = Fact.args.__set__
+_set_hash = Fact._hash.__set__
 
 
 @dataclass(frozen=True)

@@ -239,9 +239,11 @@ class ColumnarGroundProgram:
     deriving it -- are per-fact lists of ascending rule positions
     (:meth:`by_body`, :meth:`by_head`), probed by plain integer
     indexing -- no :class:`Fact` hashing anywhere on the fixpoint's
-    hot path.  They are built on first read by the same extension
-    that, once they exist, every append runs over the positions it
-    added; a fact with no entry holds the shared ``()``, so only facts
+    hot path.  Each is built on its own first read by the same
+    extension that, once it exists, every append runs over the
+    positions it added, so a reader that needs only one list (a
+    ⊕-idempotent solve reads only :meth:`by_body`) never pays for the
+    other; a fact with no entry holds the shared ``()``, so only facts
     with rules cost a list.  The maintainer edits them in place
     (DESIGN.md §11).
 
@@ -266,7 +268,8 @@ class ColumnarGroundProgram:
         "_decoded",
         "_by_head",
         "_by_body",
-        "_indexed",
+        "_head_indexed",
+        "_body_indexed",
         "_idb_fids",
         "_edb_fids",
     )
@@ -290,8 +293,10 @@ class ColumnarGroundProgram:
         self._decoded: Dict[int, Fact] = {}
         self._by_head: Optional[List[Sequence[int]]] = None
         self._by_body: Optional[List[Sequence[int]]] = None
-        #: Rule positions the adjacency lists cover: ``[0, _indexed)``.
-        self._indexed = 0
+        #: Rule positions each adjacency list covers: ``[0, _head_indexed)``
+        #: and ``[0, _body_indexed)``.
+        self._head_indexed = 0
+        self._body_indexed = 0
         self._idb_fids: Optional[array] = None
         self._edb_fids: Optional[array] = None
 
@@ -328,10 +333,12 @@ class ColumnarGroundProgram:
 
     def _appended(self) -> None:
         """Rules or facts were appended: drop the id-set caches and
-        extend built adjacency lists over the new positions."""
+        extend each built adjacency list over the new positions."""
         self._idb_fids = self._edb_fids = None
         if self._by_head is not None:
-            self._extend_adjacency()
+            self._extend_by_head()
+        if self._by_body is not None:
+            self._extend_by_body()
 
     def _invalidate(self) -> None:
         """Rule positions moved (compaction): drop every cache; the
@@ -390,8 +397,8 @@ class ColumnarGroundProgram:
         """Fact id → ascending positions of the ground rules deriving
         it (``()`` for a fact no rule derives)."""
         if self._by_head is None:
-            self._by_head, self._by_body, self._indexed = [], [], 0
-            self._extend_adjacency()
+            self._by_head, self._head_indexed = [], 0
+            self._extend_by_head()
         return self._by_head
 
     def by_body(self) -> List[Sequence[int]]:
@@ -399,13 +406,15 @@ class ColumnarGroundProgram:
         fact in their IDB body, each rule listed once.  When a fact's
         value changes, exactly these rules can produce a different
         ⊗-term."""
-        self.by_head()
+        if self._by_body is None:
+            self._by_body, self._body_indexed = [], 0
+            self._extend_by_body()
         return self._by_body
 
-    def _extend_adjacency(self) -> None:
-        """Extend both lists over the facts and rule positions added
-        since they last covered the columns."""
-        by_head, first = self._by_head, self._indexed
+    def _extend_by_head(self) -> None:
+        """Extend :meth:`by_head` over the facts and rule positions
+        added since it last covered the columns."""
+        by_head, first = self._by_head, self._head_indexed
         by_head.extend([()] * (self.fact_count - len(by_head)))
         for position, head in enumerate(self.rule_head[first:], first):
             bucket = by_head[head]
@@ -414,8 +423,12 @@ class ColumnarGroundProgram:
                 # ``[position]`` over-allocates on its second append.
                 bucket = by_head[head] = []
             bucket.append(position)
-        _extend_readers(self._by_body, self.idb_rows, first, self.fact_count)
-        self._indexed = len(self.rule_head)
+        self._head_indexed = len(self.rule_head)
+
+    def _extend_by_body(self) -> None:
+        """Extend :meth:`by_body` likewise."""
+        _extend_readers(self._by_body, self.idb_rows, self._body_indexed, self.fact_count)
+        self._body_indexed = len(self.rule_head)
 
     # -- boundary decoding -----------------------------------------------
 

@@ -19,12 +19,18 @@ Delta-driven evaluation (round ``t``):
 2. **Dirty rules** -- via the grounding's fact → rules-with-it-in-the-
    body lists, exactly the ground rules with a delta fact in their
    body; only their ``⊗``-terms are recomputed from the stored body
-   rows (every other rule's cached term is still current because none
-   of its body values moved).
-3. **Dirty heads** -- heads of dirty rules are re-folded with
-   ``semiring.add`` over the cached per-rule terms (head → rules
-   lists); a head whose new value differs (``semiring.eq``) enters the
-   next delta set.
+   rows (every other rule's term is still current because none of its
+   body values moved).
+3. **Dirty heads** -- each head of a dirty rule gets a new total, in
+   one of two fold forms.  The *refold* caches every rule's term and
+   re-folds the head with ``semiring.add`` over the cached terms of
+   all its rules (head → rules lists).  The *accumulation*, run by a
+   from-zero solve over a ⊕-idempotent semiring, ⊕-folds each dirty
+   rule's fresh term into its head's running total: from ``0`` every
+   term only rises in the natural order, so with ``x ⊕ x = x`` the
+   old total ⊕ the fresh terms equals the refold, and no head list
+   or per-rule term is kept.  A head whose new total differs from its
+   stored value (``semiring.eq``) enters the next delta set.
 4. **Convergence** is certified by an empty delta set -- no full
    ``eq`` sweep over all facts is ever needed.
 
@@ -223,18 +229,22 @@ _CALL_TEMPLATES = ("add({a}, {b})", "mul({a}, {b})")
 #: may override equality independently.  ``add``/``mul`` are the bound
 #: methods, which :data:`_CALL_TEMPLATES` call.
 #:
-#: The caller owns ``value`` and ``rule_term`` and names the first
-#: round's dirty rules.  A head whose ``head_mark`` byte is pre-set
-#: is never refolded, which confines a repair to its region.  With a
+#: The caller owns ``value`` and names the first round's dirty rules.
+#: The rule's EDB factor is spliced in as ``{edb_term}``: a from-zero
+#: solve hoists one product per rule (``{edb_setup}``), a repair folds
+#: the few rows it touches inline.  How a dirty head's new total is
+#: formed is spliced in as ``{rule_fold}``/``{head_fold}`` (see
+#: :data:`_REFOLD` and :data:`_ACCUMULATE`); either way the new
+#: totals land in ``value`` only after every dirty head is folded, so
+#: rounds stay Jacobi.  A head whose ``head_mark`` byte is pre-set is
+#: never folded, which confines a repair to its region.  With a
 #: ``witness`` array, a head that strictly changes records the first
-#: rule deriving it whose term ``eq``s the new total.  The rule's EDB
-#: factor is spliced in as ``{edb_term}``: a from-zero solve hoists
-#: one product per rule (``{edb_setup}``), a repair folds the few rows
-#: it touches inline.
+#: rule deriving it whose term ``eq``s the new total.
 _KERNEL_SOURCE = """\
 def _kernel(value, rule_term, dirty_rules, head_mark, witness, idb_rows, edb_rows,
             rule_head, by_head, by_body, max_iterations, zero, one, eq, add, mul):
 {edb_setup}
+{fold_setup}
     iterations = 0
     converged = False
     rule_evaluations = 0
@@ -245,8 +255,8 @@ def _kernel(value, rule_term, dirty_rules, head_mark, witness, idb_rows, edb_row
             for fid in idb_rows[position]:
                 other = value[fid]
                 term = {mul_expr}
-            rule_term[position] = term
             head = rule_head[position]
+{rule_fold}
             if not head_mark[head]:
                 head_mark[head] = 1
                 dirty_heads.append(head)
@@ -255,16 +265,12 @@ def _kernel(value, rule_term, dirty_rules, head_mark, witness, idb_rows, edb_row
         delta_values = []
         for head in dirty_heads:
             head_mark[head] = 0
-            rules = by_head[head]
-            total = zero
-            for position in rules:
-                other = rule_term[position]
-                total = {add_expr}
+{head_fold}
             if not eq(total, value[head]):
                 delta_fids.append(head)
                 delta_values.append(total)
                 if witness is not None:
-                    for position in rules:
+                    for position in by_head[head]:
                         if eq(rule_term[position], total):
                             witness[head] = position
                             break
@@ -274,7 +280,7 @@ def _kernel(value, rule_term, dirty_rules, head_mark, witness, idb_rows, edb_row
             break
         for at in range(len(delta_fids)):
             value[delta_fids[at]] = delta_values[at]
-        rule_mark = bytearray(len(rule_term))
+        rule_mark = bytearray(len(rule_head))
         next_dirty = []
         for head in delta_fids:
             for position in by_body[head]:
@@ -296,7 +302,7 @@ _HOISTED_EDB = ("""\
             other = value[fid]
             term = {mul_expr}
         append_product(term)
-    dirty_rules = range(len(rule_term))""", """\
+    dirty_rules = range(len(rule_head))""", """\
             term = edb_product[position]""")
 
 #: The EDB product folded per dirty rule: a repair.
@@ -306,18 +312,46 @@ _INLINE_EDB = ("", """\
                 other = value[fid]
                 term = {mul_expr}""")
 
+#: The refold: a dirty rule caches its term in ``rule_term``, and a
+#: dirty head re-folds the cached terms of all its rules (``by_head``).
+#: Exact over any semiring, and the form a repair needs.
+_REFOLD = ("", """\
+            rule_term[position] = term""", """\
+            total = zero
+            for position in by_head[head]:
+                other = rule_term[position]
+                total = {add_expr}""")
+
+#: The accumulation, for a from-zero solve over a ⊕-idempotent
+#: semiring: a dirty rule ⊕-folds its term into its head's running
+#: total, and a dirty head reads that total.  From 0 every stored value,
+#: and so every rule's term, only rises in the natural order, so with
+#: ``x ⊕ x = x`` the old total ⊕ the new dirty terms is the refold of
+#: all current terms.  The running total is kept apart from ``value``:
+#: a tolerance ``eq`` (VITERBI, LUKASIEWICZ) can keep an old stored
+#: value below the last computed total, and the refold this must equal
+#: folds the risen terms, not the stored value.
+_ACCUMULATE = ("""\
+    head_total = [zero] * len(value)""", """\
+            total = head_total[head]
+            head_total[head] = {accumulate_expr}""", """\
+            total = head_total[head]""")
+
 
 @lru_cache(maxsize=None)
-def _fixpoint_kernel(add_template: str, mul_template: str, hoisted: bool):
+def _fixpoint_kernel(add_template: str, mul_template: str, hoisted: bool, accumulate: bool):
     """The compiled delta-loop kernel for one pair of operation
-    templates and one EDB-factor form, generated once and shared
-    across semiring instances with equal templates."""
+    templates, one EDB-factor form and one fold form, generated once
+    and shared across semiring instances with equal templates."""
     mul_expr = mul_template.format(a="term", b="other")
     setup, term = _HOISTED_EDB if hoisted else _INLINE_EDB
+    fold_setup, rule_fold, head_fold = _ACCUMULATE if accumulate else _REFOLD
     source = _KERNEL_SOURCE.format(
         edb_setup=setup.format(mul_expr=mul_expr),
         edb_term=term.format(mul_expr=mul_expr),
-        add_expr=add_template.format(a="total", b="other"),
+        fold_setup=fold_setup,
+        rule_fold=rule_fold.format(accumulate_expr=add_template.format(a="total", b="term")),
+        head_fold=head_fold.format(add_expr=add_template.format(a="total", b="other")),
         mul_expr=mul_expr,
     )
     namespace: Dict[str, object] = {}
@@ -329,7 +363,7 @@ def _run_fixpoint(
     cground: ColumnarGroundProgram,
     semiring: Semiring,
     value: List[object],
-    rule_term: List[object],
+    rule_term: Optional[List[object]],
     dirty_rules: Optional[Sequence[int]],
     max_iterations: int,
     head_mark: Optional[bytearray] = None,
@@ -339,19 +373,24 @@ def _run_fixpoint(
     and *rule_term* (by rule position), updated in place, from
     *dirty_rules* -- ``None``: every rule, EDB products hoisted -- with
     the optional *head_mark* and *witness* of :data:`_KERNEL_SOURCE`.
+    ``rule_term=None`` runs the :data:`_ACCUMULATE` form instead of the
+    :data:`_REFOLD`: only from zero with every rule dirty, over a
+    ⊕-idempotent *semiring*, and with no witnesses.
     Returns ``(iterations, converged, rule_evaluations)``."""
+    accumulate = rule_term is None
     # Semirings that declare closure-compiler templates (DESIGN.md §7)
     # get ⊗/⊕ inlined as expressions; everything else runs the same
     # kernel with calls to the bound methods.
     templates = (semiring.compiled_add_expr, semiring.compiled_mul_expr)
     if not all(templates):
         templates = _CALL_TEMPLATES
-    kernel = _fixpoint_kernel(*templates, dirty_rules is None)
+    kernel = _fixpoint_kernel(*templates, dirty_rules is None, accumulate)
     if head_mark is None:
         head_mark = bytearray(cground.fact_count)
     return kernel(
         value, rule_term, dirty_rules, head_mark, witness,
-        cground.idb_rows, cground.edb_rows, cground.rule_head, cground.by_head(), cground.by_body(),
+        cground.idb_rows, cground.edb_rows, cground.rule_head,
+        None if accumulate else cground.by_head(), cground.by_body(),
         max_iterations, semiring.zero, semiring.one, semiring.eq, semiring.add, semiring.mul,
     )
 
@@ -367,21 +406,22 @@ def _columnar_fixpoint(
 
     Jacobi round structure (every round-``t`` ⊗-term reads
     round-``t − 1`` values, updates land after all dirty heads are
-    re-folded), so values, iteration counts, the ``converged`` flag
-    and divergence behaviour coincide with the naive oracle.  Values
-    live in one dense list indexed by fact id (EDB slots filled once
-    from *edb_value*, IDB slots starting at ``0``), per-rule cached
-    ⊗-terms in a parallel list, and the dirty sets are flat int lists
-    deduplicated through ``bytearray`` marks over the per-fact
-    adjacency lists
-    (:meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_body`
-    /
-    :meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_head`).
-    The kernel reads the grounding's stored body rows as they are --
-    no :class:`Fact` is hashed or decoded anywhere in the loop.
-    Semiring ``⊗``/``⊕`` folds stay object-space calls on the dense
-    arrays, so every existing semiring works unchanged (the hybrid
-    mode).
+    folded), so values, iteration counts, the ``converged`` flag and
+    divergence behaviour coincide with the naive oracle.  Values live
+    in one dense list indexed by fact id (EDB slots filled once from
+    *edb_value*, IDB slots starting at ``0``), and the dirty sets are
+    flat int lists deduplicated through ``bytearray`` marks over the
+    per-fact
+    :meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_body`
+    lists.  A ⊕-idempotent semiring accumulates each head's running
+    total (:data:`_ACCUMULATE`), so the solve never reads
+    :meth:`~repro.datalog.grounding.ColumnarGroundProgram.by_head`;
+    any other keeps per-rule cached ⊗-terms in a parallel list and
+    re-folds each dirty head over them (:data:`_REFOLD`).  The kernel
+    reads the grounding's stored body rows as they are -- no
+    :class:`Fact` is hashed or decoded anywhere in the loop.  Semiring
+    ``⊗``/``⊕`` folds stay object-space calls on the dense arrays, so
+    every existing semiring works unchanged (the hybrid mode).
 
     Returns ``(value, iterations, converged, rule_evaluations)`` with
     *value* indexed by fact id; the caller decodes the IDB slots.
@@ -393,7 +433,7 @@ def _columnar_fixpoint(
     edb_fids = cground.edb_fact_ids()
     for fid, fact in zip(edb_fids, cground.decode_facts(edb_fids)):
         value[fid] = edb_value[fact]
-    rule_term: List[object] = [semiring.zero] * len(cground)
+    rule_term = None if semiring.idempotent_add else [semiring.zero] * len(cground)
     iterations, converged, rule_evaluations = _run_fixpoint(
         cground, semiring, value, rule_term, None, max_iterations
     )

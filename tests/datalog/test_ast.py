@@ -45,6 +45,60 @@ def test_fact_atom_roundtrip():
     assert fact.to_atom().to_fact() == fact
 
 
+def test_fact_hash_is_the_field_tuple_hash():
+    # Set and dict iteration orders, and the traces pinned on them,
+    # depend on this value.
+    for fact in (Fact("T", (1, 2)), Fact("S", ()), Fact("R", ["a", 1.5, None])):
+        assert hash(fact) == hash((fact.predicate, fact.args))
+    assert Fact("R", ["a", 1]).args == ("a", 1)
+
+
+def test_fact_is_frozen_and_slotted():
+    from dataclasses import FrozenInstanceError
+
+    fact = Fact("T", (1, 2))
+    with pytest.raises(FrozenInstanceError):
+        fact.predicate = "S"
+    with pytest.raises(FrozenInstanceError):
+        fact.args = (2, 1)
+    with pytest.raises(FrozenInstanceError):
+        fact.weight = 3
+    with pytest.raises(FrozenInstanceError):
+        del fact.args
+    assert not hasattr(fact, "__dict__")
+    assert fact == Fact("T", (1, 2)) and hash(fact) == hash(Fact("T", (1, 2)))
+
+
+def test_fact_equals_only_facts():
+    fact = Fact("T", (1, 2))
+    assert fact != Fact("T", (2, 1)) and fact != Fact("S", (1, 2))
+    assert fact != ("T", (1, 2))
+    assert fact != Atom("T", (Constant(1), Constant(2)))
+    assert (fact == ("T", (1, 2))) is False
+    assert fact.__eq__(("T", (1, 2))) is NotImplemented
+    assert {fact: 1}.get(("T", (1, 2))) is None
+
+
+def test_fact_repr_pickle_and_copies():
+    import copy
+    import pickle
+
+    fact = Fact("R", ("a", 1))
+    assert repr(fact) == "R(a,1)" and repr(Fact("P", ())) == "P()"
+    for clone in (
+        pickle.loads(pickle.dumps(fact)),
+        pickle.loads(pickle.dumps(fact, protocol=0)),
+        copy.copy(fact),
+        copy.deepcopy(fact),
+    ):
+        assert type(clone) is Fact
+        assert clone == fact and hash(clone) == hash(fact)
+        assert clone.args == ("a", 1) and clone.predicate == "R"
+    nested = copy.deepcopy({fact: [fact]})
+    [(key, [value])] = nested.items()
+    assert key == value == fact
+
+
 def test_rule_safety():
     safe = Rule(Atom("T", (X, Y)), [Atom("E", (X, Y))])
     assert safe.is_safe()

@@ -1,19 +1,25 @@
 """The id-space columnar fixpoint engine (DESIGN.md §9).
 
-Three layers are pinned here:
+Four layers are pinned here:
 
 * :class:`~repro.datalog.grounding.ColumnarGroundProgram` -- the
   parallel-column grounding produced by
   :func:`~repro.datalog.grounding.columnar_grounding`: rule columns
   and stored body rows, the per-fact ``by_head``/``by_body``
   adjacency lists against dict indexes built from the decoded rules
-  (a fact repeated in one body listed once), boundary decoding, and
-  the naive engine's private symbol table;
+  (a fact repeated in one body listed once; each list built and
+  extended on its own), boundary decoding, and the naive engine's
+  private symbol table;
 * the ``strategy="columnar"`` fixpoint -- observational equivalence
   (values, iterations, convergence, rule-evaluation counts) with the
   naive oracle, over semirings with and without closure-compiler
   kernels, including divergence behaviour, and a default ``solve()``'s
   pinned rounds, rule evaluations and values;
+* the two fold forms -- over every ⊕-idempotent semiring, the
+  accumulating fold a default solve runs equals the refold exactly
+  (values, rounds, convergence, rule evaluations) and agrees with the
+  oracle, builds no head lists, and keeps a stored value its new total
+  only ``eq``s;
 * the **oracle-vs-fast matrix** -- every ``(engine, strategy)`` pair
   must agree with naive grounding plus the naive fixpoint on
   ``rule_keys()``, fixpoint values, iterations and convergence over
@@ -45,7 +51,25 @@ from repro.datalog import (
     same_generation,
     transitive_closure,
 )
-from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from repro.datalog.seminaive import _columnar_fixpoint, _run_fixpoint
+from repro.semirings import (
+    ARCTIC,
+    BOOLEAN,
+    COUNTING,
+    FUZZY,
+    LUKASIEWICZ,
+    SORP,
+    SORP_IDEMPOTENT,
+    TROPICAL,
+    TROPICAL_INT,
+    VITERBI,
+    ChainLatticeSemiring,
+    DivisibilityLatticeSemiring,
+    FiniteLatticeSemiring,
+    KTropicalSemiring,
+    Semiring,
+    SubsetLatticeSemiring,
+)
 from repro.semirings.numeric import BooleanSemiring
 from repro.workloads import complete_dag, random_digraph, random_weights
 from repro.workloads.labeled import random_bracket_graph
@@ -123,11 +147,15 @@ def test_columnar_grounding_matches_tuple_grounding():
     assert derivable_facts(TC, db, ground=ground) == (naive_facts, naive_iterations)
 
 
-def test_adjacency_lists_match_dict_indexes():
+@pytest.mark.parametrize("body_first", [False, True], ids=["head-first", "body-first"])
+def test_adjacency_lists_match_dict_indexes(body_first):
     db = random_edge_db(5, 7, 16)
     cground = columnar_grounding(TC, db)
     rules = [cground.rule(position) for position in range(len(cground))]
-    by_head, by_body = cground.by_head(), cground.by_body()
+    if body_first:
+        by_body, by_head = cground.by_body(), cground.by_head()
+    else:
+        by_head, by_body = cground.by_head(), cground.by_body()
     assert len(by_head) == len(by_body) == cground.fact_count
     assert cground.unit_rows == [(fid,) for fid in range(cground.fact_count)]
 
@@ -155,6 +183,37 @@ def test_adjacency_lists_match_dict_indexes():
     # No fact lists a rule the dict indexes lack.
     assert sum(map(len, by_head)) == len(rules)
     assert sum(map(len, by_body)) == sum(len(set(rule.idb_body)) for rule in rules)
+
+
+def test_body_lists_build_no_head_lists():
+    cground = columnar_grounding(TC, random_edge_db(5, 7, 16))
+    cground.by_body()
+    assert cground._by_head is None
+    cground.by_head()
+    assert cground._by_body is not None
+
+
+@pytest.mark.parametrize("name", ["by_head", "by_body"])
+def test_grounder_round_extends_exactly_the_lists_read(name):
+    """A list read after round 0 is extended over every later round's
+    rules, in place; the list nobody read is never built."""
+    from repro.datalog.grounding import _ColumnarProgramGrounder
+
+    db = random_edge_db(5, 7, 16)
+    store = db.columnar_store().copy()
+    cground = ColumnarGroundProgram(TC, store.symbols)
+    grounder = _ColumnarProgramGrounder(TC, store, cground)
+    fresh = grounder.round(None)
+    first = len(cground)
+    lists = getattr(cground, name)()
+    assert grounder.saturate(fresh) > 0
+    assert len(cground) > first
+    other = "_by_body" if name == "by_head" else "_by_head"
+    assert getattr(cground, other) is None
+    assert getattr(cground, name)() is lists
+    cground._invalidate()
+    assert lists == getattr(cground, name)()
+    assert getattr(cground, name)() is not lists
 
 
 def bracket_loops() -> Database:
@@ -549,6 +608,153 @@ def test_pairs_agree_with_oracle(workload, semiring):
     if workload == "diamonds" and semiring is COUNTING:
         # Past 2**63: the counts stay exact as Python ints.
         assert reference.values[Fact("T@0", (210,))] == 2**70
+
+
+# -- the two fold forms ---------------------------------------------------
+
+
+def _subset_weight(rng, index):
+    return frozenset(x for x in (1, 2, 3) if rng.random() < 0.6)
+
+
+#: Every ⊕-idempotent semiring of :mod:`repro.semirings`, with a
+#: sampler ``(rng, index) -> weight`` for the ``index``-th EDB fact.
+#: TROPICAL_INT's negative and ARCTIC's positive cycles diverge, so
+#: their capped states are compared too.
+IDEMPOTENT = [
+    (BOOLEAN, lambda rng, i: rng.random() < 0.8),
+    (TROPICAL, lambda rng, i: rng.uniform(1.0, 9.0)),
+    (TROPICAL_INT, lambda rng, i: rng.randint(-2, 9)),
+    (VITERBI, lambda rng, i: rng.choice((1.0, 0.9, 0.5, rng.uniform(0.1, 1.0)))),
+    (FUZZY, lambda rng, i: rng.uniform(0.0, 1.0)),
+    (LUKASIEWICZ, lambda rng, i: rng.uniform(0.5, 1.0)),
+    (ARCTIC, lambda rng, i: float(rng.randint(-3, 3))),
+    (SubsetLatticeSemiring((1, 2, 3)), _subset_weight),
+    (DivisibilityLatticeSemiring(30), lambda rng, i: rng.choice((1, 2, 3, 5, 6, 10, 15, 30))),
+    (ChainLatticeSemiring(4), lambda rng, i: rng.randint(0, 4)),
+    (FiniteLatticeSemiring({"bot": {"a", "b", "top"}, "a": {"top"}, "b": {"top"}, "top": ()}),
+     lambda rng, i: rng.choice(("bot", "a", "b", "top"))),
+    (SORP, lambda rng, i: SORP.var(f"x{i}")),
+    (SORP_IDEMPOTENT, lambda rng, i: SORP_IDEMPOTENT.var(f"x{i}")),
+    (KTropicalSemiring(1), lambda rng, i: (float(rng.randint(1, 9)),)),
+]
+
+
+def idempotent_weights(db, semiring, sampler, seed):
+    rng = random.Random(seed)
+    return {fact: sampler(rng, i) for i, fact in enumerate(sorted(db.facts(), key=repr))}
+
+
+def test_the_sweep_covers_every_idempotent_semiring():
+    import repro.semirings as semirings
+
+    instances = [value for value in vars(semirings).values() if isinstance(value, Semiring)]
+    exported = {semiring.name for semiring in instances if semiring.idempotent_add}
+    lattices = (SubsetLatticeSemiring, DivisibilityLatticeSemiring, ChainLatticeSemiring, FiniteLatticeSemiring)
+    exported |= {cls.name for cls in lattices}
+    exported.add(KTropicalSemiring(1).name)
+    swept = {semiring.name for semiring, _ in IDEMPOTENT}
+    assert all(semiring.idempotent_add for semiring, _ in IDEMPOTENT)
+    assert swept == exported
+
+
+def both_folds(program, db, semiring, weights=None, max_iterations=None):
+    """One solve by each fold form over one grounding:
+    ``(value by fact id, iterations, converged, rule_evaluations)``
+    from :func:`_columnar_fixpoint` (accumulating, ⊕ idempotent) and
+    from :func:`_run_fixpoint` given a ``rule_term`` list (refolding)."""
+    cground = columnar_grounding(program, db)
+    edb_value = db.valuation(semiring)
+    edb_value.update(weights or {})
+    if max_iterations is None:
+        max_iterations = max(len(cground.idb_fact_ids()), 1) + 2
+    accumulated = _columnar_fixpoint(cground, semiring, edb_value, max_iterations)
+    assert cground._by_head is None  # the accumulating form reads no head lists
+    value = [semiring.zero] * cground.fact_count
+    for fid in cground.edb_fact_ids():
+        value[fid] = edb_value[cground.decode_fact(fid)]
+    rule_term = [semiring.zero] * len(cground)
+    refolded = (value, *_run_fixpoint(cground, semiring, value, rule_term, None, max_iterations))
+    return accumulated, refolded
+
+
+def assert_folds_agree(program, db, semiring, weights=None, max_iterations=None):
+    """The accumulating fold equals the refold exactly (values,
+    rounds, convergence, rule evaluations), and a default solve agrees
+    with the oracle.  Returns ``(solve result, oracle result)``."""
+    accumulated, refolded = both_folds(program, db, semiring, weights, max_iterations)
+    assert accumulated == refolded, semiring.name
+    result = FixpointEngine().evaluate(program, db, semiring, weights=weights, max_iterations=max_iterations)
+    reference = FixpointEngine(config=ORACLE).evaluate(
+        program, db, semiring, weights=weights, max_iterations=max_iterations
+    )
+    assert_same_result(result, reference, semiring)
+    assert result.rule_evaluations == accumulated[3]
+    return result, reference
+
+
+@given(
+    seed=st.integers(0, 5000),
+    n=st.integers(3, 6),
+    m=st.integers(3, 12),
+    case=st.sampled_from(IDEMPOTENT),
+)
+@settings(max_examples=examples(60), deadline=None)
+def test_accumulating_fold_agrees_tc(seed, n, m, case):
+    semiring, sampler = case
+    db = random_edge_db(seed, n, m)
+    assert_folds_agree(TC, db, semiring, idempotent_weights(db, semiring, sampler, seed))
+
+
+@given(seed=st.integers(0, 5000), pairs=st.integers(1, 3), case=st.sampled_from(IDEMPOTENT))
+@settings(max_examples=examples(30), deadline=None)
+def test_accumulating_fold_agrees_dyck(seed, pairs, case):
+    semiring, sampler = case
+    db = dyck_db(seed, pairs)
+    assert_folds_agree(DYCK, db, semiring, idempotent_weights(db, semiring, sampler, seed))
+
+
+@pytest.mark.parametrize("case", IDEMPOTENT, ids=lambda case: case[0].name)
+@pytest.mark.parametrize("workload", sorted(set(WORKLOADS) - {"diamonds"}))
+def test_accumulating_fold_agrees_on_the_workloads(workload, case):
+    # No diamonds: 2**70 paths are 2**70 Sorp monomials.
+    semiring, sampler = case
+    program, db = WORKLOADS[workload]()
+    assert_folds_agree(program, db, semiring, idempotent_weights(db, semiring, sampler, 3))
+
+
+def test_accumulating_fold_matches_arctic_divergence():
+    """A positive arctic cycle diverges: both folds hit the cap in the
+    same state as the oracle."""
+    db = Database.from_edges([(1, 2), (2, 1)])
+    weights = {fact: 1.0 for fact in db.facts()}
+    result, reference = assert_folds_agree(TC, db, ARCTIC, weights, max_iterations=6)
+    assert not result.converged and result.iterations == 6
+    assert result.values[Fact("T", (1, 1))] == 6.0
+
+
+def test_accumulating_fold_keeps_a_stored_value_its_new_total_only_eqs():
+    """``T(0,2)`` is 0.5 by its edge in round 1; in round 2 the path
+    through 1 raises its total by 1e-13, which VITERBI's ``eq`` calls
+    equal.  The stored value stays 0.5, as the refold keeps it, and the
+    solve converges; the oracle, which stores every round's totals,
+    ends ``eq`` but not ``==``.  A kernel that writes the running total
+    into ``value`` ends at the raised total instead."""
+    db = Database.from_edges([(0, 1), (1, 2), (0, 2)])
+    weights = {Fact("E", (0, 1)): 1.0, Fact("E", (1, 2)): 0.5 + 1e-13, Fact("E", (0, 2)): 0.5}
+    result, reference = assert_folds_agree(TC, db, VITERBI, weights)
+    fact = Fact("T", (0, 2))
+    assert result.values[fact] == 0.5
+    assert reference.values[fact] == 0.5 + 1e-13
+    assert result.converged and result.iterations == 2
+
+
+def test_refold_form_builds_head_lists():
+    db = random_edge_db(5, 7, 16)
+    for semiring, built in ((BOOLEAN, False), (COUNTING, True)):
+        cground = columnar_grounding(TC, db)
+        FixpointEngine().evaluate(TC, db, semiring, ground=cground)
+        assert (cground._by_head is not None) == built, semiring.name
 
 
 def test_magic_grounding_composes_with_columnar():

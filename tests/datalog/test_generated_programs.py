@@ -16,8 +16,9 @@ Each generated pair is checked against the oracle:
   retracts and reweights keep the oracle's ground rules, and its
   values, rounds and convergence over BOOLEAN, TROPICAL and COUNTING,
   with sound witnesses, after every write;
-* the default ``solve()`` and the oracle agree on BOOLEAN and TROPICAL
-  (values, rounds, convergence);
+* the default ``solve()`` and the oracle agree on BOOLEAN, TROPICAL
+  and VITERBI, which accumulate each head's total, and on COUNTING,
+  which re-folds it (values, rounds, convergence);
 * the generic (Theorem 3.1) and fringe (Theorem 6.2) circuits for
   every derived IDB fact agree with the fixpoint
   (:func:`repro.circuits.crosscheck_fixpoint`);
@@ -49,7 +50,7 @@ from repro.datalog import (
     parse_program,
     relevant_grounding,
 )
-from repro.semirings import BOOLEAN, COUNTING, TROPICAL
+from repro.semirings import BOOLEAN, COUNTING, TROPICAL, VITERBI
 from repro.workloads import random_weights
 from tests.datalog.test_incremental import assert_witnesses_sound
 from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result, examples
@@ -245,11 +246,17 @@ def test_generated_programs_agree_with_the_oracle(pair, seed, insert, writes):
     db.columnar_store(SymbolTable())
     assert_same_grounding(program, db)
     weights = random_weights(db, seed=seed)
-    for semiring, semiring_weights in ((BOOLEAN, None), (TROPICAL, weights)):
+    viterbi_weights = {fact: 1.0 / weight for fact, weight in weights.items()}
+    for semiring, semiring_weights in (
+        (BOOLEAN, None),
+        (TROPICAL, weights),
+        (COUNTING, weights),
+        (VITERBI, viterbi_weights),
+    ):
         reference = solve(program, db, semiring, config=ORACLE, weights=semiring_weights)
         assert_same_result(solve(program, db, semiring, weights=semiring_weights), reference, semiring)
         facts = sorted(reference.values, key=repr)
-        if facts:
+        if facts and semiring in (BOOLEAN, TROPICAL):
             assert_constructions_agree(program, db, facts, semiring, semiring_weights)
     weighted = db.copy()
     weighted.columnar_store(db.columnar_store().symbols)
