@@ -144,9 +144,11 @@ class MaintainedFixpoint:
         self._idbs = program.idb_predicates
         #: The id-space grounding: starts as the batch grounder's
         #: output and is appended to in place; dead rules stay in its
-        #: arrays as tombstones until :meth:`_compact`.
+        #: arrays as tombstones until :meth:`_compact`.  Its recorded
+        #: Boolean round count is cleared: edits would leave it stale,
+        #: and a solve over it must run the kernel, not read it off.
         self._cground: ColumnarGroundProgram = columnar_grounding(program, database)
-        self.iterations = self._cground.iterations
+        self._cground.iterations = None
         # Private working store: EDB snapshot plus every currently
         # derived IDB fact, the join input for future delta rounds.
         self.store = database.columnar_store().copy()
@@ -187,8 +189,10 @@ class MaintainedFixpoint:
     @property
     def cground(self) -> ColumnarGroundProgram:
         """The live ground program, exactly the rules a fresh grounding
-        of the current database holds.  Reading it compacts the
-        tombstones of dead rules away first."""
+        of the current database holds, but with no recorded Boolean
+        round count (``iterations`` is ``None``, so
+        :func:`~repro.datalog.grounding.derivable_facts` rejects it).
+        Reading it compacts the tombstones of dead rules away first."""
         self._compact()
         return self._cground
 
@@ -241,8 +245,12 @@ class MaintainedFixpoint:
         *maintained* ground program.  The Jacobi rounds depend only on the ground-rule
         set, which incremental regrounding + tombstoning keep equal
         to a fresh grounding's, so every field of the result -- not
-        just the values -- matches recompute-from-scratch.  Cached
-        until the next mutation.
+        just the values -- matches recompute-from-scratch.  The
+        maintained grounding records no round count, so this always
+        runs the kernel: ``rule_evaluations`` is a kernel run's, where
+        a default solve of an all-``one`` ⊕-idempotent database reads
+        its answer off a fresh grounding and reports 0.  Cached until
+        the next mutation.
         """
         key = id(semiring)
         if max_iterations is None:

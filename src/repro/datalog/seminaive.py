@@ -42,6 +42,21 @@ evaluation; only the number of rule evaluations shrinks.  The
 oracle-vs-fast tests in ``tests/datalog/test_seminaive.py`` and
 ``tests/datalog/test_columnar_fixpoint.py`` pin this.
 
+**The read-off.**  Some solves need no round at all.  Over a
+⊕-idempotent semiring whose every EDB slot holds the ``one`` object,
+on a database storing no fact of an IDB predicate, each Jacobi value
+is ``0`` or ``1`` and a fact becomes ``1`` exactly one round after its
+body facts do -- the grounder's Boolean rounds.  The relevant
+grounding already holds the derivable facts and records that round
+count (``cground.iterations``), so :func:`_columnar_fixpoint` returns
+``one`` for every head and that count without running the kernel,
+when the count is recorded and within ``max_iterations``.  Every other
+case -- a weight that is not ``one``, a non-idempotent semiring, a
+stored IDB fact (which the grounder takes as present but the fixpoint
+reads as ``0`` unless derived), a grounding with no round count, a
+round cap below the count -- runs the kernel.  ``rule_evaluations``
+counts the rules actually evaluated, so a read-off reports ``0``.
+
 The same generated kernel (:data:`_KERNEL_SOURCE`) is the only
 fixpoint loop of :class:`~repro.datalog.incremental.MaintainedFixpoint`
 too (DESIGN.md §11); a batch solve is its special case from zero with
@@ -153,6 +168,18 @@ class FixpointEngine:
         unreachable from the target are dropped
         (:func:`repro.datalog.analysis.prune_unreachable`) before
         grounding; values of reachable facts are preserved exactly.
+
+        The columnar strategy reads an all-``one`` ⊕-idempotent solve
+        off the grounding instead of running the kernel (the module
+        docstring's *read-off*): when ``semiring.idempotent_add`` is
+        set, every EDB value *is* ``semiring.one`` (a weight merely
+        ``==`` to it falls back), *database* stores no fact of an IDB
+        predicate, and the grounding records a round count
+        (``ground.iterations``, ``None`` for a :func:`~repro.datalog
+        .grounding.full_grounding` or a maintainer's grounding) of at
+        most ``max_iterations``.  Values, iterations and ``converged``
+        are the kernel's; ``rule_evaluations`` counts the rules
+        actually evaluated, which is 0 for a read-off.
         """
         if validate:
             require_valid(program)
@@ -176,8 +203,9 @@ class FixpointEngine:
             head_fids = ground.idb_fact_ids()
             if max_iterations is None:
                 max_iterations = max(len(head_fids), 1) + 2
+            stored_idb = any(map(database.tuples, ground.program.idb_predicates))
             value, iterations, converged, rule_evaluations = _columnar_fixpoint(
-                ground, semiring, edb_value, max_iterations
+                ground, semiring, edb_value, max_iterations, stored_idb
             )
             values = dict(zip(ground.decode_facts(head_fids), map(value.__getitem__, head_fids)))
         if not converged and raise_on_divergence:
@@ -400,9 +428,14 @@ def _columnar_fixpoint(
     semiring: Semiring,
     edb_value: Mapping[Fact, object],
     max_iterations: int,
+    stored_idb: bool,
 ) -> Tuple[List[object], int, bool, int]:
     """The delta-driven loop (see the module docstring), run from zero
-    on the id-space grounding (DESIGN.md §9).
+    on the id-space grounding (DESIGN.md §9), or its answer read off
+    the grounding (the module docstring's *read-off*) when *stored_idb*
+    is false -- the database stores no fact of an IDB predicate -- and
+    the other conditions hold.  A true *stored_idb* always runs the
+    kernel.
 
     Jacobi round structure (every round-``t`` ⊗-term reads
     round-``t − 1`` values, updates land after all dirty heads are
@@ -428,11 +461,27 @@ def _columnar_fixpoint(
     """
     # Dense valuation: EDB slots are decoded in one batch, once per
     # distinct EDB fact; IDB slots start at 0 exactly like the naive
-    # oracle.
+    # oracle.  The same pass checks whether every slot is ``one``
+    # itself, which the read-off needs (``eq`` or ``==`` is not enough).
+    one = semiring.one
     value: List[object] = [semiring.zero] * cground.fact_count
     edb_fids = cground.edb_fact_ids()
+    all_one = True
     for fid, fact in zip(edb_fids, cground.decode_facts(edb_fids)):
-        value[fid] = edb_value[fact]
+        weight = value[fid] = edb_value[fact]
+        if weight is not one:
+            all_one = False
+    rounds = cground.iterations
+    if (
+        all_one
+        and semiring.idempotent_add
+        and not stored_idb
+        and rounds is not None
+        and rounds <= max_iterations
+    ):
+        for fid in cground.idb_fact_ids():
+            value[fid] = one
+        return value, rounds, True, 0
     rule_term = None if semiring.idempotent_add else [semiring.zero] * len(cground)
     iterations, converged, rule_evaluations = _run_fixpoint(
         cground, semiring, value, rule_term, None, max_iterations

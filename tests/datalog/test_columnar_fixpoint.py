@@ -20,6 +20,11 @@ Four layers are pinned here:
   (values, rounds, convergence, rule evaluations) and agrees with the
   oracle, builds no head lists, and keeps a stored value its new total
   only ``eq``s;
+* the read-off -- an all-``one`` ⊕-idempotent solve returns the
+  kernel's values, rounds and convergence off its grounding with no
+  rule evaluated, and a stored IDB fact keeps the kernel.  Tests of
+  the kernel's own accounting solve over a grounding with no round
+  count (:func:`tests.oracle.without_round_count`);
 * the **oracle-vs-fast matrix** -- every ``(engine, strategy)`` pair
   must agree with naive grounding plus the naive fixpoint on
   ``rule_keys()``, fixpoint values, iterations and convergence over
@@ -73,7 +78,7 @@ from repro.semirings import (
 from repro.semirings.numeric import BooleanSemiring
 from repro.workloads import complete_dag, random_digraph, random_weights
 from repro.workloads.labeled import random_bracket_graph
-from tests.oracle import NAIVE_ENGINE, ORACLE, PAIRS, assert_same_result, examples
+from tests.oracle import NAIVE_ENGINE, ORACLE, PAIRS, assert_same_result, examples, without_round_count
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -393,11 +398,15 @@ def test_columnar_strategy_agrees_dyck(seed, pairs):
 
 def test_columnar_strategy_generic_kernel_matches_compiled():
     """The exec-generated kernel and the bound-method fallback must be
-    indistinguishable (same loop, ⊗/⊕ inlined vs called)."""
+    indistinguishable (same loop, ⊗/⊕ inlined vs called).  The
+    grounding records no round count, so both run the kernel rather
+    than the read-off."""
     for seed in range(5):
         db = random_edge_db(seed, 6, 14)
-        compiled = FixpointEngine().evaluate(TC, db, BOOLEAN)
-        generic = FixpointEngine().evaluate(TC, db, UNCOMPILED_BOOLEAN)
+        ground = without_round_count(columnar_grounding(TC, db))
+        compiled = FixpointEngine().evaluate(TC, db, BOOLEAN, ground=ground)
+        generic = FixpointEngine().evaluate(TC, db, UNCOMPILED_BOOLEAN, ground=ground)
+        assert compiled.rule_evaluations > 0
         assert compiled.values == generic.values
         assert compiled.iterations == generic.iterations
         assert compiled.rule_evaluations == generic.rule_evaluations
@@ -407,9 +416,10 @@ def test_columnar_strategy_counts_rule_evaluations_like_seminaive():
     """Semi-naive accounting, re-derived from the naive oracle's
     per-round value maps: round 1 evaluates every ground rule, round
     ``t`` only the rules with an IDB body fact whose value moved in
-    round ``t - 1``."""
+    round ``t - 1``.  The grounding records no round count, so the
+    solve runs the kernel rather than the read-off."""
     db = random_edge_db(11, 7, 18)
-    ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
+    ground = without_round_count(relevant_grounding(TC, db, config=NAIVE_ENGINE))
     result = FixpointEngine().evaluate(TC, db, BOOLEAN, ground=ground)
     rounds = [{}] + [
         naive_evaluation(TC, db, BOOLEAN, ground=ground, config=ORACLE, max_iterations=t).values
@@ -470,31 +480,53 @@ def tc_tropical():
 #: IDB fact count, values digest)``, recorded before the fixpoint read
 #: the grounding's stored body rows and per-fact adjacency lists: a
 #: layout change must not move a round, a rule evaluation or a value.
+#: The three Boolean solves are read off their groundings, so they
+#: evaluate no rule; :data:`KERNEL_RULE_EVALUATIONS` pins the kernel.
 PINNED_FIXPOINTS = [
     ("tc-boolean", TC, lambda: (random_digraph(24, 72, seed=5), None), BOOLEAN, False,
-     (8, 3528, True, 576, "8747711600e8085b")),
+     (8, 0, True, 576, "8747711600e8085b")),
     ("tc-tropical", TC, tc_tropical, TROPICAL, False,
      (9, 4237, True, 576, "edae054298b15ef2")),
     ("dyck-boolean", DYCK,
      lambda: (Database.from_labeled_edges(random_bracket_graph(12, 48, seed=5)), None), BOOLEAN, False,
-     (4, 3409, True, 110, "9c52782a06b73ab2")),
+     (4, 0, True, 110, "9c52782a06b73ab2")),
     ("sg-boolean", same_generation(), lambda: (sg_forest(40, 5), None), BOOLEAN, False,
-     (3, 34, True, 27, "366c405564b8dd2e")),
+     (3, 0, True, 27, "366c405564b8dd2e")),
     ("tc-counting-strict", TC, lambda: (complete_dag(8), None), COUNTING, True,
      (8, 210, True, 28, "2c52c174504ee95b")),
 ]
 
+#: The kernel's rule evaluations on the read-off cases of
+#: :data:`PINNED_FIXPOINTS`, run over a grounding with no round count;
+#: the other cases run the kernel in the solve too.
+KERNEL_RULE_EVALUATIONS = {"tc-boolean": 3528, "dyck-boolean": 3409, "sg-boolean": 34}
+
+PINNED_IDS = [case[0] for case in PINNED_FIXPOINTS]
+
+
+def pinned_key(result):
+    return (result.iterations, result.rule_evaluations, result.converged, len(result.values),
+            values_digest(result.values))
+
 
 @pytest.mark.parametrize("program, inputs, semiring, strict, pinned",
-                         [case[1:] for case in PINNED_FIXPOINTS], ids=[case[0] for case in PINNED_FIXPOINTS])
+                         [case[1:] for case in PINNED_FIXPOINTS], ids=PINNED_IDS)
 def test_fixpoint_reproduces_the_pinned_accounting(program, inputs, semiring, strict, pinned):
     from repro.api import solve
 
     db, weights = inputs()
-    result = solve(program, db, semiring, weights=weights, strict=strict)
-    got = (result.iterations, result.rule_evaluations, result.converged, len(result.values),
-           values_digest(result.values))
-    assert got == pinned
+    assert pinned_key(solve(program, db, semiring, weights=weights, strict=strict)) == pinned
+
+
+@pytest.mark.parametrize("case", PINNED_FIXPOINTS, ids=PINNED_IDS)
+def test_kernel_reproduces_the_pinned_accounting(case):
+    """The same cases through the kernel: the pinned rounds, values and
+    convergence, and the kernel's own rule evaluations."""
+    name, program, inputs, semiring, _, (rounds, evaluations, *rest) = case
+    db, weights = inputs()
+    ground = without_round_count(columnar_grounding(program, db))
+    result = FixpointEngine().evaluate(program, db, semiring, weights=weights, ground=ground)
+    assert pinned_key(result) == (rounds, KERNEL_RULE_EVALUATIONS.get(name, evaluations), *rest)
 
 
 def test_ground_forms_interchange_across_strategies():
@@ -661,14 +693,15 @@ def test_the_sweep_covers_every_idempotent_semiring():
 def both_folds(program, db, semiring, weights=None, max_iterations=None):
     """One solve by each fold form over one grounding:
     ``(value by fact id, iterations, converged, rule_evaluations)``
-    from :func:`_columnar_fixpoint` (accumulating, ⊕ idempotent) and
-    from :func:`_run_fixpoint` given a ``rule_term`` list (refolding)."""
+    from :func:`_columnar_fixpoint` (accumulating, ⊕ idempotent; told
+    the database stores IDB facts, so it never reads off) and from
+    :func:`_run_fixpoint` given a ``rule_term`` list (refolding)."""
     cground = columnar_grounding(program, db)
     edb_value = db.valuation(semiring)
     edb_value.update(weights or {})
     if max_iterations is None:
         max_iterations = max(len(cground.idb_fact_ids()), 1) + 2
-    accumulated = _columnar_fixpoint(cground, semiring, edb_value, max_iterations)
+    accumulated = _columnar_fixpoint(cground, semiring, edb_value, max_iterations, True)
     assert cground._by_head is None  # the accumulating form reads no head lists
     value = [semiring.zero] * cground.fact_count
     for fid in cground.edb_fact_ids():
@@ -680,16 +713,23 @@ def both_folds(program, db, semiring, weights=None, max_iterations=None):
 
 def assert_folds_agree(program, db, semiring, weights=None, max_iterations=None):
     """The accumulating fold equals the refold exactly (values,
-    rounds, convergence, rule evaluations), and a default solve agrees
-    with the oracle.  Returns ``(solve result, oracle result)``."""
+    rounds, convergence, rule evaluations), a kernel solve agrees with
+    the oracle, and a default solve, which may read its answer off the
+    grounding, equals the kernel solve.  Returns ``(kernel solve
+    result, oracle result)``."""
     accumulated, refolded = both_folds(program, db, semiring, weights, max_iterations)
     assert accumulated == refolded, semiring.name
-    result = FixpointEngine().evaluate(program, db, semiring, weights=weights, max_iterations=max_iterations)
+    engine = FixpointEngine()
+    result = engine.evaluate(program, db, semiring, weights=weights, max_iterations=max_iterations,
+                             ground=without_round_count(columnar_grounding(program, db)))
     reference = FixpointEngine(config=ORACLE).evaluate(
         program, db, semiring, weights=weights, max_iterations=max_iterations
     )
     assert_same_result(result, reference, semiring)
     assert result.rule_evaluations == accumulated[3]
+    default = engine.evaluate(program, db, semiring, weights=weights, max_iterations=max_iterations)
+    assert (default.values, default.iterations, default.converged) == (
+        result.values, result.iterations, result.converged)
     return result, reference
 
 
@@ -755,6 +795,45 @@ def test_refold_form_builds_head_lists():
         cground = columnar_grounding(TC, db)
         FixpointEngine().evaluate(TC, db, semiring, ground=cground)
         assert (cground._by_head is not None) == built, semiring.name
+
+
+# -- the read-off ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("semiring", [BOOLEAN, TROPICAL], ids=lambda s: s.name)
+def test_an_all_one_solve_is_read_off_its_grounding(semiring):
+    """Every head is ``one`` after the grounder's rounds, no rule is
+    evaluated and no adjacency list is built; a kernel run agrees."""
+    db = random_edge_db(11, 7, 18)
+    cground = columnar_grounding(TC, db)
+    result = FixpointEngine().evaluate(TC, db, semiring, ground=cground)
+    assert result.rule_evaluations == 0
+    assert cground._by_body is None and cground._by_head is None
+    assert result.iterations == cground.iterations >= 3
+    assert result.converged
+    assert set(result.values) == cground.idb_facts
+    assert all(value is semiring.one for value in result.values.values())
+    kernel = FixpointEngine().evaluate(TC, db, semiring, ground=without_round_count(cground))
+    assert kernel.rule_evaluations > 0
+    assert (kernel.values, kernel.iterations, kernel.converged) == (
+        result.values, result.iterations, result.converged)
+
+
+def test_a_stored_idb_fact_keeps_the_kernel():
+    """``T(0,5)`` is stored and no rule derives it.  The grounder takes
+    it as present, so ``T(0,1)`` is derivable; both fixpoints read it as
+    0 (DESIGN.md §9), so ``T(0,1)`` is ``False``.  A read-off would say
+    ``True``: the stored fact makes the solve run the kernel."""
+    from repro.api import solve
+
+    db = Database()
+    db.add("E", 5, 1)
+    db.add("T", 0, 5)
+    fact = Fact("T", (0, 1))
+    assert fact in derivable_facts(TC, db)[0]
+    for config in PAIRS:
+        assert solve(TC, db, BOOLEAN, config=config).values[fact] is False, config
+    assert solve(TC, db, BOOLEAN).rule_evaluations > 0
 
 
 def test_magic_grounding_composes_with_columnar():

@@ -19,6 +19,12 @@ Each generated pair is checked against the oracle:
 * the default ``solve()`` and the oracle agree on BOOLEAN, TROPICAL
   and VITERBI, which accumulate each head's total, and on COUNTING,
   which re-folds it (values, rounds, convergence);
+* the read-off: a default ``solve()`` equals a kernel run under ``==``
+  (values, rounds, convergence), and evaluates no rule exactly when an
+  all-``one`` ⊕-idempotent solve can be read off its grounding -- with
+  and without stored IDB facts, on the empty database, under both
+  join engines, at round caps ``T − 1`` and ``T``, and with a weight
+  override that is not ``one`` or only ``==`` to it;
 * the generic (Theorem 3.1) and fringe (Theorem 6.2) circuits for
   every derived IDB fact agree with the fixpoint
   (:func:`repro.circuits.crosscheck_fixpoint`);
@@ -41,6 +47,7 @@ from repro.datalog import (
     Constant,
     Database,
     Fact,
+    FixpointEngine,
     MaintainedFixpoint,
     Program,
     Rule,
@@ -53,7 +60,7 @@ from repro.datalog import (
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL, VITERBI
 from repro.workloads import random_weights
 from tests.datalog.test_incremental import assert_witnesses_sound
-from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result, examples
+from tests.oracle import NAIVE_ENGINE, ORACLE, assert_same_result, examples, without_round_count
 
 IDBS = ("P", "Q", "R")
 EDB_ARITY = {"E": 2, "A": 1}
@@ -282,6 +289,70 @@ def test_generated_programs_agree_with_the_oracle(pair, seed, insert, writes):
                 elif fact is not None and weighs:
                     database.set_weight(fact, weight)
             assert_maintainer_agrees(fix, program, database)
+
+
+def assert_read_off_equals_the_kernel(program, db, semiring, config=None, weights=None, max_iterations=None):
+    """A default solve equals a kernel run over a grounding with no
+    round count, under ``==``, on values, rounds and convergence.  It
+    evaluates no rule exactly when the read-off applies: ⊕ idempotent,
+    every EDB value the grounding reads *is* ``one``, no stored IDB
+    fact, and the round cap at least the grounder's rounds."""
+    solved = solve(program, db, semiring, config=config, weights=weights, max_iterations=max_iterations)
+    ground = relevant_grounding(program, db, config=config)
+    rounds = ground.iterations
+    valuation = db.valuation(semiring)
+    valuation.update(weights or {})
+    read_off = (
+        semiring.idempotent_add
+        and not any(map(db.tuples, program.idb_predicates))
+        and all(valuation[fact] is semiring.one for fact in ground.decode_facts(ground.edb_fact_ids()))
+        and (max_iterations is None or max_iterations >= rounds)
+    )
+    kernel = FixpointEngine(config=config).evaluate(
+        program, db, semiring, weights=weights, max_iterations=max_iterations,
+        ground=without_round_count(ground),
+    )
+    assert (solved.values, solved.iterations, solved.converged) == (
+        kernel.values, kernel.iterations, kernel.converged)
+    assert solved.rule_evaluations == (0 if read_off else kernel.rule_evaluations)
+    return solved, rounds
+
+
+def _on_edge_cases(test):
+    """Each hand-written shape as an explicit example: most generated
+    programs derive nothing, every shape derives something."""
+    for pair, _ in EDGE_CASES:
+        test = example(pair=pair, seed=0)(test)
+    return test
+
+
+@given(pair=programs_with_databases(), seed=st.integers(0, 1000))
+@_on_edge_cases
+@settings(max_examples=examples(200), deadline=None)
+def test_read_off_equals_the_kernel(pair, seed):
+    """On the generated database, the same without its stored IDB
+    facts and the empty database; under either join engine; at the
+    default round cap, at the grounder's rounds ``T`` and at ``T − 1``
+    (the capped state); with one EDB weight overridden by a non-``one``
+    value and, over BOOLEAN, by ``1``, which ``==`` but is not
+    ``True``; over BOOLEAN and TROPICAL, which read off, and COUNTING,
+    which never does."""
+    program, seeded = pair
+    idbs = program.idb_predicates
+    unseeded = Database(fact for fact in seeded.facts() if fact.predicate not in idbs)
+    rng = random.Random(seed)
+    for db in (seeded, unseeded, Database()):
+        edb = [fact for fact in db.facts() if fact.predicate not in idbs]
+        for semiring, other in ((BOOLEAN, False), (TROPICAL, 2.0), (COUNTING, 2)):
+            for config in (None, NAIVE_ENGINE):
+                _, rounds = assert_read_off_equals_the_kernel(program, db, semiring, config)
+            if not edb:
+                assert rounds == 1
+            for cap in (rounds - 1, rounds):
+                assert_read_off_equals_the_kernel(program, db, semiring, max_iterations=cap)
+            overrides = [other, 1] if semiring is BOOLEAN else [other]
+            for weight in overrides if edb else ():
+                assert_read_off_equals_the_kernel(program, db, semiring, weights={rng.choice(edb): weight})
 
 
 def test_constructions_read_an_underived_stored_idb_fact_as_zero():

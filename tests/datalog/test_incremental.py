@@ -23,7 +23,11 @@ Four layers:
   sampled query rule sweeps all four (engine, strategy) pairs, the
   naive oracle included, and a second invariant checks that every
   witness is a live rule whose cached term equals its head's value
-  and that the witness graph is acyclic;
+  and that the witness graph is acyclic.  The recompute runs the
+  kernel (a fresh grounding with its round count cleared, as the
+  maintainer's is), and a default solve, which may read an all-one
+  Boolean answer off the grounding, must match its values, rounds and
+  convergence;
 * metamorphic insert-then-retract tests: applying a batch of inserts
   and then retracting it (in reverse or shuffled order) must restore
   the *exact* prior state -- values, iterations, rule evaluations,
@@ -38,8 +42,8 @@ Four layers:
   the witness region, improving reweights that repair nothing,
   tombstones compacted only when the grounding is read, cyclic
   programs whose capped (diverged) state must self-heal through the
-  full-kernel refresh path, the IDB-write guard, and listener
-  plumbing.
+  full-kernel refresh path, a maintained grounding that keeps no
+  stale round count, the IDB-write guard, and listener plumbing.
 """
 
 import hashlib
@@ -69,7 +73,7 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, COUNTING, FUZZY, TROPICAL
 from repro.workloads import random_bracket_graph, random_digraph, random_weights
-from tests.oracle import ORACLE, PAIRS, examples
+from tests.oracle import ORACLE, PAIRS, examples, without_round_count
 
 TC = transitive_closure()
 DYCK = dyck1()
@@ -127,6 +131,19 @@ def assert_witnesses_sound(fix):
 
 def result_key(result):
     return (result.values, result.iterations, result.converged, result.rule_evaluations)
+
+
+def kernel_recompute(program, database, semiring):
+    """A recompute from scratch that runs the kernel: a default solve
+    over a fresh grounding with its round count cleared, as the
+    maintainer's own grounding has it.  A default solve, which may
+    read its answer off the grounding instead, must give the same
+    values, rounds and convergence."""
+    ground = columnar_grounding(program, database)
+    default = COLUMNAR_ENGINE.evaluate(program, database, semiring, ground=ground)
+    kernel = COLUMNAR_ENGINE.evaluate(program, database, semiring, ground=without_round_count(ground))
+    assert result_key(default)[:3] == result_key(kernel)[:3]
+    return kernel
 
 
 def nonzero(semiring, values):
@@ -244,19 +261,19 @@ class StreamMachine(RuleBasedStateMachine):
     def matches_recompute(self):
         wdb = weighted_replay(self.live)
         for semiring in (TROPICAL, COUNTING):
-            fresh = COLUMNAR_ENGINE.evaluate(TC, wdb, semiring)
+            fresh = kernel_recompute(TC, wdb, semiring)
             assert self.wfix.values(semiring) == fresh.values
             assert result_key(self.wfix.result(semiring)) == result_key(fresh)
         pdb = plain_replay(self.live)
         for semiring in (BOOLEAN, COUNTING):
-            fresh = COLUMNAR_ENGINE.evaluate(TC, pdb, semiring)
+            fresh = kernel_recompute(TC, pdb, semiring)
             assert self.pfix.values(semiring) == fresh.values
             assert result_key(self.pfix.result(semiring)) == result_key(fresh)
         assert self.wfix.rule_keys() == columnar_grounding(TC, wdb).rule_keys()
         assert self.pfix.rule_keys() == columnar_grounding(TC, pdb).rule_keys()
         ddb = dyck_replay(self.dlive)
         for semiring in (TROPICAL, FUZZY):
-            fresh = COLUMNAR_ENGINE.evaluate(DYCK, ddb, semiring)
+            fresh = kernel_recompute(DYCK, ddb, semiring)
             assert self.dfix.values(semiring) == fresh.values
             assert result_key(self.dfix.result(semiring)) == result_key(fresh)
         assert self.dfix.rule_keys() == columnar_grounding(DYCK, ddb).rule_keys()
@@ -664,6 +681,33 @@ def test_stream_writes_leave_the_grounding_to_the_maintainer():
     assert ground is stream.fixpoint._cground and not stream.fixpoint._dead
     assert ground.rule_keys() == columnar_grounding(TC, session.database).rule_keys()
     assert session.solve(TROPICAL).values == stream.values(TROPICAL)
+
+
+def test_the_maintained_grounding_records_no_stale_round_count():
+    """Inserts that extend the chain ``E(0,1)…E(2,3)`` to ``E(7,8)``
+    raise the Boolean rounds from 4 to 9, and a retract drops them to
+    7; the maintainer keeps none, so ``derivable_facts`` rejects its
+    grounding, and a solve over it, public or not, runs the kernel and
+    counts the true rounds."""
+    from repro.datalog import derivable_facts
+
+    session = Session(TC, Database.from_edges([(0, 1), (1, 2), (2, 3)]))
+    assert session.solve().iterations == 4
+    stream = session.stream()
+    fix = stream.fixpoint
+    for node in range(3, 8):
+        stream.insert("E", node, node + 1)
+    for retract, rounds in ((None, 9), ((6, 7), 7)):
+        if retract:
+            stream.retract("E", *retract)
+        database = session.database
+        assert columnar_grounding(TC, database).iterations == rounds
+        assert fix.cground.iterations is None
+        with pytest.raises(ValueError, match="round count"):
+            derivable_facts(TC, database, ground=fix.cground)
+        for result in (session.solve(), fix.result(BOOLEAN)):
+            assert result.iterations == rounds and result.rule_evaluations > 0
+        assert session.solve().values == solve(TC, database).values
 
 
 def test_divergent_counting_self_heals():

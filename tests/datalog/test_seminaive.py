@@ -26,7 +26,7 @@ from repro.datalog import (
 )
 from repro.semirings import ARCTIC, BOOLEAN, COUNTING, SORP, TROPICAL, CappedCountingSemiring
 from repro.workloads import cycle_graph, dyck_concatenated_path, random_digraph, random_weights
-from tests.oracle import ORACLE
+from tests.oracle import ORACLE, without_round_count
 
 TC = transitive_closure()
 
@@ -112,10 +112,12 @@ def test_seminaive_dyck1_matches_naive():
 
 def test_seminaive_does_strictly_less_work_on_deep_graphs():
     database = random_digraph(24, 72, seed=24)
-    ground = relevant_grounding(TC, database)
+    # No round count: the semi-naive kernel runs instead of the read-off.
+    ground = without_round_count(relevant_grounding(TC, database))
     naive = naive_evaluation(TC, database, BOOLEAN, ground=ground, config=ORACLE)
     semi = naive_evaluation(TC, database, BOOLEAN, ground=ground)
     assert naive.iterations >= 3  # non-trivial depth, else the ratio is vacuous
+    assert 0 < semi.rule_evaluations
     assert semi.rule_evaluations * 2 <= naive.rule_evaluations
 
 

@@ -32,6 +32,14 @@ def assert_same_result(result, reference, semiring) -> None:
         assert semiring.eq(result.values[fact], value), fact
 
 
+def without_round_count(ground):
+    """*ground* with its recorded Boolean round count cleared, so a
+    columnar solve over it runs the fixpoint kernel instead of reading
+    an all-``one`` ⊕-idempotent answer off the grounding."""
+    ground.iterations = None
+    return ground
+
+
 def examples(count: int) -> int:
     """*count* Hypothesis examples, or the ``ci`` profile's count when
     that profile is loaded (``--hypothesis-profile ci``, registered in
