@@ -13,7 +13,11 @@ serving headlines into ``BENCH_serving.json``:
 * ``lane_fill`` -- the fraction of 64-wide bitset lane slots actually
   carrying queries; the acceptance bar requires > 0.5 at saturation
   (the whole point of coalescing), and ``tools/bench_check.py`` gates
-  it alongside throughput.
+  it alongside throughput;
+* ``lane_timer_flushes`` / ``lane_tick_flushes`` -- how many partial
+  lanes waited out the batcher's full window and how many flushed on
+  the next loop tick after a lone batch: a saturated burst should keep
+  the full window (telemetry, not gated).
 
 Every server answer is cross-checked against direct in-process
 ``evaluate_boolean_batch``/``evaluate`` calls on the same compiled
@@ -141,6 +145,7 @@ async def run_load(database, output, queries):
     total = WORKERS * QUERIES_PER_WORKER
     latencies.sort()
     lanes = stats["boolean_lanes"]
+    circuit_lanes = stats["per_circuit"][key]["boolean_lanes"]
     metrics = {
         "requests": total,
         "workers": WORKERS,
@@ -150,6 +155,8 @@ async def run_load(database, output, queries):
         "p99_ms": 1e3 * latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))],
         "lane_fill": lanes["fill_ratio"],
         "lane_batches": lanes["batches"],
+        "lane_timer_flushes": circuit_lanes["timer_flushes"],
+        "lane_tick_flushes": circuit_lanes["tick_flushes"],
         "lane_width": lanes["lane_width"],
         "cache": stats["cache"],
     }
@@ -193,7 +200,9 @@ def test_serving_boolean_throughput(benchmark):
         f"throughput {metrics['requests_per_sec']:>10.0f} req/s\n"
         f"p50        {metrics['p50_ms']:>10.2f} ms\n"
         f"p99        {metrics['p99_ms']:>10.2f} ms\n"
-        f"lane fill  {metrics['lane_fill']:>10.1%} over {metrics['lane_batches']} batches"
+        f"lane fill  {metrics['lane_fill']:>10.1%} over {metrics['lane_batches']} batches\n"
+        f"flushes    {metrics['lane_timer_flushes']:>10d} timer, "
+        f"{metrics['lane_tick_flushes']} tick"
     )
 
     # The acceptance bar: coalescing must actually fill lanes at

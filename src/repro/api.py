@@ -115,9 +115,10 @@ class Session:
     * :meth:`solve` -- the fixpoint over any semiring, reusing the
       cached grounding.
 
-    The session never mutates its database; callers who mutate it
-    should start a new session (fingerprints make staleness
-    detectable -- the serving layer keys its cache on them).
+    The session never mutates its database.  An insert or retract
+    written to the database afterwards drops the cached grounding,
+    fingerprint and circuit choices (the database counts its
+    structural writes), so later calls answer for the new database.
 
     ``strict=True`` runs the full static analyzer
     (:func:`repro.datalog.analysis.analyze_program`) at construction
@@ -148,13 +149,27 @@ class Session:
         self._plan: Optional[Program] = None
         self._choices: Dict[Fact, ConstructionChoice] = {}
         self._fingerprint: Optional[Tuple[str, str, str]] = None
+        self._writes = database.structural_writes
         self._stream: Optional["StreamSession"] = None
+
+    def _drop_caches(self) -> None:
+        self._fingerprint = None
+        self._choices.clear()
+        self._ground = None
+
+    def _check_writes(self) -> None:
+        """Drop the caches filled before a structural database write."""
+        writes = self.database.structural_writes
+        if writes != self._writes:
+            self._writes = writes
+            self._drop_caches()
 
     # -- identity ------------------------------------------------------
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
         """``(program, database, construction)`` content identity."""
+        self._check_writes()
         if self._fingerprint is None:
             self._fingerprint = (
                 program_fingerprint(self.program),
@@ -200,6 +215,7 @@ class Session:
     def _cached_ground(self) -> Optional[ColumnarGroundProgram]:
         """The live stream maintainer's ground program while one is
         attached, else the grounding cached here (if any)."""
+        self._check_writes()
         stream = self._stream
         if stream is not None and stream.fixpoint is not None:
             return stream.fixpoint.cground
@@ -237,6 +253,7 @@ class Session:
         :func:`~repro.constructions.auto.provenance_circuit`;
         ``generic``/``fringe`` pin Theorem 3.1 / Theorem 6.2.
         """
+        self._check_writes()
         choice = self._choices.get(fact)
         if choice is None:
             construction = self.config.resolved_construction
@@ -432,16 +449,10 @@ class StreamSession:
         self.last_degrade_reason = f"{type(exc).__name__}: {exc}"
         database = self.session.database
         database._invalidate()
-        self._invalidate_session()
+        self.session._drop_caches()
         for served in tuple(self._served):
             served.rebuilds += 1
             served._build()
-
-    def _invalidate_session(self) -> None:
-        session = self.session
-        session._fingerprint = None
-        session._choices.clear()
-        session._ground = None
 
     def _recover_then(self, kind: str, apply, fact: Fact, weight: object):
         """The degraded write path: try one clean re-attach, then run
@@ -476,7 +487,7 @@ class StreamSession:
     def _after_degraded_write(self, kind: str, fact: Fact, weight: object) -> None:
         """Keep session artifacts + served circuits consistent for a
         write that bypassed (or killed) the maintainer."""
-        self._invalidate_session()
+        self.session._drop_caches()
         for served in tuple(self._served):
             served._apply(kind, fact, weight)
 
@@ -579,7 +590,7 @@ class StreamSession:
     def _on_delta(self, kind: str, fact: Fact, weight: object) -> None:
         # Session.ground() reads the maintainer's live grounding, so
         # nothing is copied here.
-        self._invalidate_session()
+        self.session._drop_caches()
         for served in tuple(self._served):
             served._apply(kind, fact, weight)
 

@@ -72,6 +72,10 @@ class Database:
         # non-empty, single-fact mutations patch the caches in place
         # and notify each maintainer instead of wholesale invalidation.
         self._maintainers: list = []
+        #: Bumped by every structural write (an insert or a retract):
+        #: a consumer that caches what the facts ground to compares it
+        #: with the count it saw when it filled the cache.
+        self.structural_writes = 0
         for fact in facts:
             self.add_fact(fact)
         if weights:
@@ -133,6 +137,7 @@ class Database:
         cached per-semiring valuations and the columnar store are
         updated in place so unrelated state survives the mutation.
         """
+        self.structural_writes += 1
         self._facts_cache = None
         if fact is None or not self._maintainers:
             self._domain_cache = None

@@ -96,6 +96,10 @@ def _naive_fixpoint(
 ) -> Tuple[Dict[Fact, object], int, bool, int]:
     """The literal Section 2.3 loop: re-evaluate everything each round.
 
+    A fact whose fresh total ``eq``s its stored value keeps the stored
+    value, as the columnar kernel does, so under a tolerance ``eq`` both
+    strategies answer the same values under ``==``.
+
     Returns ``(values, iterations, converged, rule_evaluations)``; the
     reference the columnar strategy is tested against.
     """
@@ -121,11 +125,16 @@ def _naive_fixpoint(
             fresh[rule.head] = semiring.add(fresh[rule.head], term)
             rule_evaluations += 1
         iterations += 1
-        if all(semiring.eq(fresh[fact], values[fact]) for fact in idb_facts):
-            converged = True
-            values = fresh
-            break
+        changed = False
+        for fact in idb_facts:
+            if semiring.eq(fresh[fact], values[fact]):
+                fresh[fact] = values[fact]
+            else:
+                changed = True
         values = fresh
+        if not changed:
+            converged = True
+            break
     return values, iterations, converged, rule_evaluations
 
 

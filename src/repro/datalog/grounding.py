@@ -1118,6 +1118,12 @@ def derivable_facts(
     count); the naive engine is the historical loop re-joining every
     rule each round.
 
+    Like the grounder, it treats an IDB fact stored in *database* as
+    present, so facts derived through it are listed.  ``solve()``
+    gives a stored IDB fact no rule derives the value 0 (DESIGN.md §9):
+    on ``E(5,1), T(0,5)`` under transitive closure this lists
+    ``T(0,1)``, which a BOOLEAN ``solve()`` calls ``False``.
+
     A precomputed :func:`relevant_grounding` already carries both
     answers; pass it as *ground* to skip the closure entirely.  A
     grounding with no recorded round count (a :func:`full_grounding`)

@@ -6,11 +6,15 @@ single ``|``/``&`` pass -- but only if someone hands it 64 assignments
 at once.  A serving workload arrives as independent point queries, so
 the :class:`LaneBatcher` sits between the two: concurrent ``submit``
 calls park on futures while their payloads accumulate, and the batch
-is flushed through the (synchronous) kernel either when a full lane is
-assembled or when the oldest queued item has waited :data:`MAX_DELAY`
-seconds.  The same queue fronts ``evaluate_batch`` for numeric
-semirings, where batching amortizes the kernel lookup and bind loop
-rather than bit-level parallelism.
+is flushed through the (synchronous) kernel when a full lane is
+assembled or when the batch's window closes.  The window adapts, as in
+Clipper's adaptive batching (Crankshaw et al., NSDI 2017): it stays
+open :data:`MAX_DELAY` seconds only while the previous batch caught
+company.  After a lone flush, the next batch closes on the next loop
+tick, taking whatever arrived in the same pass; a tick that catches a
+second item restores the full window.  The same queue fronts
+``evaluate_batch`` for numeric semirings, where batching amortizes the
+kernel lookup and bind loop rather than bit-level parallelism.
 
 The flush callable runs on the event loop thread: circuit kernels are
 pure compute with no awaits, and a 64-wide Boolean pass is far cheaper
@@ -28,9 +32,11 @@ from ..circuits.runtime import WORD_SIZE
 __all__ = ["BatcherClosed", "BatcherStats", "LaneBatcher"]
 
 #: The micro-batching window, in seconds: how long the first item of
-#: a batch waits for company.  Flushing on the next loop tick instead
-#: left ``bench_serving``'s smoke lanes 43% full (44 batches) against
-#: 63% (30 batches) with this timer.
+#: a batch waits for company while the previous batch had some.  A
+#: batcher that always flushed on the next loop tick left
+#: ``bench_serving``'s smoke lanes 43% full (44 batches) against 63%
+#: (30 batches) with this window; the adaptive window falls back to
+#: the next tick only after a lone flush, so a saturated burst keeps it.
 MAX_DELAY = 0.002
 
 
@@ -47,13 +53,14 @@ class BatcherStats:
     point evaluation.
     """
 
-    __slots__ = ("batches", "items", "full_flushes", "timer_flushes", "errors")
+    __slots__ = ("batches", "items", "full_flushes", "timer_flushes", "tick_flushes", "errors")
 
     def __init__(self):
         self.batches = 0
         self.items = 0
         self.full_flushes = 0
         self.timer_flushes = 0
+        self.tick_flushes = 0
         self.errors = 0
 
     @property
@@ -69,6 +76,8 @@ class BatcherStats:
             self.full_flushes += 1
         elif trigger == "timer":
             self.timer_flushes += 1
+        elif trigger == "tick":
+            self.tick_flushes += 1
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -77,6 +86,7 @@ class BatcherStats:
             "items": self.items,
             "full_flushes": self.full_flushes,
             "timer_flushes": self.timer_flushes,
+            "tick_flushes": self.tick_flushes,
             "errors": self.errors,
             "fill_ratio": round(self.fill_ratio, 4),
         }
@@ -91,17 +101,24 @@ class LaneBatcher:
 
     * **lane-full** -- the moment ``WORD_SIZE`` items are queued, the
       batch runs immediately (no timer wait);
-    * **timer** -- otherwise a flush fires :data:`MAX_DELAY` seconds after
-      the first item of the batch arrived, so a lone query never waits
-      longer than the micro-batching window.
+    * **timer** -- otherwise, if the last flushed batch held more than
+      one item, a flush fires :data:`MAX_DELAY` seconds after the first
+      item of the batch arrived, so a lone query never waits longer
+      than the micro-batching window;
+    * **tick** -- if the last flushed batch held one item, the timer is
+      armed at zero instead: the batch flushes on the next loop
+      iteration with whatever arrived in the same pass.
+
+    A fresh batcher starts as if its last batch had company, so its
+    first item waits out the full window.
 
     A flush exception is fanned out to every future in that batch;
     later batches are unaffected.
 
-    Lifecycle: every flush path -- lane-full, timer, :meth:`flush_now`
-    and :meth:`close` -- cancels the armed timer before running, so a
-    batch is never flushed twice and no stale ``call_later`` handle
-    outlives its batch.  :meth:`close` additionally *fails* whatever
+    Lifecycle: every flush path -- lane-full, timer, tick,
+    :meth:`flush_now` and :meth:`close` -- cancels the armed timer,
+    zero-delay or not, before running, so a batch is never flushed
+    twice and no stale ``call_later`` handle outlives its batch.  :meth:`close` additionally *fails* whatever
     is still parked with :class:`BatcherClosed` instead of leaving the
     futures pending forever: the server's graceful shutdown drains
     what it can first, then closes.
@@ -111,6 +128,8 @@ class LaneBatcher:
         self._flush_fn = flush
         self._pending: List[tuple] = []
         self._timer: Optional[asyncio.TimerHandle] = None
+        # Whether the last flushed batch held more than one item.
+        self._company = True
         self._closed = False
         self.stats = BatcherStats()
 
@@ -123,7 +142,8 @@ class LaneBatcher:
         if len(self._pending) >= WORD_SIZE:
             self._flush("full")
         elif self._timer is None:
-            self._timer = loop.call_later(MAX_DELAY, self._flush, "timer")
+            delay, trigger = (MAX_DELAY, "timer") if self._company else (0, "tick")
+            self._timer = loop.call_later(delay, self._flush, trigger)
         return await future
 
     def flush_now(self) -> None:
@@ -151,7 +171,7 @@ class LaneBatcher:
 
     @property
     def timer_armed(self) -> bool:
-        """True iff a ``call_later`` flush timer is currently live."""
+        """True iff a ``call_later`` flush timer (timer or tick) is live."""
         return self._timer is not None
 
     def _cancel_timer(self) -> None:
@@ -164,6 +184,7 @@ class LaneBatcher:
         pending, self._pending = self._pending, []
         if not pending:
             return
+        self._company = len(pending) > 1
         self.stats.record(len(pending), trigger)
         try:
             results = self._flush_fn([item for item, _ in pending])

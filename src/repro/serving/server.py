@@ -304,8 +304,10 @@ class CircuitServer:
     present is a cache hit (the expensive ground/construct/compile
     pipeline is skipped), and the least-recently-used entry is evicted
     past the bound.  Every entry's Boolean and numeric batchers share
-    one micro-batching policy: ``WORD_SIZE``-wide lanes and a
-    :data:`~repro.serving.batcher.MAX_DELAY` window.
+    one micro-batching policy: ``WORD_SIZE``-wide lanes and an adaptive
+    window, :data:`~repro.serving.batcher.MAX_DELAY` while the last
+    batch caught company and the next loop tick after a lone flush
+    (:class:`~repro.serving.batcher.LaneBatcher`).
 
     ``resilience`` carries the failure-model knobs (defaults on -- see
     :class:`~repro.serving.resilience.ResilienceConfig`);

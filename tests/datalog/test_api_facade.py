@@ -196,6 +196,31 @@ def test_session_caches_grounding_and_circuits(diamond):
     assert session.compiled(fact) is session.compiled(fact)
 
 
+@pytest.mark.parametrize("write", ["insert", "retract"])
+def test_session_answers_for_its_database_after_a_direct_write(write):
+    """With no stream attached, an insert or retract written straight
+    to the database drops the session's grounding, fingerprint and
+    circuit choices: it once kept them, so a solve after the insert
+    still gave 3 facts and one after the retract raised ``KeyError``."""
+    program = transitive_closure()
+    db = Database.from_edges([(0, 1), (1, 2)])
+    session = api.Session(program, db)
+    fact = Fact("T", (1, 2))
+    assert len(session.solve().values) == 3
+    fingerprint, choice = session.fingerprint, session.circuit(fact)
+    if write == "insert":
+        db.add("E", 2, 3)
+    else:
+        db.retract("E", 0, 1)
+    for semiring in (BOOLEAN, TROPICAL):
+        got, fresh = session.solve(semiring), api.solve(program, db, semiring)
+        assert (got.values, got.iterations, got.converged) == (
+            fresh.values, fresh.iterations, fresh.converged), semiring.name
+    assert session.ground() is session.ground()
+    assert session.fingerprint == api.Session(program, db).fingerprint != fingerprint
+    assert session.circuit(fact) is not choice
+
+
 def test_session_construction_pinning(diamond):
     program, db = diamond
     fact = Fact("T", (0, 4))

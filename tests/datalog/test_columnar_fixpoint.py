@@ -777,15 +777,18 @@ def test_accumulating_fold_keeps_a_stored_value_its_new_total_only_eqs():
     """``T(0,2)`` is 0.5 by its edge in round 1; in round 2 the path
     through 1 raises its total by 1e-13, which VITERBI's ``eq`` calls
     equal.  The stored value stays 0.5, as the refold keeps it, and the
-    solve converges; the oracle, which stores every round's totals,
-    ends ``eq`` but not ``==``.  A kernel that writes the running total
-    into ``value`` ends at the raised total instead."""
+    solve converges; the oracle keeps a stored value its fresh total
+    only ``eq``s too, so every strategy ends at 0.5 under ``==``.  A
+    kernel that writes the running total into ``value`` ends at the
+    raised total instead."""
     db = Database.from_edges([(0, 1), (1, 2), (0, 2)])
     weights = {Fact("E", (0, 1)): 1.0, Fact("E", (1, 2)): 0.5 + 1e-13, Fact("E", (0, 2)): 0.5}
     result, reference = assert_folds_agree(TC, db, VITERBI, weights)
     fact = Fact("T", (0, 2))
-    assert result.values[fact] == 0.5
-    assert reference.values[fact] == 0.5 + 1e-13
+    assert result.values[fact] == reference.values[fact] == 0.5
+    for config in PAIRS:
+        solved = FixpointEngine(config=config).evaluate(TC, db, VITERBI, weights=weights)
+        assert solved.values == result.values, config
     assert result.converged and result.iterations == 2
 
 

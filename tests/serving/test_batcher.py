@@ -183,3 +183,193 @@ def test_close_propagates_custom_exception(slow_timer):
             await parked
 
     run(scenario())
+
+
+# -- the adaptive window ---------------------------------------------------
+#
+# These tests run on a loop whose clock moves only when a test moves it,
+# so the 60 s window closes exactly when a test says so and never on the
+# wall clock.  A test must not await a parked future without first
+# moving the clock past its window: the loop would then sleep for real.
+
+
+class FakeClockLoop(asyncio.SelectorEventLoop):
+    def __init__(self):
+        super().__init__()
+        self.now = 0.0
+
+    def time(self):
+        return self.now
+
+
+def run_on_fake_clock(scenario):
+    loop = FakeClockLoop()
+    try:
+        return loop.run_until_complete(scenario(loop))
+    finally:
+        loop.close()
+
+
+async def spin(turns=4):
+    """Give the loop a few iterations, with the clock standing still."""
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+class RecordingFlush:
+    """An echo flush that keeps every batch it was handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def __call__(self, items):
+        self.batches.append(list(items))
+        return echo_flush(items)
+
+
+async def after_a_lone_flush(flush=echo_flush):
+    """A batcher whose last batch held one item."""
+    batcher = LaneBatcher(flush)
+    first = asyncio.ensure_future(batcher.submit("first"))
+    await spin()
+    batcher.flush_now()
+    assert await first == ("seen", "first")
+    return batcher
+
+
+def test_a_fresh_batcher_parks_its_first_lone_item(slow_timer):
+    async def scenario(loop):
+        batcher = LaneBatcher(echo_flush)
+        parked = asyncio.ensure_future(batcher.submit("q"))
+        await spin(8)
+        assert not parked.done()
+        assert batcher.pending == 1 and batcher.timer_armed
+        loop.now += 60.0
+        assert await parked == ("seen", "q")
+        assert batcher.stats.timer_flushes == 1
+        assert batcher.stats.tick_flushes == 0
+
+    run_on_fake_clock(scenario)
+
+
+def test_after_a_lone_flush_the_next_lone_item_flushes_on_the_next_tick(slow_timer):
+    async def scenario(loop):
+        batcher = await after_a_lone_flush()
+        follower = asyncio.ensure_future(batcher.submit("next"))
+        await spin()
+        assert follower.done()  # the clock never moved
+        assert follower.result() == ("seen", "next")
+        assert not batcher.timer_armed
+        assert batcher.stats.tick_flushes == 1
+        assert batcher.stats.timer_flushes == 0
+        # Still alone, so the one after that does not wait either.
+        again = asyncio.ensure_future(batcher.submit("again"))
+        await spin()
+        assert again.done() and batcher.stats.tick_flushes == 2
+
+    run_on_fake_clock(scenario)
+
+
+def test_items_submitted_in_the_same_tick_share_its_batch(slow_timer):
+    async def scenario(loop):
+        flush = RecordingFlush()
+        batcher = await after_a_lone_flush(flush)
+        together = [asyncio.ensure_future(batcher.submit(i)) for i in range(3)]
+        await spin()
+        assert all(task.done() for task in together)
+        assert [task.result() for task in together] == [("seen", i) for i in range(3)]
+        assert flush.batches == [["first"], [0, 1, 2]]
+        assert batcher.stats.tick_flushes == 1
+
+    run_on_fake_clock(scenario)
+
+
+def test_a_window_that_catches_company_restores_the_full_wait(slow_timer):
+    """Burst, idle, burst: the first burst fills one 60 s window; the
+    idle stretch falls back to next-tick flushes after one lone
+    window; the second burst, caught by a tick, brings the window back."""
+
+    async def scenario(loop):
+        flush = RecordingFlush()
+        batcher = LaneBatcher(flush)
+        burst = [asyncio.ensure_future(batcher.submit(i)) for i in range(5)]
+        await spin()
+        assert batcher.pending == 5
+        loop.now += 60.0
+        await asyncio.gather(*burst)
+        # Idle: the lone item after a burst still waits out the window ...
+        lone = asyncio.ensure_future(batcher.submit("idle-1"))
+        await spin(8)
+        assert not lone.done()
+        loop.now += 60.0
+        await lone
+        # ... and the next lone item does not.
+        lone = asyncio.ensure_future(batcher.submit("idle-2"))
+        await spin()
+        assert lone.done()
+        # The second burst lands in one tick, which catches company.
+        burst = [asyncio.ensure_future(batcher.submit(i)) for i in range(5, 7)]
+        await spin()
+        assert all(task.done() for task in burst)
+        lone = asyncio.ensure_future(batcher.submit("idle-3"))
+        await spin(8)
+        assert not lone.done() and batcher.timer_armed
+        loop.now += 60.0
+        await lone
+        assert flush.batches == [
+            [0, 1, 2, 3, 4], ["idle-1"], ["idle-2"], [5, 6], ["idle-3"]
+        ]
+        stats = batcher.stats
+        assert (stats.timer_flushes, stats.tick_flushes) == (3, 2)
+
+    run_on_fake_clock(scenario)
+
+
+@pytest.mark.parametrize("stop", ["flush_now", "close"])
+def test_a_zero_delay_timer_is_cancelled_by_flush_now_and_close(slow_timer, stop):
+    from repro.serving import BatcherClosed
+
+    async def scenario(loop):
+        flush = RecordingFlush()
+        batcher = await after_a_lone_flush(flush)
+        parked = asyncio.ensure_future(batcher.submit("q"))
+        await asyncio.sleep(0)  # submit runs; its zero-delay timer is armed, not yet run
+        assert batcher.pending == 1 and batcher.timer_armed
+        getattr(batcher, stop)()
+        assert not batcher.timer_armed
+        await spin(8)
+        if stop == "flush_now":
+            assert parked.result() == ("seen", "q")
+            assert flush.batches == [["first"], ["q"]]
+        else:
+            with pytest.raises(BatcherClosed):
+                parked.result()
+            assert flush.batches == [["first"]]
+        assert batcher.stats.tick_flushes == 0
+        assert batcher.stats.batches == len(flush.batches)
+
+    run_on_fake_clock(scenario)
+
+
+def test_flush_triggers_add_up_to_batches(slow_timer):
+    async def scenario(loop):
+        batcher = LaneBatcher(echo_flush)
+        count = WORD_SIZE + 1
+        # A full lane and one straggler, which waits out the window ...
+        tasks = [asyncio.ensure_future(batcher.submit(i)) for i in range(count)]
+        await spin()
+        loop.now += 60.0
+        await asyncio.gather(*tasks)
+        # ... then lone items, which flush on the next tick.
+        for item in range(3):
+            task = asyncio.ensure_future(batcher.submit(item))
+            await spin()
+            assert task.done()
+        stats = batcher.stats
+        assert (stats.full_flushes, stats.timer_flushes, stats.tick_flushes) == (1, 1, 3)
+        assert stats.full_flushes + stats.timer_flushes + stats.tick_flushes == stats.batches
+        snapshot = stats.snapshot()
+        assert snapshot["tick_flushes"] == 3
+        assert snapshot["items"] == count + 3
+
+    run_on_fake_clock(scenario)
