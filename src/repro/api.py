@@ -42,6 +42,7 @@ from .datalog.analysis import (
     ProgramValidationError,
     analyze_program,
     prune_unreachable,
+    require_valid,
 )
 from .datalog.ast import DatalogError, Fact, Program
 from .datalog.database import Database, check_weight
@@ -116,9 +117,9 @@ class Session:
       cached grounding.
 
     The session never mutates its database.  An insert or retract
-    written to the database afterwards drops the cached grounding,
-    fingerprint and circuit choices (the database counts its
-    structural writes), so later calls answer for the new database.
+    written to the database afterwards drops the cached grounding and
+    circuit choices (the database counts its structural writes), so
+    later calls answer for the new database.
 
     ``strict=True`` runs the full static analyzer
     (:func:`repro.datalog.analysis.analyze_program`) at construction
@@ -148,12 +149,10 @@ class Session:
         self._ground: Optional[ColumnarGroundProgram] = None
         self._plan: Optional[Program] = None
         self._choices: Dict[Fact, ConstructionChoice] = {}
-        self._fingerprint: Optional[Tuple[str, str, str]] = None
         self._writes = database.structural_writes
         self._stream: Optional["StreamSession"] = None
 
     def _drop_caches(self) -> None:
-        self._fingerprint = None
         self._choices.clear()
         self._ground = None
 
@@ -168,15 +167,13 @@ class Session:
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
-        """``(program, database, construction)`` content identity."""
-        self._check_writes()
-        if self._fingerprint is None:
-            self._fingerprint = (
-                program_fingerprint(self.program),
-                database_fingerprint(self.database),
-                self.config.resolved_construction,
-            )
-        return self._fingerprint
+        """``(program, database, construction)`` content identity,
+        hashed on each access: weights move no structural-write count."""
+        return (
+            program_fingerprint(self.program),
+            database_fingerprint(self.database),
+            self.config.resolved_construction,
+        )
 
     # -- fixpoint evaluation -------------------------------------------
 
@@ -623,18 +620,24 @@ def solve(
     :class:`~repro.datalog.analysis.ProgramValidationError` on any
     error diagnostic -- including a predicted divergence (DL006), so a
     COUNTING fixpoint over cyclic data fails before a single round
-    runs instead of burning the iteration budget.
+    runs instead of burning the iteration budget.  The program is
+    grounded once (pruned first under ``config.prune``): DL006 judges
+    exactly the grounding the fixpoint then runs.
 
     For repeated queries against the same pair, build a
     :class:`Session` instead.
     """
+    engine = FixpointEngine(config=coerce_config(config).evolve(construction=None))
     if strict:
+        require_valid(program, database)
+        if ground is None:
+            plan = prune_unreachable(program) if engine.config.prune else program
+            ground = engine.ground(plan, database)
         report = analyze_program(
             program, database=database, semiring=semiring, ground=ground, config=config
         )
         if not report.ok:
             raise ProgramValidationError(report.errors())
-    engine = FixpointEngine(config=coerce_config(config).evolve(construction=None))
     return engine.evaluate(
         program,
         database,

@@ -464,45 +464,31 @@ def _first_cycle_fact(ground: ColumnarGroundProgram) -> Optional[Fact]:
 
     The graph has an edge ``body fact → head fact`` for every ground
     rule; only IDB facts can lie on a cycle (EDB facts have no
-    incoming edges).  Runs in id space via an iterative
-    white/gray/black DFS; only the witness is decoded.
+    incoming edges).  An iterative white/gray/black DFS over fact ids
+    walks the grounding's own ``by_body`` lists and ``rule_head``
+    column, keeps its colours in one ``bytearray`` (0 white, 1 on the
+    current path, 2 finished) and decodes only the witness.
     """
-    adjacency: Dict[object, List[object]] = {}
-    for head, row in zip(ground.rule_head, ground.idb_rows):
-        for fid in row:
-            adjacency.setdefault(fid, []).append(head)
-    witness = _dfs_cycle(adjacency)
-    return ground.decode_fact(witness) if witness is not None else None
-
-
-_WHITE, _GRAY, _BLACK = 0, 1, 2
-
-
-def _dfs_cycle(adjacency: Mapping[object, List[object]]) -> Optional[object]:
-    colour: Dict[object, int] = {}
-    for root in adjacency:
-        if colour.get(root, _WHITE) != _WHITE:
+    by_body, rule_head = ground.by_body(), ground.rule_head
+    colour = bytearray(len(by_body))
+    for root, readers in enumerate(by_body):
+        if colour[root] or not readers:
             continue
-        stack: List[Tuple[object, int]] = [(root, 0)]
-        colour[root] = _GRAY
+        colour[root] = 1
+        stack = [(root, iter(readers))]
         while stack:
-            node, child_at = stack.pop()
-            descended = False
-            children = adjacency.get(node, ())
-            for position in range(child_at, len(children)):
-                child = children[position]
-                state = colour.get(child, _WHITE)
-                if state == _GRAY:
-                    return child
-                if state == _WHITE and child in adjacency:
-                    stack.append((node, position + 1))
-                    colour[child] = _GRAY
-                    stack.append((child, 0))
-                    descended = True
+            node, positions = stack[-1]
+            for position in positions:
+                head = rule_head[position]
+                if colour[head] == 1:
+                    return ground.decode_fact(head)
+                if not colour[head]:
+                    colour[head] = 1
+                    stack.append((head, iter(by_body[head])))
                     break
-            if not descended:
-                colour[node] = _BLACK
-        # A node with no outgoing edges was never coloured; that is fine.
+            else:
+                colour[node] = 2
+                stack.pop()
     return None
 
 
@@ -513,14 +499,15 @@ def _unit_production_cycle(program: Program) -> bool:
     them (``T(X,Y) :- T(X,Y).`` being the one-step case) yields
     infinitely many derivation trees per fact without growing the CFG
     language, so it is the one shape a finite-language certificate
-    must separately exclude.
+    must separately exclude.  A cycle is an SCC of the unit graph with
+    more than one member, or one with a self-loop.
     """
     idbs = program.idb_predicates
-    adjacency: Dict[object, List[object]] = {}
+    units: Dict[str, set] = {predicate: set() for predicate in idbs}
     for rule in program.rules:
         if len(rule.body) == 1 and rule.body[0].predicate in idbs:
-            adjacency.setdefault(rule.head.predicate, []).append(rule.body[0].predicate)
-    return _dfs_cycle(adjacency) is not None
+            units[rule.head.predicate].add(rule.body[0].predicate)
+    return any(len(scc) > 1 or scc[0] in units[scc[0]] for scc in tarjan_sccs(units))
 
 
 def _chain_boundedness_verdict(
@@ -798,7 +785,9 @@ def validation_diagnostics(
     return out
 
 
-def _reachability_diagnostics(program: Program, report: DependencyReport) -> List[Diagnostic]:
+def _reachability_diagnostics(
+    program: Program, report: DependencyReport, dead: Sequence[Rule]
+) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     unreachable_idbs = sorted(program.idb_predicates - report.reachable)
     for predicate in unreachable_idbs:
@@ -811,7 +800,7 @@ def _reachability_diagnostics(program: Program, report: DependencyReport) -> Lis
                 predicate=predicate,
             )
         )
-    for rule in dead_rules(program):
+    for rule in dead:
         out.append(
             Diagnostic(
                 "DL007",
@@ -929,7 +918,8 @@ def analyze_program(
     """
     diagnostics = validation_diagnostics(program, database)
     report = dependency_report(program)
-    diagnostics.extend(_reachability_diagnostics(program, report))
+    dead = tuple(rule for rule in program.rules if rule.head.predicate not in report.reachable)
+    diagnostics.extend(_reachability_diagnostics(program, report, dead))
     diagnostics.append(_dependency_diagnostic(report))
     prediction: Optional[DivergencePrediction] = None
     if semiring is not None:
@@ -951,7 +941,7 @@ def analyze_program(
         diagnostics=tuple(d for _, d in ordered),
         dependencies=report,
         divergence=prediction,
-        pruned_rule_count=len(program.rules) - len(prune_unreachable(program).rules),
+        pruned_rule_count=len(dead),
     )
 
 

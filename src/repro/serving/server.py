@@ -857,7 +857,7 @@ class CircuitServer:
             database.retract_fact(fact)
         for fact, weight in weights.items():
             database.set_weight(fact, weight)
-        # The old session's fingerprint and construction caches, and the
+        # The old session's grounding and construction caches, and the
         # per-semiring state, all describe the pre-delta database.
         entry.session = Session(entry.session.program, database, entry.session.config)
         entry.base_valuations.clear()

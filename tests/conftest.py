@@ -8,11 +8,12 @@ from hypothesis import settings
 from repro.datalog import Database, Fact, scoped_symbols, transitive_closure
 
 #: ``--hypothesis-profile ci``: the CI job runs the generated-program,
-#: grounding-engine, columnar-fixpoint and maintainer stream-machine
-#: properties at this many examples each (``tests.oracle.examples``),
-#: since every new program shape is new generated join code and new
-#: ground rows for the fixpoint kernel to read, and every stream is a
-#: new run of seeds and repairs through that kernel.
+#: grounding-engine, columnar-fixpoint, maintainer stream-machine and
+#: analyzer properties at this many examples each
+#: (``tests.oracle.examples``), since every new program shape is new
+#: generated join code and new ground rows for the fixpoint kernel and
+#: the DL006 cycle search to read, and every stream is a new run of
+#: seeds and repairs through that kernel.
 settings.register_profile("ci", max_examples=1000)
 
 

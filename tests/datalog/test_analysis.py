@@ -24,6 +24,7 @@ from repro.datalog import (
     Program,
     ProgramValidationError,
     analyze_program,
+    count_join_probes,
     dead_rules,
     dependency_report,
     naive_evaluation,
@@ -39,6 +40,7 @@ from repro.datalog import (
 )
 from repro.datalog.analysis import CONVERGES, DIVERGES, UNKNOWN
 from repro.semirings import BOOLEAN, COUNTING, COUNTING_CAP, TROPICAL
+from tests.oracle import examples
 
 TC = transitive_closure()
 STRATEGIES = ("naive", "columnar")
@@ -60,6 +62,16 @@ UNPRODUCTIVE_CHAIN = """
 T(X, Y) :- E(X, Y).
 T(X, Y) :- A(X, Z), S(Z, Y).
 S(X, Y) :- B(X, Z), S(Z, Y).
+"""
+
+
+#: Transitive closure plus a dead ``U`` that diverges over COUNTING on
+#: a cyclic ``F``: only the unpruned grounding has a cycle.
+DEAD_CYCLIC_U = """
+T(X, Y) :- E(X, Y).
+T(X, Y) :- T(X, Z), E(Z, Y).
+U(X, Y) :- F(X, Y).
+U(X, Y) :- U(X, Z), F(Z, Y).
 """
 
 
@@ -378,6 +390,18 @@ def test_unit_production_cycle_diverges_despite_finite_cfg():
     assert not naive_evaluation(program, db, COUNTING).converged
 
 
+def test_two_predicate_unit_cycle_diverges_despite_finite_cfg():
+    # T -> S -> T is a unit cycle through two predicates: the chain
+    # layer must decline here too, not only on a T :- T self-loop.
+    program = parse_program(
+        "T(X, Y) :- E(X, Y).\nT(X, Y) :- S(X, Y).\nS(X, Y) :- T(X, Y).", target="T"
+    )
+    db = edge_db(("a", "b"))
+    prediction = predict_divergence(program, COUNTING, db)
+    assert prediction.verdict == DIVERGES
+    assert not naive_evaluation(program, db, COUNTING).converged
+
+
 def test_unproductive_chain_cycle_converges_without_grounding():
     program = parse_program(UNPRODUCTIVE_CHAIN, target="T")
     assert dependency_report(program).is_recursive()
@@ -427,7 +451,7 @@ def random_edge_db(seed: int, n: int, m: int) -> Database:
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_definite_verdicts_match_runtime_across_strategies(seed, n, m):
     db = random_edge_db(seed, n, m)
     prediction = predict_divergence(TC, COUNTING, db)
@@ -438,7 +462,7 @@ def test_definite_verdicts_match_runtime_across_strategies(seed, n, m):
 
 
 @given(seed=st.integers(0, 5000), n=st.integers(3, 6), m=st.integers(3, 10))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 def test_pruning_never_changes_target_values(seed, n, m):
     db = random_edge_db(seed, n, m)
     program = parse_program(DEAD_S, target="T")
@@ -484,6 +508,27 @@ def test_solve_strict_fails_before_the_fixpoint_on_predicted_divergence():
     assert not solve(TC, CYCLE_DB, COUNTING).converged
     # Strict on convergent data is a no-op gate.
     assert solve(TC, DAG_DB, COUNTING, strict=True).converged
+
+
+def test_strict_prune_solve_judges_the_pruned_grounding():
+    # The only ground cycle lives in the dead U rules: the pruned solve
+    # never grounds them, so it converges and DL006 must agree.
+    program = parse_program(DEAD_CYCLIC_U, target="T")
+    db = edge_db(("a", "b"), ("b", "c"))
+    db.add("F", 0, 1)
+    db.add("F", 1, 0)
+    prune = ExecutionConfig(prune=True)
+    assert solve(program, db, COUNTING, config=prune).converged
+    assert solve(program, db, COUNTING, config=prune, strict=True).converged
+    with pytest.raises(ProgramValidationError) as excinfo:
+        solve(program, db, COUNTING, strict=True)
+    assert any(d.code == "DL006" for d in excinfo.value.diagnostics)
+
+
+def test_strict_solve_grounds_once():
+    strict, _ = count_join_probes(lambda: solve(TC, DAG_DB, COUNTING, strict=True))
+    plain, _ = count_join_probes(lambda: solve(TC, DAG_DB, COUNTING))
+    assert strict == plain > 0
 
 
 def test_session_strict_raises_on_invalid_program():

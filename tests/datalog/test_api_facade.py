@@ -199,9 +199,10 @@ def test_session_caches_grounding_and_circuits(diamond):
 @pytest.mark.parametrize("write", ["insert", "retract"])
 def test_session_answers_for_its_database_after_a_direct_write(write):
     """With no stream attached, an insert or retract written straight
-    to the database drops the session's grounding, fingerprint and
-    circuit choices: it once kept them, so a solve after the insert
-    still gave 3 facts and one after the retract raised ``KeyError``."""
+    to the database drops the session's grounding and circuit choices
+    and moves its fingerprint: it once kept them, so a solve after the
+    insert still gave 3 facts and one after the retract raised
+    ``KeyError``."""
     program = transitive_closure()
     db = Database.from_edges([(0, 1), (1, 2)])
     session = api.Session(program, db)
@@ -219,6 +220,19 @@ def test_session_answers_for_its_database_after_a_direct_write(write):
     assert session.ground() is session.ground()
     assert session.fingerprint == api.Session(program, db).fingerprint != fingerprint
     assert session.circuit(fact) is not choice
+
+
+def test_session_fingerprint_follows_a_reweight():
+    """A reweight moves no structural-write count, yet the database
+    fingerprint hashes weights: the session once returned a cached
+    fingerprint after ``set_weight``, equal to the old one and unlike
+    a fresh session's."""
+    program = transitive_closure()
+    db = Database.from_edges([(0, 1), (1, 2)])
+    session = api.Session(program, db)
+    before = session.fingerprint
+    db.set_weight(Fact("E", (0, 1)), 7.0)
+    assert session.fingerprint == api.Session(program, db).fingerprint != before
 
 
 def test_session_construction_pinning(diamond):

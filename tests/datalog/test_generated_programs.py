@@ -27,6 +27,10 @@ Each generated pair is checked against the oracle:
   and without stored IDB facts, on the empty database, under both
   join engines, at round caps ``T − 1`` and ``T``, and with a weight
   override that is not ``one`` or only ``==`` to it;
+* DL006: a definite divergence verdict over COUNTING is the default
+  ``solve()``'s ``converged`` flag, any witness lies on a cycle of the
+  columnar grounding, and ``solve(strict=True)`` raises exactly when
+  the verdict is ``diverges``;
 * the generic (Theorem 3.1) and fringe (Theorem 6.2) circuits for
   every derived IDB fact agree with the fixpoint
   (:func:`repro.circuits.crosscheck_fixpoint`);
@@ -38,6 +42,7 @@ Each generated pair is checked against the oracle:
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,12 +58,15 @@ from repro.datalog import (
     MaintainedFixpoint,
     Program,
     Rule,
+    ProgramValidationError,
     SymbolTable,
     Variable,
     columnar_grounding,
     parse_program,
+    predict_divergence,
     relevant_grounding,
 )
+from repro.datalog.analysis import CONVERGES, DIVERGES
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL, VITERBI
 from repro.workloads import random_weights
 from tests.datalog.test_incremental import assert_witnesses_sound
@@ -365,6 +373,40 @@ def test_read_off_equals_the_kernel(pair, seed):
             overrides = [other, 1] if semiring is BOOLEAN else [other]
             for weight in overrides if edb else ():
                 assert_read_off_equals_the_kernel(program, db, semiring, weights={rng.choice(edb): weight})
+
+
+def assert_on_a_ground_cycle(ground, fact):
+    """*fact* reaches itself through ``by_body`` → ``rule_head``."""
+    fid = ground.decode_facts(range(ground.fact_count)).index(fact)
+    by_body, seen, frontier = ground.by_body(), set(), [fid]
+    while frontier:
+        for position in by_body[frontier.pop()]:
+            head = ground.rule_head[position]
+            if head == fid:
+                return
+            if head not in seen:
+                seen.add(head)
+                frontier.append(head)
+    raise AssertionError(f"{fact} lies on no ground cycle")
+
+
+@given(pair=programs_with_databases())
+@settings(max_examples=examples(200), deadline=None)
+def test_divergence_verdicts_match_the_runtime(pair):
+    program, db = pair
+    prediction = predict_divergence(program, COUNTING, db)
+    converged = solve(program, db, COUNTING).converged
+    if prediction.verdict == DIVERGES:
+        assert not converged
+    elif prediction.verdict == CONVERGES:
+        assert converged
+    if prediction.witness is not None:
+        assert_on_a_ground_cycle(columnar_grounding(program, db), prediction.witness)
+    if prediction.verdict == DIVERGES:
+        with pytest.raises(ProgramValidationError):
+            solve(program, db, COUNTING, strict=True)
+    else:
+        assert solve(program, db, COUNTING, strict=True).converged == converged
 
 
 def test_constructions_read_an_underived_stored_idb_fact_as_zero():
