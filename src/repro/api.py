@@ -43,6 +43,7 @@ from .datalog.analysis import (
     analyze_program,
     prune_unreachable,
     require_valid,
+    validation_diagnostics,
 )
 from .datalog.ast import DatalogError, Fact, Program
 from .datalog.database import Database, check_weight
@@ -190,10 +191,12 @@ class Session:
     def analyze(self, semiring: Optional[Semiring] = None) -> AnalysisReport:
         """The static analyzer's full report for this session's pair.
 
-        Passing a *semiring* arms divergence prediction (DL006), which
-        reuses the session's cached grounding when one exists.
+        Passing a *semiring* arms divergence prediction (DL006) over
+        :meth:`ground`, the grounding solves run (pruned under
+        ``config.prune``); a program with validation errors is never grounded.
         """
-        ground = self._cached_ground() if self.program is self.plan_program else None
+        valid = not any(d.severity == "error" for d in validation_diagnostics(self.program, self.database))
+        ground = self.ground() if semiring is not None and valid else None
         return analyze_program(
             self.program,
             database=self.database,

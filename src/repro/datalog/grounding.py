@@ -932,12 +932,13 @@ class _ColumnarProgramGrounder:
     """The fused semi-naive pass emitting a
     :class:`ColumnarGroundProgram` -- id space end to end.
 
-    The fast path behind :func:`columnar_grounding`, and the regrounder
-    :class:`~repro.datalog.incremental.MaintainedFixpoint` runs on
-    every insert.  Boolean fixpoint and ground-rule emission run in one
-    delta-driven sweep over a working *store*: round 0 joins every rule
-    in full, and round ``t ≥ 1`` re-joins only rules with a body atom
-    over a delta relation, seeding the join with that atom's
+    The fast path behind :func:`columnar_grounding`; a
+    :class:`~repro.datalog.incremental.MaintainedFixpoint` keeps the one
+    it was built with and reruns it on every insert.  Boolean fixpoint
+    and ground-rule emission run in one delta-driven sweep over the
+    grounder's own copy of the database's *store*: round 0 joins every
+    rule in full, and round ``t ≥ 1`` re-joins only rules with a body
+    atom over a delta relation, seeding the join with that atom's
     :class:`~repro.datalog.store.DeltaView` rows.  Only facts *new to
     the store* seed joins (a derived head already resident as an input
     fact seeds nothing), so a ground instance is discovered exactly in
@@ -957,11 +958,9 @@ class _ColumnarProgramGrounder:
     the :attr:`_SlotAtom.impossible` shortcut in.
     """
 
-    def __init__(
-        self, program: Program, store, cground: ColumnarGroundProgram, intern_bodies: bool = False
-    ):
-        self.store = store
-        self.cground = cground
+    def __init__(self, program: Program, database: Database, intern_bodies: bool = False):
+        self.store = store = database.columnar_store().copy()
+        self.cground = cground = ColumnarGroundProgram(program, store.symbols)
         symbols, idbs = store.symbols, program.idb_predicates
         slot_ofs = [
             {var: slot for slot, var in enumerate(sorted(rule.variables, key=lambda v: v.name))}
@@ -987,8 +986,11 @@ class _ColumnarProgramGrounder:
         self._kernels: Dict[Tuple[int, Optional[int], bool], Tuple] = {}
 
     def run(self) -> int:
-        """Round 0, then delta rounds to closure; the Boolean round count."""
-        return 1 + self.saturate(self.round(None))
+        """Round 0, then delta rounds to closure, its rules counted in
+        :data:`GROUNDING_STATS`; the Boolean round count."""
+        rounds = 1 + self.saturate(self.round(None))
+        _stats().ground_rules += len(self.cground)
+        return rounds
 
     def saturate(self, fresh: Dict[str, Set[int]]) -> int:
         """Admit the *fresh* heads (per predicate, rows ascending) and
@@ -1077,11 +1079,9 @@ def columnar_grounding(program: Program, database: Database) -> ColumnarGroundPr
     ``iterations`` records the Boolean fixpoint rounds of the pass
     (the :func:`derivable_facts` count).
     """
-    store = database.columnar_store().copy()
-    cground = ColumnarGroundProgram(program, store.symbols)
-    cground.iterations = _ColumnarProgramGrounder(program, store, cground).run()
-    _stats().ground_rules += len(cground)
-    return cground
+    grounder = _ColumnarProgramGrounder(program, database)
+    grounder.cground.iterations = grounder.run()
+    return grounder.cground
 
 
 def relevant_grounding(

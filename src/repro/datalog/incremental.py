@@ -6,12 +6,14 @@ all of it.  :class:`MaintainedFixpoint` keeps the id-space artifacts
 of one program/database pair alive across single-fact deltas:
 
 * the :class:`~repro.datalog.grounding.ColumnarGroundProgram` is
-  *regrounded incrementally* -- an inserted EDB fact seeds the batch
-  grounder's own semi-naive rounds and generated join kernels
-  (:class:`~repro.datalog.grounding._ColumnarProgramGrounder`, body
-  constants interned), so only ground-rule instances that mention the
-  delta are enumerated, and each round extends the grounding's own
-  ``by_head``/``by_body`` lists over the positions it appended;
+  *regrounded incrementally* by the batch grounder whose one pass
+  built it (:class:`~repro.datalog.grounding._ColumnarProgramGrounder`,
+  body constants interned), kept with its store -- the one copy, EDB
+  plus every derived fact -- and no round count: an inserted EDB fact
+  seeds its semi-naive rounds and join kernels, so only ground-rule
+  instances that mention the delta are enumerated, and each round
+  extends the grounding's own ``by_head``/``by_body`` lists over the
+  positions it appended;
 * per-semiring dense value arrays (the fixpoint state) are seeded,
   repaired and refreshed by the batch fixpoint kernel
   (:func:`~repro.datalog.seminaive._run_fixpoint`), run on the
@@ -61,7 +63,9 @@ from ..semirings.numeric import BooleanSemiring
 from .ast import DatalogError, Fact, Program
 from .database import Database
 from .evaluation import EvaluationResult
-from .grounding import ColumnarGroundProgram, _ColumnarProgramGrounder, _extend_readers, columnar_grounding
+from .grounding import ColumnarGroundProgram, _ColumnarProgramGrounder, _extend_readers
+# Not called here: perfbench/tracing.py's ``SITES`` wraps this name.
+from .grounding import columnar_grounding  # noqa: F401
 from .seminaive import FixpointEngine, _run_fixpoint
 
 __all__ = ["MaintainedFixpoint"]
@@ -142,33 +146,26 @@ class MaintainedFixpoint:
         self.program = program
         self.database = database
         self._idbs = program.idb_predicates
-        #: The id-space grounding: starts as the batch grounder's
-        #: output and is appended to in place; dead rules stay in its
-        #: arrays as tombstones until :meth:`_compact`.  Its recorded
-        #: Boolean round count is cleared: edits would leave it stale,
+        # One grounding pass, whose grounder every insert reuses.  Body
+        # constants are interned: one unseen today may arrive later.
+        self._grounder = _ColumnarProgramGrounder(program, database, intern_bodies=True)
+        self._grounder.run()
+        #: The id-space grounding, appended to in place; dead rules
+        #: stay in its arrays as tombstones until :meth:`_compact`.  It
+        #: records no Boolean round count: edits would leave one stale,
         #: and a solve over it must run the kernel, not read it off.
-        self._cground: ColumnarGroundProgram = columnar_grounding(program, database)
-        self._cground.iterations = None
-        # Private working store: EDB snapshot plus every currently
-        # derived IDB fact, the join input for future delta rounds.
-        self.store = database.columnar_store().copy()
-        symbols = self.store.symbols
+        self._cground: ColumnarGroundProgram = self._grounder.cground
+        # The grounder's working store: EDB snapshot plus every
+        # derived IDB fact, the join input for delta rounds.
+        self.store = self._grounder.store
+        self._derived = self._grounder.derived
         # IDB facts stored in the database: a fresh grounding takes
         # them as given, so they stay alive whatever their rules do.
         self._stored: Set[Tuple[str, Tuple[int, ...]]] = {
-            (fact.predicate, symbols.intern_row(fact.args))
+            (fact.predicate, self.store.symbols.intern_row(fact.args))
             for predicate in self._idbs
             for fact in database.facts(predicate)
         }
-        # The batch grounder's join kernels over the working store,
-        # appending to the maintained grounding.  Body constants are
-        # interned: one unseen today may arrive with a future insert.
-        self._grounder = _ColumnarProgramGrounder(program, self.store, self._cground, intern_bodies=True)
-        self._derived = self._grounder.derived
-        preds, rows = self._cground.fact_preds, self._cground.fact_rows
-        for fid in self._cground.idb_fact_ids():
-            self._derived.add(fid)
-            self.store.insert_ids(preds[fid], rows[fid])
         #: Tombstoned rule positions awaiting compaction.
         self._dead: Set[int] = set()
         #: EDB fact id → ascending positions of the live rules reading it.

@@ -32,6 +32,7 @@ from repro.datalog import (
     FixpointEngine,
     magic_grounding,
     naive_evaluation,
+    parse_program,
     relevant_grounding,
     transitive_closure,
 )
@@ -233,6 +234,21 @@ def test_session_fingerprint_follows_a_reweight():
     before = session.fingerprint
     db.set_weight(Fact("E", (0, 1)), 7.0)
     assert session.fingerprint == api.Session(program, db).fingerprint != before
+
+
+def test_session_analyze_judges_the_pruned_grounding_under_prune():
+    """The only cycle lives in dead rules: under ``prune`` the solve
+    never grounds them and converges, so DL006 must not fire.  The
+    analyzer once judged the unpruned program's grounding."""
+    program = parse_program(
+        "T(X, Y) :- E(X, Y). T(X, Z) :- T(X, Y), E(Y, Z). U(X, Y) :- F(X, Y). U(X, Z) :- U(X, Y), F(Y, Z).",
+        target="T",
+    )
+    db = Database([Fact("E", (0, 1)), Fact("E", (1, 2)), Fact("F", (0, 1)), Fact("F", (1, 0))])
+    pruned = api.Session(program, db, ExecutionConfig(prune=True))
+    assert pruned.solve(COUNTING).converged
+    assert pruned.analyze(COUNTING).errors() == ()
+    assert [d.code for d in api.Session(program, db).analyze(COUNTING).errors()] == ["DL006"]
 
 
 def test_session_construction_pinning(diamond):

@@ -205,9 +205,8 @@ def test_grounder_round_extends_exactly_the_lists_read(name):
     from repro.datalog.grounding import _ColumnarProgramGrounder
 
     db = random_edge_db(5, 7, 16)
-    store = db.columnar_store().copy()
-    cground = ColumnarGroundProgram(TC, store.symbols)
-    grounder = _ColumnarProgramGrounder(TC, store, cground)
+    grounder = _ColumnarProgramGrounder(TC, db)
+    cground = grounder.cground
     fresh = grounder.round(None)
     first = len(cground)
     lists = getattr(cground, name)()

@@ -171,7 +171,8 @@ LONG_CHAIN = "P(X0, X22) :- " + ", ".join(f"E(X{i}, X{i + 1})" for i in range(22
 #: produces; a join over an IDB relation with no rows yet; an insert
 #: whose constant was unseen when the maintainer compiled its rules;
 #: two atoms over one fact (``E(a, a)``), so one binding interns a fact
-#: and then finds it; and a body longer than one run of nested loops.
+#: and then finds it; a body longer than one run of nested loops; and a
+#: nonlinear cycle whose capped COUNTING counts pass 2**53.
 EDGE_CASES = [
     edge_case(
         "R(X, Y) :- E(X, Y). R(X, Z) :- R(X, Y), E(Y, Z). L(X) :- R(X, X). M(X, Y) :- L(X), E(Y, Y).",
@@ -200,6 +201,11 @@ EDGE_CASES = [
         ("E", 1, 1),
     ),
     edge_case(LONG_CHAIN, [("E", i, i + 1) for i in range(23)] + [("E", 0, 2)], ("E", 23, 24)),
+    edge_case(
+        "P(X) :- E(X, Y). P(X) :- E(X, X). P(X) :- P(X), P(Y).",
+        [("E", 0, 0), ("E", 1, 0), ("E", 2, 0), ("E", 2, 2)],
+        ("E", 0, 1),
+    ),
 ]
 
 #: EDB inserts for generated pairs; ``3`` occurs in no database.
@@ -272,7 +278,9 @@ def test_generated_programs_agree_with_the_oracle(pair, seed, insert, writes):
     program, db = pair[0], pair[1].copy()
     db.columnar_store(SymbolTable())
     assert_same_grounding(program, db)
-    weights = random_weights(db, seed=seed)
+    # ``int`` weights: a capped divergent COUNTING count can pass 2**53,
+    # where a float sum depends on the order the engines fold it in.
+    weights = {fact: int(weight) for fact, weight in random_weights(db, seed=seed).items()}
     viterbi_weights = {fact: 1.0 / weight for fact, weight in weights.items()}
     for semiring, semiring_weights in (
         (BOOLEAN, None),

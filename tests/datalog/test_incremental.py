@@ -34,16 +34,18 @@ Four layers:
   ground-rule keys, per-fact support counts, symbol-table length and
   pattern-index row accounting all come back, on both the tuple and
   columnar fixpoint pipelines;
-* a pinned trace: the digest of every maintained state after each
-  event of a fixed stream, recorded before seeds, repairs and
-  refreshes moved onto the batch kernel;
+* pinned traces over a fixed stream: after each event, the digest of
+  every maintained state (recorded before seeds, repairs and
+  refreshes moved onto the batch kernel), and an order-free digest of
+  values by fact, flags, recompute accounting and rule keys;
 * targeted edge cases: cold start from an empty database, a
   reweight of a fact no live rule reads, retracts that repair only
   the witness region, improving reweights that repair nothing,
   tombstones compacted only when the grounding is read, cyclic
   programs whose capped (diverged) state must self-heal through the
   full-kernel refresh path, a maintained grounding that keeps no
-  stale round count, the IDB-write guard, and listener plumbing.
+  stale round count, a build that copies the store and grounds once,
+  the IDB-write guard, and listener plumbing.
 """
 
 import hashlib
@@ -58,6 +60,7 @@ import pytest
 
 from repro.api import Session, solve
 from repro.datalog import (
+    ColumnarStore,
     Database,
     DatalogError,
     Fact,
@@ -456,8 +459,23 @@ def maintained_digest(fix):
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:12]
 
 
-def pinned_state_trace():
-    """Per event, the digests of the maintainers it touches: TC with
+def order_free_digest(fix):
+    """Per tracked semiring its values keyed by decoded fact, its
+    converged flag and its recompute accounting, then the sorted live
+    rule keys, as one short digest: nothing that depends on the order
+    in which the grounder emitted rules or interned facts."""
+    parts = []
+    for state in fix._tracked.values():
+        semiring = state.semiring
+        result = fix.result(semiring)
+        values = sorted(fix.values(semiring).items(), key=lambda item: repr(item[0]))
+        parts.append((semiring.name, values, state.converged, result.iterations, result.rule_evaluations))
+    parts.append(sorted(map(repr, fix.rule_keys())))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:12]
+
+
+def pinned_state_trace(digest=maintained_digest):
+    """Per event, the *digest* of the maintainers it touches: TC with
     TROPICAL on the weighted graph, BOOLEAN on the unweighted one and
     COUNTING on the weighted edges ``u < v`` (a DAG, so the counts
     converge), then Dyck-1 with FUZZY."""
@@ -472,7 +490,7 @@ def pinned_state_trace():
         (MaintainedFixpoint(TC, plain, semirings=(BOOLEAN,)), False),
         (MaintainedFixpoint(TC, dag, semirings=(COUNTING,)), True),
     ]
-    trace = [tuple(maintained_digest(fix) for fix, _ in fixes)]
+    trace = [tuple(digest(fix) for fix, _ in fixes)]
     for kind, edge, weight in events:
         fact = Fact("E", edge)
         for fix, weighs in fixes:
@@ -484,10 +502,10 @@ def pinned_state_trace():
                 fix.retract(fact)
             elif weighs:
                 fix.database.set_weight(fact, weight)
-        trace.append(tuple(maintained_digest(fix) for fix, _ in fixes))
+        trace.append(tuple(digest(fix) for fix, _ in fixes))
     brackets, events = dyck_events()
     dfix = MaintainedFixpoint(DYCK, brackets, semirings=(FUZZY,))
-    trace.append((maintained_digest(dfix),))
+    trace.append((digest(dfix),))
     for kind, fact, weight in events:
         if kind == "insert":
             dfix.insert(fact, weight=weight)
@@ -495,14 +513,18 @@ def pinned_state_trace():
             dfix.retract(fact)
         else:
             brackets.set_weight(fact, weight)
-        trace.append((maintained_digest(dfix),))
+        trace.append((digest(dfix),))
     return trace
 
 
 #: :func:`pinned_state_trace`, recorded while the maintainer still ran
 #: its own propagation loop beside the batch kernel: moving seed,
 #: repair and refresh onto the kernel must not move a value, a witness,
-#: a converged flag, a recompute round or a rule evaluation.
+#: a converged flag, a recompute round or a rule evaluation.  Rows 13-15
+#: and 18-20 were re-recorded when the maintainer began keeping its
+#: build pass's grounder: derived rows enter its store in round order,
+#: not fact-id order, so later Dyck-1 inserts intern facts and emit
+#: rules in another order (:data:`PINNED_ORDER_FREE_TRACE` did not move).
 PINNED_STATE_TRACE = [
     ("507b36b1a273", "9f25b1e8fb0c", "3fe30af19248"),
     ("6f652c222214", "456bc0654a3f", "3fe30af19248"),
@@ -517,14 +539,14 @@ PINNED_STATE_TRACE = [
     ("d74b6cf6caee",),
     ("d74b6cf6caee",),
     ("9189328eba0f",),
-    ("36d1d05f0ca3",),
-    ("af75ba5c984c",),
-    ("bb8a7cd3f2ed",),
+    ("e51ff0485000",),
+    ("7308f294ddc0",),
+    ("b9aae4f5582e",),
     ("8751f338bdc6",),
     ("1a4bb1106792",),
-    ("060c42cbf22c",),
-    ("55c3a0ca71f0",),
-    ("eafb0d22807c",),
+    ("d4bb9875a76f",),
+    ("000eccd212e4",),
+    ("e4553d198a59",),
 ]
 
 
@@ -532,6 +554,41 @@ def test_maintained_state_reproduces_the_pinned_trace():
     # Fact ids follow symbol ids: intern into a fresh table.
     with scoped_symbols():
         assert pinned_state_trace() == PINNED_STATE_TRACE
+
+
+#: :func:`pinned_state_trace` under :func:`order_free_digest`, recorded
+#: while the maintainer still re-inserted its derived facts into a
+#: second store copy in fact-id order: the order in which store rows
+#: arrive may move rule positions and witnesses, never a value, a
+#: converged flag, a recompute round, a rule evaluation or a rule.
+PINNED_ORDER_FREE_TRACE = [
+    ("a47d811316a7", "edd4e8cb3715", "25aabf12b42a"),
+    ("fd5f45b1ca2b", "1ac62e829288", "25aabf12b42a"),
+    ("d4def265c8b8", "1ac62e829288", "25aabf12b42a"),
+    ("82e5a22365e0", "b13e3aaa6857", "25aabf12b42a"),
+    ("833ee4dc0a3e", "b13e3aaa6857", "a95f709993ab"),
+    ("6ebaaabc4963", "b35b531452de", "a95f709993ab"),
+    ("45119a3df318", "32bc4f3338b7", "51870b4e8acc"),
+    ("51037bce4cf7", "7d5743c3902b", "29676f6fec31"),
+    ("8970ef783970", "32bc4f3338b7", "efeb66dfe4c8"),
+    ("7db64ffc7ca7", "32bc4f3338b7", "b1b2e183bec7"),
+    ("5f29122b6e3a",),
+    ("5f29122b6e3a",),
+    ("a425909646d6",),
+    ("af680c330250",),
+    ("f0d6d991a715",),
+    ("31666b8b78d2",),
+    ("fcefaa85496f",),
+    ("fcefaa85496f",),
+    ("03eb2f0b0aef",),
+    ("2e679f1c88a5",),
+    ("57c15a6f3ff8",),
+]
+
+
+def test_maintained_state_reproduces_the_order_free_pinned_trace():
+    with scoped_symbols():
+        assert pinned_state_trace(order_free_digest) == PINNED_ORDER_FREE_TRACE
 
 
 # -- targeted edge cases ---------------------------------------------------
@@ -708,6 +765,23 @@ def test_the_maintained_grounding_records_no_stale_round_count():
         for result in (session.solve(), fix.result(BOOLEAN)):
             assert result.iterations == rounds and result.rule_evaluations > 0
         assert session.solve().values == solve(TC, database).values
+
+
+def test_a_maintainer_grounds_once(monkeypatch):
+    """One store copy and one grounding pass: the maintainer keeps the
+    grounder it ran, whose working store holds the EDB rows plus one
+    row per derived head and whose ``derived`` set is that head set."""
+    database = random_digraph(24, 72, seed=5)
+    copies = []
+    copy = ColumnarStore.copy
+    monkeypatch.setattr(ColumnarStore, "copy", lambda store: copies.append(store) or copy(store))
+    fix = MaintainedFixpoint(TC, database)
+    assert len(copies) == 1
+    heads = set(fix.cground.idb_fact_ids())
+    assert fix._derived == heads
+    rows = list(fix.store.facts())
+    assert len(rows) == len(database) + len(heads)
+    assert set(rows) == set(database.facts()) | set(fix.cground.decode_facts(sorted(heads)))
 
 
 def test_divergent_counting_self_heals():
