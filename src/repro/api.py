@@ -153,16 +153,13 @@ class Session:
         self._writes = database.structural_writes
         self._stream: Optional["StreamSession"] = None
 
-    def _drop_caches(self) -> None:
-        self._choices.clear()
-        self._ground = None
-
     def _check_writes(self) -> None:
         """Drop the caches filled before a structural database write."""
         writes = self.database.structural_writes
         if writes != self._writes:
             self._writes = writes
-            self._drop_caches()
+            self._choices.clear()
+            self._ground = None
 
     # -- identity ------------------------------------------------------
 
@@ -302,12 +299,11 @@ class Session:
 
         Attaches a :class:`~repro.datalog.incremental.MaintainedFixpoint`
         to the database, after which fact inserts/retracts/reweights
-        are absorbed differentially instead of invalidating the
-        session wholesale: :meth:`ground` reads the maintained ground
-        program, stale per-output circuit choices are dropped,
-        and circuits served through :meth:`StreamSession.serve`
-        receive leaf-level pushes.  Pass the semirings to maintain
-        dense value state for (more can be tracked later).
+        are absorbed differentially: :meth:`ground` reads the
+        maintained ground program, and circuits served through
+        :meth:`StreamSession.serve` receive leaf-level pushes.  Pass
+        the semirings to maintain dense value state for (more can be
+        tracked later).
 
         If maintenance ever fails, the stream degrades to full
         recompute instead of surfacing the error (DESIGN.md §12).
@@ -332,7 +328,7 @@ class ServedStream:
     * reweighting (or re-inserting) a known leaf pushes the new value;
     * inserting a fact the circuit has *no* gate for is structural:
       new derivations may exist, so the circuit is rebuilt from the
-      maintained database state.
+      current database.
 
     Deltas that touch facts outside the circuit's leaf set are
     ignored -- they cannot change this output.
@@ -346,9 +342,9 @@ class ServedStream:
         self._build()
 
     def _build(self) -> None:
-        # Every stream write resets the session's choice cache, so this
-        # circuit matches the current database, whose valuation covers
-        # all of its leaves.
+        # An insert drops the session's circuit choices, so this circuit
+        # matches the current database, whose valuation covers all of
+        # its leaves.
         self.evaluator = self._stream.session.serve(self.output, self.semiring)
 
     def _apply(self, kind: str, fact: Fact, weight: object) -> None:
@@ -378,28 +374,26 @@ class ServedStream:
 class StreamSession:
     """Differential writes against a :class:`Session` (DESIGN.md §11).
 
-    Obtained from :meth:`Session.stream`.  Inserts/retracts route
-    through the database (so any direct ``db.add_fact`` is equivalent)
-    into the attached
-    :class:`~repro.datalog.incremental.MaintainedFixpoint`; this
-    wrapper keeps the *session-level* artifacts consistent too:
-
-    * :meth:`Session.ground` reads the maintainer's live ground
-      program while it is attached (the columnar strategy consumes it
-      directly, the naive oracle decodes it at the boundary);
-    * per-output circuit choices are invalidated (they are
-      structural), but circuits already served via :meth:`serve` stay
-      live through leaf pushes and only rebuild on structural inserts.
+    Obtained from :meth:`Session.stream`.  The stream observes the
+    session's database, attached before its
+    :class:`~repro.datalog.incremental.MaintainedFixpoint`, so every
+    write -- through the stream or a direct ``db.add_fact`` /
+    ``db.retract_fact`` / ``db.set_weight``, maintained or degraded --
+    reaches the circuits served via :meth:`serve` as a leaf push (a
+    rebuild for an insert the circuit has no gate for).  The session
+    itself follows the database: :meth:`Session.ground` reads the
+    maintainer's live ground program while one is attached, and an
+    insert or retract drops the session's circuit choices.
 
     **Degrade-to-recompute** (DESIGN.md §12): if maintenance ever
     fails -- the maintainer raises anything while absorbing a write
     or tracking a semiring -- the stream *detaches* the broken
-    maintainer and degrades: reads fall back to full
-    recompute through :meth:`Session.solve` and writes apply straight
-    to the database.  Answers stay exactly correct, only slower.  The
-    next write attempts one clean rebuild of the maintainer from
-    current database state and re-attaches on success.  Degradations
-    are counted (``degradations``/``degraded``/``last_degrade_reason``).
+    maintainer and degrades: reads fall back to full recompute through
+    :meth:`Session.solve`.  Answers stay exactly correct, only slower.
+    The next write through the stream attempts one clean rebuild of
+    the maintainer from current database state and re-attaches on
+    success.  Degradations are counted
+    (``degradations``/``degraded``/``last_degrade_reason``).
     """
 
     def __init__(
@@ -414,6 +408,7 @@ class StreamSession:
         self.degraded = False
         self.degradations = 0
         self.last_degrade_reason: Optional[str] = None
+        session.database._attach_observer(self)
         try:
             self._attach()
         except Exception as exc:
@@ -431,122 +426,62 @@ class StreamSession:
             session.database,
             semirings=tuple(self._semirings),
         )
-        self.fixpoint.add_listener(self._on_delta)
         self.degraded = False
 
     def _degrade(self, exc: BaseException) -> None:
         """Detach the (possibly inconsistent) maintainer and fall back
-        to recompute.  The database itself is never suspect -- its
-        mutations land before maintainers are notified -- so dropping
-        its delta-patched caches wholesale restores a clean slate."""
-        fixpoint = self.fixpoint
-        if fixpoint is not None:
-            fixpoint.remove_listener(self._on_delta)
-            fixpoint.detach()
+        to recompute.  The database is never suspect: a write lands,
+        and its views drop, before any observer runs."""
+        if self.fixpoint is not None:
+            self.fixpoint.detach()
         self.fixpoint = None
         self.degraded = True
         self.degradations += 1
         self.last_degrade_reason = f"{type(exc).__name__}: {exc}"
-        database = self.session.database
-        database._invalidate()
-        self.session._drop_caches()
-        for served in tuple(self._served):
-            served.rebuilds += 1
-            served._build()
-
-    def _recover_then(self, kind: str, apply, fact: Fact, weight: object):
-        """The degraded write path: try one clean re-attach, then run
-        the write -- maintained again on success, plain on failure."""
-        try:
-            self._attach()
-        except Exception as exc:
-            self._degrade(exc)
-            result = apply()
-            self._after_degraded_write(kind, fact, weight)
-            return result
-        return self._maintained(kind, apply, fact, weight)
-
-    def _maintained(self, kind: str, apply, fact: Fact, weight: object):
-        """Run a write through the live maintainer; degrade on failure."""
-        try:
-            return apply()
-        except KeyError:
-            raise  # retracting an absent fact is a caller error, not a fault
-        except Exception as exc:
-            self._degrade(exc)
-            self._after_degraded_write(kind, fact, weight)
-            # The database mutation landed before maintenance failed
-            # (Database notifies observers last), so the write is
-            # already durable; report it as applied.
-            if kind == "insert":
-                return True
-            if kind == "retract":
-                return fact
-            return None
-
-    def _after_degraded_write(self, kind: str, fact: Fact, weight: object) -> None:
-        """Keep session artifacts + served circuits consistent for a
-        write that bypassed (or killed) the maintainer."""
-        self.session._drop_caches()
-        for served in tuple(self._served):
-            served._apply(kind, fact, weight)
 
     # -- writes --------------------------------------------------------
 
-    def _guard_idb(self, fact: Fact) -> None:
-        """IDB writes are a caller error, never a degrade trigger."""
-        if fact.predicate in self.session.program.idb_predicates:
-            raise DatalogError(
-                f"cannot mutate {fact}: {fact.predicate!r} is an IDB predicate "
-                f"of the streamed program (derived relations are maintained, "
-                f"not stored)"
-            )
+    def _write(self, apply, applied):
+        """Run one database write and return *applied*.  A degraded
+        stream first tries one clean re-attach.  A fault while the
+        observers absorb the write degrades the stream instead of
+        surfacing: the database applied the write before any observer
+        ran, so it is durable.  ``KeyError`` (an absent fact) is the
+        caller's."""
+        if self.fixpoint is None:
+            try:
+                self._attach()
+            except Exception as exc:
+                self._degrade(exc)
+        try:
+            apply()
+        except KeyError:
+            raise
+        except Exception as exc:
+            self._degrade(exc)
+        return applied
 
     def insert(self, fact, *args, weight: object = None) -> bool:
         """Insert an EDB fact; True iff it was new."""
-        coerced = _coerce_fact(fact, args)
-        self._guard_idb(coerced)
+        fact = _coerce_fact(fact, args)
+        self._guard_edb(fact)
         check_weight(weight)
-        if self.fixpoint is None:
-            database = self.session.database
-            new = coerced not in database
-
-            def apply():
-                database.add_fact(coerced, weight)
-                return new
-
-            return self._recover_then("insert", apply, coerced, weight)
-        fixpoint = self.fixpoint
-        return self._maintained(
-            "insert", lambda: fixpoint.insert(coerced, weight=weight), coerced, weight
-        )
+        database = self.session.database
+        return self._write(lambda: database.add_fact(fact, weight), fact not in database)
 
     def retract(self, fact, *args) -> Fact:
         """Retract an EDB fact; KeyError if absent."""
-        coerced = _coerce_fact(fact, args)
-        self._guard_idb(coerced)
-        if self.fixpoint is None:
-            database = self.session.database
-            return self._recover_then(
-                "retract", lambda: database.retract_fact(coerced), coerced, None
-            )
-        fixpoint = self.fixpoint
-        return self._maintained(
-            "retract", lambda: fixpoint.retract(coerced), coerced, None
-        )
+        fact = _coerce_fact(fact, args)
+        self._guard_edb(fact)
+        database = self.session.database
+        return self._write(lambda: database.retract_fact(fact), fact)
 
     def set_weight(self, fact: Fact, weight: object) -> None:
         """Change one EDB fact's annotation."""
-        self._guard_idb(fact)
+        self._guard_edb(fact)
         check_weight(weight)
         database = self.session.database
-        if self.fixpoint is None:
-            return self._recover_then(
-                "weight", lambda: database.set_weight(fact, weight), fact, weight
-            )
-        return self._maintained(
-            "weight", lambda: database.set_weight(fact, weight), fact, weight
-        )
+        return self._write(lambda: database.set_weight(fact, weight), None)
 
     def track(self, semiring: Semiring) -> None:
         """Maintain dense value state for one more semiring."""
@@ -585,12 +520,27 @@ class StreamSession:
         self._served.append(served)
         return served
 
-    # -- delta plumbing ------------------------------------------------
+    # -- database observer hooks ---------------------------------------
 
-    def _on_delta(self, kind: str, fact: Fact, weight: object) -> None:
-        # Session.ground() reads the maintainer's live grounding, so
-        # nothing is copied here.
-        self.session._drop_caches()
+    def _guard_edb(self, fact: Fact) -> None:
+        """IDB writes are a caller error, never a degrade trigger."""
+        if fact.predicate in self.session.program.idb_predicates:
+            raise DatalogError(
+                f"cannot mutate {fact}: {fact.predicate!r} is an IDB predicate "
+                f"of the streamed program (derived relations are maintained, "
+                f"not stored)"
+            )
+
+    def _apply_insert(self, fact: Fact, weight: object) -> None:
+        self._push("insert", fact, weight)
+
+    def _apply_retract(self, fact: Fact) -> None:
+        self._push("retract", fact, None)
+
+    def _apply_weight(self, fact: Fact, weight: object) -> None:
+        self._push("weight", fact, weight)
+
+    def _push(self, kind: str, fact: Fact, weight: object) -> None:
         for served in tuple(self._served):
             served._apply(kind, fact, weight)
 

@@ -3,15 +3,18 @@
 Given a program/database/fact, pick the best construction the paper
 provides for that class:
 
-1. TC-shaped queries on a DAG → the graph-as-circuit (Thm 3.5);
-2. a bounded program (exact or certified) → ``k`` layers (Thm 4.3);
-3. left-linear chain (regular) programs → magic-set specialization
-   (Thm 5.8's device) feeding the generic construction, keeping the
-   grounding at ``O(m)``;
-4. programs with the polynomial fringe property (linear or chain) →
+1. a bounded program (exact for chain programs, certified for linear
+   ones) → ``k`` layers (Thm 4.3);
+2. left-linear chain (regular) programs on a binary fact → magic-set
+   specialization (Thm 5.8's device) feeding the generic construction,
+   keeping the grounding at ``O(m)``;
+3. programs with the polynomial fringe property (linear or chain) →
    the Ullman–Van Gelder circuit (Thm 6.2) when ``optimize_depth`` is
    requested;
-5. otherwise → the generic circuit (Thm 3.1).
+4. otherwise → the generic circuit (Thm 3.1).
+
+The graph-as-circuit construction for TC on a DAG (Thm 3.5) is not a
+branch: call :func:`~repro.constructions.layered.dag_circuit` directly.
 
 Returns the circuit plus a :class:`ConstructionChoice` explaining the
 decision -- useful both as a user-facing API and as living

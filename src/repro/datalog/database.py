@@ -12,17 +12,17 @@ single-fact writes) and a lazily materialized interned
 ``engine="columnar"`` grounding backend consumes.  Derived views that
 used to rescan every fact on each call -- the sorted fact list, the
 active domain, per-semiring valuations and the columnar store -- are
-cached and invalidated on mutation, so hot paths (grounding, repeated
+cached and dropped on mutation, so hot paths (grounding, repeated
 evaluation, circuit construction) pay the scan once per database
-state, not once per call.
+state, not once per call.  There is one policy: an insert or retract
+drops every view, a reweight drops the valuations.
 
-Invalidation is *delta-aware* when a maintainer (a
-:class:`~repro.datalog.incremental.MaintainedFixpoint`) is attached:
-single-fact insert/retract/reweight then patches the cached domain,
-valuations and columnar store in place instead of dropping them, and
-the maintainer is notified after the caches are consistent (DESIGN.md
-§11).  Without a maintainer the historical wholesale invalidation is
-kept -- batch writers pay one rebuild, not per-fact bookkeeping.
+*Observers* (a :class:`~repro.datalog.incremental.MaintainedFixpoint`,
+a :class:`repro.api.StreamSession`) attach to follow single-fact
+writes (DESIGN.md §11).  Before a write mutates anything, each
+observer's ``_guard_edb`` may reject it; after the write has landed
+and the views are dropped, each observer's ``_apply_insert`` /
+``_apply_retract`` / ``_apply_weight`` hook runs, in attach order.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class Database:
     def __init__(self, facts: Iterable[Fact] = (), weights: Optional[Mapping[Fact, object]] = None):
         self._relations: Dict[str, set[Tuple[Hashable, ...]]] = {}
         self._weights: Dict[Fact, object] = {}
-        # Derived-view caches, all invalidated by _invalidate() when a
-        # fact lands.  The valuation cache is keyed by id(semiring)
-        # with the semiring kept in the value so the id stays pinned.
+        # Derived-view caches, all dropped by _invalidate().  The
+        # valuation cache is keyed by id(semiring) with the semiring
+        # kept in the value so the id stays pinned.
         self._facts_cache: Optional[Tuple[Fact, ...]] = None
         self._domain_cache: Optional[FrozenSet[Hashable]] = None
         self._valuation_cache: Dict[int, Tuple[Semiring, Dict[Fact, object]]] = {}
@@ -68,10 +68,8 @@ class Database:
         # process-wide GLOBAL_SYMBOLS; set by columnar_store(symbols=...)
         # and sticky across cache invalidations.
         self._columnar_symbols: Optional[SymbolTable] = None
-        # Attached MaintainedFixpoint observers (DESIGN.md §11): when
-        # non-empty, single-fact mutations patch the caches in place
-        # and notify each maintainer instead of wholesale invalidation.
-        self._maintainers: list = []
+        # Attached observers, notified in attach order (DESIGN.md §11).
+        self._observers: list = []
         #: Bumped by every structural write (an insert or a retract):
         #: a consumer that caches what the facts ground to compares it
         #: with the count it saw when it filled the cache.
@@ -91,20 +89,18 @@ class Database:
 
     def add_fact(self, fact: Fact, weight: object = None) -> Fact:
         check_weight(weight)
+        self._guard(fact)
         relation = self._relations.setdefault(fact.predicate, set())
-        new = fact.args not in relation
-        if new:
-            relation.add(fact.args)
+        if fact.args in relation:
+            if weight is not None:
+                self._set(fact, weight)
+            return fact
+        relation.add(fact.args)
         if weight is not None:
             self._weights[fact] = weight
-        if new:
-            self._invalidate(fact)
-            for maintainer in tuple(self._maintainers):
-                maintainer._apply_insert(fact, weight)
-        elif weight is not None:
-            self._reweight(fact, weight)
-            for maintainer in tuple(self._maintainers):
-                maintainer._apply_weight(fact, weight)
+        self._invalidate()
+        for observer in tuple(self._observers):
+            observer._apply_insert(fact, weight)
         return fact
 
     def retract(self, predicate: str, *args: Hashable) -> Fact:
@@ -117,66 +113,42 @@ class Database:
         return self.retract_fact(Fact(predicate, args))
 
     def retract_fact(self, fact: Fact) -> Fact:
+        self._guard(fact)
         relation = self._relations.get(fact.predicate)
         if relation is None or fact.args not in relation:
             raise KeyError(f"{fact} not in database")
         relation.remove(fact.args)
         self._weights.pop(fact, None)
-        self._invalidate(fact, removed=True)
-        for maintainer in tuple(self._maintainers):
-            maintainer._apply_retract(fact)
+        self._invalidate()
+        for observer in tuple(self._observers):
+            observer._apply_retract(fact)
         return fact
 
-    def _invalidate(self, fact: Optional[Fact] = None, removed: bool = False) -> None:
-        """Drop -- or, with a maintainer attached, patch -- the caches.
-
-        The sorted fact tuple always drops (rebuilding it is one lazy
-        pass).  With no maintainer, or for bulk operations (``fact``
-        is ``None``), every derived view drops wholesale as before.
-        With a maintainer and a single-fact delta, the active domain,
-        cached per-semiring valuations and the columnar store are
-        updated in place so unrelated state survives the mutation.
-        """
-        self.structural_writes += 1
-        self._facts_cache = None
-        if fact is None or not self._maintainers:
+    def _invalidate(self, structural: bool = True) -> None:
+        """Drop the derived views a write can change: the valuations
+        always, and for an insert or retract (*structural*) also the
+        fact tuple, the active domain and the columnar snapshot."""
+        self._valuation_cache.clear()
+        if structural:
+            self.structural_writes += 1
+            self._facts_cache = None
             self._domain_cache = None
-            self._valuation_cache.clear()
             self._columnar_cache = None
-            return
-        if removed:
-            # Whether the fact's constants still occur elsewhere would
-            # take a scan to establish; drop just the domain.
-            self._domain_cache = None
-            for _, valuation in self._valuation_cache.values():
-                valuation.pop(fact, None)
-            if self._columnar_cache is not None:
-                self._columnar_cache.remove_fact(fact)
-        else:
-            if self._domain_cache is not None:
-                self._domain_cache = self._domain_cache | frozenset(fact.args)
-            weight = self._weights.get(fact)
-            for semiring, valuation in self._valuation_cache.values():
-                valuation[fact] = semiring.one if weight is None else weight
-            if self._columnar_cache is not None:
-                self._columnar_cache.insert_fact(fact)
 
-    def _reweight(self, fact: Fact, weight: object) -> None:
-        if self._maintainers:
-            for semiring, valuation in self._valuation_cache.values():
-                valuation[fact] = semiring.one if weight is None else weight
-        else:
-            self._valuation_cache.clear()
+    # -- observers -------------------------------------------------------
 
-    # -- maintainers -----------------------------------------------------
+    def _guard(self, fact: Fact) -> None:
+        """Let every observer reject a write before anything mutates."""
+        for observer in self._observers:
+            observer._guard_edb(fact)
 
-    def _attach_maintainer(self, maintainer) -> None:
-        if maintainer not in self._maintainers:
-            self._maintainers.append(maintainer)
+    def _attach_observer(self, observer) -> None:
+        if observer not in self._observers:
+            self._observers.append(observer)
 
-    def _detach_maintainer(self, maintainer) -> None:
-        if maintainer in self._maintainers:
-            self._maintainers.remove(maintainer)
+    def _detach_observer(self, observer) -> None:
+        if observer in self._observers:
+            self._observers.remove(observer)
 
     @classmethod
     def from_edges(
@@ -292,13 +264,18 @@ class Database:
         return self._weights.get(fact, default)
 
     def set_weight(self, fact: Fact, weight: object) -> None:
+        self._guard(fact)
         if fact not in self:
             raise KeyError(f"{fact} not in database")
         check_weight(weight)
+        self._set(fact, weight)
+
+    def _set(self, fact: Fact, weight: object) -> None:
+        """Reweight a stored fact and tell the observers."""
         self._weights[fact] = weight
-        self._reweight(fact, weight)
-        for maintainer in tuple(self._maintainers):
-            maintainer._apply_weight(fact, weight)
+        self._invalidate(structural=False)
+        for observer in tuple(self._observers):
+            observer._apply_weight(fact, weight)
 
     def valuation(self, semiring: Semiring) -> Dict[Fact, object]:
         """Fact → semiring value; unannotated facts default to ``1``.

@@ -42,21 +42,21 @@ rule **set**, so values, ``iterations``, ``converged`` and
 invariant the stateful stream suite in
 ``tests/datalog/test_incremental.py`` drives.
 
-A maintainer attaches to its database as an observer: plain
-``db.add_fact`` / ``db.retract_fact`` / ``db.set_weight`` calls are
-routed here after the database's own caches have been patched
-delta-aware (see :meth:`Database._invalidate`), so a
-:class:`repro.api.StreamSession` built on the same database observes
-maintained state, and the maintainer's own kernel runs read EDB
-values from that patched :meth:`Database.valuation`.  The serving
-layer keeps no maintainer: its ``/circuits/<key>/facts`` route writes
-the database directly and re-evaluates the compiled circuit.
+A maintainer attaches to its database as an observer: the database
+asks its ``_guard_edb`` before a write mutates anything, so an IDB
+write is rejected with the database unchanged, and routes every plain
+``db.add_fact`` / ``db.retract_fact`` / ``db.set_weight`` here once
+the write has landed.  Seeds and refreshes read EDB values from
+:meth:`Database.valuation`.  A :class:`repro.api.StreamSession` is an
+observer too, attached before its maintainer.  The serving layer
+keeps no maintainer: its ``/circuits/<key>/facts`` route writes the
+database directly and re-evaluates the compiled circuit.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import Semiring
 from ..semirings.numeric import BooleanSemiring
@@ -176,10 +176,9 @@ class MaintainedFixpoint:
         self._live = self._seed_liveness()
         self._tracked: Dict[int, _Tracked] = {}
         self._results: Dict[int, Tuple[Semiring, EvaluationResult]] = {}
-        self._listeners: List[Callable[[str, Fact, object], None]] = []
         for semiring in semirings:
             self.track(semiring)
-        database._attach_maintainer(self)
+        database._attach_observer(self)
 
     # -- public API ------------------------------------------------------
 
@@ -196,7 +195,6 @@ class MaintainedFixpoint:
     def insert(self, fact, *args, weight: object = None) -> bool:
         """Insert an EDB fact (and maintain); True iff it was new."""
         fact = _coerce_fact(fact, args)
-        self._guard_edb(fact)
         new = fact not in self.database
         self.database.add_fact(fact, weight)
         return new
@@ -204,7 +202,6 @@ class MaintainedFixpoint:
     def retract(self, fact, *args) -> Fact:
         """Retract an EDB fact (and maintain); KeyError if absent."""
         fact = _coerce_fact(fact, args)
-        self._guard_edb(fact)
         return self.database.retract_fact(fact)
 
     def track(self, semiring: Semiring) -> None:
@@ -279,19 +276,9 @@ class MaintainedFixpoint:
     def is_converged(self, semiring: Semiring) -> bool:
         return self._tracked_for(semiring).converged
 
-    def add_listener(self, listener: Callable[[str, Fact, object], None]) -> None:
-        """Subscribe to applied deltas: ``listener(kind, fact, weight)``
-        with kind one of ``"insert"`` | ``"retract"`` | ``"weight"``,
-        fired after maintenance for that delta completes."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def detach(self) -> None:
         """Stop observing the database (state freezes as-is)."""
-        self.database._detach_maintainer(self)
+        self.database._detach_observer(self)
 
     def __repr__(self) -> str:
         return (
@@ -301,8 +288,15 @@ class MaintainedFixpoint:
 
     # -- database observer hooks -----------------------------------------
 
+    def _guard_edb(self, fact: Fact) -> None:
+        if fact.predicate in self._idbs:
+            raise DatalogError(
+                f"cannot mutate {fact}: {fact.predicate!r} is an IDB predicate "
+                f"of the maintained program (derived relations are maintained, "
+                f"not stored)"
+            )
+
     def _apply_insert(self, fact: Fact, weight: object) -> None:
-        self._guard_edb(fact)
         self._results.clear()
         store = self.store
         mark = store.watermark()
@@ -330,10 +324,8 @@ class MaintainedFixpoint:
                 continue
             end = len(self._cground)
             self._run(tracked, range(end - added, end))
-        self._notify("insert", fact, weight)
 
     def _apply_retract(self, fact: Fact) -> None:
-        self._guard_edb(fact)
         self._results.clear()
         self.store.remove_fact(fact)
         fid = self._cground.find_fact_id(fact)
@@ -345,7 +337,6 @@ class MaintainedFixpoint:
                 for tracked in self._states():
                     if fid < len(tracked.value):
                         tracked.value[fid] = tracked.semiring.zero
-            self._notify("retract", fact, None)
             return
         # Regions come from the witnesses and adjacency as they stand
         # before any rule dies.
@@ -373,10 +364,8 @@ class MaintainedFixpoint:
                 continue
             tracked.value[fid] = tracked.semiring.zero
             self._repair(tracked, regions[key], ())
-        self._notify("retract", fact, None)
 
     def _apply_weight(self, fact: Fact, weight: object) -> None:
-        self._guard_edb(fact)
         self._results.clear()
         fid = self._cground.find_fact_id(fact)
         for tracked in self._tracked.values():
@@ -401,7 +390,6 @@ class MaintainedFixpoint:
                 self._run(tracked, readers)
             else:
                 self._repair(tracked, self._region(tracked, fid), readers)
-        self._notify("weight", fact, weight)
 
     # -- incremental regrounding -----------------------------------------
 
@@ -640,14 +628,6 @@ class MaintainedFixpoint:
 
     # -- small helpers ---------------------------------------------------
 
-    def _guard_edb(self, fact: Fact) -> None:
-        if fact.predicate in self._idbs:
-            raise DatalogError(
-                f"cannot mutate {fact}: {fact.predicate!r} is an IDB predicate "
-                f"of the maintained program (derived relations are maintained, "
-                f"not stored)"
-            )
-
     def _tracked_for(self, semiring: Semiring) -> _Tracked:
         self.track(semiring)
         return self._tracked[id(semiring)]
@@ -673,7 +653,3 @@ class MaintainedFixpoint:
     def _round_cap(self) -> int:
         """The engines' default divergence guard over the live IDB."""
         return max(self._heads, 1) + 2
-
-    def _notify(self, kind: str, fact: Fact, weight: object) -> None:
-        for listener in tuple(self._listeners):
-            listener(kind, fact, weight)

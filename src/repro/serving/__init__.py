@@ -28,7 +28,6 @@ from .batcher import BatcherClosed, BatcherStats, LaneBatcher
 from .client import CircuitClient, RetryPolicy, ServerError
 from .resilience import (
     Deadline,
-    DeadlineExceeded,
     IdempotencyCache,
     ResilienceConfig,
     ResilienceStats,
@@ -42,7 +41,6 @@ __all__ = [
     "CircuitClient",
     "CircuitServer",
     "Deadline",
-    "DeadlineExceeded",
     "IdempotencyCache",
     "ResilienceConfig",
     "ResilienceStats",

@@ -33,21 +33,11 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 __all__ = [
-    "DeadlineExceeded",
     "Deadline",
     "ResilienceConfig",
     "ResilienceStats",
     "IdempotencyCache",
 ]
-
-
-class DeadlineExceeded(Exception):
-    """A request phase ran past its wall-clock budget."""
-
-    def __init__(self, phase: str, budget: float):
-        super().__init__(f"{phase} exceeded its {budget:.3f}s budget")
-        self.phase = phase
-        self.budget = budget
 
 
 class Deadline:
@@ -67,13 +57,6 @@ class Deadline:
 
     def remaining(self) -> float:
         return self._expires - time.monotonic()
-
-    @property
-    def expired(self) -> bool:
-        return self.remaining() <= 0.0
-
-    def exceeded(self) -> DeadlineExceeded:
-        return DeadlineExceeded(self.phase, self.budget)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,9 @@ Four layers:
   programs whose capped (diverged) state must self-heal through the
   full-kernel refresh path, a maintained grounding that keeps no
   stale round count, a build that copies the store and grounds once,
-  the IDB-write guard, and listener plumbing.
+  the IDB-write guard (a rejected write leaves the database
+  unchanged), and a served circuit that follows direct database
+  writes, maintained or degraded.
 """
 
 import hashlib
@@ -58,7 +60,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import pytest
 
-from repro.api import Session, solve
+from repro.api import Session, database_fingerprint, solve
 from repro.datalog import (
     ColumnarStore,
     Database,
@@ -823,19 +825,52 @@ def test_idb_writes_are_rejected():
         fix.retract("E", 5, 6)
 
 
-def test_listeners_observe_applied_deltas():
-    database = Database.from_edges([(0, 1)])
+def test_a_rejected_idb_write_leaves_the_database_unchanged():
+    """A direct IDB insert, reweight or retract is rejected before the
+    database mutates, so a later EDB insert leaves the maintained
+    state equal to a fresh solve of the database."""
+    stored = Fact("T", (3, 4))
+    database = Database([Fact("E", (0, 1)), Fact("E", (1, 2)), stored])
     fix = MaintainedFixpoint(TC, database, semirings=(BOOLEAN,))
-    seen = []
-    fix.add_listener(lambda kind, fact, weight: seen.append((kind, fact, weight)))
-    fix.insert("E", 1, 2, weight=2.0)
-    database.set_weight(Fact("E", (1, 2)), 3.0)
-    fix.retract("E", 1, 2)
-    assert seen == [
-        ("insert", Fact("E", (1, 2)), 2.0),
-        ("weight", Fact("E", (1, 2)), 3.0),
-        ("retract", Fact("E", (1, 2)), None),
-    ]
+    before = database_fingerprint(database)
+    with pytest.raises(DatalogError):
+        database.add_fact(Fact("T", (2, 5)))
+    with pytest.raises(DatalogError):
+        database.set_weight(stored, 0.0)
+    with pytest.raises(DatalogError):
+        database.retract_fact(stored)
+    assert database_fingerprint(database) == before
+    assert Fact("T", (2, 5)) not in database and stored in database
+    database.add("E", 5, 6)
+    database.add("E", 4, 5)
+    fresh = COLUMNAR_ENGINE.evaluate(TC, database.copy(), BOOLEAN)
+    assert fix.values(BOOLEAN) == fresh.values
+    assert fix.result(BOOLEAN).values == fresh.values
+
+
+@pytest.mark.parametrize("degraded", [False, True])
+def test_a_served_circuit_follows_direct_database_writes(monkeypatch, degraded):
+    """Direct ``db.add_fact``/``set_weight``/``retract_fact`` calls
+    reach a stream's served circuit, whether the stream is maintained
+    or degraded to recompute."""
+    weights = {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 2.0}
+    database = Database.from_edges(weights, weights=weights)
+    stream = Session(TC, database).stream(TROPICAL)
+    output = Fact("T", (0, 3))
+    served = stream.serve(output, TROPICAL)
+    if degraded:
+        monkeypatch.setattr(MaintainedFixpoint, "_reground", lambda self, mark: 1 / 0)
+        stream.insert("E", 3, 4)
+        monkeypatch.undo()
+    assert stream.degraded is degraded
+    assert served.value() == stream.value(output, TROPICAL) == 5.0
+    database.set_weight(Fact("E", (1, 2)), 9.0)
+    assert served.value() == stream.value(output, TROPICAL) == 12.0
+    database.retract_fact(Fact("E", (0, 1)))
+    assert served.value() == stream.value(output, TROPICAL) == TROPICAL.zero
+    database.add_fact(Fact("E", (0, 2)), 1.0)
+    assert served.value() == stream.value(output, TROPICAL) == 3.0
+    assert stream.degraded is degraded
 
 
 def test_detach_freezes_the_maintained_state():

@@ -220,3 +220,18 @@ def test_served_circuits_survive_a_degrade(monkeypatch):
     assert served.value() is True
     stream.retract(Fact("E", (2, 3)))
     assert served.value() is False
+
+
+def test_a_write_that_crashes_the_maintainer_reaches_served_circuits(monkeypatch):
+    """The stream observes the database ahead of its maintainer, so a
+    write whose maintenance crashes has already reached the served
+    circuits when the stream degrades."""
+    session = Session(TC, fresh())
+    stream = session.stream()
+    served = stream.serve(Fact("T", (0, 4)), BOOLEAN)
+    assert served.value() is False
+    crash(monkeypatch, "_reground", 1)
+    stream.insert(Fact("E", (3, 4)))  # degrades
+    assert stream.degraded is True
+    assert served.value() is True
+    assert served.rebuilds == 1

