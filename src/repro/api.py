@@ -1,10 +1,11 @@
 """The ``repro.api`` facade: one front door for the whole pipeline.
 
-Each layer exposes its own entry point (``relevant_grounding``,
-``naive_evaluation``, ``magic_grounding``, ``generic_circuit``,
-``provenance_circuit``), and every one of them takes the same
-``config=`` keyword.  This module is the public API on top of them
-(DESIGN.md §10):
+Each layer exposes one entry point per job (``relevant_grounding``,
+``FixpointEngine.evaluate``, ``magic_grounding``, ``generic_circuit``,
+``provenance_circuit``, ``compile_circuit``), and every one that
+takes knobs takes the same ``config=`` keyword.  This module is the
+public API on top of them, and the door every caller outside those
+layers uses (DESIGN.md §10):
 
 * :class:`~repro.config.ExecutionConfig` -- one frozen bundle of the
   engine × strategy × construction × optimize_depth × prune knobs,
@@ -28,12 +29,7 @@ import hashlib
 from typing import Dict, Mapping, Optional, Tuple
 
 from .circuits.runtime import CompiledCircuit, IncrementalEvaluator
-from .config import (
-    DEFAULT_CONFIG,
-    ConfigLike,
-    ExecutionConfig,
-    coerce_config,
-)
+from .config import ConfigLike, ExecutionConfig, coerce_config
 from .constructions.auto import ConstructionChoice, provenance_circuit
 from .constructions.fringe import fringe_circuit
 from .constructions.generic import generic_circuit
@@ -559,10 +555,9 @@ def solve(
 ) -> EvaluationResult:
     """One-shot fixpoint evaluation through the unified facade.
 
-    Equivalent to ``naive_evaluation`` and
-    ``FixpointEngine(config=...).evaluate``, with the knobs carried by
-    one :class:`ExecutionConfig`; the default is the columnar fast
-    path, and the naive oracle is one field away::
+    Runs ``FixpointEngine(config=...).evaluate``, with the knobs
+    carried by one :class:`ExecutionConfig`; the default is the
+    columnar fast path, and the naive oracle is one field away::
 
         from repro.api import ExecutionConfig, solve
         result = solve(program, db, TROPICAL,
@@ -601,6 +596,3 @@ def solve(
         raise_on_divergence=raise_on_divergence,
     )
 
-
-# Re-exported so `from repro.api import ...` is self-contained.
-DEFAULT_CONFIG = DEFAULT_CONFIG

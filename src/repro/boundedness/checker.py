@@ -20,8 +20,8 @@ Boundedness over the Boolean semiring is undecidable in general
   unboundedness on the probed family.
 * :func:`circuit_equivalence_probe` -- the same question asked of
   *circuits*: sample random Boolean valuations 64 at a time through
-  the bitset-parallel runtime
-  (:func:`repro.circuits.runtime.evaluate_boolean_batch`) and compare
+  the bitset-parallel runtime (``compile_circuit(c)
+  .evaluate_boolean_batch``, :mod:`repro.circuits.runtime`) and compare
   two circuits -- e.g. the ``k``-layer truncation against a deeper
   unrolling -- on every sample.  A mismatch is a concrete
   unboundedness witness at level ``k``; agreement on a large sample
@@ -40,7 +40,7 @@ from ..circuits.runtime import compile_circuit
 from ..datalog.ast import Program
 from ..datalog.database import Database
 from ..datalog.expansions import ConjunctiveQuery, expansions
-from ..datalog.seminaive import FixpointEngine
+from ..datalog.grounding import derivable_facts
 from ..grammars.chain import chain_program_to_cfg
 from .homomorphism import has_homomorphism
 
@@ -171,21 +171,17 @@ def empirical_iteration_probe(
     program: Program,
     instance_family: Callable[[int], Database],
     sizes: Sequence[int],
-    engine: Optional[FixpointEngine] = None,
 ) -> BoundednessReport:
     """Definition 4.1 probe: Boolean fixpoint rounds across input sizes.
 
     A strictly growing profile proves unboundedness (the rounds exceed
     every constant on the family); a flat profile is evidence of
-    boundedness.  *engine* threads a configured
-    :class:`FixpointEngine` through the probe; note the round count is
-    strategy-independent today (naive and semi-naive take identical
-    rounds, and the Boolean closure is set-based), so the parameter
-    only matters for future backends with different counting.
+    boundedness.  The rounds are those of the Boolean closure
+    (:func:`~repro.datalog.grounding.derivable_facts`), which every
+    fixpoint strategy and join engine takes identically.
     """
-    engine = engine or FixpointEngine()
     evidence = [
-        (size, engine.boolean_iterations(program, instance_family(size))) for size in sizes
+        (size, derivable_facts(program, instance_family(size))[1]) for size in sizes
     ]
     iteration_counts = [it for _size, it in evidence]
     growing = all(b > a for a, b in zip(iteration_counts, iteration_counts[1:]))
@@ -257,7 +253,6 @@ def analyze_boundedness(
     program: Program,
     instance_family: Optional[Callable[[int], Database]] = None,
     sizes: Sequence[int] = (4, 8, 12, 16),
-    engine: Optional[FixpointEngine] = None,
 ) -> BoundednessReport:
     """Portfolio dispatch: exact for chain programs, Theorem 4.6
     certificates for linear ones, empirical probe as a fallback."""
@@ -268,7 +263,7 @@ def analyze_boundedness(
         if report.bounded is not None:
             return report
     if instance_family is not None:
-        return empirical_iteration_probe(program, instance_family, sizes, engine=engine)
+        return empirical_iteration_probe(program, instance_family, sizes)
     return BoundednessReport(
         program.target,
         method="none",

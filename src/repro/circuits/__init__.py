@@ -8,8 +8,9 @@
   :class:`~repro.datalog.seminaive.FixpointEngine`.
 * :mod:`~repro.circuits.runtime` -- the compiled evaluation runtime
   (DESIGN.md §7): :class:`CompiledCircuit` with fused per-semiring
-  kernels, :func:`evaluate_batch`, 64-wide bitset-parallel
-  :func:`evaluate_boolean_batch`, and the dirty-cone
+  kernels (``evaluate``, ``evaluate_batch`` and 64-wide
+  bitset-parallel ``evaluate_boolean_batch``), :func:`compile_circuit`
+  that caches it on its circuit, and the dirty-cone
   :class:`IncrementalEvaluator` for sparse re-valuation.
 * :mod:`~repro.circuits.transform` -- circuit → formula expansion
   (Prop 3.3) and Brent/Wegener depth balancing (Thm 3.2).
@@ -29,13 +30,7 @@ from .evaluate import (
     reference_evaluate_boolean,
 )
 from .metrics import CircuitMetrics, measure
-from .runtime import (
-    CompiledCircuit,
-    IncrementalEvaluator,
-    compile_circuit,
-    evaluate_batch,
-    evaluate_boolean_batch,
-)
+from .runtime import CompiledCircuit, IncrementalEvaluator, compile_circuit
 from .polynomials import (
     canonical_polynomial,
     equivalent_over_absorptive,
@@ -68,8 +63,6 @@ __all__ = [
     "crosscheck_fixpoint",
     "CompiledCircuit",
     "compile_circuit",
-    "evaluate_batch",
-    "evaluate_boolean_batch",
     "IncrementalEvaluator",
     "CircuitMetrics",
     "measure",

@@ -78,8 +78,9 @@ def evaluate_boolean(
     the characteristic assignment, but specialized with bitmask
     operations (the Boolean semiring is the workhorse of the transfer
     arguments in Proposition 3.6).  For many assignments at once, use
-    :func:`repro.circuits.runtime.evaluate_boolean_batch`, which packs
-    up to 64 of them into each pass.
+    ``compile_circuit(circuit).evaluate_boolean_batch``
+    (:mod:`repro.circuits.runtime`), which packs up to 64 of them into
+    each pass.
     """
     return compile_circuit(circuit).evaluate_boolean_batch([true_variables], output)[0]
 

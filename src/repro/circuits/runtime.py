@@ -24,13 +24,16 @@ input gate.  This module amortizes all of that over a batch
   :class:`IncrementalEvaluator` seed) runs the segment-loop kernel,
   because compiling the straight-line source costs far more than the
   one pass it speeds up.
-* :func:`evaluate_batch` reuses one compiled form and one variable
-  table across a whole batch of assignments, for *any* semiring.
-* :func:`evaluate_boolean_batch` packs up to :data:`WORD_SIZE` (64)
-  true-variable sets into one Python-int bitmask per node and
-  evaluates them all in a single ``|``/``&`` pass -- the workhorse for
-  the transfer arguments (Prop. 3.6), the boundedness checker's
-  equivalence probes and Monte-Carlo fact-reliability sweeps.
+* :meth:`CompiledCircuit.evaluate_batch` reuses one compiled form and
+  one variable table across a whole batch of assignments, for *any*
+  semiring.  :func:`compile_circuit` caches the compiled form on its
+  circuit, so ``compile_circuit(c).evaluate_batch(...)`` compiles once.
+* :meth:`CompiledCircuit.evaluate_boolean_batch` packs up to
+  :data:`WORD_SIZE` (64) true-variable sets into one Python-int
+  bitmask per node and evaluates them all in a single ``|``/``&``
+  pass -- the workhorse for the transfer arguments (Prop. 3.6), the
+  boundedness checker's equivalence probes and Monte-Carlo
+  fact-reliability sweeps.
 * :class:`IncrementalEvaluator` keeps the last value array and, given
   a sparse assignment delta, recomputes only the dirty cone of
   influence via a fanout-indexed worklist -- the "one EDB weight
@@ -63,8 +66,6 @@ from .circuit import OP_ADD, OP_CONST0, OP_CONST1, OP_MUL, OP_VAR, ZERO, Circuit
 __all__ = [
     "CompiledCircuit",
     "compile_circuit",
-    "evaluate_batch",
-    "evaluate_boolean_batch",
     "IncrementalEvaluator",
     "BITSET_ADD_EXPR",
     "BITSET_MUL_EXPR",
@@ -266,7 +267,6 @@ class CompiledCircuit:
         "const1_nodes",
         "segments",
         "_kernels",
-        "_vec_plans",
         "_users",
         "_keep",
         "_outs_streams",
@@ -323,7 +323,6 @@ class CompiledCircuit:
         self.const1_nodes = const1_nodes
         self.segments = segments
         self._kernels: Dict[Tuple[Optional[Tuple[str, str]], bool, bool], Callable] = {}
-        self._vec_plans: Dict[bool, tuple] = {}
         self._users: Optional[List[List[int]]] = None
         self._keep: Optional[List[bool]] = None
         self._outs_streams: Optional[tuple] = None
@@ -596,25 +595,6 @@ def compile_circuit(circuit: Circuit | CompiledCircuit) -> CompiledCircuit:
         compiled = CompiledCircuit(circuit)
         circuit._compiled = compiled
     return compiled
-
-
-def evaluate_batch(
-    circuit: Circuit | CompiledCircuit,
-    semiring: Semiring,
-    assignments: Iterable[Assignment],
-    output: Optional[int] = None,
-) -> List:
-    """Batch evaluation over an arbitrary semiring (compiles once)."""
-    return compile_circuit(circuit).evaluate_batch(semiring, assignments, output)
-
-
-def evaluate_boolean_batch(
-    circuit: Circuit | CompiledCircuit,
-    batches: Iterable[Iterable[Hashable]],
-    output: Optional[int] = None,
-) -> List[bool]:
-    """Bitset-parallel Boolean batch evaluation (compiles once)."""
-    return compile_circuit(circuit).evaluate_boolean_batch(batches, output)
 
 
 class IncrementalEvaluator:

@@ -5,8 +5,7 @@ This module is the single source of truth every layer shares
 
 * the knob vocabularies (:data:`GROUNDING_ENGINES`,
   :data:`FIXPOINT_STRATEGIES`, :data:`CONSTRUCTIONS`) and their
-  defaults, re-exported by the layers that historically
-  defined them;
+  defaults, which every layer imports from here;
 * :class:`ExecutionConfig`, the one value every layer accepts via a
   ``config=`` keyword -- grounding, fixpoint, circuit construction,
   the :mod:`repro.api` facade and the serving stack

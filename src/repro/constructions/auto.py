@@ -46,9 +46,10 @@ class ConstructionChoice:
 
     The choice is also the natural serving handle: the paper's usage
     pattern is "build one circuit, answer many valuation queries", so
-    the compiled-runtime entry points (DESIGN.md §7) are exposed here
-    directly.  All of them share one cached
-    :class:`~repro.circuits.runtime.CompiledCircuit`.
+    :meth:`compiled` hands out the circuit's one cached
+    :class:`~repro.circuits.runtime.CompiledCircuit`, whose methods
+    answer the queries (DESIGN.md §7), and :meth:`serve` seeds an
+    incremental evaluator on it.
     """
 
     circuit: Circuit
@@ -62,18 +63,6 @@ class ConstructionChoice:
     def compiled(self) -> CompiledCircuit:
         """The circuit frozen for repeated evaluation (cached)."""
         return compile_circuit(self.circuit)
-
-    def evaluate(self, semiring, assignment, output=None):
-        """One valuation query against the compiled circuit."""
-        return self.compiled().evaluate(semiring, assignment, output)
-
-    def evaluate_batch(self, semiring, assignments, output=None):
-        """Many valuation queries, one compile (see ``evaluate_batch``)."""
-        return self.compiled().evaluate_batch(semiring, assignments, output)
-
-    def evaluate_boolean_batch(self, batches, output=None):
-        """Bitset-parallel Boolean queries, 64 per pass."""
-        return self.compiled().evaluate_boolean_batch(batches, output)
 
     def serve(self, semiring, assignment) -> IncrementalEvaluator:
         """An incremental evaluator seeded with *assignment* -- the

@@ -32,13 +32,7 @@ from .analysis import (
 )
 from .ast import Atom, Constant, DatalogError, Fact, Program, Rule, SourceSpan, Term, Variable
 from .database import Database
-from .evaluation import (
-    DivergenceError,
-    EvaluationResult,
-    boolean_iterations,
-    evaluate_fact,
-    naive_evaluation,
-)
+from .evaluation import DivergenceError, EvaluationResult
 from .expansions import (
     ConjunctiveQuery,
     canonical_database,
@@ -49,8 +43,6 @@ from .expansions import (
     unify_atoms,
 )
 from .grounding import (
-    DEFAULT_GROUNDING_ENGINE,
-    GROUNDING_ENGINES,
     GROUNDING_STATS,
     ColumnarGroundProgram,
     GroundingStats,
@@ -62,13 +54,7 @@ from .grounding import (
     relevant_grounding,
 )
 from .incremental import MaintainedFixpoint
-from .seminaive import (
-    COLUMNAR,
-    DEFAULT_STRATEGY,
-    NAIVE,
-    STRATEGIES,
-    FixpointEngine,
-)
+from .seminaive import FixpointEngine
 from .store import (
     GLOBAL_SYMBOLS,
     ColumnarRelation,
@@ -142,8 +128,6 @@ __all__ = [
     "ColumnarStore",
     "DeltaView",
     "GROUNDING_STATS",
-    "GROUNDING_ENGINES",
-    "DEFAULT_GROUNDING_ENGINE",
     "count_join_probes",
     "full_grounding",
     "relevant_grounding",
@@ -151,15 +135,8 @@ __all__ = [
     "derivable_facts",
     "EvaluationResult",
     "DivergenceError",
-    "naive_evaluation",
-    "evaluate_fact",
-    "boolean_iterations",
     "FixpointEngine",
     "MaintainedFixpoint",
-    "DEFAULT_STRATEGY",
-    "NAIVE",
-    "COLUMNAR",
-    "STRATEGIES",
     "ProofTree",
     "enumerate_tight_proof_trees",
     "enumerate_proof_trees",

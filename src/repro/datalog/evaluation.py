@@ -1,4 +1,4 @@
-"""Datalog semantics over semirings: the ICO and the fixpoint front-end.
+"""Datalog semantics over semirings: the ICO, its result and the oracle.
 
 Section 2.3: the immediate consequence operator (ICO) maps each IDB
 fact ``α`` to the ``⊕``-sum over all grounded rules with head ``α`` of
@@ -19,9 +19,16 @@ Two strategies compute that fixpoint (see
   It reads the same grounding, decoded once into :class:`Fact`-space
   ground rules, and keeps its values in a dict keyed by fact.
 
-:func:`naive_evaluation` keeps its historical name but delegates to
-the engine, so every caller gets the columnar fast path unless it pins
-``config=ExecutionConfig(strategy="naive")``.
+This module holds what both strategies share -- the
+:class:`EvaluationResult` and the :class:`DivergenceError` -- and the
+oracle loop.  The one entry point that runs either is
+:meth:`FixpointEngine.evaluate <repro.datalog.seminaive.FixpointEngine.evaluate>`
+(columnar unless ``config=ExecutionConfig(strategy="naive")``); callers
+outside the Datalog layer go through :func:`repro.api.solve` or a
+:class:`repro.api.Session`.  One fact's value is ``result.value(fact)``,
+and the Boolean round count of Definition 4.1 is
+``derivable_facts(program, database)[1]``
+(:func:`repro.datalog.grounding.derivable_facts`).
 
 Convergence is guaranteed for absorptive (0-stable) semirings -- in at
 most ``N`` rounds, where ``N`` is the number of derivable IDB facts,
@@ -35,20 +42,15 @@ under both strategies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from ..config import ConfigLike
 from ..semirings.base import Semiring
 from .ast import Fact, Program
-from .database import Database
-from .grounding import ColumnarGroundProgram, derivable_facts
+from .grounding import ColumnarGroundProgram
 
 __all__ = [
     "EvaluationResult",
     "DivergenceError",
-    "naive_evaluation",
-    "evaluate_fact",
-    "boolean_iterations",
 ]
 
 
@@ -136,69 +138,3 @@ def _naive_fixpoint(
             converged = True
             break
     return values, iterations, converged, rule_evaluations
-
-
-def naive_evaluation(
-    program: Program,
-    database: Database,
-    semiring: Semiring,
-    weights: Optional[Mapping[Fact, object]] = None,
-    ground: Optional[ColumnarGroundProgram] = None,
-    max_iterations: Optional[int] = None,
-    raise_on_divergence: bool = False,
-    config: ConfigLike = None,
-    validate: bool = True,
-) -> EvaluationResult:
-    """Fixpoint evaluation of *program* on *database* over *semiring*.
-
-    *weights* overrides the database's stored annotations (default:
-    stored weight, else ``1``).  *ground* lets callers reuse a
-    precomputed grounding.  ``max_iterations`` defaults to
-    ``max(#IDB facts, 1) + 2`` extra headroom for absorptive
-    semirings and must be set explicitly for non-stable ones.
-
-    Despite the historical name this delegates to the
-    :class:`~repro.datalog.seminaive.FixpointEngine`;
-    ``config.strategy`` picks the fixpoint (``"columnar"`` by default,
-    or the ``"naive"`` oracle) and ``config.engine`` the join engine
-    used when *ground* is not supplied (see
-    :func:`~repro.datalog.grounding.relevant_grounding`).  All pairs
-    produce identical results round for round.
-
-    ``validate=True`` (the default) runs the DL001/DL002 static checks
-    before grounding and raises
-    :class:`~repro.datalog.analysis.ProgramValidationError` on an
-    unsafe or arity-inconsistent program; ``validate=False`` is the
-    escape hatch for tests that need to execute such programs anyway.
-    """
-    from .seminaive import FixpointEngine
-
-    return FixpointEngine(config=config).evaluate(
-        program,
-        database,
-        semiring,
-        weights=weights,
-        ground=ground,
-        max_iterations=max_iterations,
-        raise_on_divergence=raise_on_divergence,
-        validate=validate,
-    )
-
-
-def evaluate_fact(
-    program: Program,
-    database: Database,
-    semiring: Semiring,
-    fact: Fact,
-    weights: Optional[Mapping[Fact, object]] = None,
-    config: ConfigLike = None,
-):
-    """Least-fixpoint value of one IDB *fact* (``0`` if underivable)."""
-    result = naive_evaluation(program, database, semiring, weights, config=config)
-    return result.value(fact)
-
-
-def boolean_iterations(program: Program, database: Database) -> int:
-    """Rounds until the Boolean fixpoint (Definition 4.1 probe)."""
-    _, iterations = derivable_facts(program, database)
-    return iterations

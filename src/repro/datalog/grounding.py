@@ -80,12 +80,7 @@ from typing import (
 
 from array import array
 
-from ..config import (
-    DEFAULT_GROUNDING_ENGINE,
-    GROUNDING_ENGINES,
-    ConfigLike,
-    coerce_config,
-)
+from ..config import ConfigLike, coerce_config
 from .ast import Atom, Constant, DatalogError, Fact, Program, Variable
 from .database import Database
 from .store import SymbolTable
@@ -95,18 +90,12 @@ __all__ = [
     "ColumnarGroundProgram",
     "GroundingStats",
     "GROUNDING_STATS",
-    "GROUNDING_ENGINES",
-    "DEFAULT_GROUNDING_ENGINE",
     "count_join_probes",
     "full_grounding",
     "relevant_grounding",
     "columnar_grounding",
     "derivable_facts",
 ]
-
-# The engine vocabulary and its default live in repro.config (the
-# shared knob module, DESIGN.md §10); the historical names are
-# re-exported here because this layer defined them first.
 
 
 @dataclass

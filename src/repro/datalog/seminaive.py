@@ -70,39 +70,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..config import (
-    DEFAULT_FIXPOINT_STRATEGY,
-    FIXPOINT_STRATEGIES,
-    ExecutionConfig,
-    coerce_config,
-)
+from ..config import ExecutionConfig, coerce_config
 from ..semirings.base import Semiring
 from .analysis import prune_unreachable, require_valid
 from .ast import Fact, Program
 from .database import Database, check_weight
 from .evaluation import DivergenceError, EvaluationResult, _naive_fixpoint
-from .grounding import (
-    ColumnarGroundProgram,
-    columnar_grounding,
-    derivable_facts,
-    relevant_grounding,
-)
+from .grounding import ColumnarGroundProgram, columnar_grounding, relevant_grounding
 
-__all__ = [
-    "NAIVE",
-    "COLUMNAR",
-    "STRATEGIES",
-    "DEFAULT_STRATEGY",
-    "FixpointEngine",
-]
-
-NAIVE = "naive"
-COLUMNAR = "columnar"
-#: The strategy vocabulary and its default live in repro.config (the
-#: shared knob module, DESIGN.md §10); the historical names are kept
-#: as re-exports because this layer defined them first.
-STRATEGIES = FIXPOINT_STRATEGIES
-DEFAULT_STRATEGY = DEFAULT_FIXPOINT_STRATEGY
+__all__ = ["FixpointEngine"]
 
 
 @dataclass(frozen=True)
@@ -135,7 +111,7 @@ class FixpointEngine:
 
     def ground(self, program: Program, database: Database) -> ColumnarGroundProgram:
         """The relevant grounding, joined by the configured engine."""
-        if self.config.resolved_engine == NAIVE:
+        if self.config.resolved_engine == "naive":
             return relevant_grounding(program, database, config=self.config)
         return columnar_grounding(program, database)
 
@@ -192,7 +168,7 @@ class FixpointEngine:
             for weight in weights.values():
                 check_weight(weight)
             edb_value.update(weights)
-        if self.strategy == NAIVE:
+        if self.strategy == "naive":
             idb_facts = sorted(ground.idb_facts, key=repr)
             if max_iterations is None:
                 max_iterations = max(len(idb_facts), 1) + 2
@@ -221,29 +197,6 @@ class FixpointEngine:
             strategy=self.strategy,
             rule_evaluations=rule_evaluations,
         )
-
-    def evaluate_fact(
-        self,
-        program: Program,
-        database: Database,
-        semiring: Semiring,
-        fact: Fact,
-        weights: Optional[Mapping[Fact, object]] = None,
-    ):
-        """Least-fixpoint value of one IDB *fact* (``0`` if underivable)."""
-        return self.evaluate(program, database, semiring, weights).value(fact)
-
-    def boolean_iterations(self, program: Program, database: Database) -> int:
-        """Rounds until the Boolean fixpoint (Definition 4.1 probe).
-
-        Uses the Boolean closure of
-        :func:`repro.datalog.grounding.derivable_facts` regardless of
-        strategy -- both strategies take the identical number of
-        rounds.  The configured engine picks the join engine; the
-        round count is engine-independent.
-        """
-        _, iterations = derivable_facts(program, database, config=self.config)
-        return iterations
 
 
 #: The ⊗/⊕ templates for semirings that declare no expressions.

@@ -21,7 +21,7 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 from ..config import ConfigLike
 from ..datalog.ast import Fact, Program
 from ..datalog.database import Database
-from ..datalog.evaluation import EvaluationResult, naive_evaluation
+from ..datalog.seminaive import FixpointEngine
 from ..semirings.base import Semiring
 from .cfg import CFG
 from .chain import cfg_to_chain_program
@@ -62,13 +62,12 @@ def cfl_reachability(
         raise ValueError("ε ∈ L(grammar); CFL-reachability over chain rules excludes ε")
     database = edges if isinstance(edges, Database) else Database.from_labeled_edges(edges)
     program = chain_program_for(grammar)
-    result: EvaluationResult = naive_evaluation(
+    result = FixpointEngine(config=config).evaluate(
         program,
         database,
         semiring,
         weights=weights,
         max_iterations=max_iterations,
-        config=config,
     )
     output: Dict[Tuple[Vertex, Vertex], object] = {}
     for fact, value in result.values.items():

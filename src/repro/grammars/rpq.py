@@ -15,8 +15,8 @@ from typing import Dict, Hashable, Iterable, Mapping, Optional, Tuple
 from ..config import ConfigLike
 from ..datalog.ast import Fact
 from ..datalog.database import Database
-from ..datalog.evaluation import naive_evaluation
 from ..datalog.library import transitive_closure
+from ..datalog.seminaive import FixpointEngine
 from ..semirings.base import Semiring
 from .regular import DFA
 
@@ -106,13 +106,12 @@ def solve_rpq(
         for fact, origin in product.edge_origin.items()
     }
     tc = transitive_closure(edge="E", target="PT")
-    result = naive_evaluation(
+    result = FixpointEngine(config=config).evaluate(
         tc,
         product.database,
         semiring,
         weights=product_weights,
         max_iterations=max_iterations,
-        config=config,
     )
     output: Dict[Tuple[Vertex, Vertex], object] = {}
     for fact, value in result.values.items():

@@ -31,32 +31,9 @@ from .datalog import library
 from .datalog.analysis import AnalysisReport, analyze_program
 from .datalog.ast import Program
 from .datalog.parser import ParseError, parse_program
-from .semirings import (
-    ARCTIC,
-    BOOLEAN,
-    COUNTING,
-    COUNTING_CAP,
-    FUZZY,
-    LUKASIEWICZ,
-    TROPICAL,
-    TROPICAL_INT,
-    VITERBI,
-)
+from .semirings import SEMIRINGS_BY_NAME
 
-__all__ = ["main", "lint_text", "self_check_programs", "LINT_SEMIRINGS"]
-
-#: CLI name → semiring singleton (same vocabulary as the serving wire).
-LINT_SEMIRINGS = {
-    "boolean": BOOLEAN,
-    "counting": COUNTING,
-    "counting_cap": COUNTING_CAP,
-    "tropical": TROPICAL,
-    "tropical_int": TROPICAL_INT,
-    "viterbi": VITERBI,
-    "fuzzy": FUZZY,
-    "lukasiewicz": LUKASIEWICZ,
-    "arctic": ARCTIC,
-}
+__all__ = ["main", "lint_text", "self_check_programs"]
 
 #: The library's program constructors, linted by ``--self-check``.
 _LIBRARY_PROGRAMS = (
@@ -86,7 +63,7 @@ def lint_text(
     then an ``ok: false`` object with a ``parse_error`` field, matching
     the server's ``/lint`` wire shape.
     """
-    semiring = LINT_SEMIRINGS[semiring_name] if semiring_name else None
+    semiring = SEMIRINGS_BY_NAME[semiring_name] if semiring_name else None
     try:
         program = parse_program(text, target=target, validate=False)
     except ParseError as exc:
@@ -162,7 +139,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--target", help="target predicate (default: first rule's head)")
     parser.add_argument(
         "--semiring",
-        choices=sorted(LINT_SEMIRINGS),
+        choices=sorted(SEMIRINGS_BY_NAME),
         help="arm semiring-aware divergence prediction (DL006)",
     )
     parser.add_argument("--json", action="store_true", help="emit one JSON report per program")

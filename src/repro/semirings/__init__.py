@@ -81,6 +81,7 @@ __all__ = [
     "FUZZY",
     "LUKASIEWICZ",
     "ARCTIC",
+    "SEMIRINGS_BY_NAME",
     "SubsetLatticeSemiring",
     "DivisibilityLatticeSemiring",
     "ChainLatticeSemiring",
@@ -104,6 +105,23 @@ __all__ = [
     "formal_evaluation_homomorphism",
     "boolean_embedding",
 ]
+
+#: Wire name → semiring singleton: the vocabulary of the serving
+#: stack's ``semiring`` field and of ``repro.lint --semiring``.  Only
+#: semirings whose values survive a JSON round-trip are named.  Two
+#: names differ from ``Semiring.name`` (``counting_cap``,
+#: ``tropical_int``), hence a table.
+SEMIRINGS_BY_NAME = {
+    "boolean": BOOLEAN,
+    "counting": COUNTING,
+    "counting_cap": COUNTING_CAP,
+    "tropical": TROPICAL,
+    "tropical_int": TROPICAL_INT,
+    "viterbi": VITERBI,
+    "fuzzy": FUZZY,
+    "lukasiewicz": LUKASIEWICZ,
+    "arctic": ARCTIC,
+}
 
 #: All built-in absorptive semiring singletons (used by parametrized tests).
 ABSORPTIVE_SEMIRINGS = (BOOLEAN, TROPICAL, VITERBI, FUZZY, LUKASIEWICZ)

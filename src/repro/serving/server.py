@@ -78,33 +78,9 @@ from ..datalog.database import Database, check_weight
 from ..datalog.evaluation import DivergenceError
 from ..datalog.parser import ParseError, parse_atom, parse_program
 from ..testing.faults import FLUSH_RAISE, FLUSH_SLOW, HANDLER_STALL, PARTIAL_WRITE, SOCKET_RESET
-from ..semirings import (
-    ARCTIC,
-    BOOLEAN,
-    COUNTING,
-    COUNTING_CAP,
-    FUZZY,
-    LUKASIEWICZ,
-    TROPICAL,
-    TROPICAL_INT,
-    VITERBI,
-)
+from ..semirings import SEMIRINGS_BY_NAME
 
-__all__ = ["CircuitServer", "ServingError", "SEMIRINGS"]
-
-#: Wire name → semiring singleton.  Only semirings whose values survive
-#: a JSON round-trip are exposed over HTTP.
-SEMIRINGS = {
-    "boolean": BOOLEAN,
-    "counting": COUNTING,
-    "counting_cap": COUNTING_CAP,
-    "tropical": TROPICAL,
-    "tropical_int": TROPICAL_INT,
-    "viterbi": VITERBI,
-    "fuzzy": FUZZY,
-    "lukasiewicz": LUKASIEWICZ,
-    "arctic": ARCTIC,
-}
+__all__ = ["CircuitServer", "ServingError"]
 
 _REASONS = {
     200: "OK",
@@ -146,9 +122,9 @@ def fact_from_wire(obj: object) -> Fact:
 
 def _resolve_semiring(body: Mapping[str, Any]):
     name = body.get("semiring", "boolean")
-    semiring = SEMIRINGS.get(name)
+    semiring = SEMIRINGS_BY_NAME.get(name)
     if semiring is None:
-        raise ServingError(400, f"unknown semiring {name!r}; one of {sorted(SEMIRINGS)}")
+        raise ServingError(400, f"unknown semiring {name!r}; one of {sorted(SEMIRINGS_BY_NAME)}")
     return name, semiring
 
 
@@ -857,9 +833,9 @@ class CircuitServer:
             database.retract_fact(fact)
         for fact, weight in weights.items():
             database.set_weight(fact, weight)
-        # The old session's grounding and construction caches, and the
-        # per-semiring state, all describe the pre-delta database.
-        entry.session = Session(entry.session.program, database, entry.session.config)
+        # The session drops its grounding and circuit choices itself
+        # after a structural write; the per-semiring state here still
+        # describes the pre-delta database.
         entry.base_valuations.clear()
         entry.incremental.clear()
         if structural:

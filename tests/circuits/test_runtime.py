@@ -1,7 +1,7 @@
 """Hypothesis equivalence suite for the compiled evaluation runtime.
 
 Every path through :mod:`repro.circuits.runtime` --
-``CompiledCircuit.evaluate_all``/``evaluate``, ``evaluate_batch``,
+``CompiledCircuit.evaluate_all``/``evaluate``/``evaluate_batch``,
 the bitset-parallel ``evaluate_boolean_batch`` and the dirty-cone
 ``IncrementalEvaluator`` -- must agree *exactly* (``==``, not just
 ``semiring.eq``) with the seed interpreter
@@ -30,9 +30,7 @@ from repro.circuits import (
     compile_circuit,
     evaluate,
     evaluate_all,
-    evaluate_batch,
     evaluate_boolean,
-    evaluate_boolean_batch,
     reference_evaluate_all,
     reference_evaluate_boolean,
 )
@@ -130,7 +128,7 @@ def test_evaluate_batch_matches_reference(seed, gates, num_outputs):
             expected = [
                 reference_evaluate_all(circuit, semiring, a)[out] for a in assignments
             ]
-            assert evaluate_batch(circuit, semiring, assignments, output=out) == expected
+            assert compile_circuit(circuit).evaluate_batch(semiring, assignments, output=out) == expected
 
 
 def test_evaluate_batch_empty_and_missing_fact():
@@ -151,8 +149,8 @@ def test_callable_assignments(seed, gates, num_outputs):
         table = random_assignment(rng, semiring)
         expected = reference_evaluate_all(circuit, semiring, table)
         assert evaluate_all(circuit, semiring, table.__getitem__) == expected
-        assert evaluate_batch(
-            circuit, semiring, [table.__getitem__], output=circuit.outputs[0]
+        assert compile_circuit(circuit).evaluate_batch(
+            semiring, [table.__getitem__], output=circuit.outputs[0]
         ) == [expected[circuit.outputs[0]]]
 
 
@@ -173,7 +171,7 @@ def test_bitset_batches_match_reference(seed, gates, num_outputs, num_batches):
     ]  # "ghost" is not a circuit variable: ignored, as in the seed path
     for out in circuit.outputs:
         expected = [reference_evaluate_boolean(circuit, trues, output=out) for trues in batches]
-        assert evaluate_boolean_batch(circuit, batches, output=out) == expected
+        assert compile_circuit(circuit).evaluate_boolean_batch(batches, output=out) == expected
         # and against full Boolean semiring evaluation
         for trues in batches[:5]:
             assignment = {v: v in trues for v in VARIABLES}
@@ -260,7 +258,7 @@ def test_bitset_batches_chunk_into_words():
     batches = [[label for label in "xyz" if rng.random() < 0.5] for _ in range(130)]
     assert 2 * WORD_SIZE < len(batches) < 3 * WORD_SIZE
     expected = [reference_evaluate_boolean(circuit, trues) for trues in batches]
-    assert evaluate_boolean_batch(circuit, batches) == expected
+    assert compile_circuit(circuit).evaluate_boolean_batch(batches) == expected
 
 
 def test_variable_table_deduplicates_labels():

@@ -98,12 +98,13 @@ def test_construction_choice_serving_api():
     weights = {f: 1.0 for f in db.facts()}
     out = circuit.outputs[0]
     expected = reference_evaluate_all(circuit, TROPICAL, weights)[out]
-    assert choice.evaluate(TROPICAL, weights) == expected
-    assert choice.evaluate_batch(TROPICAL, [weights, weights]) == [expected, expected]
+    compiled = choice.compiled()
+    assert compiled.evaluate(TROPICAL, weights) == expected
+    assert compiled.evaluate_batch(TROPICAL, [weights, weights]) == [expected, expected]
 
     batches = [[f for i, f in enumerate(sorted(db.facts(), key=repr)) if i % 2 == parity]
                for parity in (0, 1)]
-    assert choice.evaluate_boolean_batch(batches) == [
+    assert compiled.evaluate_boolean_batch(batches) == [
         reference_evaluate_boolean(circuit, trues) for trues in batches
     ]
 

@@ -8,6 +8,7 @@ them under any EDB valuation must reproduce the least fixpoint.
 
 import pytest
 
+from repro.api import solve
 from repro.circuits import evaluate
 from repro.constructions import (
     bellman_ford_circuit,
@@ -15,7 +16,7 @@ from repro.constructions import (
     generic_circuit,
     squaring_circuit,
 )
-from repro.datalog import Fact, naive_evaluation, transitive_closure
+from repro.datalog import Fact, transitive_closure
 from repro.semirings import BOOLEAN, FUZZY, LUKASIEWICZ, TROPICAL, VITERBI
 from repro.workloads import random_digraph
 
@@ -46,7 +47,7 @@ def test_circuit_value_equals_fixpoint(semiring, pool, builder_name, builder):
     db = random_digraph(6, 11, seed=13)
     weights = {fact: rng.choice(pool) for fact in db.facts()}
     fact = Fact("T", (0, 5))
-    expected = naive_evaluation(TC, db, semiring, weights=weights).value(fact)
+    expected = solve(TC, db, semiring, weights=weights).value(fact)
     circuit = builder(db, 0, 5)
     got = evaluate(circuit, semiring, weights)
     assert semiring.eq(got, expected), (builder_name, semiring.name, got, expected)
@@ -63,6 +64,6 @@ def test_lattice_semiring_cross_check():
     elements = [frozenset("a"), frozenset("ab"), frozenset("cd"), lattice.one]
     weights = {fact: rng.choice(elements) for fact in db.facts()}
     fact = Fact("T", (0, 4))
-    expected = naive_evaluation(TC, db, lattice, weights=weights).value(fact)
+    expected = solve(TC, db, lattice, weights=weights).value(fact)
     circuit = generic_circuit(TC, db, fact)
     assert evaluate(circuit, lattice, weights) == expected

@@ -105,14 +105,14 @@ def test_depth_polylog_on_paths():
     assert d2 <= bound, depths
 
 
-def test_tropical_value_matches_naive_evaluation():
-    from repro.datalog import naive_evaluation
+def test_tropical_value_matches_the_fixpoint():
+    from repro.api import solve
 
     db = random_digraph(6, 10, seed=4)
     weights = random_weights(db, seed=4)
     fact = Fact("T", (0, 5))
     circuit = fringe_circuit(TC, db, fact)
-    direct = naive_evaluation(TC, db, TROPICAL, weights=weights).value(fact)
+    direct = solve(TC, db, TROPICAL, weights=weights).value(fact)
     assert evaluate(circuit, TROPICAL, weights) == direct
 
 

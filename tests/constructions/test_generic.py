@@ -86,15 +86,15 @@ def test_early_exit_on_acyclic_input():
     assert circuit.size < 40
 
 
-def test_tropical_value_matches_naive_evaluation():
-    from repro.datalog import naive_evaluation
+def test_tropical_value_matches_the_fixpoint():
+    from repro.api import solve
     from repro.workloads import random_digraph, random_weights
 
     db = random_digraph(8, 16, seed=11)
     weights = random_weights(db, seed=11)
     fact = Fact("T", (0, 7))
     circuit = generic_circuit(transitive_closure(), db, fact)
-    direct = naive_evaluation(transitive_closure(), db, TROPICAL, weights=weights).value(fact)
+    direct = solve(transitive_closure(), db, TROPICAL, weights=weights).value(fact)
     assert evaluate(circuit, TROPICAL, weights) == direct
 
 

@@ -17,17 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExecutionConfig, Session, solve
+from repro.config import FIXPOINT_STRATEGIES
 from repro.datalog import (
     Database,
     Fact,
     FixpointEngine,
-    Program,
     ProgramValidationError,
     analyze_program,
     count_join_probes,
     dead_rules,
     dependency_report,
-    naive_evaluation,
     parse_program,
     predict_divergence,
     prune_unreachable,
@@ -43,7 +42,6 @@ from repro.semirings import BOOLEAN, COUNTING, COUNTING_CAP, TROPICAL
 from tests.oracle import examples
 
 TC = transitive_closure()
-STRATEGIES = ("naive", "columnar")
 
 #: Transitive closure plus a dead pair of rules: ``S`` is never
 #: reachable from target ``T``, so pruning must drop exactly its two
@@ -281,7 +279,7 @@ def test_pruning_shrinks_the_grounding():
     assert {key[1:] for key in kept} == remapped
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", FIXPOINT_STRATEGIES)
 @pytest.mark.parametrize("semiring", [BOOLEAN, COUNTING, TROPICAL], ids=lambda s: s.name)
 def test_pruned_solve_preserves_target_cone_values_exactly(strategy, semiring):
     program = parse_program(DEAD_S, target="T")
@@ -346,7 +344,7 @@ def test_ground_cycle_over_counting_diverges_with_witness():
     assert prediction.witness is not None
     assert prediction.witness.predicate == "T"
     assert "witness" in prediction.to_json()
-    result = naive_evaluation(TC, CYCLE_DB, COUNTING)
+    result = FixpointEngine().evaluate(TC, CYCLE_DB, COUNTING)
     assert not result.converged
 
 
@@ -354,7 +352,7 @@ def test_acyclic_data_over_counting_converges():
     prediction = predict_divergence(TC, COUNTING, DAG_DB)
     assert prediction.verdict == CONVERGES
     assert "acyclic on this database" in prediction.reason
-    assert naive_evaluation(TC, DAG_DB, COUNTING).converged
+    assert FixpointEngine().evaluate(TC, DAG_DB, COUNTING).converged
 
 
 def test_stable_plus_chain_is_honestly_unknown_on_cycles():
@@ -366,7 +364,7 @@ def test_stable_plus_chain_is_honestly_unknown_on_cycles():
     assert prediction.witness is not None
     # The saturating fixpoint really does converge, given rounds to
     # reach the cap; unknown must be compatible with that.
-    assert naive_evaluation(TC, CYCLE_DB, COUNTING_CAP, max_iterations=5000).converged
+    assert FixpointEngine().evaluate(TC, CYCLE_DB, COUNTING_CAP, max_iterations=5000).converged
 
 
 def test_zero_weighted_edb_fact_downgrades_diverges_to_unknown():
@@ -387,7 +385,7 @@ def test_unit_production_cycle_diverges_despite_finite_cfg():
     db = edge_db(("a", "b"))
     prediction = predict_divergence(program, COUNTING, db)
     assert prediction.verdict == DIVERGES
-    assert not naive_evaluation(program, db, COUNTING).converged
+    assert not FixpointEngine().evaluate(program, db, COUNTING).converged
 
 
 def test_two_predicate_unit_cycle_diverges_despite_finite_cfg():
@@ -399,7 +397,7 @@ def test_two_predicate_unit_cycle_diverges_despite_finite_cfg():
     db = edge_db(("a", "b"))
     prediction = predict_divergence(program, COUNTING, db)
     assert prediction.verdict == DIVERGES
-    assert not naive_evaluation(program, db, COUNTING).converged
+    assert not FixpointEngine().evaluate(program, db, COUNTING).converged
 
 
 def test_unproductive_chain_cycle_converges_without_grounding():
@@ -413,7 +411,7 @@ def test_unproductive_chain_cycle_converges_without_grounding():
     prediction = predict_divergence(program, COUNTING, db)
     assert prediction.verdict == CONVERGES
     assert "chain" in prediction.reason
-    for strategy in STRATEGIES:
+    for strategy in FIXPOINT_STRATEGIES:
         result = solve(program, db, COUNTING, config=ExecutionConfig(strategy=strategy))
         assert result.converged
 
@@ -434,7 +432,7 @@ def test_stored_idb_seed_disarms_both_definite_layers():
     prediction = predict_divergence(program, COUNTING, db)
     assert prediction.verdict == UNKNOWN
     assert "stored" in prediction.reason
-    assert naive_evaluation(program, db, COUNTING).converged
+    assert FixpointEngine().evaluate(program, db, COUNTING).converged
 
 
 # -- divergence prediction vs runtime: the property ------------------------
@@ -456,7 +454,7 @@ def test_definite_verdicts_match_runtime_across_strategies(seed, n, m):
     db = random_edge_db(seed, n, m)
     prediction = predict_divergence(TC, COUNTING, db)
     assert prediction.verdict in (CONVERGES, DIVERGES)  # db supplied: decidable here
-    for strategy in STRATEGIES:
+    for strategy in FIXPOINT_STRATEGIES:
         result = solve(TC, db, COUNTING, config=ExecutionConfig(strategy=strategy))
         assert result.converged == (prediction.verdict == CONVERGES)
 
@@ -481,7 +479,7 @@ def test_engine_rejects_unsafe_program_at_entry():
         FixpointEngine().evaluate(program, db, BOOLEAN)
     assert any(d.code == "DL001" for d in excinfo.value.diagnostics)
     with pytest.raises(ProgramValidationError):
-        naive_evaluation(program, db, BOOLEAN)
+        FixpointEngine().evaluate(program, db, BOOLEAN)
 
 
 def test_engine_validate_false_is_the_escape_hatch():
@@ -495,8 +493,8 @@ def test_engine_validate_false_is_the_escape_hatch():
     )
     db = edge_db(("a", "b"))
     with pytest.raises(ProgramValidationError):
-        naive_evaluation(program, db, BOOLEAN)
-    result = naive_evaluation(program, db, BOOLEAN, validate=False)
+        FixpointEngine().evaluate(program, db, BOOLEAN)
+    result = FixpointEngine().evaluate(program, db, BOOLEAN, validate=False)
     assert result.value(next(iter(result.values))) is True
 
 

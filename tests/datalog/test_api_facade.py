@@ -31,7 +31,6 @@ from repro.datalog import (
     Fact,
     FixpointEngine,
     magic_grounding,
-    naive_evaluation,
     parse_program,
     relevant_grounding,
     transitive_closure,
@@ -101,8 +100,8 @@ RETIRED = {"indexed", "seminaive"}
 def test_solve_matches_legacy_spellings_across_matrix(diamond, engine, strategy):
     """Across the historical matrix, a retired name fails loudly with
     the vocabulary error, and every spelling of a live (engine,
-    strategy) pair -- the facade, a session, the historical entry
-    point and the engine object -- agrees with the naive oracle."""
+    strategy) pair -- the facade, a session and the engine object --
+    agrees with the naive oracle."""
     program, db = diamond
     if {engine, strategy} & RETIRED:
         with pytest.raises(ValueError, match="expected one of"):
@@ -111,11 +110,10 @@ def test_solve_matches_legacy_spellings_across_matrix(diamond, engine, strategy)
     assert engine in GROUNDING_ENGINES and strategy in FIXPOINT_STRATEGIES
     config = ExecutionConfig(engine=engine, strategy=strategy)
     for semiring in (BOOLEAN, COUNTING, TROPICAL):
-        reference = naive_evaluation(program, db, semiring, config=ORACLE)
+        reference = api.solve(program, db, semiring, config=ORACLE)
         for result in (
             api.solve(program, db, semiring, config=config),
             api.Session(program, db, config).solve(semiring),
-            naive_evaluation(program, db, semiring, config=config),
             FixpointEngine(config=config).evaluate(program, db, semiring),
         ):
             assert_same_result(result, reference, semiring)
@@ -138,8 +136,8 @@ def test_every_legacy_kwarg_is_gone(diamond):
     program, db = diamond
     grammar = CFG(["S"], ["a"], [("S", ("a",)), ("S", ("S", "S"))], "S")
     retired = [
-        lambda: naive_evaluation(program, db, BOOLEAN, strategy="naive"),
-        lambda: naive_evaluation(program, db, BOOLEAN, grounding_engine="naive"),
+        lambda: api.solve(program, db, BOOLEAN, strategy="naive"),
+        lambda: api.solve(program, db, BOOLEAN, grounding_engine="naive"),
         lambda: relevant_grounding(program, db, engine="naive"),
         lambda: magic_grounding(program, 0, db, columnar=True),
         lambda: generic_circuit(program, db, Fact("T", (0, 4)), engine="naive"),
@@ -156,7 +154,7 @@ def test_config_spelling_is_warning_free(diamond):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         api.solve(program, db, BOOLEAN, config=ExecutionConfig(engine="columnar"))
-        naive_evaluation(program, db, BOOLEAN, config=ExecutionConfig(strategy="naive"))
+        api.solve(program, db, BOOLEAN, config=ExecutionConfig(strategy="naive"))
         relevant_grounding(program, db, config=ExecutionConfig(engine="naive"))
         provenance_circuit(program, db, Fact("T", (0, 4)), config=DEFAULT_CONFIG)
 
@@ -166,9 +164,7 @@ def test_conflicting_legacy_and_config_knobs_raise(diamond):
     # with it: there is exactly one spelling.
     program, db = diamond
     with pytest.raises(TypeError):
-        naive_evaluation(
-            program, db, BOOLEAN, strategy="naive", config=ExecutionConfig(strategy="naive")
-        )
+        api.solve(program, db, BOOLEAN, strategy="naive", config=ExecutionConfig(strategy="naive"))
     with pytest.raises(TypeError):
         relevant_grounding(program, db, engine="naive", config=ExecutionConfig(engine="naive"))
 

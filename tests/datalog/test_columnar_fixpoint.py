@@ -39,19 +39,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import FIXPOINT_STRATEGIES, GROUNDING_ENGINES
 from repro.datalog import (
     ColumnarGroundProgram,
     Database,
     Fact,
     FixpointEngine,
-    GROUNDING_ENGINES,
-    STRATEGIES,
     columnar_grounding,
     derivable_facts,
     dyck1,
     magic_grounding,
     magic_specialize,
-    naive_evaluation,
     relevant_grounding,
     same_generation,
     transitive_closure,
@@ -258,7 +256,7 @@ def test_repeated_body_fact_agrees_with_oracle(semiring):
     from repro.constructions import generic_circuit
 
     db = bracket_loops()
-    reference = naive_evaluation(DYCK, db, semiring, config=ORACLE)
+    reference = FixpointEngine(config=ORACLE).evaluate(DYCK, db, semiring)
     assert_same_result(solve(DYCK, db, semiring), reference, semiring)
     # The generic circuit is ``N`` Jacobi rounds from 0 (N = 2 IDB
     # facts here), so it matches the oracle stopped after N rounds --
@@ -266,7 +264,7 @@ def test_repeated_body_fact_agrees_with_oracle(semiring):
     # where the loops diverge.
     stages = len(columnar_grounding(DYCK, db).idb_fact_ids())
     assert stages == 2
-    capped = naive_evaluation(DYCK, db, semiring, max_iterations=stages, config=ORACLE)
+    capped = FixpointEngine(config=ORACLE).evaluate(DYCK, db, semiring, max_iterations=stages)
     targets = sorted(capped.values, key=repr)
     circuit = generic_circuit(DYCK, db, facts=targets)
     assert circuit_outputs(circuit, semiring, db.valuation(semiring)) == [
@@ -366,7 +364,7 @@ def test_columnar_grounding_repeated_variables():
 
 def assert_strategies_agree(program, db, semiring, weights=None):
     reference = FixpointEngine(config=ORACLE).evaluate(program, db, semiring, weights=weights)
-    for strategy in STRATEGIES:
+    for strategy in FIXPOINT_STRATEGIES:
         engine = FixpointEngine(config={"strategy": strategy})
         result = engine.evaluate(program, db, semiring, weights=weights)
         assert result.values == reference.values, strategy
@@ -421,7 +419,7 @@ def test_columnar_strategy_counts_rule_evaluations_like_seminaive():
     ground = without_round_count(relevant_grounding(TC, db, config=NAIVE_ENGINE))
     result = FixpointEngine().evaluate(TC, db, BOOLEAN, ground=ground)
     rounds = [{}] + [
-        naive_evaluation(TC, db, BOOLEAN, ground=ground, config=ORACLE, max_iterations=t).values
+        FixpointEngine(config=ORACLE).evaluate(TC, db, BOOLEAN, ground=ground, max_iterations=t).values
         for t in range(1, result.iterations)
     ]
     expected = len(ground)
@@ -533,9 +531,9 @@ def test_ground_forms_interchange_across_strategies():
     db = random_edge_db(2, 7, 16)
     ground = relevant_grounding(TC, db, config=NAIVE_ENGINE)
     cground = columnar_grounding(TC, db)
-    reference = naive_evaluation(TC, db, BOOLEAN, ground=ground, config=ORACLE)
+    reference = FixpointEngine(config=ORACLE).evaluate(TC, db, BOOLEAN, ground=ground)
     for ground_form in (ground, cground):
-        for strategy in STRATEGIES:
+        for strategy in FIXPOINT_STRATEGIES:
             result = FixpointEngine(config={"strategy": strategy}).evaluate(
                 TC, db, BOOLEAN, ground=ground_form
             )

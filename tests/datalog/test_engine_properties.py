@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from repro.datalog import (
     Database,
+    FixpointEngine,
     derivable_facts,
     enumerate_tight_proof_trees,
-    naive_evaluation,
     provenance_by_proof_trees,
     relevant_grounding,
     transitive_closure,
@@ -44,7 +44,7 @@ def test_tight_trees_evaluate_to_fixpoint(seed, n, m):
     db = random_edge_db(seed, n, m)
     rng = random.Random(seed)
     weights = {fact: float(rng.randint(1, 5)) for fact in db.facts()}
-    result = naive_evaluation(TC, db, TROPICAL, weights=weights)
+    result = FixpointEngine().evaluate(TC, db, TROPICAL, weights=weights)
     ground = relevant_grounding(TC, db)
     for fact in list(ground.idb_facts)[:4]:
         poly = provenance_by_proof_trees(TC, db, fact, ground=ground)
@@ -69,7 +69,7 @@ def test_tight_trees_are_tight_and_grounded(seed, n, m):
 def test_boolean_evaluation_equals_derivability(seed, n, m):
     db = random_edge_db(seed, n, m)
     derived, _ = derivable_facts(TC, db)
-    result = naive_evaluation(TC, db, BOOLEAN)
+    result = FixpointEngine().evaluate(TC, db, BOOLEAN)
     positives = {fact for fact, value in result.values.items() if value}
     assert positives == derived
 

@@ -1,4 +1,4 @@
-"""Naive evaluation over semirings, cross-checked against networkx."""
+"""Fixpoint evaluation over semirings, cross-checked against networkx."""
 
 import math
 
@@ -8,9 +8,8 @@ import pytest
 from repro.datalog import (
     Database,
     Fact,
-    boolean_iterations,
-    evaluate_fact,
-    naive_evaluation,
+    FixpointEngine,
+    derivable_facts,
     transitive_closure,
 )
 from repro.semirings import BOOLEAN, COUNTING, TROPICAL, VITERBI
@@ -20,7 +19,7 @@ from repro.workloads import random_digraph, random_weights
 def test_boolean_tc_matches_networkx_reachability():
     db = random_digraph(12, 24, seed=3)
     graph = nx.DiGraph(db.tuples("E"))
-    result = naive_evaluation(transitive_closure(), db, BOOLEAN)
+    result = FixpointEngine().evaluate(transitive_closure(), db, BOOLEAN)
     derived = {f.args for f, v in result.values.items() if v}
     # Non-empty-path reachability: BFS from each successor set, so that
     # (u, u) is included exactly when u lies on a cycle.
@@ -44,7 +43,7 @@ def test_tropical_tc_matches_dijkstra():
     graph = nx.DiGraph()
     for fact, w in weights.items():
         graph.add_edge(fact.args[0], fact.args[1], weight=w)
-    result = naive_evaluation(transitive_closure(), db, TROPICAL, weights=weights)
+    result = FixpointEngine().evaluate(transitive_closure(), db, TROPICAL, weights=weights)
     lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
     for fact, value in result.values.items():
         u, v = fact.args
@@ -56,13 +55,13 @@ def test_tropical_tc_matches_dijkstra():
 def test_counting_tc_counts_paths_on_dag():
     # 0→1→3, 0→2→3, 0→3: three paths 0→3.
     db = Database.from_edges([(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)])
-    value = evaluate_fact(transitive_closure(), db, COUNTING, Fact("T", (0, 3)))
+    value = FixpointEngine().evaluate(transitive_closure(), db, COUNTING).value(Fact("T", (0, 3)))
     assert value == 3
 
 
 def test_counting_diverges_on_cycle():
     db = Database.from_edges([(0, 1), (1, 0), (0, 2)])
-    result = naive_evaluation(
+    result = FixpointEngine().evaluate(
         transitive_closure(), db, COUNTING, max_iterations=30
     )
     assert not result.converged
@@ -73,7 +72,7 @@ def test_counting_divergence_raises_when_asked():
 
     db = Database.from_edges([(0, 1), (1, 0)])
     with pytest.raises(DivergenceError):
-        naive_evaluation(
+        FixpointEngine().evaluate(
             transitive_closure(),
             db,
             COUNTING,
@@ -84,7 +83,7 @@ def test_counting_divergence_raises_when_asked():
 
 def test_absorptive_converges_within_n_iterations():
     db = random_digraph(9, 20, seed=1)
-    result = naive_evaluation(transitive_closure(), db, TROPICAL, weights=random_weights(db))
+    result = FixpointEngine().evaluate(transitive_closure(), db, TROPICAL, weights=random_weights(db))
     assert result.converged
     assert result.iterations <= len(result.values) + 2
 
@@ -96,34 +95,35 @@ def test_viterbi_best_path_probability():
         Fact("E", (1, 2)): 0.9,
         Fact("E", (0, 2)): 0.5,
     }
-    value = evaluate_fact(transitive_closure(), db, VITERBI, Fact("T", (0, 2)), weights)
+    value = FixpointEngine().evaluate(transitive_closure(), db, VITERBI, weights).value(Fact("T", (0, 2)))
     assert math.isclose(value, 0.81)
 
 
 def test_unannotated_facts_default_to_one():
     db = Database.from_edges([(0, 1), (1, 2)])
-    value = evaluate_fact(transitive_closure(), db, TROPICAL, Fact("T", (0, 2)))
+    value = FixpointEngine().evaluate(transitive_closure(), db, TROPICAL).value(Fact("T", (0, 2)))
     assert value == 0.0  # 1 ⊗ 1 = 0 + 0 in tropical
 
 
 def test_underivable_fact_is_zero():
     db = Database.from_edges([(0, 1)])
-    assert evaluate_fact(transitive_closure(), db, TROPICAL, Fact("T", (1, 0))) == math.inf
-    assert evaluate_fact(transitive_closure(), db, BOOLEAN, Fact("T", (1, 0))) is False
+    engine = FixpointEngine()
+    assert engine.evaluate(transitive_closure(), db, TROPICAL).value(Fact("T", (1, 0))) == math.inf
+    assert engine.evaluate(transitive_closure(), db, BOOLEAN).value(Fact("T", (1, 0))) is False
 
 
 def test_target_values_filter():
     db = Database.from_edges([(0, 1)])
-    result = naive_evaluation(transitive_closure(), db, BOOLEAN)
+    result = FixpointEngine().evaluate(transitive_closure(), db, BOOLEAN)
     targets = result.target_values(transitive_closure())
     assert set(targets) == {Fact("T", (0, 1))}
 
 
-def test_boolean_iterations_grow_with_diameter():
-    short = boolean_iterations(
+def test_boolean_rounds_grow_with_diameter():
+    _, short = derivable_facts(
         transitive_closure(), Database.from_edges([(i, i + 1) for i in range(3)])
     )
-    long = boolean_iterations(
+    _, long = derivable_facts(
         transitive_closure(), Database.from_edges([(i, i + 1) for i in range(12)])
     )
     assert long > short
@@ -134,7 +134,7 @@ def test_evaluation_reuses_precomputed_grounding():
 
     db = Database.from_edges([(0, 1), (1, 2)])
     ground = relevant_grounding(transitive_closure(), db)
-    result = naive_evaluation(transitive_closure(), db, BOOLEAN, ground=ground)
+    result = FixpointEngine().evaluate(transitive_closure(), db, BOOLEAN, ground=ground)
     assert result.value(Fact("T", (0, 2)))
 
 
@@ -145,7 +145,7 @@ def test_oracle_reads_an_underived_stored_idb_fact_as_zero(semiring):
     from tests.oracle import ORACLE, assert_same_result
 
     db = Database([Fact("E", (0, 1)), Fact("E", (1, 0)), Fact("E", (2, 1)), Fact("T", (0, 2))])
-    fast = naive_evaluation(transitive_closure(), db, semiring)
-    oracle = naive_evaluation(transitive_closure(), db, semiring, config=ORACLE)
+    fast = FixpointEngine().evaluate(transitive_closure(), db, semiring)
+    oracle = FixpointEngine(config=ORACLE).evaluate(transitive_closure(), db, semiring)
     assert len(fast.values) == 6
     assert_same_result(oracle, fast, semiring)

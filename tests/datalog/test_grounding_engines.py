@@ -37,7 +37,6 @@ from repro.datalog import (
     dyck1,
     magic_grounding,
     magic_specialize,
-    naive_evaluation,
     parse_program,
     relevant_grounding,
     same_generation,
@@ -317,8 +316,8 @@ def test_engine_none_resolves_to_default():
         relevant_grounding(TC, db),
         relevant_grounding(TC, db, config=ExecutionConfig(engine=None)),
     )
-    result = naive_evaluation(TC, db, BOOLEAN, config=NAIVE_ENGINE)
-    assert result.values == naive_evaluation(TC, db, BOOLEAN).values
+    result = FixpointEngine(config=NAIVE_ENGINE).evaluate(TC, db, BOOLEAN)
+    assert result.values == FixpointEngine().evaluate(TC, db, BOOLEAN).values
 
 
 def test_weighted_evaluation_matches_across_engines_at_scale():
@@ -326,8 +325,8 @@ def test_weighted_evaluation_matches_across_engines_at_scale():
     weights = random_weights(database, seed=11)
     naive_ground = relevant_grounding(TC, database, config=NAIVE_ENGINE)
     columnar_ground = relevant_grounding(TC, database)
-    a = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=naive_ground)
-    b = naive_evaluation(TC, database, TROPICAL, weights=weights, ground=columnar_ground)
+    a = FixpointEngine().evaluate(TC, database, TROPICAL, weights=weights, ground=naive_ground)
+    b = FixpointEngine().evaluate(TC, database, TROPICAL, weights=weights, ground=columnar_ground)
     assert a.values == b.values
 
 

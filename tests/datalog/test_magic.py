@@ -8,13 +8,13 @@ from repro.datalog import (
     Atom,
     DatalogError,
     Fact,
+    FixpointEngine,
     Program,
     Rule,
     Variable,
     dyck1,
     magic_specialize,
     magic_specialize_sink,
-    naive_evaluation,
     provenance_by_proof_trees,
     relevant_grounding,
     specialized_fact,
@@ -46,8 +46,8 @@ def test_specialized_program_is_monadic():
 def test_specialization_preserves_boolean_answers():
     db = random_digraph(7, 14, seed=6)
     specialized = magic_specialize(TC, 0)
-    original = naive_evaluation(TC, db, BOOLEAN)
-    magic = naive_evaluation(specialized, db, BOOLEAN)
+    original = FixpointEngine().evaluate(TC, db, BOOLEAN)
+    magic = FixpointEngine().evaluate(specialized, db, BOOLEAN)
     for fact, value in original.values.items():
         if fact.args[0] == 0:
             assert magic.value(Fact("T@0", (fact.args[1],))) == value
@@ -66,8 +66,8 @@ def test_specialization_preserves_tropical_values():
     db = random_digraph(7, 15, seed=2)
     weights = random_weights(db, seed=2)
     specialized = magic_specialize(TC, 0)
-    original = naive_evaluation(TC, db, TROPICAL, weights=weights)
-    magic = naive_evaluation(specialized, db, TROPICAL, weights=weights)
+    original = FixpointEngine().evaluate(TC, db, TROPICAL, weights=weights)
+    magic = FixpointEngine().evaluate(specialized, db, TROPICAL, weights=weights)
     for fact, value in original.values.items():
         if fact.args[0] == 0:
             assert magic.value(Fact("T@0", (fact.args[1],))) == value
@@ -96,8 +96,8 @@ def test_sink_specialization_for_right_linear():
     db = random_digraph(6, 12, seed=3)
     specialized = magic_specialize_sink(program, 5)
     assert specialized.is_monadic()
-    original = naive_evaluation(program, db, BOOLEAN)
-    magic = naive_evaluation(specialized, db, BOOLEAN)
+    original = FixpointEngine().evaluate(program, db, BOOLEAN)
+    magic = FixpointEngine().evaluate(specialized, db, BOOLEAN)
     for fact, value in original.values.items():
         if fact.args[1] == 5:
             assert magic.value(Fact("T@5", (fact.args[0],))) == value

@@ -94,15 +94,15 @@ def test_proof_trees_read_any_grounding(figure1_db, figure1_fact, tc_program):
     assert count_tight_proof_trees(session_ground, Fact("T", ("missing", 0))) == 0
 
 
-def test_provenance_polynomial_matches_naive_evaluation():
-    from repro.datalog import naive_evaluation
+def test_provenance_polynomial_matches_the_fixpoint():
+    from repro.datalog import FixpointEngine
     from repro.workloads import random_digraph, random_weights
 
     db = random_digraph(7, 12, seed=5)
     weights = random_weights(db, seed=5)
     fact = Fact("T", (0, 6))
     poly = provenance_by_proof_trees(transitive_closure(), db, fact)
-    direct = naive_evaluation(transitive_closure(), db, TROPICAL, weights=weights).value(fact)
+    direct = FixpointEngine().evaluate(transitive_closure(), db, TROPICAL, weights=weights).value(fact)
     assert poly.evaluate(TROPICAL, weights) == direct
 
 

@@ -11,16 +11,15 @@ convergence is non-uniform.
 import pytest
 
 from repro.circuits import crosscheck_fixpoint
+from repro.config import DEFAULT_FIXPOINT_STRATEGY
 from repro.constructions import generic_circuit
 from repro.datalog import (
-    DEFAULT_STRATEGY,
     Database,
     DivergenceError,
     Fact,
     FixpointEngine,
     columnar_grounding,
     dyck1,
-    naive_evaluation,
     relevant_grounding,
     transitive_closure,
 )
@@ -77,10 +76,10 @@ def test_seminaive_matches_naive_fixpoint(semiring, graph_name):
     # The default cap suits absorptive semirings; capped counting is
     # q-stable and needs ~q rounds to saturate on cycles.
     max_iterations = 400 if isinstance(semiring, CappedCountingSemiring) else None
-    naive = naive_evaluation(
-        TC, database, semiring, weights=weights, config=ORACLE, max_iterations=max_iterations
+    naive = FixpointEngine(config=ORACLE).evaluate(
+        TC, database, semiring, weights=weights, max_iterations=max_iterations
     )
-    semi = naive_evaluation(
+    semi = FixpointEngine().evaluate(
         TC, database, semiring, weights=weights, max_iterations=max_iterations
     )
     assert naive.converged and semi.converged
@@ -93,9 +92,9 @@ def test_seminaive_matches_naive_fixpoint(semiring, graph_name):
 
 def test_seminaive_is_the_default_strategy():
     # The semi-naive rounds run on the id-space grounding: "columnar".
-    assert DEFAULT_STRATEGY == "columnar"
+    assert DEFAULT_FIXPOINT_STRATEGY == "columnar"
     database = figure1_graph()
-    result = naive_evaluation(TC, database, BOOLEAN)
+    result = FixpointEngine().evaluate(TC, database, BOOLEAN)
     assert result.strategy == "columnar"
     explicit = FixpointEngine(config={"strategy": "columnar"}).evaluate(TC, database, BOOLEAN)
     assert explicit.values == result.values
@@ -104,8 +103,8 @@ def test_seminaive_is_the_default_strategy():
 def test_seminaive_dyck1_matches_naive():
     program = dyck1()
     database = Database.from_labeled_edges(dyck_concatenated_path(3))
-    naive = naive_evaluation(program, database, BOOLEAN, config=ORACLE)
-    semi = naive_evaluation(program, database, BOOLEAN)
+    naive = FixpointEngine(config=ORACLE).evaluate(program, database, BOOLEAN)
+    semi = FixpointEngine().evaluate(program, database, BOOLEAN)
     assert naive.values == semi.values
     assert naive.iterations == semi.iterations
 
@@ -114,8 +113,8 @@ def test_seminaive_does_strictly_less_work_on_deep_graphs():
     database = random_digraph(24, 72, seed=24)
     # No round count: the semi-naive kernel runs instead of the read-off.
     ground = without_round_count(relevant_grounding(TC, database))
-    naive = naive_evaluation(TC, database, BOOLEAN, ground=ground, config=ORACLE)
-    semi = naive_evaluation(TC, database, BOOLEAN, ground=ground)
+    naive = FixpointEngine(config=ORACLE).evaluate(TC, database, BOOLEAN, ground=ground)
+    semi = FixpointEngine().evaluate(TC, database, BOOLEAN, ground=ground)
     assert naive.iterations >= 3  # non-trivial depth, else the ratio is vacuous
     assert 0 < semi.rule_evaluations
     assert semi.rule_evaluations * 2 <= naive.rule_evaluations
@@ -124,8 +123,8 @@ def test_seminaive_does_strictly_less_work_on_deep_graphs():
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_divergence_reported_identically(algorithm):
     database = Database.from_edges([(0, 1), (1, 0), (0, 2)])
-    result = naive_evaluation(
-        TC, database, COUNTING, max_iterations=25, config={"strategy": ALGORITHMS[algorithm]}
+    result = FixpointEngine(config={"strategy": ALGORITHMS[algorithm]}).evaluate(
+        TC, database, COUNTING, max_iterations=25
     )
     assert not result.converged
     assert result.iterations == 25
@@ -135,23 +134,22 @@ def test_divergence_reported_identically(algorithm):
 def test_divergence_raises_identically(algorithm):
     database = Database.from_edges([(0, 1), (1, 0)])
     with pytest.raises(DivergenceError):
-        naive_evaluation(
+        FixpointEngine(config={"strategy": ALGORITHMS[algorithm]}).evaluate(
             TC,
             database,
             COUNTING,
             max_iterations=10,
             raise_on_divergence=True,
-            config={"strategy": ALGORITHMS[algorithm]},
         )
 
 
 def test_diverging_value_maps_agree_round_for_round():
     database = Database.from_edges([(0, 1), (1, 0), (0, 2)])
     for rounds in (1, 2, 7, 20):
-        naive = naive_evaluation(
-            TC, database, COUNTING, max_iterations=rounds, config=ORACLE
+        naive = FixpointEngine(config=ORACLE).evaluate(
+            TC, database, COUNTING, max_iterations=rounds
         )
-        semi = naive_evaluation(
+        semi = FixpointEngine().evaluate(
             TC, database, COUNTING, max_iterations=rounds
         )
         assert naive.values == semi.values, rounds
@@ -162,10 +160,10 @@ def test_divergent_arctic_cycle_agrees_with_oracle():
     # evaluators stop at the same cap with the same values.
     database = Database.from_edges([(1, 2), (2, 3), (3, 1)])
     weights = {fact: 1.0 for fact in database.facts()}
-    naive = naive_evaluation(
-        TC, database, ARCTIC, weights=weights, max_iterations=50, config=ORACLE
+    naive = FixpointEngine(config=ORACLE).evaluate(
+        TC, database, ARCTIC, weights=weights, max_iterations=50
     )
-    semi = naive_evaluation(TC, database, ARCTIC, weights=weights, max_iterations=50)
+    semi = FixpointEngine().evaluate(TC, database, ARCTIC, weights=weights, max_iterations=50)
     assert naive.values == semi.values
     assert naive.iterations == semi.iterations == 50
     assert not naive.converged and not semi.converged
@@ -174,8 +172,8 @@ def test_divergent_arctic_cycle_agrees_with_oracle():
 def test_capped_counting_converges_on_cycle():
     semiring = CappedCountingSemiring(8)
     database = Database.from_edges([(0, 1), (1, 0), (0, 2)])
-    naive = naive_evaluation(TC, database, semiring, config=ORACLE, max_iterations=100)
-    semi = naive_evaluation(TC, database, semiring, max_iterations=100)
+    naive = FixpointEngine(config=ORACLE).evaluate(TC, database, semiring, max_iterations=100)
+    semi = FixpointEngine().evaluate(TC, database, semiring, max_iterations=100)
     assert naive.converged and semi.converged
     assert naive.values == semi.values
     # Cyclic derivations saturate at the cap.
@@ -190,18 +188,8 @@ def test_fixpoint_engine_rejects_unknown_strategy():
 
 
 def test_fixpoint_engine_none_resolves_to_default():
-    assert FixpointEngine(None).strategy == DEFAULT_STRATEGY
-    assert FixpointEngine(config={"strategy": None}).strategy == DEFAULT_STRATEGY
-
-
-def test_engine_boolean_iterations_matches_module_probe():
-    from repro.datalog import boolean_iterations
-
-    database = GRAPHS["random"]()
-    for config in (ORACLE, None):
-        assert FixpointEngine(config=config).boolean_iterations(TC, database) == (
-            boolean_iterations(TC, database)
-        )
+    assert FixpointEngine(None).strategy == DEFAULT_FIXPOINT_STRATEGY
+    assert FixpointEngine(config={"strategy": None}).strategy == DEFAULT_FIXPOINT_STRATEGY
 
 
 def test_grounding_body_index_is_consistent():

@@ -55,7 +55,8 @@ def test_cfg_to_chain_program_shape():
 
 
 def test_dfa_to_chain_program_language():
-    from repro.datalog import Database, naive_evaluation, Fact
+    from repro.api import solve
+    from repro.datalog import Database, Fact
     from repro.semirings import BOOLEAN
     from repro.workloads import word_path
 
@@ -69,7 +70,7 @@ def test_dfa_to_chain_program_language():
     # DFA accepts the word.
     for word in ["ac", "abc", "abbc", "ab", "bc", "abcb"]:
         db = Database.from_labeled_edges(word_path(word))
-        result = naive_evaluation(program, db, BOOLEAN)
+        result = solve(program, db, BOOLEAN)
         derived = result.value(Fact("S", (0, len(word))))
         assert derived == dfa.accepts_word(tuple(word)), word
 

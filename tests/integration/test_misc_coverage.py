@@ -1,6 +1,9 @@
 """Coverage for remaining public helpers across packages."""
 
+import importlib
+import pkgutil
 
+import repro
 from repro.analysis import dominance_ratio
 from repro.circuits import CircuitBuilder, measure
 from repro.grammars import parse_regex, product_graph
@@ -74,3 +77,17 @@ def test_sweep_report_without_claims():
         report.add(n=n, m=n, size=n, depth=1)
     assert report.size_ok() and report.depth_ok()
     assert "none" in report.render()
+
+
+def test_every_all_entry_resolves():
+    """A name left in an ``__all__`` after its definition went fails
+    ``from module import *``; catch it for every module of the package."""
+    stale = []
+    modules = [repro.__name__] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, repro.__name__ + ".")
+    ]
+    for name in modules:
+        module = importlib.import_module(name)
+        stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert len(modules) > 40
+    assert stale == []

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import solve
 from repro.circuits import canonical_polynomial
 from repro.constructions import generic_circuit
-from repro.datalog import DatalogError, Fact, naive_evaluation, reachability, transitive_closure
+from repro.datalog import DatalogError, Fact, reachability, transitive_closure
 from repro.reductions import (
     find_monadic_witness,
     monadic_reduction_instance,
@@ -57,10 +58,10 @@ def test_instance_positive_and_negative():
     witness = find_monadic_witness(U)
     # connected 2-hop graph
     instance = monadic_reduction_instance(U, witness, [("s", "m"), ("m", "t")], "s", "t")
-    assert naive_evaluation(U, instance.database, BOOLEAN).value(instance.query)
+    assert solve(U, instance.database, BOOLEAN).value(instance.query)
     # broken middle edge
     broken = monadic_reduction_instance(U, witness, [("s", "m"), ("x", "t")], "s", "t")
-    assert not naive_evaluation(U, broken.database, BOOLEAN).value(broken.query)
+    assert not solve(U, broken.database, BOOLEAN).value(broken.query)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -70,7 +71,7 @@ def test_instance_matches_reachability_on_layered_graphs(seed):
     instance = monadic_reduction_instance(
         U, witness, graph.edges, graph.source, graph.sink
     )
-    derived = naive_evaluation(U, instance.database, BOOLEAN).value(instance.query)
+    derived = solve(U, instance.database, BOOLEAN).value(instance.query)
     assert derived  # generator guarantees s–t connectivity
 
 

@@ -3,7 +3,8 @@
 
 import pytest
 
-from repro.datalog import Fact, naive_evaluation, transitive_closure
+from repro.api import solve
+from repro.datalog import Fact, transitive_closure
 from repro.semirings import KTropicalSemiring, check_semiring, is_p_stable_on
 from repro.workloads import random_digraph, random_weights
 
@@ -69,7 +70,7 @@ def test_k_shortest_walks_via_datalog():
     db = random_digraph(6, 12, seed=5)
     raw_weights = random_weights(db, seed=5)
     weights = {fact: (w,) for fact, w in raw_weights.items()}
-    result = naive_evaluation(
+    result = solve(
         db and transitive_closure(), db, semiring, weights=weights, max_iterations=200
     )
     assert result.converged

@@ -176,7 +176,7 @@ def test_numeric_evaluate_matches_direct_circuit_evaluation():
         program = parse_program(TC, target="T")
         database = Database.from_edges([(0, 1), (1, 2), (2, 3), (0, 2)])
         choice = provenance_circuit(program, database, Fact("T", (0, 3)))
-        direct = choice.evaluate(
+        direct = choice.compiled().evaluate(
             TROPICAL, {Fact("E", (u, v)): w for (u, v), w in
                        [((0, 1), 1.0), ((1, 2), 1.0), ((2, 3), 1.0), ((0, 2), 5.0)]}
         )

@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.lint import LINT_SEMIRINGS, lint_text, main, self_check_programs
+from repro.lint import lint_text, main, self_check_programs
+from repro.semirings import SEMIRINGS_BY_NAME
 
 CLEAN = "T(X, Y) :- E(X, Y).\nT(X, Y) :- T(X, Z), E(Z, Y).\n"
 UNSAFE = "T(X, Y) :- E(X, X).\nU(X) :- T(X).\n"
@@ -90,7 +91,7 @@ def test_self_check_covers_library_and_examples_and_passes(capsys):
 
 
 def test_semiring_vocabulary_matches_the_registry():
-    assert set(LINT_SEMIRINGS) == {
+    assert set(SEMIRINGS_BY_NAME) == {
         "boolean",
         "counting",
         "counting_cap",
