@@ -9,7 +9,7 @@ achieves depth O(log² m).
 Run:  python examples/dyck_reachability.py
 """
 
-from repro.circuits import canonical_polynomial, measure
+from repro.circuits import canonical_polynomial
 from repro.constructions import fringe_circuit, generic_circuit
 from repro.datalog import Database, Fact, dyck1
 from repro.grammars import CFG, cfl_reachability

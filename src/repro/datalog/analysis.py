@@ -73,7 +73,7 @@ grounding is exactly the reachable-headed subset of the original
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,

@@ -769,8 +769,15 @@ def _kernel_source(
     rows (``None``: round 0's full join), then each *plan* step's
     pattern-index range or full scan.  Bound-slot checks, probe and
     match counts, the round dedup key (with *dedup*), the fact-id
-    interning and the appends to the ground program's columns are all
-    inline, the interning at emission in body order, then the head.
+    lookups and the appends to the ground program's columns are all
+    inline.  Each atom's row tuple and fact-table read sit at the
+    shallowest level that binds all its slots (within the last part
+    of a plan longer than ``_LOOPS_PER_PART``, whose boundary carries
+    slots only).  The read never inserts: facts are interned at
+    emission only, in body order, then the head, and an atom whose
+    hoisted read missed reads again there first, since an atom
+    earlier in body order may have interned the same row.  So fact
+    ids are those of reading every atom at emission.
     Each emitted rule appends its head and one tuple of fact ids per
     non-empty body side (a one-fact side's shared unit row);
     ``rule_no`` and an empty side's ``()`` rows follow from the
@@ -798,6 +805,31 @@ def _kernel_source(
         code.extend("    " * depth + line for line in lines)
 
     levels = ([(seed, None)] if seed is not None else []) + list(plan)
+    atoms = (*body, head)
+    for j, atom in enumerate(atoms):
+        prelude += [f"t{j} = tables[{j}]", f"p{j} = preds[{j}]"]
+
+    def lookup(j: int) -> Tuple[str, str]:
+        return f"row{j} = ({''.join(term(c) + ', ' for c in atoms[j].terms)})", f"f{j} = t{j}.get(row{j})"
+
+    # Each atom's fact-table read sits just inside the loop that binds
+    # its last slot, but no higher than the last part's first level: a
+    # part boundary carries only the slots.  An atom bound only by the
+    # innermost level is read at emission.
+    bound_by: Dict[int, int] = {}
+    for level, (atom, _) in enumerate(levels):
+        for slot in atom.slots:
+            bound_by.setdefault(slot, level)
+    last = len(levels) - 1
+    last_part = last - last % _LOOPS_PER_PART
+    # Level -> the atoms read just before that level's loop.
+    reads: Dict[int, List[int]] = {}
+    for j, atom in enumerate(atoms):
+        ready = max((bound_by[slot] for slot in atom.slots), default=-1)
+        if ready < last:
+            reads.setdefault(max(ready + 1, last_part), []).append(j)
+    hoisted = {j for js in reads.values() for j in js}
+
     bound: Set[int] = set()
     for level, (atom, positions) in enumerate(levels):
         if level and level % _LOOPS_PER_PART == 0:
@@ -807,6 +839,8 @@ def _kernel_source(
             depth = 1
             put(f"for ({names}) in part{level}:")
             depth = 2
+        for j in reads.get(level, ()):
+            put(*lookup(j))
         if positions is None:
             prelude.append(f"start, stop, cols{level} = seed")
             count, loop, checked = "stop - start", "range(start, stop)", range(atom.arity)
@@ -848,22 +882,26 @@ def _kernel_source(
         if checks:
             put("matches += 1")
 
-    # One ground rule per complete binding.
+    # One ground rule per complete binding.  Facts are interned here
+    # only, in body order, then the head; a hoisted read that missed
+    # reads again first, since an atom earlier in body order may have
+    # interned the same row since.
     if dedup:
         prelude.append("seen_add = seen.add")
         put(f"key = ({''.join(f's{slot}, ' for slot in sorted(bound))})", "if key in seen:", "    continue",
             "seen_add(key)")
-    for j, atom in enumerate((*body, head)):
-        prelude += [f"t{j} = tables[{j}]", f"p{j} = preds[{j}]"]
-        put(
-            f"row{j} = ({''.join(term(c) + ', ' for c in atom.terms)})",
-            f"f{j} = t{j}.get(row{j})",
+    for j in range(len(atoms)):
+        insert = (
             f"if f{j} is None:",
             f"    f{j} = t{j}[row{j}] = len(fact_rows)",
             f"    preds_append(p{j})",
             f"    rows_append(row{j})",
             f"    units_append((f{j},))",
         )
+        if j in hoisted:
+            put(f"if f{j} is None:", f"    f{j} = t{j}.get(row{j})", *("    " + line for line in insert))
+        else:
+            put(*lookup(j), *insert)
     put(f"head_append(f{len(body)})")
     # One tuple per body side and rule: a one-fact side shares its
     # fact's unit row, and an empty side's ``()`` rows are added in
@@ -939,9 +977,13 @@ class _ColumnarProgramGrounder:
     (:func:`_kernel_source`): rules are slot-compiled once (every head
     before any body), the body is selectivity-ordered the first time
     the kernel is needed, and the plan is frozen into straight nested
-    loops that read the store's columns and pattern-index runs and
-    append plain ints to the ground program's columns -- no
-    :class:`Fact` object, no substitution dict, no call per binding.
+    loops that read the store's columns and pattern-index runs, read
+    each atom's fact id once per binding of its slots, and append
+    plain ints to the ground program's columns -- no :class:`Fact`
+    object, no substitution dict, no call per binding.  Each round's
+    fresh heads enter the store with one
+    :meth:`~repro.datalog.store.ColumnarRelation.extend` batch per
+    predicate.
     Bodies intern their constants only with *intern_bodies*: a
     maintainer's store receives later inserts, so it must not freeze
     the :attr:`_SlotAtom.impossible` shortcut in.
@@ -991,8 +1033,8 @@ class _ColumnarProgramGrounder:
             mark = store.watermark()
             for predicate in sorted(fresh):
                 self.derived.update(fresh[predicate])
-                for row in sorted(map(rows.__getitem__, fresh[predicate])):
-                    store.insert_ids(predicate, row)
+                batch = sorted(map(rows.__getitem__, fresh[predicate]))
+                store.extend_ids(predicate, len(batch[0]), batch)
             fresh = self.round(store.deltas_since(mark))
         return rounds
 

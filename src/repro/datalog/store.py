@@ -23,8 +23,9 @@ high-performance Datalog engines:
   :meth:`SymbolTable.clear` between workloads).
 * :class:`ColumnarRelation` -- each relation is a struct-of-arrays:
   one append-only ``array('q')`` per argument position, plus a
-  row-key dict for O(1) dedup/membership.  The writer is
-  arity-checked; rows are integers end to end.
+  row-key dict for O(1) dedup/membership.  One arity-checked batch
+  writer (:meth:`ColumnarRelation.extend`) fills it, and ``append``
+  is its one-row case; rows are integers end to end.
 * :class:`_PatternIndex` -- pattern-keyed indexes stored as
   *contiguous sorted-id arrays*: for a tuple of bound argument
   positions, the row ids are kept sorted by their key, and a lookup
@@ -56,6 +57,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Dict,
     Hashable,
@@ -228,7 +230,7 @@ class _PatternIndex:
     while lookups stay ``O(log n)``.
     """
 
-    __slots__ = ("positions", "_single", "_keys", "_rows", "_tail", "_tail_rows")
+    __slots__ = ("positions", "_single", "_key", "_keys", "_rows", "_tail", "_tail_rows")
 
     #: Merge the pending tail once it exceeds committed/_MERGE_FRACTION.
     _MERGE_FRACTION = 8
@@ -236,6 +238,8 @@ class _PatternIndex:
     def __init__(self, relation: "ColumnarRelation", positions: Tuple[int, ...]):
         self.positions = positions
         self._single = len(positions) == 1
+        #: An id row's key: a bare id for one position, else a tuple.
+        self._key = itemgetter(*positions)
         if self._single:
             column = relation.columns[positions[0]]
             order = sorted(range(len(column)), key=column.__getitem__)
@@ -251,10 +255,13 @@ class _PatternIndex:
         self._tail: Dict[PatternKey, List[int]] = {}
         self._tail_rows = 0
 
-    def add(self, key: PatternKey, row: int) -> None:
-        """Register a freshly appended *row* under *key*."""
-        self._tail.setdefault(key, []).append(row)
-        self._tail_rows += 1
+    def extend(self, rows: Sequence[IdRow], first: int) -> None:
+        """Register freshly appended id *rows*, row indices ``first,
+        first + 1, ...``, in the pending tail, with one merge check."""
+        tail, key = self._tail, self._key
+        for row, ids in enumerate(rows, first):
+            tail.setdefault(key(ids), []).append(row)
+        self._tail_rows += len(rows)
         if self._tail_rows * self._MERGE_FRACTION > len(self._rows):
             self._merge_tail()
 
@@ -307,12 +314,13 @@ class _PatternIndex:
 class ColumnarRelation:
     """One relation as parallel append-only ``array('q')`` columns.
 
-    The writer (:meth:`append`) is arity-checked and deduplicating:
-    the row-key dict maps each id row to its row index, giving O(1)
-    membership (:meth:`__contains__`, :meth:`row_index`) and making
-    the append log a set.  Pattern indexes are built lazily per
-    position tuple (:meth:`index_for`) and maintained incrementally as
-    rows are appended.
+    The one writer (:meth:`extend`, with :meth:`append` its one-row
+    case) is arity-checked and deduplicating: the row-key dict maps
+    each id row to its row index, giving O(1) membership
+    (:meth:`__contains__`, :meth:`row_index`) and making the append
+    log a set.  Pattern indexes are built lazily per position tuple
+    (:meth:`index_for`) and maintained incrementally as rows are
+    appended.
     """
 
     __slots__ = ("predicate", "arity", "columns", "_row_index", "_indexes")
@@ -333,25 +341,42 @@ class ColumnarRelation:
     def row_index(self, ids: IdRow) -> Optional[int]:
         return self._row_index.get(ids)
 
+    def extend(self, rows: Sequence[IdRow]) -> int:
+        """Append a batch of id rows; the number that were new.
+
+        The one writer: the whole batch is arity-checked before
+        anything changes, rows already resident or repeated in the
+        batch are dropped (first occurrence wins), and the new rows
+        take the next row indices in batch order.  Each column is
+        extended once, and each pattern index gets the new rows in one
+        call.
+        """
+        arity = self.arity
+        for ids in rows:
+            if len(ids) != arity:
+                raise DatalogError(
+                    f"arity clash on {self.predicate!r}: got {len(ids)} ids, "
+                    f"relation has arity {arity}"
+                )
+        row_index = self._row_index
+        first = len(row_index)
+        fresh: List[IdRow] = []
+        for ids in rows:
+            if ids not in row_index:
+                row_index[ids] = first + len(fresh)
+                fresh.append(ids)
+        if not fresh:
+            return 0
+        for column, sids in zip(self.columns, zip(*fresh)):
+            column.extend(sids)
+        for index in self._indexes.values():
+            index.extend(fresh, first)
+        return len(fresh)
+
     def append(self, ids: IdRow) -> Optional[int]:
-        """Append an id row; its new row index, or ``None`` if resident."""
-        if len(ids) != self.arity:
-            raise DatalogError(
-                f"arity clash on {self.predicate!r}: got {len(ids)} ids, "
-                f"relation has arity {self.arity}"
-            )
-        if ids in self._row_index:
-            return None
+        """Append one id row; its new row index, or ``None`` if resident."""
         row = len(self._row_index)
-        self._row_index[ids] = row
-        for column, sid in zip(self.columns, ids):
-            column.append(sid)
-        for positions, index in self._indexes.items():
-            if len(positions) == 1:
-                index.add(ids[positions[0]], row)
-            else:
-                index.add(tuple(ids[p] for p in positions), row)
-        return row
+        return row if self.extend((ids,)) else None
 
     def row(self, index: int) -> IdRow:
         return tuple(column[index] for column in self.columns)
@@ -479,9 +504,15 @@ class ColumnarStore:
     def from_facts(
         cls, facts: Iterable[Fact], symbols: Optional[SymbolTable] = None
     ) -> "ColumnarStore":
+        """A store holding *facts*, interned in order and written with
+        one :meth:`extend_ids` batch per relation."""
         store = cls(symbols)
+        intern_row = store.symbols.intern_row
+        batches: Dict[Tuple[str, int], List[IdRow]] = {}
         for fact in facts:
-            store.insert_fact(fact)
+            batches.setdefault((fact.predicate, fact.arity), []).append(intern_row(fact.args))
+        for (predicate, arity), rows in batches.items():
+            store.extend_ids(predicate, arity, rows)
         return store
 
     # -- writers ---------------------------------------------------------
@@ -499,14 +530,18 @@ class ColumnarStore:
         found = [rel for (pred, _), rel in self._relations.items() if pred == predicate]
         return found[0] if len(found) == 1 else None
 
-    def insert_ids(self, predicate: str, ids: IdRow) -> bool:
-        """Append an already-interned row; True iff it was new."""
-        key = (predicate, len(ids))
+    def extend_ids(self, predicate: str, arity: int, rows: Sequence[IdRow]) -> int:
+        """Append already-interned rows of one arity through
+        :meth:`ColumnarRelation.extend`; the number that were new."""
+        key = (predicate, arity)
         relation = self._relations.get(key)
         if relation is None:
-            relation = ColumnarRelation(predicate, len(ids))
-            self._relations[key] = relation
-        return relation.append(ids) is not None
+            relation = self._relations[key] = ColumnarRelation(predicate, arity)
+        return relation.extend(rows)
+
+    def insert_ids(self, predicate: str, ids: IdRow) -> bool:
+        """Append one already-interned row; True iff it was new."""
+        return self.extend_ids(predicate, len(ids), (ids,)) > 0
 
     def insert_fact(self, fact: Fact) -> bool:
         """Intern and append one fact; True iff it was new."""

@@ -69,7 +69,7 @@ def build_datalog_circuit():
     # Rebuild with repr labels: Fact labels round-trip as strings
     # (documented lossy corner), so string labels make the round-trip
     # exact for this test.
-    from repro.circuits.circuit import OP_ADD, OP_CONST0, OP_CONST1, OP_MUL, OP_VAR
+    from repro.circuits.circuit import OP_ADD, OP_CONST0, OP_CONST1, OP_VAR
 
     node_map = {}
     for i, op in enumerate(circuit.ops):

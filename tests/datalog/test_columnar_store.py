@@ -13,6 +13,7 @@ Two layers are pinned here (DESIGN.md §8):
   in ``tests/datalog/test_grounding_engines.py``.
 """
 
+import itertools
 import pickle
 import random
 
@@ -33,6 +34,7 @@ from repro.datalog import (
     scoped_symbols,
     transitive_closure,
 )
+from repro.datalog.store import ColumnarRelation
 from repro.semirings import BOOLEAN
 from repro.workloads import random_digraph, random_weights
 from tests.oracle import NAIVE_ENGINE
@@ -115,6 +117,93 @@ def test_relation_append_dedups_and_checks_arity():
     assert store.contains_fact(Fact("E", (1, 2)))
     assert store.contains_fact(Fact("E", (1, 2, 3)))
     assert set(store.facts("E")) == {Fact("E", (1, 2)), Fact("E", (1, 2, 3))}
+
+
+
+def test_extend_checks_the_whole_batch_before_writing():
+    relation = ColumnarRelation("E", 2)
+    relation.extend([(0, 1)])
+    index = relation.index_for((0,))
+    with pytest.raises(DatalogError, match="arity clash"):
+        relation.extend([(1, 2), (2, 3, 4), (3, 4)])
+    # The clash sits mid-batch: the rows before it were not written.
+    assert len(relation) == 1
+    assert list(relation.id_rows()) == [(0, 1)]
+    assert [list(column) for column in relation.columns] == [[0], [1]]
+    assert relation.row_index((1, 2)) is None
+    assert relation.lookup((0,), 1) == [] and index.parts()[2] == {}
+
+
+def test_extend_drops_resident_and_repeated_rows():
+    relation = ColumnarRelation("E", 2)
+    assert relation.extend([(0, 1), (1, 2)]) == 2
+    assert relation.extend([(1, 2), (2, 3), (2, 3), (0, 1), (3, 4)]) == 2
+    assert relation.extend([(3, 4), (3, 4)]) == 0
+    assert list(relation.id_rows()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert [relation.row_index(row) for row in relation.id_rows()] == [0, 1, 2, 3]
+
+
+def test_append_is_the_one_row_extend():
+    relation = ColumnarRelation("E", 2)
+    assert relation.append((0, 1)) == 0
+    assert relation.append((1, 2)) == 1
+    assert relation.append((0, 1)) is None
+    assert len(relation) == 2
+    with pytest.raises(DatalogError, match="arity clash"):
+        relation.append((1,))
+    assert len(relation) == 2
+
+
+def test_extend_checks_the_merge_threshold_once_per_batch():
+    relation = ColumnarRelation("R", 1)
+    relation.extend([(v,) for v in range(64)])
+    index = relation.index_for((0,))
+    # Below the threshold (64 / 8 rows) a batch stays in the tail ...
+    relation.extend([(v,) for v in range(100, 108)])
+    assert index._tail_rows == 8
+    assert relation.lookup((0,), 103) == [67]
+    # ... and the batch that crosses it is merged in with it.
+    relation.extend([(v,) for v in range(200, 220)])
+    assert index._tail_rows == 0
+    assert relation.lookup((0,), 103) == [67] and relation.lookup((0,), 219) == [91]
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    arity=st.integers(1, 3),
+    committed=st.integers(0, 48),
+    batches=st.lists(st.integers(0, 24), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_extend_matches_one_row_appends(seed, arity, committed, batches):
+    """Random batches through ``extend`` leave the same columns, row
+    index and pattern-index lookups as the same rows appended one at a
+    time, on indexes built before the batches arrive: small batches
+    stay in the pending tail, larger ones cross the merge threshold."""
+    rng = random.Random(seed)
+    domain = 2 + arity * 2
+
+    def rows(count):
+        return [tuple(rng.randrange(domain) for _ in range(arity)) for _ in range(count)]
+
+    batched, single = ColumnarRelation("R", arity), ColumnarRelation("R", arity)
+    patterns = [
+        positions
+        for size in range(1, arity + 1)
+        for positions in itertools.combinations(range(arity), size)
+    ]
+    for batch in [rows(committed), *map(rows, batches)]:
+        added = batched.extend(batch)
+        appended = [single.append(row) for row in batch]
+        assert added == sum(row is not None for row in appended)
+        assert batched.columns == single.columns
+        assert batched._row_index == single._row_index
+        for positions in patterns:
+            batched.index_for(positions)
+            single.index_for(positions)
+            for row in batched.id_rows():
+                key = row[positions[0]] if len(positions) == 1 else tuple(row[p] for p in positions)
+                assert batched.lookup(positions, key) == single.lookup(positions, key)
 
 
 def test_mixed_arity_database_grounds_like_the_other_engines():

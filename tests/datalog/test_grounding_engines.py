@@ -402,6 +402,103 @@ def test_join_kernels_reproduce_the_pinned_accounting(program, database, pinned)
     assert got == pinned
 
 
+class CountingTable(dict):
+    """A fact table that counts its ``get`` reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def counting_grounder(program, db):
+    """A grounder whose fact tables count the kernels' reads."""
+    with mock.patch.object(
+        grounding.ColumnarGroundProgram,
+        "fact_table",
+        lambda self, predicate: self._fact_ids.setdefault(predicate, CountingTable()),
+    ):
+        return grounding._ColumnarProgramGrounder(program, db)
+
+
+def test_tc_delta_kernel_reads_its_seed_atom_once_per_delta_row():
+    """``T(X, Z) :- T(X, Y), E(Y, Z)`` seeded by the ``T`` delta binds
+    the seed atom's slots at the outer level, so its fact id is read
+    there, once per delta row, and not once per ground rule."""
+    grounder = counting_grounder(TC, random_digraph(24, 72, seed=5))
+    cground = grounder.cground
+    fresh = grounder.round(None)
+    table = cground._fact_ids["T"]
+    table.reads = 0
+    first = len(cground)
+    grounder.saturate(fresh)
+    emitted = len(cground) - first
+    # Every derived T fact is one delta row of the seed; the head
+    # T(X, Z) is read once per emitted rule.
+    assert emitted > 2 * len(grounder.derived)
+    assert table.reads == len(grounder.derived) + emitted
+
+
+def assert_interned_once(ground):
+    """Every fact id is a distinct fact some ground rule mentions."""
+    mentioned = set(ground.rule_head)
+    for row in (*ground.idb_rows, *ground.edb_rows):
+        mentioned.update(row)
+    assert mentioned == set(range(ground.fact_count))
+    assert len(set(zip(ground.fact_preds, ground.fact_rows))) == ground.fact_count
+
+
+def test_hoisted_reads_intern_only_facts_an_emitted_rule_mentions():
+    """``A`` is the outer atom and most of its rows find no ``B``
+    partner: their hoisted reads miss, and none is interned."""
+    program = parse_program("P(X, Z) :- A(X, Y), B(Y, Z).")
+    db = Database()
+    for x in range(12):
+        db.add("A", x, x % 6)
+    for z in range(40):
+        db.add("B", 0, z)
+    ground = relevant_grounding(program, db)
+    assert_interned_once(ground)
+    assert ground.fact_count == 2 + 40 + 80  # A(0, 0), A(6, 0), the B rows, the P heads
+    assert ground.rule_keys() == relevant_grounding(program, db, config=NAIVE_ENGINE).rule_keys()
+
+
+def test_a_hoisted_read_that_missed_reads_again_before_it_interns():
+    """``A(X, X)`` is read when ``C(X)`` binds ``X``, before any rule
+    mentions it; the innermost level then interns ``A(Y, X)`` first in
+    body order, and for ``Y = X`` that is the same row, so the second
+    atom must find the id the first one just took."""
+    program = parse_program("P(X) :- A(Y, X), A(X, X), C(X).")
+    db = Database()
+    for row in ((1, 1), (2, 1)):
+        db.add("A", *row)
+    db.add("C", 1)
+    ground = relevant_grounding(program, db)
+    assert_interned_once(ground)
+    assert ground.rule(0).edb_body == (Fact("A", (1, 1)), Fact("A", (1, 1)), Fact("C", (1,)))
+    assert ground.rule_keys() == relevant_grounding(program, db, config=NAIVE_ENGINE).rule_keys()
+
+
+def test_a_plan_past_one_part_reads_its_atoms_in_the_last_part():
+    """A plan longer than ``_LOOPS_PER_PART`` materializes its bindings
+    at the part boundary, which carries slots only: every fact-table
+    read sits after the last part's header, never above it."""
+    length = grounding._LOOPS_PER_PART + 2
+    xs = [Variable(f"X{i:02d}") for i in range(length + 1)]
+    program = Program([Rule(Atom("P", (xs[0], xs[-1])), [Atom("E", (xs[i], xs[i + 1])) for i in range(length)])])
+    db = Database.from_edges([(i, i + 1) for i in range(length + 4)])
+    (source,) = recorded_kernel_sources(program, db)
+    lines = source.splitlines()
+    (header,) = [at for at, line in enumerate(lines) if line.endswith(f" in part{length - 2}:")]
+    reads = [at for at, line in enumerate(lines) if ".get(row" in line]
+    assert len(reads) > length and min(reads) > header
+    ground = relevant_grounding(program, db)
+    assert len(ground) == 5
+    assert_interned_once(ground)
+    assert ground.rule_keys() == relevant_grounding(program, db, config=NAIVE_ENGINE).rule_keys()
+
+
 #: Every identifier a kernel source may hold: fixed names, plus fixed
 #: prefixes numbered by slot, level, atom or constant position.
 KERNEL_NAMES = frozenset(

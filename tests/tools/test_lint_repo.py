@@ -128,3 +128,65 @@ def test_iter_python_files_covers_the_scan_dirs():
 @pytest.mark.parametrize("relative", sorted(lint_repo.EXEC_ALLOWLIST))
 def test_allowlist_entries_exist(relative):
     assert (lint_repo.REPO_ROOT / relative).is_file()
+
+
+def test_unused_import_detected(tmp_path):
+    source = "import os\nimport json.decoder\nfrom typing import List, Dict\n\nx: List[int] = []\n"
+    path = _write(tmp_path, "bad.py", source)
+    findings = lint_repo.lint_file(path, root=tmp_path)
+    assert _codes(findings) == ["unused-import"] * 3
+    assert [f.line for f in findings] == [1, 2, 3]
+    assert "'os'" in findings[0].message and "'Dict'" in findings[2].message
+
+
+def test_unused_import_in_a_multiline_import_reports_its_own_line(tmp_path):
+    source = "from typing import (\n    List,\n    Set,\n)\n\nx: List[int] = []\n"
+    path = _write(tmp_path, "bad.py", source)
+    findings = lint_repo.lint_file(path, root=tmp_path)
+    assert [(f.code, f.line) for f in findings] == [("unused-import", 3)]
+
+
+def test_read_imports_are_fine(tmp_path):
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import collections as c\n"
+        "from typing import TYPE_CHECKING, Optional, Sequence\n"
+        "from json import dumps, loads\n"
+        "__all__ = ['dumps']\n"
+        "def f(x: 'Optional[Sequence[int]]') -> None:\n"
+        "    return os.path.join(c.OrderedDict(), TYPE_CHECKING)\n"
+        "def g():\n"
+        "    from math import pi\n"
+        "    return pi, loads\n"
+    )
+    path = _write(tmp_path, "ok.py", source)
+    assert lint_repo.lint_file(path, root=tmp_path) == []
+
+
+def test_noqa_keeps_a_deliberate_reexport(tmp_path):
+    source = (
+        "from os import sep  # noqa: F401\n"
+        "from os import pathsep  # noqa\n"
+        "from os import (  # noqa: F401\n"
+        "    linesep,\n"
+        ")\n"
+        "from os import curdir  # noqa: E402\n"
+    )
+    path = _write(tmp_path, "ok.py", source)
+    findings = lint_repo.lint_file(path, root=tmp_path)
+    assert [(f.code, f.line) for f in findings] == [("unused-import", 6)]
+
+
+def test_package_inits_under_src_may_reexport(tmp_path):
+    source = "from os import sep\n"
+    package = _write(tmp_path, "src/pkg/__init__.py", source)
+    assert lint_repo.lint_file(package, root=tmp_path) == []
+    elsewhere = _write(tmp_path, "tests/pkg/__init__.py", source)
+    assert _codes(lint_repo.lint_file(elsewhere, root=tmp_path)) == ["unused-import"]
+
+
+def test_the_maintainers_reexport_passes_as_is():
+    path = lint_repo.REPO_ROOT / "src/repro/datalog/incremental.py"
+    assert "import columnar_grounding  # noqa: F401" in path.read_text()
+    assert lint_repo.lint_file(path) == []

@@ -24,6 +24,12 @@ Checks
   how injection bugs start.
 * **line-length** -- over ``120`` columns (the ruff setting), so the
   gate holds even where ruff never runs.
+* **unused-import** -- an imported name the module never reads
+  (ruff's F401): a read is any name load, a name inside a string
+  annotation, or an ``__all__`` entry.  ``# noqa: F401`` (or a bare
+  ``# noqa``) on the import's line keeps a deliberate re-export, and
+  ``src/**/__init__.py`` is skipped, as ``pyproject.toml``'s
+  per-file-ignores skip it.
 
 Usage::
 
@@ -36,7 +42,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterable, List, NamedTuple
+from typing import Iterable, List, NamedTuple, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -145,6 +151,77 @@ def _check_line_length(source: str, path: str) -> Iterable[Finding]:
             )
 
 
+def _noqa_f401(line: str) -> bool:
+    """Whether *line* carries a ``# noqa`` that covers F401."""
+    _, marker, codes = line.partition("# noqa")
+    if not marker:
+        return False
+    codes = codes.strip()
+    return not codes.startswith(":") or "F401" in codes
+
+
+def _read_names(tree: ast.AST) -> Set[str]:
+    """Every name the module reads: name nodes, names inside string
+    annotations, and the entries of a literal ``__all__``."""
+    names: Set[str] = set()
+    annotations: List[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                names.update(
+                    elt.value
+                    for elt in ast.walk(node.value)
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                )
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+def _check_unused_imports(tree: ast.AST, source: str, path: str, relative: str) -> Iterable[Finding]:
+    if relative.startswith("src/") and relative.endswith("/__init__.py"):
+        return
+    lines = source.splitlines()
+    read = _read_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            bound = alias.asname or alias.name
+            if isinstance(node, ast.Import) and alias.asname is None:
+                bound = alias.name.split(".")[0]
+            if bound in read:
+                continue
+            if _noqa_f401(lines[node.lineno - 1]) or _noqa_f401(lines[alias.lineno - 1]):
+                continue
+            yield Finding(
+                path,
+                alias.lineno,
+                "unused-import",
+                f"{alias.name!r} imported but unused; delete it, or mark a "
+                "deliberate re-export with '# noqa: F401'",
+            )
+
+
 def lint_file(filepath: Path, root: Path = REPO_ROOT) -> List[Finding]:
     """All findings for one Python file (sorted by line)."""
     try:
@@ -164,6 +241,7 @@ def lint_file(filepath: Path, root: Path = REPO_ROOT) -> List[Finding]:
     findings.extend(_check_mutable_defaults(tree, display))
     findings.extend(_check_bare_except(tree, display))
     findings.extend(_check_exec(tree, display, relative))
+    findings.extend(_check_unused_imports(tree, source, display, relative))
     return sorted(findings, key=lambda f: f.line)
 
 
