@@ -107,7 +107,9 @@ class GroundingStats:
       differ (the columnar engine's index ranges return only rows
       that already agree on every bound position, so far fewer rows
       are ever probed).
-    * ``matches`` -- probes that extended the substitution.
+    * ``matches`` -- probes that extended the substitution.  A row a
+      semi-naive join cuts by its delta window (an atom before the
+      seed reads old rows only) is a probe, not a match.
     * ``ground_rules`` -- ground-rule instances emitted.
 
     Engines write to the *context-local* stats object
@@ -642,10 +644,9 @@ class _SlotAtom:
 
     The slot representation is what lets the join kernels of
     :class:`_ColumnarProgramGrounder` bind without substitution dicts:
-    a rule's variables are numbered ``0..k-1`` (sorted by name, so the
-    slot vector doubles as the per-round dedup key), and an atom's
-    ``terms`` encode constants as their non-negative interned id and
-    variable slot ``s`` as ``-(s + 1)`` -- one int tuple per atom.
+    a rule's variables are numbered ``0..k-1`` (sorted by name), and an
+    atom's ``terms`` encode constants as their non-negative interned id
+    and variable slot ``s`` as ``-(s + 1)`` -- one int tuple per atom.
 
     ``const_items``/``var_items`` pre-split the positions so the
     ordering pass and the kernel writer never re-inspect term types.
@@ -741,8 +742,9 @@ def _compile_slot_plan(
 _LOOPS_PER_PART = 16
 
 #: The kernel's parameters (``rule``: a one-element ``array('q')``
-#: holding the rule number).
-_KERNEL_ARGS = "seed, steps, consts, tables, preds, rule, out, seen, derived, fresh"
+#: holding the rule number; ``bounds``: per plan step, the first row of
+#: its relation's delta window, or the relation's length without one).
+_KERNEL_ARGS = "seed, steps, consts, tables, preds, rule, out, bounds, derived, fresh"
 
 #: Locals every kernel binds once per call, before its loops.
 _KERNEL_PRELUDE = (
@@ -761,14 +763,16 @@ def _kernel_source(
     body: Sequence[_SlotAtom],
     idb_flags: Sequence[bool],
     head: _SlotAtom,
-    dedup: bool,
+    windows: Sequence[bool],
 ) -> Tuple[str, Tuple[int, ...]]:
     """The source of one join kernel and the constant ids it reads.
 
     Straight nested loops, one per join level: the *seed* atom's delta
     rows (``None``: round 0's full join), then each *plan* step's
-    pattern-index range or full scan.  Bound-slot checks, probe and
-    match counts, the round dedup key (with *dedup*), the fact-id
+    pattern-index range or full scan.  A step flagged in *windows*
+    reads only its relation's rows below its ``bounds`` entry (a key's
+    index run ascends, so one ``bisect_left`` cuts it after its probes
+    are counted).  Bound-slot checks, probe and match counts, the fact-id
     lookups and the appends to the ground program's columns are all
     inline.  Each atom's row tuple and fact-table read sit at the
     shallowest level that binds all its slots (within the last part
@@ -844,11 +848,13 @@ def _kernel_source(
         if positions is None:
             prelude.append(f"start, stop, cols{level} = seed")
             count, loop, checked = "stop - start", "range(start, stop)", range(atom.arity)
+            window = False
         else:
             step = level - (seed is not None)
             prelude.append(f"n{level}, keys{level}, rows{level}, tail{level}, cols{level} = steps[{step}]")
             checked = [p for p in range(atom.arity) if p not in positions]
             count, loop = f"n{level}", f"range(n{level})"
+            window = windows[step]
             if positions:
                 key = term(atom.terms[positions[0]])
                 if len(positions) > 1:
@@ -872,6 +878,12 @@ def _kernel_source(
                 bound.add(slot)
                 binds.append(f"s{slot} = {cell}")
         put(f"probes += {count}")
+        if window:
+            prelude.append(f"b{level} = bounds[{step}]")
+            if positions:
+                put(f"r{level} = r{level}[:bisect_left(r{level}, b{level})]")
+            else:
+                count, loop = f"b{level}", f"range(b{level})"
         if not checks:
             put(f"matches += {count}")
         put(f"for x{level} in {loop}:")
@@ -886,10 +898,6 @@ def _kernel_source(
     # only, in body order, then the head; a hoisted read that missed
     # reads again first, since an atom earlier in body order may have
     # interned the same row since.
-    if dedup:
-        prelude.append("seen_add = seen.add")
-        put(f"key = ({''.join(f's{slot}, ' for slot in sorted(bound))})", "if key in seen:", "    continue",
-            "seen_add(key)")
     for j in range(len(atoms)):
         insert = (
             f"if f{j} is None:",
@@ -969,9 +977,11 @@ class _ColumnarProgramGrounder:
     :class:`~repro.datalog.store.DeltaView` rows.  Only facts *new to
     the store* seed joins (a derived head already resident as an input
     fact seeds nothing), so a ground instance is discovered exactly in
-    the round after its last body fact arrived and never in two rounds;
-    a per-round key over the slot vector removes the within-round
-    duplicates that arise when two body facts are both in the delta.
+    the round after its last body fact arrived and never in two rounds.
+    Within a round, a join seeded at body atom *i* reads the atoms
+    before *i* below their delta windows and the atoms after *i* in
+    full, so an instance with several body facts in the delta is found
+    once, at its first delta atom in body order.
 
     Each join is one generated kernel per ``(rule, seed atom)``
     (:func:`_kernel_source`): rules are slot-compiled once (every head
@@ -986,7 +996,8 @@ class _ColumnarProgramGrounder:
     predicate.
     Bodies intern their constants only with *intern_bodies*: a
     maintainer's store receives later inserts, so it must not freeze
-    the :attr:`_SlotAtom.impossible` shortcut in.
+    the :attr:`_SlotAtom.impossible` shortcut in, and any of its
+    relations can have a delta, where only derived ones can otherwise.
     """
 
     def __init__(self, program: Program, database: Database, intern_bodies: bool = False):
@@ -1011,10 +1022,12 @@ class _ColumnarProgramGrounder:
                 tuple(cground.fact_table(atom.predicate) for atom in atoms),
                 tuple(atom.predicate for atom in atoms),
             ))
+        #: Whether every relation, not only the derived ones, can have
+        #: a delta.
+        self.inserts = intern_bodies
         #: Fact ids of the derived IDB facts in the store.
         self.derived: Set[int] = set()
-        self._plans: Dict[Tuple[int, Optional[int]], Tuple] = {}
-        self._kernels: Dict[Tuple[int, Optional[int], bool], Tuple] = {}
+        self._kernels: Dict[Tuple[int, Optional[int]], Tuple] = {}
 
     def run(self) -> int:
         """Round 0, then delta rounds to closure, its rules counted in
@@ -1041,12 +1054,14 @@ class _ColumnarProgramGrounder:
     def round(self, deltas: Optional[Mapping]) -> Dict[str, Set[int]]:
         """One round: every rule joined in full (*deltas* ``None``) or
         once per body atom over a delta relation, seeded by its delta
-        rows.  Returns the head fact ids not yet derived, per predicate."""
+        rows, the atoms before it old rows only.  Returns the head fact
+        ids not yet derived, per predicate."""
         store, cground = self.store, self.cground
         out = (
             cground.fact_preds, cground.fact_rows, cground.unit_rows, cground.rule_head,
             cground.rule_no, cground.idb_rows, cground.edb_rows,
         )
+        old = {key: view.start for key, view in (deltas or {}).items()}
         fresh: Dict[str, Set[int]] = {}
         probes = matches = 0
         for rule_index, (head, body, _, tables, preds) in enumerate(self.rules):
@@ -1057,18 +1072,17 @@ class _ColumnarProgramGrounder:
                     at for at, atom in enumerate(body)
                     if not atom.impossible and (atom.predicate, atom.arity) in deltas
                 ]
-            dedup = len(seeds) > 1
-            seen: Optional[Set[Tuple[int, ...]]] = set() if dedup else None
             heads = fresh.setdefault(head.predicate, set())
             rule_no = array("q", (rule_index,))
             for at in seeds:
-                plan, kernel, consts = self._kernel(rule_index, at, dedup)
+                plan, kernel, consts = self._kernel(rule_index, at)
                 seed = None
                 if at is not None:
                     view = deltas[(body[at].predicate, body[at].arity)]
                     seed = (view.start, view.stop, view.relation.columns)
                 steps = tuple(_step_args(store, atom, positions) for atom, positions in plan)
-                counts = kernel(seed, steps, consts, tables, preds, rule_no, out, seen, self.derived, heads)
+                bounds = tuple(old.get((atom.predicate, atom.arity), step[0]) for (atom, _), step in zip(plan, steps))
+                counts = kernel(seed, steps, consts, tables, preds, rule_no, out, bounds, self.derived, heads)
                 probes += counts[0]
                 matches += counts[1]
         stats = _stats()
@@ -1077,23 +1091,24 @@ class _ColumnarProgramGrounder:
         cground._appended()
         return {predicate: fids for predicate, fids in fresh.items() if fids}
 
-    def _kernel(self, rule_index: int, at: Optional[int], dedup: bool) -> Tuple:
+    def _kernel(self, rule_index: int, at: Optional[int]) -> Tuple:
         """``(plan, kernel, constant ids)`` for one rule seeded at body
         atom *at*, compiled on first need.  The plan is ordered then
         and frozen: the bound-slot set depends only on ``(rule, at)``,
-        and later rounds skip the ``O(k²)`` ordering pass."""
-        key = (rule_index, at, dedup)
+        and later rounds skip the ``O(k²)`` ordering pass.  The body
+        atoms before *at* that can have a delta are windowed."""
+        key = (rule_index, at)
         entry = self._kernels.get(key)
         if entry is None:
             head, body, idb_flags, _, _ = self.rules[rule_index]
             seed = None if at is None else body[at]
-            plan = self._plans.get((rule_index, at))
-            if plan is None:
-                bound = set() if seed is None else set(seed.slots)
-                rest = [atom for position, atom in enumerate(body) if position != at]
-                plan = _compile_slot_plan(_order_slot_atoms(rest, self.store, bound), bound)
-                self._plans[(rule_index, at)] = plan
-            source, consts = _kernel_source(seed, plan, body, idb_flags, head, dedup)
+            bound = set() if seed is None else set(seed.slots)
+            rest = [atom for position, atom in enumerate(body) if position != at]
+            plan = _compile_slot_plan(_order_slot_atoms(rest, self.store, bound), bound)
+            before = body[:at] if at is not None else ()
+            windowed = {id(atom) for atom, idb in zip(before, idb_flags) if idb or self.inserts}
+            windows = tuple(id(atom) in windowed for atom, _ in plan)
+            source, consts = _kernel_source(seed, plan, body, idb_flags, head, windows)
             entry = self._kernels[key] = (plan, _compile_kernel(source), consts)
         return entry
 

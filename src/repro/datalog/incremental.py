@@ -401,7 +401,9 @@ class MaintainedFixpoint:
 
         Every appended rule is new: a seed row is new to the store,
         and a live rule reads only resident facts, so no live rule
-        holds it; the kernels' per-round key removes the rest."""
+        holds it; and a round finds each rule once, at its first delta
+        atom in body order.  Rows are removed only between passes, so
+        ``[0, start)`` of a delta window is the old part throughout."""
         grounder, cground = self._grounder, self._cground
         first = len(cground)
         grounder.saturate(grounder.round(self.store.deltas_since(mark)))

@@ -4,8 +4,9 @@ The hand-picked workloads (TC, Dyck-1, same-generation, magic) never
 put a constant in a head, read an IDB fact that is stored but never
 derived, or mix arities across IDB predicates.  The generator below
 does all three: three IDB predicates of arity 1–2, rule bodies of one
-to three atoms over them and the EDB predicates ``E``/``A``, constants
-in heads and bodies, and stored facts for the IDB predicates (*seeds*).
+to three atoms over them and the EDB predicates ``E``/``A`` (some
+repeating one predicate, so nonlinear), constants in heads and bodies,
+and stored facts for the IDB predicates (*seeds*).
 Its first rule reads only EDB atoms and binds its head, so most
 generated programs derive something.
 
@@ -93,8 +94,11 @@ def programs_with_databases(draw):
     variable = st.sampled_from(VARIABLES)
     extra = draw(st.lists(st.sampled_from(sorted(EDB_ARITY)), max_size=2))
     bodies = [[Atom("E", VARIABLES[:2])] + [Atom(p, [draw(variable) for _ in range(arity[p])]) for p in extra]]
+    # Some bodies repeat one predicate 2-3 times: nonlinear when it is
+    # an IDB predicate, so one round seeds the rule at several atoms.
+    repeated = st.builds(lambda p, times: [p] * times, st.sampled_from(sorted(arity)), st.integers(2, 3))
     for _ in range(draw(st.integers(0, 3))):
-        predicates = draw(st.lists(st.sampled_from(sorted(arity)), min_size=1, max_size=3))
+        predicates = draw(st.one_of(st.lists(st.sampled_from(sorted(arity)), min_size=1, max_size=3), repeated))
         bodies.append([Atom(p, [draw(body_term) for _ in range(arity[p])]) for p in predicates])
     rules = []
     for body in bodies:
