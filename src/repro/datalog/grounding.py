@@ -24,7 +24,7 @@ selected with ``config=ExecutionConfig(engine=...)`` (DESIGN.md §8):
   ``array('q')`` columns.  Every join -- one per ``(rule, seed
   atom)``, the seed being a :class:`~repro.datalog.store.DeltaView`
   window, or none for round 0 -- runs as a generated kernel: straight
-  nested loops over the seed rows and sorted-id index ranges, with the
+  nested loops over the seed rows and hash-index runs, with the
   bound-slot checks, the fact-id interning and the appends to the
   ground program inline (:func:`columnar_grounding`).  A kernel's
   source holds only integer literals and fixed identifiers, and the
@@ -58,7 +58,7 @@ read.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,7 +104,7 @@ class GroundingStats:
 
     * ``probes`` -- candidate rows handed to the matcher: the unit of
       join work both engines share, and the metric on which they
-      differ (the columnar engine's index ranges return only rows
+      differ (the columnar engine's index runs hold only rows
       that already agree on every bound position, so far fewer rows
       are ever probed).
     * ``matches`` -- probes that extended the substitution.  A row a
@@ -769,13 +769,14 @@ def _kernel_source(
 
     Straight nested loops, one per join level: the *seed* atom's delta
     rows (``None``: round 0's full join), then each *plan* step's
-    pattern-index range or full scan.  A step flagged in *windows*
-    reads only its relation's rows below its ``bounds`` entry (a key's
-    index run ascends, so one ``bisect_left`` cuts it after its probes
-    are counted).  Bound-slot checks, probe and match counts, the fact-id
-    lookups and the appends to the ground program's columns are all
-    inline.  Each atom's row tuple and fact-table read sit at the
-    shallowest level that binds all its slots (within the last part
+    pattern-index run (one dict probe) or full scan.  A step flagged
+    in *windows* reads only its relation's rows below its ``bounds``
+    entry (a key's index run ascends, so one ``bisect_left`` cuts it
+    after its probes are counted).  Bound-slot checks, probe and
+    match counts, the fact-id lookups and the appends to the ground
+    program's columns are all inline.  Each atom's row tuple and
+    fact-table read sit at the shallowest level that binds all its
+    slots (within the last part
     of a plan longer than ``_LOOPS_PER_PART``, whose boundary carries
     slots only).  The read never inserts: facts are interned at
     emission only, in body order, then the head, and an atom whose
@@ -851,7 +852,7 @@ def _kernel_source(
             window = False
         else:
             step = level - (seed is not None)
-            prelude.append(f"n{level}, keys{level}, rows{level}, tail{level}, cols{level} = steps[{step}]")
+            prelude.append(f"n{level}, runs{level}, cols{level} = steps[{step}]")
             checked = [p for p in range(atom.arity) if p not in positions]
             count, loop = f"n{level}", f"range(n{level})"
             window = windows[step]
@@ -860,12 +861,7 @@ def _kernel_source(
                 if len(positions) > 1:
                     put(f"key = ({', '.join(term(atom.terms[p]) for p in positions)})")
                     key = "key"
-                put(
-                    f"lo = bisect_left(keys{level}, {key})",
-                    f"r{level} = rows{level}[lo:bisect_right(keys{level}, {key}, lo)]",
-                    f"if tail{level}:",
-                    f"    r{level} = [*r{level}, *tail{level}.get({key}, ())]",
-                )
+                put(f"r{level} = runs{level}.get({key}, ())")
                 count, loop = f"len(r{level})", f"r{level}"
         binds: List[str] = []
         checks: List[str] = []
@@ -946,21 +942,22 @@ _KERNEL_CACHE_SIZE = 256
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compile_kernel(source: str):
     """The ``_join`` function of one generated kernel source."""
-    namespace: Dict[str, object] = {"bisect_left": bisect_left, "bisect_right": bisect_right}
+    namespace: Dict[str, object] = {"bisect_left": bisect_left}
     exec(source, namespace)  # noqa: S102 - join compiler, ints and fixed names only
     return namespace["_join"]
 
 
 def _step_args(store, atom: _SlotAtom, positions: Tuple[int, ...]) -> Tuple:
-    """One join step's kernel arguments ``(rows, index keys, index
-    rows, index tail, columns)``, read at call time: an impossible atom
-    or a relation with no rows yet joins nothing."""
+    """One join step's kernel arguments ``(rows, index runs,
+    columns)``, read at call time: an impossible atom or a relation
+    with no rows yet joins nothing.  The runs are the index's own
+    arrays, read in place: the store takes rows only between kernel
+    calls."""
     relation = None if atom.impossible else store.relation(atom.predicate, atom.arity)
     if relation is None:
-        return 0, (), (), None, ((),) * atom.arity
-    if not positions:
-        return len(relation), None, None, None, relation.columns
-    return (len(relation), *relation.index_for(positions).parts(), relation.columns)
+        return 0, {}, ((),) * atom.arity
+    runs = relation.index_for(positions).runs if positions else None
+    return len(relation), runs, relation.columns
 
 
 class _ColumnarProgramGrounder:

@@ -26,16 +26,13 @@ high-performance Datalog engines:
   row-key dict for O(1) dedup/membership.  One arity-checked batch
   writer (:meth:`ColumnarRelation.extend`) fills it, and ``append``
   is its one-row case; rows are integers end to end.
-* :class:`_PatternIndex` -- pattern-keyed indexes stored as
-  *contiguous sorted-id arrays*: for a tuple of bound argument
-  positions, the row ids are kept sorted by their key, and a lookup
-  is **one binary search per bound pattern** (``bisect`` range over
-  the sorted keys) instead of one dict probe per candidate tuple.
-  Rows appended after an index is built land in a small pending tail
-  (a dict) that is merged back into the sorted arrays geometrically
-  (amortized ``O(1)`` maintenance per appended row), so lookups stay
-  ``O(log n)`` while derived facts stream in during semi-naive
-  grounding.
+* :class:`_PatternIndex` -- pattern-keyed hash indexes: for a tuple
+  of bound argument positions, a dict maps each key to an
+  ``array('q')`` of the row indices holding it, in append order, so
+  every run ascends.  A lookup is **one dict probe per bound
+  pattern**, and a row appended after the index was built is one
+  array append, so the index stays exact while derived facts stream
+  in during semi-naive grounding.
 * :class:`DeltaView` -- a zero-copy half-open window over a
   relation's append log.  Because relations are append-only,
   ``store.watermark()`` before a round and ``store.deltas_since()``
@@ -53,10 +50,11 @@ runs entirely in id space on top of these primitives.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import (
     Dict,
@@ -216,99 +214,36 @@ def scoped_symbols(table: Optional[SymbolTable] = None):
 
 
 class _PatternIndex:
-    """Sorted-id index for one tuple of bound argument positions.
+    """Hash index for one tuple of bound argument positions.
 
-    The committed part is a pair of parallel sequences sorted by key:
-    ``_keys`` (an ``array('q')`` of ids for single-position patterns,
-    a list of id tuples otherwise) and ``_rows`` (``array('q')`` of
-    row indices).  A lookup is a ``bisect_left``/``bisect_right``
-    range -- one binary search per bound pattern -- plus a dict probe
-    on the pending tail of rows appended since the last merge.  The
-    tail is merged back (one two-pointer pass over both sorted runs)
-    whenever it outgrows a fixed fraction of the committed part, so
-    maintenance costs amortized ``O(1)`` comparisons per appended row
-    while lookups stay ``O(log n)``.
+    ``runs`` maps each key (a bare id for one position, an id tuple
+    otherwise) to an ``array('q')`` of the row indices holding it, in
+    append order, so every run ascends.  A lookup is one dict probe;
+    :meth:`extend` appends each new row to its key's run.
     """
 
-    __slots__ = ("positions", "_single", "_key", "_keys", "_rows", "_tail", "_tail_rows")
-
-    #: Merge the pending tail once it exceeds committed/_MERGE_FRACTION.
-    _MERGE_FRACTION = 8
+    __slots__ = ("_key", "runs")
 
     def __init__(self, relation: "ColumnarRelation", positions: Tuple[int, ...]):
-        self.positions = positions
-        self._single = len(positions) == 1
         #: An id row's key: a bare id for one position, else a tuple.
         self._key = itemgetter(*positions)
-        if self._single:
-            column = relation.columns[positions[0]]
-            order = sorted(range(len(column)), key=column.__getitem__)
-            self._keys: Union[array, List[Tuple[int, ...]]] = array(
-                "q", (column[i] for i in order)
-            )
-        else:
-            columns = [relation.columns[p] for p in positions]
-            keys = [tuple(col[i] for col in columns) for i in range(len(relation))]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            self._keys = [keys[i] for i in order]
-        self._rows = array("q", order)
-        self._tail: Dict[PatternKey, List[int]] = {}
-        self._tail_rows = 0
+        self.runs: Dict[PatternKey, array] = defaultdict(partial(array, "q"))
+        columns = [relation.columns[p] for p in positions]
+        self._add(columns[0] if len(columns) == 1 else zip(*columns), 0)
 
     def extend(self, rows: Sequence[IdRow], first: int) -> None:
         """Register freshly appended id *rows*, row indices ``first,
-        first + 1, ...``, in the pending tail, with one merge check."""
-        tail, key = self._tail, self._key
-        for row, ids in enumerate(rows, first):
-            tail.setdefault(key(ids), []).append(row)
-        self._tail_rows += len(rows)
-        if self._tail_rows * self._MERGE_FRACTION > len(self._rows):
-            self._merge_tail()
+        first + 1, ...``."""
+        self._add(map(self._key, rows), first)
 
-    def _merge_tail(self) -> None:
-        if not self._tail:
-            return
-        pending = sorted(
-            (key, row) for key, rows in self._tail.items() for row in rows
-        )
-        # Two-pointer merge of the committed run with the sorted tail:
-        # O(committed + tail) total, and the trigger fires only after
-        # committed/_MERGE_FRACTION appends, so maintenance is
-        # amortized O(1) comparisons per appended row.
-        keys, rows = self._keys, self._rows
-        merged: List[Tuple[PatternKey, int]] = []
-        at, committed = 0, len(rows)
-        for key, row in pending:
-            while at < committed and keys[at] <= key:
-                merged.append((keys[at], rows[at]))
-                at += 1
-            merged.append((key, row))
-        while at < committed:
-            merged.append((keys[at], rows[at]))
-            at += 1
-        if self._single:
-            self._keys = array("q", (k for k, _ in merged))
-        else:
-            self._keys = [k for k, _ in merged]
-        self._rows = array("q", (r for _, r in merged))
-        self._tail.clear()
-        self._tail_rows = 0
-
-    def parts(self) -> Tuple[Sequence[PatternKey], array, Dict[PatternKey, List[int]]]:
-        """``(keys, rows, tail)``: the committed run and the pending
-        tail, for callers that inline :meth:`lookup`.  Valid until the
-        next append to the relation."""
-        return self._keys, self._rows, self._tail
+    def _add(self, keys: Iterable[PatternKey], first: int) -> None:
+        runs = self.runs
+        for row, key in enumerate(keys, first):
+            runs[key].append(row)
 
     def lookup(self, key: PatternKey) -> List[int]:
-        """Row indices whose key equals *key* (bisect range + tail probe)."""
-        keys = self._keys
-        lo = bisect_left(keys, key)
-        hi = bisect_right(keys, key, lo)
-        out = list(self._rows[lo:hi])
-        if self._tail_rows:
-            out.extend(self._tail.get(key, ()))
-        return out
+        """Row indices whose key equals *key*, ascending."""
+        return list(self.runs.get(key, ()))
 
 
 class ColumnarRelation:
@@ -390,7 +325,7 @@ class ColumnarRelation:
             yield tuple(column[i] for column in columns)
 
     def index_for(self, positions: Tuple[int, ...]) -> _PatternIndex:
-        """The sorted-id index for *positions*, built lazily once."""
+        """The hash index for *positions*, built lazily once."""
         index = self._indexes.get(positions)
         if index is None:
             index = _PatternIndex(self, positions)
@@ -411,9 +346,9 @@ class ColumnarRelation:
 
         Removal is swap-with-last: the final row moves into the freed
         slot so the columns stay dense, which renumbers that one row.
-        Pattern indexes (and their pending tails) are dropped and
-        rebuild lazily, and any outstanding :class:`DeltaView` windows
-        or :meth:`ColumnarStore.watermark` marks are invalidated --
+        Pattern indexes are dropped and rebuild lazily, and any
+        outstanding :class:`DeltaView` windows or
+        :meth:`ColumnarStore.watermark` marks are invalidated --
         the maintenance layer (:mod:`repro.datalog.incremental`) only
         removes rows *between* delta passes for exactly this reason.
         """
@@ -481,7 +416,7 @@ class ColumnarStore:
 
     The id-space backend behind ``engine="columnar"``: facts go in
     through the interning writers (:meth:`insert_fact`,
-    :meth:`insert_ids`), joins read row indices out of the bisect
+    :meth:`insert_ids`), joins read row indices out of the hash
     indexes (:meth:`ColumnarRelation.lookup`), and semi-naive rounds
     consume :class:`DeltaView` windows between :meth:`watermark`
     calls.  Decoding happens only at the boundary (:meth:`facts`).

@@ -8,12 +8,13 @@ from hypothesis import settings
 from repro.datalog import Database, Fact, scoped_symbols, transitive_closure
 
 #: ``--hypothesis-profile ci``: the CI job runs the generated-program,
-#: grounding-engine, columnar-fixpoint, maintainer stream-machine and
-#: analyzer properties at this many examples each
+#: grounding-engine, columnar-fixpoint, maintainer stream-machine,
+#: analyzer and columnar-store properties at this many examples each
 #: (``tests.oracle.examples``), since every new program shape is new
 #: generated join code and new ground rows for the fixpoint kernel and
-#: the DL006 cycle search to read, and every stream is a new run of
-#: seeds and repairs through that kernel.
+#: the DL006 cycle search to read, every stream is a new run of seeds
+#: and repairs through that kernel, and every join level reads a
+#: pattern index the store properties check against a full scan.
 settings.register_profile("ci", max_examples=1000)
 
 

@@ -3,9 +3,10 @@
 Two layers are pinned here (DESIGN.md §8):
 
 * the storage primitives of ``repro.datalog.store`` -- symbol-table
-  interning, arity-checked columnar writers, bisect-range pattern
-  indexes (hypothesis-checked against a brute-force filter, including
-  rows appended *after* an index was built), and delta views;
+  interning, arity-checked columnar writers, hash pattern indexes
+  (hypothesis-checked against a brute-force filter, including rows
+  appended *after* an index was built, with every run ascending), and
+  delta views;
 * the columnar join engine on inputs the store makes special --
   mixed arities, rule constants the store never interned, scoped and
   private symbol tables -- plus the probe regression the benchmarks
@@ -37,7 +38,7 @@ from repro.datalog import (
 from repro.datalog.store import ColumnarRelation
 from repro.semirings import BOOLEAN
 from repro.workloads import random_digraph, random_weights
-from tests.oracle import NAIVE_ENGINE
+from tests.oracle import NAIVE_ENGINE, examples
 
 TC = transitive_closure()
 
@@ -124,6 +125,7 @@ def test_extend_checks_the_whole_batch_before_writing():
     relation = ColumnarRelation("E", 2)
     relation.extend([(0, 1)])
     index = relation.index_for((0,))
+    runs = {key: list(run) for key, run in index.runs.items()}
     with pytest.raises(DatalogError, match="arity clash"):
         relation.extend([(1, 2), (2, 3, 4), (3, 4)])
     # The clash sits mid-batch: the rows before it were not written.
@@ -131,7 +133,8 @@ def test_extend_checks_the_whole_batch_before_writing():
     assert list(relation.id_rows()) == [(0, 1)]
     assert [list(column) for column in relation.columns] == [[0], [1]]
     assert relation.row_index((1, 2)) is None
-    assert relation.lookup((0,), 1) == [] and index.parts()[2] == {}
+    assert relation.lookup((0,), 1) == []
+    assert {key: list(run) for key, run in index.runs.items()} == runs
 
 
 def test_extend_drops_resident_and_repeated_rows():
@@ -154,32 +157,17 @@ def test_append_is_the_one_row_extend():
     assert len(relation) == 2
 
 
-def test_extend_checks_the_merge_threshold_once_per_batch():
-    relation = ColumnarRelation("R", 1)
-    relation.extend([(v,) for v in range(64)])
-    index = relation.index_for((0,))
-    # Below the threshold (64 / 8 rows) a batch stays in the tail ...
-    relation.extend([(v,) for v in range(100, 108)])
-    assert index._tail_rows == 8
-    assert relation.lookup((0,), 103) == [67]
-    # ... and the batch that crosses it is merged in with it.
-    relation.extend([(v,) for v in range(200, 220)])
-    assert index._tail_rows == 0
-    assert relation.lookup((0,), 103) == [67] and relation.lookup((0,), 219) == [91]
-
-
 @given(
     seed=st.integers(0, 100_000),
     arity=st.integers(1, 3),
     committed=st.integers(0, 48),
     batches=st.lists(st.integers(0, 24), min_size=1, max_size=8),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 def test_extend_matches_one_row_appends(seed, arity, committed, batches):
     """Random batches through ``extend`` leave the same columns, row
     index and pattern-index lookups as the same rows appended one at a
-    time, on indexes built before the batches arrive: small batches
-    stay in the pending tail, larger ones cross the merge threshold."""
+    time, on indexes built before later batches arrive."""
     rng = random.Random(seed)
     domain = 2 + arity * 2
 
@@ -204,6 +192,51 @@ def test_extend_matches_one_row_appends(seed, arity, committed, batches):
             for row in batched.id_rows():
                 key = row[positions[0]] if len(positions) == 1 else tuple(row[p] for p in positions)
                 assert batched.lookup(positions, key) == single.lookup(positions, key)
+
+
+def assert_runs_partition_and_ascend(relation, positions):
+    """The index's runs partition the relation's rows by key, and every
+    run ascends: the order a kernel's windowed ``bisect_left`` cut
+    relies on."""
+    runs = relation.index_for(positions).runs
+    assert sorted(row for run in runs.values() for row in run) == list(range(len(relation)))
+    for key, run in runs.items():
+        assert all(a < b for a, b in zip(run, run[1:])), (positions, key)
+        for row in run:
+            ids = relation.row(row)
+            assert (ids[positions[0]] if len(positions) == 1 else tuple(ids[p] for p in positions)) == key
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_index_runs_ascend_after_build_extend_and_rebuild(arity):
+    """Runs ascend after a build, after batches appended to a built
+    index, and after a removal drops the index and it rebuilds."""
+    rng = random.Random(arity)
+    relation = ColumnarRelation("R", arity)
+    patterns = [
+        positions
+        for size in range(1, arity + 1)
+        for positions in itertools.combinations(range(arity), size)
+    ]
+
+    def rows(count):
+        return [tuple(rng.randrange(4) for _ in range(arity)) for _ in range(count)]
+
+    def check():
+        for positions in patterns:
+            assert_runs_partition_and_ascend(relation, positions)
+
+    relation.extend(rows(30))
+    check()  # the build
+    for _ in range(6):
+        relation.extend(rows(rng.randrange(1, 12)))
+        check()  # appends to the built runs
+    for ids in rng.sample(list(relation.id_rows()), len(relation) // 2):
+        assert relation.remove(ids)
+    assert not relation._indexes  # a removal drops every index ...
+    check()  # ... and the rebuild ascends again
+    relation.extend(rows(8))
+    check()
 
 
 def test_mixed_arity_database_grounds_like_the_other_engines():
@@ -240,9 +273,9 @@ def test_store_contains_and_decode_roundtrip():
     rows=st.integers(1, 60),
     extra=st.integers(0, 30),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_pattern_index_matches_bruteforce_filter(seed, arity, rows, extra):
-    """Bisect-range lookups must agree with a full scan, for every
+    """Index lookups must agree with a full scan, for every
     bound-position pattern, before and after post-build appends."""
     rng = random.Random(seed)
     store = ColumnarStore(SymbolTable())
@@ -258,8 +291,8 @@ def test_pattern_index_matches_bruteforce_filter(seed, arity, rows, extra):
     positions = tuple(
         sorted(rng.sample(range(arity), rng.randint(1, arity)))
     )
-    # Build the index now, then append more rows: the pending-tail path
-    # must keep lookups exact.
+    # Build the index now, then append more rows: the appends to its
+    # runs must keep lookups exact.
     relation.index_for(positions)
     for _ in range(extra):
         store.insert_fact(Fact("R", random_row()))
@@ -281,16 +314,16 @@ def test_pattern_index_matches_bruteforce_filter(seed, arity, rows, extra):
     arity=st.integers(1, 3),
     nops=st.integers(1, 120),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_pattern_index_interleaved_ops_match_reference(seed, arity, nops):
     """Interleaved appends, pattern lookups and delta reads against a
     naive reference model.
 
     The build path (index constructed over a finished relation) is
-    exercised everywhere; this drives the *pending-tail* path instead:
-    lookups keep landing between appends, so tails are probed and
-    merged at every fill level, interleaved with watermark/delta reads
-    over the same append log (the ISSUE 5 pattern-index satellite).
+    exercised everywhere; this drives the *append* path instead:
+    lookups keep landing between appends, so runs are probed at every
+    fill level, interleaved with watermark/delta reads over the same
+    append log.
     """
     rng = random.Random(seed)
     store = ColumnarStore(SymbolTable())

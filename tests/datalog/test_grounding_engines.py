@@ -578,11 +578,11 @@ def test_a_maintainer_finds_each_ground_rule_of_an_edb_self_join_once():
 #: prefixes numbered by slot, level, atom or constant position.
 KERNEL_NAMES = frozenset(
     grounding._KERNEL_ARGS.replace(" ", "").split(",")
-    + "_join probes matches lo key emitted start stop len range bisect_left bisect_right".split()
+    + "_join probes matches key emitted start stop len range bisect_left".split()
     + "fact_preds fact_rows unit_rows rule_head rule_no idb_rows edb_rows".split()
     + "preds_append rows_append units_append head_append idb_append edb_append fresh_add".split()
 )
-KERNEL_NUMBERED = re.compile(r"(?:s|k|x|r|n|b|keys|rows|tail|cols|t|p|f|row|part)\d+|c\d+_\d+")
+KERNEL_NUMBERED = re.compile(r"(?:s|k|x|r|n|b|runs|cols|t|p|f|row|part)\d+|c\d+_\d+")
 KERNEL_ATTRIBUTES = frozenset({"add", "append", "get", "extend"})
 
 #: Constants and predicates that must never reach a kernel's source.

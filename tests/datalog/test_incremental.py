@@ -78,6 +78,7 @@ from repro.datalog import (
 )
 from repro.semirings import BOOLEAN, COUNTING, FUZZY, TROPICAL
 from repro.workloads import random_bracket_graph, random_digraph, random_weights
+from tests.datalog.test_columnar_store import assert_runs_partition_and_ascend
 from tests.oracle import ORACLE, PAIRS, examples, without_round_count
 
 TC = transitive_closure()
@@ -325,19 +326,15 @@ def state_snapshot(fix, semirings):
 
 
 def assert_indexes_consistent(fix):
-    """Pattern-index accounting: committed rows + pending tail must
-    cover the relation exactly (no retracted row lingering in a tail)."""
+    """Pattern-index accounting: the runs partition the relation's
+    rows exactly (no retracted row lingering in a run), and every run
+    ascends."""
     for predicate in fix.database.predicates():
         relation = fix.store.relation(predicate)
         if relation is None:
             continue
         for positions in [(0,), (1,)]:
-            index = relation.index_for(positions)
-            assert len(index._rows) + index._tail_rows == len(relation)
-            rows = list(index._rows)
-            for tail_rows in index._tail.values():
-                rows.extend(tail_rows)
-            assert sorted(rows) == list(range(len(relation)))
+            assert_runs_partition_and_ascend(relation, positions)
 
 
 @pytest.mark.parametrize("order", ["reverse", "shuffled"])
